@@ -4,7 +4,8 @@ Each analyzer package publishes its results through a ``report.py``
 that (a) pins a module-level ``*SCHEMA_VERSION`` string, (b) names
 itself via a module-level ``*TOOL_NAME`` string, and (c) ships at
 least one ``validate_*_dict`` function that round-trips the JSON shape
-(``repro/lint/report.py`` is the template).  Those three artifacts are
+by declaring a spec with ``repro/core/schema.py`` and handing it to
+``repro.core.schema.validate``.  Those three artifacts are
 what let downstream consumers — CI jobs, the flow analyzer, external
 dashboards — detect schema drift instead of silently misparsing.  A
 ``report.py`` missing any of them is publishing an unversioned,
@@ -50,8 +51,8 @@ class ReportSchemaConventions(Checker):
     title = "report module missing schema-version/tool-name/validator"
     severity = Severity.MEDIUM
     remediation = ("pin `*SCHEMA_VERSION` and `*TOOL_NAME` constants and "
-                   "ship a `validate_*_dict` function, following "
-                   "repro/lint/report.py")
+                   "ship a `validate_*_dict` function that checks a spec "
+                   "built with repro/core/schema.py")
 
     def check(self, context: AuditContext) -> Iterator[AuditFinding]:
         for module in context.modules:

@@ -28,8 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.schema import (COUNT, STRING, TEXT, SchemaError, header,
+                               integer, leaf, list_of, map_of, obj, require,
+                               validate)
 from repro.lint.engine import Finding, Rule, Severity
-from repro.lint.report import SchemaError
+from repro.lint.report import FINGERPRINT, SEVERITY
 
 from repro.audit.engine import AuditFinding, Checker
 
@@ -186,95 +189,37 @@ def to_sarif_dict(report: AuditReport, checkers: list[Checker]) -> dict:
 # schema validation
 # --------------------------------------------------------------------------
 
-_SEVERITY_NAMES = {s.name.lower() for s in Severity}
-
-_FINDING_KEYS = {"ruleId", "severity", "path", "line", "message",
-                 "remediation", "fingerprint"}
-_RULE_KEYS = {"id", "title", "layer", "severity", "remediation"}
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SchemaError(message)
+_AUD_ID = leaf(lambda v: isinstance(v, str) and v.startswith("AUD"),
+               "an AUD rule id")
+_FINDING = obj({
+    "ruleId": _AUD_ID, "severity": SEVERITY, "path": STRING,
+    "line": integer(1), "message": STRING, "remediation": STRING,
+    "fingerprint": FINGERPRINT,
+})
 
 
-def _validate_finding(entry: dict, where: str) -> None:
-    _require(isinstance(entry, dict), f"{where}: finding must be an object")
-    _require(set(entry) == _FINDING_KEYS,
-             f"{where}: keys {sorted(entry)} != {sorted(_FINDING_KEYS)}")
-    for key in sorted(_FINDING_KEYS - {"line"}):
-        _require(isinstance(entry[key], str),
-                 f"{where}: {key} must be a string")
-    _require(isinstance(entry["line"], int) and entry["line"] >= 1,
-             f"{where}: line must be a positive int")
-    _require(entry["severity"] in _SEVERITY_NAMES,
-             f"{where}: bad severity {entry['severity']!r}")
-    _require(entry["ruleId"].startswith("AUD"),
-             f"{where}: ruleId must be an AUD rule")
-    _require(len(entry["fingerprint"]) == 16,
-             f"{where}: fingerprint must be 16 hex chars")
+def _check_counts(document: dict, where: str) -> None:
+    audited, summary = document["audited"], document["summary"]
+    require(sum(audited["packages"].values()) == audited["modules"], where,
+            "audited.packages counts must sum to audited.modules")
+    require(summary["total"] == len(document["findings"]), where,
+            "summary.total must equal len(findings)")
+    require(sum(summary["byRule"].values()) == summary["total"], where,
+            "byRule counts must sum to summary.total")
+
+
+_DOCUMENT = obj({
+    **header(SCHEMA_VERSION, TOOL_NAME),
+    "target": TEXT,
+    "audited": obj({"modules": COUNT, "packages": map_of(STRING, COUNT)}),
+    "rules": list_of(obj({"id": _AUD_ID, "title": STRING, "layer": STRING,
+                          "severity": SEVERITY, "remediation": STRING})),
+    "findings": list_of(_FINDING),
+    "suppressed": list_of(_FINDING),
+    "summary": obj({"total": COUNT, "byRule": map_of(_AUD_ID, integer(1))}),
+}, check=_check_counts)
 
 
 def validate_audit_dict(document: dict) -> None:
     """Raise :class:`SchemaError` unless ``document`` matches the schema."""
-    _require(isinstance(document, dict), "audit report must be an object")
-    required = {"version", "tool", "target", "audited", "rules", "findings",
-                "suppressed", "summary"}
-    _require(set(document) == required,
-             f"top-level keys {sorted(document)} != {sorted(required)}")
-    _require(document["version"] == SCHEMA_VERSION,
-             f"unsupported schema version {document['version']!r}")
-    tool = document["tool"]
-    _require(isinstance(tool, dict) and set(tool) == {"name", "version"},
-             "tool must be {name, version}")
-    _require(tool["name"] == TOOL_NAME,
-             f"unexpected tool name {tool['name']!r}")
-    _require(isinstance(document["target"], str) and document["target"],
-             "target must be a non-empty string")
-
-    audited = document["audited"]
-    _require(isinstance(audited, dict)
-             and set(audited) == {"modules", "packages"},
-             "audited must be {modules, packages}")
-    _require(isinstance(audited["modules"], int) and audited["modules"] >= 0,
-             "audited.modules must be a non-negative int")
-    packages = audited["packages"]
-    _require(isinstance(packages, dict), "audited.packages must be an object")
-    for package, count in packages.items():
-        _require(isinstance(package, str),
-                 "audited.packages keys must be strings")
-        _require(isinstance(count, int) and count >= 0,
-                 f"audited.packages[{package!r}] must be a non-negative int")
-    _require(sum(packages.values()) == audited["modules"],
-             "audited.packages counts must sum to audited.modules")
-
-    _require(isinstance(document["rules"], list), "rules must be a list")
-    for index, rule in enumerate(document["rules"]):
-        where = f"rules[{index}]"
-        _require(isinstance(rule, dict) and set(rule) == _RULE_KEYS,
-                 f"{where}: keys must be {sorted(_RULE_KEYS)}")
-        _require(rule["severity"] in _SEVERITY_NAMES,
-                 f"{where}: bad severity {rule['severity']!r}")
-        _require(isinstance(rule["id"], str) and rule["id"].startswith("AUD"),
-                 f"{where}: id must be an AUD rule")
-
-    for section in ("findings", "suppressed"):
-        _require(isinstance(document[section], list),
-                 f"{section} must be a list")
-        for index, entry in enumerate(document[section]):
-            _validate_finding(entry, f"{section}[{index}]")
-
-    summary = document["summary"]
-    _require(isinstance(summary, dict) and set(summary) == {"total", "byRule"},
-             "summary must be {total, byRule}")
-    _require(summary["total"] == len(document["findings"]),
-             "summary.total must equal len(findings)")
-    by_rule = summary["byRule"]
-    _require(isinstance(by_rule, dict), "byRule must be an object")
-    for rule_id, count in by_rule.items():
-        _require(isinstance(rule_id, str) and rule_id.startswith("AUD"),
-                 f"byRule: bad rule id {rule_id!r}")
-        _require(isinstance(count, int) and count >= 1,
-                 f"byRule[{rule_id!r}] must be a positive int")
-    _require(sum(by_rule.values()) == summary["total"],
-             "byRule counts must sum to summary.total")
+    validate(document, _DOCUMENT)

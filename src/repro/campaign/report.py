@@ -27,6 +27,9 @@ from dataclasses import dataclass, field
 
 from repro.campaign.shard import result_digest
 from repro.campaign.spec import CampaignSpec
+from repro.core.schema import (BOOL, COUNT, STRING, TEXT, SchemaError, header,
+                               leaf, list_of, nullable, obj, one_of, require,
+                               validate)
 
 __all__ = ["CAMPAIGN_SCHEMA_VERSION", "CAMPAIGN_TOOL_NAME", "SHARD_STATUSES",
            "ShardEntry", "CampaignReport", "validate_campaign_dict",
@@ -37,10 +40,6 @@ CAMPAIGN_TOOL_NAME = "repro-campaign"
 
 #: Terminal statuses plus ``pending`` (only in interrupted reports).
 SHARD_STATUSES = ("ok", "error", "timeout", "quarantined", "pending")
-
-
-class SchemaError(ValueError):
-    """A campaign report document violates the schema."""
 
 
 @dataclass
@@ -156,23 +155,54 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-def _require_keys(section: dict, keys: set[str], where: str) -> None:
-    if not isinstance(section, dict):
-        raise SchemaError(f"{where} must be an object")
-    if set(section) != keys:
-        missing = keys - set(section)
-        extra = set(section) - keys
-        raise SchemaError(f"{where} keys mismatch: "
-                          f"missing={sorted(missing)} extra={sorted(extra)}")
+def _check_shard(entry: dict, where: str) -> None:
+    status = entry["status"]
+    if status == "ok":
+        require(entry["result"] is not None, where,
+                "is ok but has no result document")
+        require(entry["digest"] == result_digest(entry["result"]), where,
+                "digest does not match its result document")
+    else:
+        require(entry["result"] is None, where,
+                f"is {status} but carries a result document")
+        require(entry["digest"] == "", where, f"is {status} but carries a digest")
 
 
-_TOP_KEYS = {"version", "tool", "campaign", "shards", "summary"}
-_TOOL_KEYS = {"name", "version"}
-_CAMPAIGN_KEYS = {"id", "name", "shardCount"}
-_SHARD_KEYS = {"id", "tool", "scenario", "plan", "seed", "duration",
-               "status", "digest", "error", "result"}
-_SUMMARY_KEYS = {"total", "ok", "errors", "timeouts", "quarantined",
-                 "pending", "complete", "interrupted"}
+def _check_summary(document: dict, where: str) -> None:
+    shards, summary = document["shards"], document["summary"]
+    require(document["campaign"]["shardCount"] == len(shards), where,
+            "campaign.shardCount does not match shards")
+    counts = {status: 0 for status in SHARD_STATUSES}
+    for entry in shards:
+        counts[entry["status"]] += 1
+    expected = {"total": len(shards), "ok": counts["ok"],
+                "errors": counts["error"], "timeouts": counts["timeout"],
+                "quarantined": counts["quarantined"],
+                "pending": counts["pending"],
+                "complete": counts["pending"] == 0,
+                "interrupted": summary["interrupted"]}
+    for key, value in expected.items():
+        require(summary[key] == value, where,
+                f"summary.{key} is {summary[key]!r}, expected {value!r}")
+    require(not (summary["complete"] and summary["interrupted"]), where,
+            "a complete campaign cannot be interrupted")
+
+
+_DOCUMENT = obj({
+    **header(CAMPAIGN_SCHEMA_VERSION, CAMPAIGN_TOOL_NAME),
+    "campaign": obj({"id": TEXT, "name": STRING, "shardCount": COUNT}),
+    "shards": list_of(obj({
+        "id": TEXT, "tool": TEXT, "scenario": TEXT, "plan": TEXT,
+        "seed": COUNT, "duration": COUNT, "status": one_of(SHARD_STATUSES),
+        "digest": STRING, "error": STRING,
+        # Opaque here: a result is checked only through its digest.
+        "result": nullable(leaf(lambda v: isinstance(v, dict), "an object")),
+    }, check=_check_shard), nonempty=True, sorted_by="id", unique_by="id"),
+    "summary": obj({**{key: COUNT for key in ("total", "ok", "errors",
+                                              "timeouts", "quarantined",
+                                              "pending")},
+                    "complete": BOOL, "interrupted": BOOL}),
+}, check=_check_summary)
 
 
 def validate_campaign_dict(document: dict) -> None:
@@ -183,55 +213,4 @@ def validate_campaign_dict(document: dict) -> None:
     match their results is evidence of journal tampering or an engine
     bug, and must never validate.
     """
-    _require_keys(document, _TOP_KEYS, "report")
-    if document["version"] != CAMPAIGN_SCHEMA_VERSION:
-        raise SchemaError(f"unsupported version {document['version']!r}")
-    _require_keys(document["tool"], _TOOL_KEYS, "tool")
-    if document["tool"]["name"] != CAMPAIGN_TOOL_NAME:
-        raise SchemaError(f"unexpected tool {document['tool']['name']!r}")
-    _require_keys(document["campaign"], _CAMPAIGN_KEYS, "campaign")
-    shards = document["shards"]
-    if not isinstance(shards, list) or not shards:
-        raise SchemaError("shards must be a non-empty list")
-    if document["campaign"]["shardCount"] != len(shards):
-        raise SchemaError("campaign.shardCount does not match shards")
-    ids = []
-    counts = {status: 0 for status in SHARD_STATUSES}
-    for index, entry in enumerate(shards):
-        _require_keys(entry, _SHARD_KEYS, f"shards[{index}]")
-        ids.append(entry["id"])
-        status = entry["status"]
-        if status not in SHARD_STATUSES:
-            raise SchemaError(f"shards[{index}] has unknown status "
-                              f"{status!r}")
-        counts[status] += 1
-        if status == "ok":
-            if not isinstance(entry["result"], dict):
-                raise SchemaError(f"shards[{index}] is ok but has no "
-                                  f"result document")
-            if entry["digest"] != result_digest(entry["result"]):
-                raise SchemaError(f"shards[{index}] digest does not match "
-                                  f"its result document")
-        else:
-            if entry["result"] is not None:
-                raise SchemaError(f"shards[{index}] is {status} but "
-                                  f"carries a result document")
-            if entry["digest"] != "":
-                raise SchemaError(f"shards[{index}] is {status} but "
-                                  f"carries a digest")
-    if ids != sorted(ids) or len(set(ids)) != len(ids):
-        raise SchemaError("shard ids must be sorted and unique")
-    summary = document["summary"]
-    _require_keys(summary, _SUMMARY_KEYS, "summary")
-    expected = {"total": len(shards), "ok": counts["ok"],
-                "errors": counts["error"], "timeouts": counts["timeout"],
-                "quarantined": counts["quarantined"],
-                "pending": counts["pending"],
-                "complete": counts["pending"] == 0,
-                "interrupted": bool(summary["interrupted"])}
-    for key, value in expected.items():
-        if summary[key] != value:
-            raise SchemaError(f"summary.{key} is {summary[key]!r}, "
-                              f"expected {value!r}")
-    if summary["complete"] and summary["interrupted"]:
-        raise SchemaError("a complete campaign cannot be interrupted")
+    validate(document, _DOCUMENT)

@@ -38,259 +38,116 @@ chaos gate and the round-trip tests both call it.
 from __future__ import annotations
 
 from repro.core.layers import Layer
+from repro.core.schema import (BOOL, COUNT, INT, NUMBER, STRING, TEXT, UNIT,
+                               SchemaError, header, integer, list_of, map_of,
+                               nullable, number, obj, one_of, require, validate)
 from repro.faults.plan import FaultKind
 
 __all__ = ["ChaosSchemaError", "validate_chaos_dict",
-           "SCHEMA_VERSION", "TOOL_NAME"]
+           "SCHEMA_VERSION", "TOOL_NAME", "PLAN", "SCENARIO_HEADER",
+           "FAULTS", "DEGRADATION"]
 
 SCHEMA_VERSION = "1.0"
 TOOL_NAME = "repro-chaos"
 
-_LAYER_NAMES = {layer.name.lower() for layer in Layer}
-_KIND_VALUES = {kind.value for kind in FaultKind}
-_LEVEL_NAMES = {"full", "degraded", "minimal_risk", "safe_stop"}
-_BREAKER_STATES = {"closed", "open", "half-open"}
+#: The shared :class:`~repro.core.schema.SchemaError`, under its old name.
+ChaosSchemaError = SchemaError
 
-_SPEC_KEYS = {"kind", "target", "layer", "start", "end",
-              "probability", "magnitude"}
-_LAYER_KEYS = {"layer", "attempts", "successes", "availability",
-               "windowAttempts", "windowSuccesses", "windowAvailability"}
-_RETRY_KEYS = {"calls", "attempts", "retries", "recovered", "exhausted"}
-_BREAKER_KEYS = {"name", "opens", "rejections", "finalState"}
-_SSI_KEYS = {"hits", "staleHits", "failures", "cached"}
-_DEGRADATION_KEYS = {"finalLevel", "minLevel", "changes",
-                     "timeToDegradeS", "timeToRecoverS"}
-_SCENARIO_KEYS = {"scenario", "description", "resilient", "durationTicks",
-                  "window", "layers", "faults", "retry", "breakers",
-                  "ssi", "alerts", "degradation"}
-_SUMMARY_KEYS = {"scenarioCount", "faultsInjected", "layersSustained",
-                 "scenariosAtMinimalRiskOrBelow"}
+_LAYER = one_of({layer.name.lower() for layer in Layer})
+_KIND = one_of({kind.value for kind in FaultKind})
+_LEVEL = one_of({"full", "degraded", "minimal_risk", "safe_stop"})
 
+# -- the plan and scenario pieces shared with repro.sentinel.report -----------
 
-class ChaosSchemaError(ValueError):
-    """A chaos JSON document does not match the documented schema."""
+WINDOW = obj({"start": NUMBER, "end": NUMBER}, check=lambda w, where: require(
+    w["start"] <= w["end"], where, "window start must not exceed end"))
+PLAN = obj({"name": TEXT, "window": WINDOW, "faults": list_of(obj(
+    {"kind": _KIND, "target": TEXT, "layer": _LAYER, "start": NUMBER,
+     "end": NUMBER, "probability": UNIT, "magnitude": number(0)},
+    check=lambda spec, where: require(
+        spec["start"] < spec["end"], where, "window must satisfy start < end"),
+), nonempty=True)})
+#: The fields that open every chaos and sentinel scenario entry.
+SCENARIO_HEADER = {"scenario": TEXT, "description": TEXT, "resilient": BOOL,
+                   "durationTicks": integer(1), "window": WINDOW}
+FAULTS = obj({"injected": COUNT, "byKind": map_of(_KIND, integer(1))},
+             check=lambda faults, where: require(
+                 sum(faults["byKind"].values()) == faults["injected"], where,
+                 "byKind must sum to faults.injected"))
+DEGRADATION = obj({
+    "finalLevel": _LEVEL, "minLevel": _LEVEL,
+    "changes": list_of(obj({"t": NUMBER, "level": _LEVEL, "reason": TEXT})),
+    "timeToDegradeS": nullable(NUMBER), "timeToRecoverS": nullable(NUMBER),
+})
 
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ChaosSchemaError(message)
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+# -- the chaos document --------------------------------------------------------
 
 
-def _is_count(value: object) -> bool:
-    return _is_int(value) and value >= 0
+def _check_layer(entry: dict, where: str) -> None:
+    require(entry["successes"] <= entry["attempts"], where,
+            "successes must not exceed attempts")
+    require(entry["windowSuccesses"] <= entry["windowAttempts"], where,
+            "windowSuccesses must not exceed windowAttempts")
+    require(entry["windowAttempts"] <= entry["attempts"], where,
+            "windowAttempts must not exceed attempts")
 
 
-def _validate_window(window: object, where: str) -> None:
-    _require(isinstance(window, dict) and set(window) == {"start", "end"},
-             f"{where}: window must be {{start, end}}")
-    _require(_is_number(window["start"]) and _is_number(window["end"]),
-             f"{where}: window bounds must be numbers")
-    _require(window["start"] <= window["end"],
-             f"{where}: window start must not exceed end")
+_SCENARIO = obj({
+    **SCENARIO_HEADER,
+    "layers": list_of(obj({
+        "layer": _LAYER, "attempts": COUNT, "successes": COUNT,
+        "availability": UNIT, "windowAttempts": COUNT,
+        "windowSuccesses": COUNT, "windowAvailability": UNIT,
+    }, check=_check_layer), nonempty=True, unique_by="layer"),
+    "faults": FAULTS,
+    "retry": obj({key: COUNT for key in ("calls", "attempts", "retries",
+                                         "recovered", "exhausted")}),
+    "breakers": list_of(obj({
+        "name": TEXT, "opens": COUNT, "rejections": COUNT,
+        "finalState": one_of({"closed", "open", "half-open"}),
+    })),
+    "ssi": nullable(obj({key: COUNT for key in ("hits", "staleHits",
+                                                "failures", "cached")})),
+    "alerts": COUNT,
+    "degradation": DEGRADATION,
+})
 
 
-def _validate_plan(plan: object) -> None:
-    _require(isinstance(plan, dict)
-             and set(plan) == {"name", "window", "faults"},
-             "plan must be {name, window, faults}")
-    _require(isinstance(plan["name"], str) and plan["name"],
-             "plan.name must be a non-empty string")
-    _validate_window(plan["window"], "plan")
-    _require(isinstance(plan["faults"], list) and plan["faults"],
-             "plan.faults must be a non-empty list")
-    for index, spec in enumerate(plan["faults"]):
-        where = f"plan.faults[{index}]"
-        _require(isinstance(spec, dict) and set(spec) == _SPEC_KEYS,
-                 f"{where}: keys must be {sorted(_SPEC_KEYS)}")
-        _require(spec["kind"] in _KIND_VALUES,
-                 f"{where}: unknown fault kind {spec['kind']!r}")
-        _require(isinstance(spec["target"], str) and spec["target"],
-                 f"{where}: target must be a non-empty string")
-        _require(spec["layer"] in _LAYER_NAMES,
-                 f"{where}: unknown layer {spec['layer']!r}")
-        _require(_is_number(spec["start"]) and _is_number(spec["end"])
-                 and spec["start"] < spec["end"],
-                 f"{where}: window must satisfy start < end")
-        _require(_is_number(spec["probability"])
-                 and 0.0 <= spec["probability"] <= 1.0,
-                 f"{where}: probability must be in [0, 1]")
-        _require(_is_number(spec["magnitude"]) and spec["magnitude"] >= 0,
-                 f"{where}: magnitude must be non-negative")
+def _check_summary(document: dict, where: str) -> None:
+    scenarios, summary = document["scenarios"], document["summary"]
+    sustained = {layer["layer"] for scenario in scenarios
+                 for layer in scenario["layers"]
+                 if layer["windowAttempts"] > 0
+                 and layer["windowAvailability"] > 0.0}
+    at_floor = [scenario["scenario"] for scenario in scenarios
+                if scenario["degradation"]["minLevel"]
+                in ("minimal_risk", "safe_stop")]
+    require(summary["scenarioCount"] == len(scenarios), where,
+            "summary.scenarioCount must equal len(scenarios)")
+    require(summary["faultsInjected"]
+            == sum(scenario["faults"]["injected"] for scenario in scenarios),
+            where, "summary.faultsInjected must sum the per-scenario totals")
+    require(summary["layersSustained"] == sorted(sustained), where,
+            "summary.layersSustained must list layers with in-window "
+            "availability > 0, sorted")
+    require(summary["scenariosAtMinimalRiskOrBelow"] == sorted(at_floor),
+            where, "summary.scenariosAtMinimalRiskOrBelow must list scenarios "
+            "whose minLevel reached minimal_risk/safe_stop, sorted")
 
 
-def _validate_layer_entry(entry: object, where: str) -> None:
-    _require(isinstance(entry, dict) and set(entry) == _LAYER_KEYS,
-             f"{where}: keys must be {sorted(_LAYER_KEYS)}")
-    _require(entry["layer"] in _LAYER_NAMES,
-             f"{where}: unknown layer {entry['layer']!r}")
-    for key in ("attempts", "successes", "windowAttempts", "windowSuccesses"):
-        _require(_is_count(entry[key]),
-                 f"{where}: {key} must be a non-negative int")
-    _require(entry["successes"] <= entry["attempts"],
-             f"{where}: successes must not exceed attempts")
-    _require(entry["windowSuccesses"] <= entry["windowAttempts"],
-             f"{where}: windowSuccesses must not exceed windowAttempts")
-    _require(entry["windowAttempts"] <= entry["attempts"],
-             f"{where}: windowAttempts must not exceed attempts")
-    for key in ("availability", "windowAvailability"):
-        _require(_is_number(entry[key]) and 0.0 <= entry[key] <= 1.0,
-                 f"{where}: {key} must be in [0, 1]")
-
-
-def _validate_degradation(entry: object, where: str) -> str:
-    _require(isinstance(entry, dict) and set(entry) == _DEGRADATION_KEYS,
-             f"{where}: keys must be {sorted(_DEGRADATION_KEYS)}")
-    for key in ("finalLevel", "minLevel"):
-        _require(entry[key] in _LEVEL_NAMES,
-                 f"{where}: {key} must be one of {sorted(_LEVEL_NAMES)}")
-    _require(isinstance(entry["changes"], list),
-             f"{where}: changes must be a list")
-    for index, change in enumerate(entry["changes"]):
-        inner = f"{where}.changes[{index}]"
-        _require(isinstance(change, dict)
-                 and set(change) == {"t", "level", "reason"},
-                 f"{inner}: must be {{t, level, reason}}")
-        _require(_is_number(change["t"]), f"{inner}: t must be a number")
-        _require(change["level"] in _LEVEL_NAMES,
-                 f"{inner}: unknown level {change['level']!r}")
-        _require(isinstance(change["reason"], str) and change["reason"],
-                 f"{inner}: reason must be a non-empty string")
-    for key in ("timeToDegradeS", "timeToRecoverS"):
-        _require(entry[key] is None or _is_number(entry[key]),
-                 f"{where}: {key} must be a number or null")
-    return str(entry["minLevel"])
-
-
-def _validate_scenario(entry: object, where: str) -> dict:
-    _require(isinstance(entry, dict) and set(entry) == _SCENARIO_KEYS,
-             f"{where}: keys {sorted(entry) if isinstance(entry, dict) else '?'}"
-             f" != {sorted(_SCENARIO_KEYS)}")
-    _require(isinstance(entry["scenario"], str) and entry["scenario"],
-             f"{where}: scenario must be a non-empty string")
-    _require(isinstance(entry["description"], str) and entry["description"],
-             f"{where}: description must be a non-empty string")
-    _require(isinstance(entry["resilient"], bool),
-             f"{where}: resilient must be a bool")
-    _require(_is_int(entry["durationTicks"]) and entry["durationTicks"] >= 1,
-             f"{where}: durationTicks must be an int >= 1")
-    _validate_window(entry["window"], where)
-
-    _require(isinstance(entry["layers"], list) and entry["layers"],
-             f"{where}: layers must be a non-empty list")
-    seen_layers: set[str] = set()
-    for index, layer_entry in enumerate(entry["layers"]):
-        _validate_layer_entry(layer_entry, f"{where}.layers[{index}]")
-        _require(layer_entry["layer"] not in seen_layers,
-                 f"{where}.layers[{index}]: duplicate layer")
-        seen_layers.add(layer_entry["layer"])
-
-    faults = entry["faults"]
-    _require(isinstance(faults, dict) and set(faults) == {"injected", "byKind"},
-             f"{where}: faults must be {{injected, byKind}}")
-    _require(_is_count(faults["injected"]),
-             f"{where}: faults.injected must be a non-negative int")
-    _require(isinstance(faults["byKind"], dict),
-             f"{where}: faults.byKind must be an object")
-    total = 0
-    for kind, count in faults["byKind"].items():
-        _require(kind in _KIND_VALUES,
-                 f"{where}: unknown fault kind {kind!r} in byKind")
-        _require(_is_count(count) and count > 0,
-                 f"{where}: byKind[{kind!r}] must be a positive int")
-        total += count
-    _require(total == faults["injected"],
-             f"{where}: byKind must sum to faults.injected")
-
-    retry = entry["retry"]
-    _require(isinstance(retry, dict) and set(retry) == _RETRY_KEYS,
-             f"{where}: retry must be {sorted(_RETRY_KEYS)}")
-    for key in sorted(_RETRY_KEYS):
-        _require(_is_count(retry[key]),
-                 f"{where}: retry.{key} must be a non-negative int")
-
-    _require(isinstance(entry["breakers"], list),
-             f"{where}: breakers must be a list")
-    for index, breaker in enumerate(entry["breakers"]):
-        inner = f"{where}.breakers[{index}]"
-        _require(isinstance(breaker, dict) and set(breaker) == _BREAKER_KEYS,
-                 f"{inner}: keys must be {sorted(_BREAKER_KEYS)}")
-        _require(isinstance(breaker["name"], str) and breaker["name"],
-                 f"{inner}: name must be a non-empty string")
-        _require(_is_count(breaker["opens"]) and _is_count(breaker["rejections"]),
-                 f"{inner}: opens/rejections must be non-negative ints")
-        _require(breaker["finalState"] in _BREAKER_STATES,
-                 f"{inner}: unknown state {breaker['finalState']!r}")
-
-    ssi = entry["ssi"]
-    if ssi is not None:
-        _require(isinstance(ssi, dict) and set(ssi) == _SSI_KEYS,
-                 f"{where}: ssi must be null or {sorted(_SSI_KEYS)}")
-        for key in sorted(_SSI_KEYS):
-            _require(_is_count(ssi[key]),
-                     f"{where}: ssi.{key} must be a non-negative int")
-
-    _require(_is_count(entry["alerts"]),
-             f"{where}: alerts must be a non-negative int")
-    _validate_degradation(entry["degradation"], f"{where}.degradation")
-    return entry
+_DOCUMENT = obj({
+    **header(SCHEMA_VERSION, TOOL_NAME),
+    "plan": PLAN,
+    "baseSeed": INT,
+    "scenarios": list_of(_SCENARIO, nonempty=True, unique_by="scenario"),
+    "summary": obj({
+        "scenarioCount": COUNT, "faultsInjected": COUNT,
+        "layersSustained": list_of(STRING),
+        "scenariosAtMinimalRiskOrBelow": list_of(STRING),
+    }),
+}, check=_check_summary)
 
 
 def validate_chaos_dict(document: dict) -> None:
     """Raise :class:`ChaosSchemaError` unless ``document`` matches."""
-    _require(isinstance(document, dict), "chaos report must be an object")
-    required = {"version", "tool", "plan", "baseSeed", "scenarios", "summary"}
-    _require(set(document) == required,
-             f"top-level keys {sorted(document)} != {sorted(required)}")
-    _require(document["version"] == SCHEMA_VERSION,
-             f"unsupported schema version {document['version']!r}")
-    tool = document["tool"]
-    _require(isinstance(tool, dict) and set(tool) == {"name", "version"},
-             "tool must be {name, version}")
-    _require(tool["name"] == TOOL_NAME,
-             f"unexpected tool name {tool['name']!r}")
-    _require(isinstance(tool["version"], str) and tool["version"],
-             "tool.version must be a non-empty string")
-    _validate_plan(document["plan"])
-    _require(_is_int(document["baseSeed"]), "baseSeed must be an int")
-
-    _require(isinstance(document["scenarios"], list) and document["scenarios"],
-             "scenarios must be a non-empty list")
-    seen: set[str] = set()
-    fault_total = 0
-    sustained: set[str] = set()
-    at_floor: set[str] = set()
-    for index, entry in enumerate(document["scenarios"]):
-        scenario = _validate_scenario(entry, f"scenarios[{index}]")
-        _require(scenario["scenario"] not in seen,
-                 f"scenarios[{index}]: duplicate scenario "
-                 f"{scenario['scenario']!r}")
-        seen.add(scenario["scenario"])
-        fault_total += scenario["faults"]["injected"]
-        sustained.update(
-            layer_entry["layer"] for layer_entry in scenario["layers"]
-            if layer_entry["windowAttempts"] > 0
-            and layer_entry["windowAvailability"] > 0.0)
-        if scenario["degradation"]["minLevel"] in ("minimal_risk", "safe_stop"):
-            at_floor.add(scenario["scenario"])
-
-    summary = document["summary"]
-    _require(isinstance(summary, dict) and set(summary) == _SUMMARY_KEYS,
-             f"summary must be {sorted(_SUMMARY_KEYS)}")
-    _require(summary["scenarioCount"] == len(document["scenarios"]),
-             "summary.scenarioCount must equal len(scenarios)")
-    _require(summary["faultsInjected"] == fault_total,
-             "summary.faultsInjected must sum the per-scenario totals")
-    _require(summary["layersSustained"] == sorted(sustained),
-             "summary.layersSustained must list layers with in-window "
-             "availability > 0, sorted")
-    _require(summary["scenariosAtMinimalRiskOrBelow"] == sorted(at_floor),
-             "summary.scenariosAtMinimalRiskOrBelow must list scenarios "
-             "whose minLevel reached minimal_risk/safe_stop, sorted")
+    validate(document, _DOCUMENT)

@@ -25,7 +25,7 @@ from repro.flow.graph import (
     Protection,
     build_flow_graph,
 )
-from repro.flow.report import render_cut, render_summary, render_witnesses
+from repro.flow.render import render_cut, render_summary, render_witnesses
 from repro.flow.rules import FLOW_RULES
 from repro.flow.taint import FlowResult, PathWitness, analyze, propagate_taint
 

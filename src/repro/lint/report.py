@@ -29,16 +29,14 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.core.layers import Layer
+from repro.core.schema import (COUNT, STRING, TEXT, SchemaError, header, leaf,
+                               list_of, map_of, obj, one_of, require, validate)
 from repro.lint.engine import Finding, Rule, Severity
 
 __all__ = ["Report", "SchemaError", "validate_report_dict"]
 
 SCHEMA_VERSION = "1.0"
 TOOL_NAME = "repro-seclint"
-
-
-class SchemaError(ValueError):
-    """A lint JSON report does not match the documented schema."""
 
 
 @dataclass(frozen=True)
@@ -132,74 +130,39 @@ class Report:
 # schema validation
 # --------------------------------------------------------------------------
 
-_SEVERITY_NAMES = {s.name.lower() for s in Severity}
-_LAYER_NAMES = {layer.name.lower() for layer in Layer}
+#: Specs shared with the audit report, which reuses the finding shape.
+SEVERITY = one_of({s.name.lower() for s in Severity})
+FINGERPRINT = leaf(lambda v: isinstance(v, str) and len(v) == 16,
+                   "16 hex chars")
+_LAYER = one_of({layer.name.lower() for layer in Layer})
+_FINDING = obj({
+    "ruleId": STRING, "severity": SEVERITY, "layer": _LAYER,
+    "subject": STRING, "message": STRING, "paperRef": STRING,
+    "remediation": STRING, "fingerprint": FINGERPRINT,
+})
+_RULE = obj({"id": TEXT, "title": STRING, "layer": _LAYER,
+             "severity": SEVERITY, "paperRef": STRING,
+             "remediation": STRING})
 
-_FINDING_KEYS = {"ruleId", "severity", "layer", "subject", "message",
-                 "paperRef", "remediation", "fingerprint"}
-_RULE_KEYS = {"id", "title", "layer", "severity", "paperRef", "remediation"}
+
+def _check_summary(document: dict, where: str) -> None:
+    summary = document["summary"]
+    require(summary["total"] == len(document["findings"]), where,
+            "summary.total must equal len(findings)")
+    require(sum(summary["bySeverity"].values()) == summary["total"], where,
+            "bySeverity counts must sum to summary.total")
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SchemaError(message)
-
-
-def _validate_finding(entry: dict, where: str) -> None:
-    _require(isinstance(entry, dict), f"{where}: finding must be an object")
-    _require(set(entry) == _FINDING_KEYS,
-             f"{where}: keys {sorted(entry)} != {sorted(_FINDING_KEYS)}")
-    for key in sorted(_FINDING_KEYS):
-        _require(isinstance(entry[key], str), f"{where}: {key} must be a string")
-    _require(entry["severity"] in _SEVERITY_NAMES,
-             f"{where}: bad severity {entry['severity']!r}")
-    _require(entry["layer"] in _LAYER_NAMES,
-             f"{where}: bad layer {entry['layer']!r}")
-    _require(len(entry["fingerprint"]) == 16,
-             f"{where}: fingerprint must be 16 hex chars")
+_DOCUMENT = obj({
+    **header(SCHEMA_VERSION, TOOL_NAME),
+    "target": TEXT,
+    "rules": list_of(_RULE),
+    "findings": list_of(_FINDING),
+    "suppressed": list_of(_FINDING),
+    "summary": obj({"total": COUNT, "bySeverity": map_of(SEVERITY, COUNT)}),
+}, check=_check_summary)
 
 
 def validate_report_dict(document: dict) -> None:
     """Raise :class:`SchemaError` unless ``document`` matches the schema."""
-    _require(isinstance(document, dict), "report must be an object")
-    required = {"version", "tool", "target", "rules", "findings",
-                "suppressed", "summary"}
-    _require(set(document) == required,
-             f"top-level keys {sorted(document)} != {sorted(required)}")
-    _require(document["version"] == SCHEMA_VERSION,
-             f"unsupported schema version {document['version']!r}")
-    tool = document["tool"]
-    _require(isinstance(tool, dict) and set(tool) == {"name", "version"},
-             "tool must be {name, version}")
-    _require(tool["name"] == TOOL_NAME, f"unexpected tool name {tool['name']!r}")
-    _require(isinstance(document["target"], str) and document["target"],
-             "target must be a non-empty string")
-
-    _require(isinstance(document["rules"], list), "rules must be a list")
-    for index, rule in enumerate(document["rules"]):
-        where = f"rules[{index}]"
-        _require(isinstance(rule, dict) and set(rule) == _RULE_KEYS,
-                 f"{where}: keys must be {sorted(_RULE_KEYS)}")
-        _require(rule["severity"] in _SEVERITY_NAMES,
-                 f"{where}: bad severity {rule['severity']!r}")
-        _require(rule["layer"] in _LAYER_NAMES,
-                 f"{where}: bad layer {rule['layer']!r}")
-
-    for section in ("findings", "suppressed"):
-        _require(isinstance(document[section], list), f"{section} must be a list")
-        for index, entry in enumerate(document[section]):
-            _validate_finding(entry, f"{section}[{index}]")
-
-    summary = document["summary"]
-    _require(isinstance(summary, dict) and set(summary) == {"total", "bySeverity"},
-             "summary must be {total, bySeverity}")
-    _require(summary["total"] == len(document["findings"]),
-             "summary.total must equal len(findings)")
-    by_severity = summary["bySeverity"]
-    _require(isinstance(by_severity, dict), "bySeverity must be an object")
-    for name, count in by_severity.items():
-        _require(name in _SEVERITY_NAMES, f"bySeverity: bad severity {name!r}")
-        _require(isinstance(count, int) and count >= 0,
-                 f"bySeverity[{name!r}] must be a non-negative int")
-    _require(sum(by_severity.values()) == summary["total"],
-             "bySeverity counts must sum to summary.total")
+    validate(document, _DOCUMENT)

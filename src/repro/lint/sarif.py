@@ -27,8 +27,10 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.core.schema import (COUNT, STRING, TEXT, const, integer, join,
+                               list_of, map_of, obj, one_of, require, validate)
 from repro.lint.engine import Finding, Rule, Severity
-from repro.lint.report import Report, SchemaError
+from repro.lint.report import Report
 
 __all__ = ["SARIF_VERSION", "SARIF_SCHEMA_URI", "to_sarif_dict",
            "validate_sarif_dict"]
@@ -147,87 +149,54 @@ def to_sarif_dict(report: Report, rules: Iterable[Rule] = (), *,
 # validation of the emitted subset
 # --------------------------------------------------------------------------
 
-_VALID_LEVELS = {"none", "note", "warning", "error"}
+_LEVEL = one_of({"none", "note", "warning", "error"})
+_MESSAGE = obj({"text": STRING})
+_PROPERTIES = obj({"layer": STRING, "paperRef": STRING, "severity": STRING})
+_DESCRIPTOR = obj({
+    "id": TEXT, "name": STRING, "shortDescription": _MESSAGE,
+    "fullDescription": _MESSAGE, "properties": _PROPERTIES,
+    "defaultConfiguration": obj({"level": _LEVEL}),
+})
+_LOCATION = obj(
+    {"logicalLocations": list_of(obj({"name": TEXT, "kind": STRING}),
+                                 nonempty=True)},
+    optional={"physicalLocation": obj({
+        "artifactLocation": obj({"uri": TEXT}),
+        "region": obj({"startLine": integer(1)}),
+    })})
+_RESULT = obj(
+    {"ruleId": TEXT, "level": _LEVEL, "message": _MESSAGE,
+     "locations": list_of(_LOCATION, nonempty=True),
+     "partialFingerprints": map_of(STRING, TEXT, nonempty=True),
+     "properties": _PROPERTIES},
+    optional={"ruleIndex": COUNT, "suppressions": list_of(obj({
+        "kind": one_of({"inSource", "external"}), "justification": STRING}))})
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SchemaError(message)
+def _check_rule_ids(run: dict, where: str) -> None:
+    rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
+    for index, result in enumerate(run["results"]):
+        require(not rule_ids or result["ruleId"] in rule_ids,
+                join(join(where, "results"), index),
+                f"ruleId {result['ruleId']!r} not in driver.rules")
 
 
-def _validate_result(result: dict, where: str, rule_ids: set[str]) -> None:
-    _require(isinstance(result, dict), f"{where}: result must be an object")
-    _require(isinstance(result.get("ruleId"), str) and result["ruleId"],
-             f"{where}: ruleId must be a non-empty string")
-    if rule_ids:
-        _require(result["ruleId"] in rule_ids,
-                 f"{where}: ruleId {result['ruleId']!r} not in driver.rules")
-    _require(result.get("level") in _VALID_LEVELS,
-             f"{where}: bad level {result.get('level')!r}")
-    message = result.get("message")
-    _require(isinstance(message, dict) and isinstance(message.get("text"), str),
-             f"{where}: message.text must be a string")
-    locations = result.get("locations")
-    _require(isinstance(locations, list) and len(locations) >= 1,
-             f"{where}: at least one location required")
-    for location in locations:
-        logical = location.get("logicalLocations")
-        _require(isinstance(logical, list) and len(logical) >= 1,
-                 f"{where}: logicalLocations required")
-        for entry in logical:
-            _require(isinstance(entry.get("name"), str) and entry["name"],
-                     f"{where}: logical location needs a name")
-        if "physicalLocation" in location:
-            physical = location["physicalLocation"]
-            artifact = physical.get("artifactLocation", {})
-            _require(isinstance(artifact.get("uri"), str) and artifact["uri"],
-                     f"{where}: physicalLocation needs artifactLocation.uri")
-            region = physical.get("region", {})
-            start = region.get("startLine")
-            _require(isinstance(start, int) and start >= 1,
-                     f"{where}: physicalLocation needs region.startLine >= 1")
-    prints = result.get("partialFingerprints")
-    _require(isinstance(prints, dict) and prints,
-             f"{where}: partialFingerprints required")
-    for key, value in prints.items():
-        _require(isinstance(value, str) and value,
-                 f"{where}: partialFingerprints[{key!r}] must be a string")
-    if "suppressions" in result:
-        for suppression in result["suppressions"]:
-            _require(suppression.get("kind") in ("inSource", "external"),
-                     f"{where}: bad suppression kind")
+_RUN = obj({
+    "tool": obj({"driver": obj({
+        "name": one_of(_KNOWN_TOOLS), "version": TEXT, "informationUri": STRING,
+        "rules": list_of(_DESCRIPTOR, unique_by="id"),
+    })}),
+    "automationDetails": obj({"id": TEXT}),
+    "results": list_of(_RESULT),
+}, check=_check_rule_ids)
+_LOG = obj({"$schema": const(SARIF_SCHEMA_URI), "version": const(SARIF_VERSION),
+            "runs": list_of(_RUN)},
+           check=lambda log, where: require(
+               len(log["runs"]) == 1, join(where, "runs"),
+               "exactly one run expected"))
 
 
 def validate_sarif_dict(document: dict) -> None:
-    """Raise :class:`SchemaError` unless ``document`` is valid SARIF-as-emitted."""
-    _require(isinstance(document, dict), "SARIF log must be an object")
-    _require(document.get("version") == SARIF_VERSION,
-             f"version must be {SARIF_VERSION!r}")
-    _require(document.get("$schema") == SARIF_SCHEMA_URI,
-             "$schema must point at the 2.1.0 schema")
-    runs = document.get("runs")
-    _require(isinstance(runs, list) and len(runs) == 1,
-             "exactly one run expected")
-    run = runs[0]
-    driver = run.get("tool", {}).get("driver")
-    _require(isinstance(driver, dict), "runs[0].tool.driver required")
-    _require(driver.get("name") in _KNOWN_TOOLS,
-             f"unexpected tool name {driver.get('name')!r}")
-    _require(isinstance(driver.get("version"), str) and driver["version"],
-             "driver.version must be a non-empty string")
-    rules = driver.get("rules", [])
-    _require(isinstance(rules, list), "driver.rules must be a list")
-    rule_ids = set()
-    for index, rule in enumerate(rules):
-        where = f"driver.rules[{index}]"
-        _require(isinstance(rule.get("id"), str) and rule["id"],
-                 f"{where}: id required")
-        _require(rule["id"] not in rule_ids, f"{where}: duplicate id")
-        rule_ids.add(rule["id"])
-        config = rule.get("defaultConfiguration", {})
-        _require(config.get("level") in _VALID_LEVELS,
-                 f"{where}: bad defaultConfiguration.level")
-    results = run.get("results")
-    _require(isinstance(results, list), "runs[0].results must be a list")
-    for index, result in enumerate(results):
-        _validate_result(result, f"results[{index}]", rule_ids)
+    """Raise :class:`~repro.core.schema.SchemaError` unless ``document``
+    is valid SARIF-as-emitted."""
+    validate(document, _LOG)

@@ -33,6 +33,9 @@ and the round-trip tests both call it.
 from __future__ import annotations
 
 from repro.core.layers import Layer
+from repro.core.schema import (COUNT, NUMBER, STRING, TEXT, SchemaError, header,
+                               leaf, list_of, map_of, number, obj, one_of,
+                               require, validate)
 from repro.obs.events import EventKind, SimEvent
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import OBS, Instrumentation
@@ -45,10 +48,6 @@ __all__ = ["TraceReport", "SchemaError", "validate_trace_dict",
 
 SCHEMA_VERSION = "1.0"
 TOOL_NAME = "repro-obs"
-
-
-class SchemaError(ValueError):
-    """A trace JSON document does not match the documented schema."""
 
 
 # --------------------------------------------------------------------------
@@ -188,95 +187,67 @@ class TraceReport:
 # schema validation
 # --------------------------------------------------------------------------
 
-_KIND_VALUES = {kind.value for kind in EventKind}
-_LAYER_NAMES = {layer.name.lower() for layer in Layer}
-_EVENT_KEYS = {"seq", "t", "kind", "layer", "source", "message", "fields"}
-_HIST_KEYS = {"count", "min", "max", "mean", "p50", "p95", "p99"}
+_SCALARS = map_of(STRING, leaf(lambda v: isinstance(v, (str, int, float)),
+                               "a scalar"))
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SchemaError(message)
+def _span(node: object, where: str) -> None:
+    _SPAN(node, where)  # late-bound: spans nest
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _span_count(span: dict) -> int:
+    return 1 + sum(_span_count(child) for child in span["children"])
 
 
-def _is_scalar(value: object) -> bool:
-    return isinstance(value, (str, int, float, bool))
+_SPAN = obj(
+    {"name": TEXT, "wallMs": number(0), "cpuMs": number(0),
+     "status": one_of({"ok", "error"}), "tags": _SCALARS,
+     "children": list_of(_span)},
+    optional={"error": STRING},
+    check=lambda span, where: require(
+        ("error" in span) == (span["status"] == "error"), where,
+        "error text iff status == 'error'"))
+_EVENT = obj({
+    "seq": COUNT, "t": NUMBER, "kind": one_of({k.value for k in EventKind}),
+    "layer": one_of({layer.name.lower() for layer in Layer}),
+    "source": STRING, "message": STRING, "fields": _SCALARS,
+})
+_HISTOGRAM = obj(
+    {"count": COUNT, **{key: NUMBER for key in ("min", "max", "mean", "p50",
+                                                "p95", "p99")}},
+    check=lambda hist, where: require(
+        not hist["count"] or hist["min"] <= hist["p50"] <= hist["max"], where,
+        "percentiles must lie within [min, max]"))
+_METRICS = obj({"counters": map_of(STRING, COUNT),
+                "gauges": map_of(STRING, NUMBER),
+                "histograms": map_of(STRING, _HISTOGRAM)})
 
 
-def _validate_span(entry: dict, where: str) -> int:
-    """Validate one span node; returns the subtree's span count."""
-    _require(isinstance(entry, dict), f"{where}: span must be an object")
-    required = {"name", "wallMs", "cpuMs", "status", "tags", "children"}
-    keys = set(entry)
-    _require(required <= keys <= required | {"error"},
-             f"{where}: keys {sorted(keys)} != {sorted(required)} (+error?)")
-    _require(isinstance(entry["name"], str) and entry["name"],
-             f"{where}: name must be a non-empty string")
-    for key in ("wallMs", "cpuMs"):
-        _require(_is_number(entry[key]) and entry[key] >= 0,
-                 f"{where}: {key} must be a non-negative number")
-    _require(entry["status"] in ("ok", "error"),
-             f"{where}: bad status {entry['status']!r}")
-    _require(("error" in entry) == (entry["status"] == "error"),
-             f"{where}: error text iff status == 'error'")
-    tags = entry["tags"]
-    _require(isinstance(tags, dict), f"{where}: tags must be an object")
-    for key, value in tags.items():
-        _require(isinstance(key, str) and _is_scalar(value),
-                 f"{where}: tag {key!r} must map a string to a scalar")
-    _require(isinstance(entry["children"], list),
-             f"{where}: children must be a list")
-    count = 1
-    for index, child in enumerate(entry["children"]):
-        count += _validate_span(child, f"{where}.children[{index}]")
-    return count
+def _check_summary(document: dict, where: str) -> None:
+    summary, events = document["summary"], document["events"]
+    by_kind: dict[str, int] = {}
+    for event in events:
+        by_kind[event["kind"]] = by_kind.get(event["kind"], 0) + 1
+    require(summary["spans"] == sum(map(_span_count, document["spans"])),
+            where, "summary.spans must equal the span-tree node count")
+    require(summary["events"] == len(events), where,
+            "summary.events must equal len(events)")
+    require(summary["layers"] == sorted({event["layer"] for event in events}),
+            where, "summary.layers must list the event layers, sorted")
+    require(summary["byKind"] == by_kind, where,
+            "summary.byKind must count events by kind")
 
 
-def _validate_event(entry: dict, where: str) -> None:
-    _require(isinstance(entry, dict), f"{where}: event must be an object")
-    _require(set(entry) == _EVENT_KEYS,
-             f"{where}: keys {sorted(entry)} != {sorted(_EVENT_KEYS)}")
-    _require(isinstance(entry["seq"], int) and not isinstance(entry["seq"], bool)
-             and entry["seq"] >= 0, f"{where}: seq must be a non-negative int")
-    _require(_is_number(entry["t"]), f"{where}: t must be a number")
-    _require(entry["kind"] in _KIND_VALUES, f"{where}: bad kind {entry['kind']!r}")
-    _require(entry["layer"] in _LAYER_NAMES,
-             f"{where}: bad layer {entry['layer']!r}")
-    for key in ("source", "message"):
-        _require(isinstance(entry[key], str), f"{where}: {key} must be a string")
-    _require(isinstance(entry["fields"], dict),
-             f"{where}: fields must be an object")
-    for key, value in entry["fields"].items():
-        _require(isinstance(key, str) and _is_scalar(value),
-                 f"{where}: field {key!r} must map a string to a scalar")
-
-
-def _validate_metrics(metrics: dict) -> None:
-    _require(isinstance(metrics, dict)
-             and set(metrics) == {"counters", "gauges", "histograms"},
-             "metrics must be {counters, gauges, histograms}")
-    for name, value in metrics["counters"].items():
-        _require(isinstance(name, str) and isinstance(value, int)
-                 and not isinstance(value, bool) and value >= 0,
-                 f"counters[{name!r}] must be a non-negative int")
-    for name, value in metrics["gauges"].items():
-        _require(isinstance(name, str) and _is_number(value),
-                 f"gauges[{name!r}] must be a number")
-    for name, summary in metrics["histograms"].items():
-        where = f"histograms[{name!r}]"
-        _require(isinstance(summary, dict) and set(summary) == _HIST_KEYS,
-                 f"{where}: keys must be {sorted(_HIST_KEYS)}")
-        for key in sorted(_HIST_KEYS):
-            _require(_is_number(summary[key]), f"{where}.{key} must be a number")
-        _require(isinstance(summary["count"], int) and summary["count"] >= 0,
-                 f"{where}.count must be a non-negative int")
-        if summary["count"]:
-            _require(summary["min"] <= summary["p50"] <= summary["max"],
-                     f"{where}: percentiles must lie within [min, max]")
+_DOCUMENT = obj({
+    **header(SCHEMA_VERSION, TOOL_NAME),
+    "scenario": TEXT,
+    "spans": list_of(_span),
+    "events": list_of(_EVENT),
+    "metrics": _METRICS,
+    "result": _SCALARS,
+    "summary": obj({"spans": COUNT, "events": COUNT, "layers": list_of(STRING),
+                    "byKind": map_of(STRING, COUNT), "droppedEvents": COUNT}),
+}, check=_check_summary)
 
 
 def validate_metrics_dict(metrics: dict,
@@ -289,63 +260,12 @@ def validate_metrics_dict(metrics: dict,
     that every gauge named in ``required_gauges`` is present — without
     requiring the full trace-report envelope.
     """
-    _validate_metrics(metrics)
+    validate(metrics, _METRICS)
     missing = [name for name in required_gauges
                if name not in metrics["gauges"]]
-    _require(not missing, f"missing required gauges: {missing}")
+    require(not missing, "gauges", f"missing required gauges: {missing}")
 
 
 def validate_trace_dict(document: dict) -> None:
     """Raise :class:`SchemaError` unless ``document`` matches the schema."""
-    _require(isinstance(document, dict), "trace report must be an object")
-    required = {"version", "tool", "scenario", "spans", "events", "metrics",
-                "result", "summary"}
-    _require(set(document) == required,
-             f"top-level keys {sorted(document)} != {sorted(required)}")
-    _require(document["version"] == SCHEMA_VERSION,
-             f"unsupported schema version {document['version']!r}")
-    tool = document["tool"]
-    _require(isinstance(tool, dict) and set(tool) == {"name", "version"},
-             "tool must be {name, version}")
-    _require(tool["name"] == TOOL_NAME, f"unexpected tool name {tool['name']!r}")
-    _require(isinstance(document["scenario"], str) and document["scenario"],
-             "scenario must be a non-empty string")
-
-    _require(isinstance(document["spans"], list), "spans must be a list")
-    span_total = 0
-    for index, span in enumerate(document["spans"]):
-        span_total += _validate_span(span, f"spans[{index}]")
-
-    _require(isinstance(document["events"], list), "events must be a list")
-    seen_layers: set[str] = set()
-    by_kind: dict[str, int] = {}
-    for index, event in enumerate(document["events"]):
-        _validate_event(event, f"events[{index}]")
-        seen_layers.add(event["layer"])
-        by_kind[event["kind"]] = by_kind.get(event["kind"], 0) + 1
-
-    _validate_metrics(document["metrics"])
-
-    result = document["result"]
-    _require(isinstance(result, dict), "result must be an object")
-    for key, value in result.items():
-        _require(isinstance(key, str) and _is_scalar(value),
-                 f"result[{key!r}] must map a string to a scalar")
-
-    summary = document["summary"]
-    _require(isinstance(summary, dict)
-             and set(summary) == {"spans", "events", "layers", "byKind",
-                                  "droppedEvents"},
-             "summary must be {spans, events, layers, byKind, droppedEvents}")
-    _require(summary["spans"] == span_total,
-             "summary.spans must equal the span-tree node count")
-    _require(summary["events"] == len(document["events"]),
-             "summary.events must equal len(events)")
-    _require(summary["layers"] == sorted(seen_layers),
-             "summary.layers must list the event layers, sorted")
-    _require(summary["byKind"] == by_kind,
-             "summary.byKind must count events by kind")
-    _require(isinstance(summary["droppedEvents"], int)
-             and not isinstance(summary["droppedEvents"], bool)
-             and summary["droppedEvents"] >= 0,
-             "summary.droppedEvents must be a non-negative int")
+    validate(document, _DOCUMENT)

@@ -32,7 +32,7 @@ seed never perturbs the output — BENCH-REDTEAM pins exactly that
 (byte-identical documents per (scenario, base seed)).
 
 :func:`validate_redteam_dict` checks a parsed document against the
-schema and raises :class:`~repro.lint.report.SchemaError` on any
+schema and raises :class:`~repro.core.schema.SchemaError` on any
 violation, the same contract the CI gates rely on for lint and runner
 reports.
 """
@@ -42,7 +42,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.layers import Layer
-from repro.lint.report import SchemaError
+from repro.core.schema import (BOOL, COUNT, INT, NUMBER, STRING, TEXT, header,
+                               integer, join, leaf, list_of, number, nullable,
+                               obj, one_of, require, validate)
 
 from repro.redteam.planner import Campaign, PlanResult, plan_scenario
 
@@ -188,145 +190,80 @@ def render_campaigns(result: PlanResult, *, top: int | None = None) -> str:
 # schema validation
 # --------------------------------------------------------------------------
 
-_LAYER_NAMES = {layer.name.lower() for layer in Layer}
-_NODE_KINDS = {"component", "service", "endpoint", "datastore", "actor",
-               "channel"}
-_STEP_KEYS = {"attackId", "technique", "name", "layer", "paperRef",
-              "cost", "defense", "detail", "grants"}
-_CAMPAIGN_KEYS = {"rank", "sink", "sinkKind", "entry", "totalCost",
-                  "multiStage", "layers", "steps"}
-_SCENARIO_KEYS = {"scenario", "library", "defeated", "campaigns",
-                  "disruptions"}
+_LAYER = one_of({layer.name.lower() for layer in Layer})
+_COST = number(0, exclusive=True)
+_STEP = obj({
+    "attackId": STRING, "technique": STRING, "name": STRING, "layer": _LAYER,
+    "paperRef": STRING, "cost": _COST, "defense": STRING, "detail": STRING,
+    "grants": list_of(leaf(lambda v: isinstance(v, str) and ":" in v,
+                           "a 'kind:node' string"), nonempty=True),
+})
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SchemaError(message)
+def _check_campaign(entry: dict, where: str) -> None:
+    require(entry["multiStage"] == (len(entry["steps"]) > 1), where,
+            "multiStage inconsistent with len(steps)")
+    total = sum(step["cost"] for step in entry["steps"])
+    require(abs(total - entry["totalCost"]) < 1e-9, where,
+            "totalCost must equal the sum of step costs")
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+_CAMPAIGN = obj({
+    "rank": integer(1), "sink": TEXT, "entry": TEXT, "totalCost": _COST,
+    "sinkKind": one_of({"component", "service", "endpoint", "datastore",
+                        "actor", "channel"}),
+    "multiStage": BOOL, "layers": list_of(_LAYER, nonempty=True),
+    "steps": list_of(_STEP, nonempty=True),
+}, check=_check_campaign)
 
 
-def _validate_step(step: dict, where: str) -> None:
-    _require(isinstance(step, dict), f"{where}: step must be an object")
-    _require(set(step) == _STEP_KEYS,
-             f"{where}: keys {sorted(step)} != {sorted(_STEP_KEYS)}")
-    for key in ("attackId", "technique", "name", "paperRef", "defense",
-                "detail"):
-        _require(isinstance(step[key], str), f"{where}: {key} must be a string")
-    _require(step["layer"] in _LAYER_NAMES,
-             f"{where}: bad layer {step['layer']!r}")
-    _require(_is_number(step["cost"]) and step["cost"] > 0,
-             f"{where}: cost must be a positive number")
-    grants = step["grants"]
-    _require(isinstance(grants, list) and grants,
-             f"{where}: grants must be a non-empty list")
-    for grant in grants:
-        _require(isinstance(grant, str) and ":" in grant,
-                 f"{where}: grant {grant!r} must look like 'kind:node'")
-
-
-def _validate_campaign(entry: dict, where: str, rank: int) -> None:
-    _require(isinstance(entry, dict), f"{where}: campaign must be an object")
-    _require(set(entry) == _CAMPAIGN_KEYS,
-             f"{where}: keys {sorted(entry)} != {sorted(_CAMPAIGN_KEYS)}")
-    _require(entry["rank"] == rank, f"{where}: rank must be {rank}")
-    for key in ("sink", "entry"):
-        _require(isinstance(entry[key], str) and entry[key],
-                 f"{where}: {key} must be a non-empty string")
-    _require(entry["sinkKind"] in _NODE_KINDS,
-             f"{where}: bad sinkKind {entry['sinkKind']!r}")
-    _require(_is_number(entry["totalCost"]) and entry["totalCost"] > 0,
-             f"{where}: totalCost must be a positive number")
-    _require(isinstance(entry["multiStage"], bool),
-             f"{where}: multiStage must be a bool")
-    layers = entry["layers"]
-    _require(isinstance(layers, list) and layers,
-             f"{where}: layers must be a non-empty list")
-    for layer in layers:
-        _require(layer in _LAYER_NAMES, f"{where}: bad layer {layer!r}")
-    steps = entry["steps"]
-    _require(isinstance(steps, list) and steps,
-             f"{where}: steps must be a non-empty list")
-    for index, step in enumerate(steps):
-        _validate_step(step, f"{where}.steps[{index}]")
-    _require(entry["multiStage"] == (len(steps) > 1),
-             f"{where}: multiStage inconsistent with len(steps)")
-    total = sum(step["cost"] for step in steps)
-    _require(abs(total - entry["totalCost"]) < 1e-9,
-             f"{where}: totalCost must equal the sum of step costs")
-
-
-def _validate_scenario(entry: dict, where: str) -> None:
-    _require(isinstance(entry, dict), f"{where}: scenario must be an object")
-    _require(set(entry) == _SCENARIO_KEYS,
-             f"{where}: keys {sorted(entry)} != {sorted(_SCENARIO_KEYS)}")
-    _require(isinstance(entry["scenario"], str) and entry["scenario"],
-             f"{where}: scenario must be a non-empty string")
-    library = entry["library"]
-    _require(isinstance(library, dict)
-             and set(library) == {"attacks", "entry", "techniques"},
-             f"{where}: library must be {{attacks, entry, techniques}}")
-    for key in ("attacks", "entry"):
-        _require(isinstance(library[key], int) and library[key] >= 0,
-                 f"{where}: library.{key} must be a non-negative int")
-    _require(isinstance(library["techniques"], list),
-             f"{where}: library.techniques must be a list")
-    _require(isinstance(entry["defeated"], bool),
-             f"{where}: defeated must be a bool")
-    _require(entry["defeated"] == (not entry["campaigns"]),
-             f"{where}: defeated inconsistent with campaigns")
+def _check_scenario(entry: dict, where: str) -> None:
+    require(entry["defeated"] == (not entry["campaigns"]), where,
+            "defeated inconsistent with campaigns")
     for section in ("campaigns", "disruptions"):
-        _require(isinstance(entry[section], list),
-                 f"{where}: {section} must be a list")
         for index, campaign in enumerate(entry[section]):
-            _validate_campaign(campaign, f"{where}.{section}[{index}]",
-                               index + 1)
+            require(campaign["rank"] == index + 1,
+                    join(join(where, section), index),
+                    f"rank must be {index + 1}")
+
+
+_SCENARIO = obj({
+    "scenario": TEXT,
+    "library": obj({"attacks": COUNT, "entry": COUNT,
+                    "techniques": list_of(STRING)}),
+    "defeated": BOOL,
+    "campaigns": list_of(_CAMPAIGN),
+    "disruptions": list_of(_CAMPAIGN),
+}, check=_check_scenario)
+
+
+def _check_summary(document: dict, where: str) -> None:
+    scenarios, summary = document["scenarios"], document["summary"]
+    require(summary["scenarioCount"] == len(scenarios), where,
+            "summary.scenarioCount must equal len(scenarios)")
+    campaign_count = sum(len(s["campaigns"]) for s in scenarios)
+    require(summary["campaignCount"] == campaign_count, where,
+            "summary.campaignCount must equal the total campaign count")
+    require(summary["defeatedScenarios"]
+            == sorted(s["scenario"] for s in scenarios if s["defeated"]),
+            where, "defeatedScenarios must list the defeated scenarios, sorted")
+    require((summary["cheapest"] is None) == (campaign_count == 0), where,
+            "cheapest must be null exactly when there are no campaigns")
+
+
+_DOCUMENT = obj({
+    **header(REDTEAM_SCHEMA_VERSION, REDTEAM_TOOL_NAME),
+    "baseSeed": INT,
+    "scenarios": list_of(_SCENARIO, nonempty=True),
+    "summary": obj({
+        "scenarioCount": COUNT, "campaignCount": COUNT,
+        "defeatedScenarios": list_of(STRING),
+        "cheapest": nullable(obj({"scenario": TEXT, "sink": TEXT,
+                                  "totalCost": NUMBER})),
+    }),
+}, check=_check_summary)
 
 
 def validate_redteam_dict(document: dict) -> None:
     """Raise :class:`SchemaError` unless ``document`` matches the schema."""
-    _require(isinstance(document, dict), "report must be an object")
-    required = {"version", "tool", "baseSeed", "scenarios", "summary"}
-    _require(set(document) == required,
-             f"top-level keys {sorted(document)} != {sorted(required)}")
-    _require(document["version"] == REDTEAM_SCHEMA_VERSION,
-             f"unsupported schema version {document['version']!r}")
-    tool = document["tool"]
-    _require(isinstance(tool, dict) and set(tool) == {"name", "version"},
-             "tool must be {name, version}")
-    _require(tool["name"] == REDTEAM_TOOL_NAME,
-             f"unexpected tool name {tool['name']!r}")
-    _require(isinstance(document["baseSeed"], int),
-             "baseSeed must be an int")
-    scenarios = document["scenarios"]
-    _require(isinstance(scenarios, list) and scenarios,
-             "scenarios must be a non-empty list")
-    for index, entry in enumerate(scenarios):
-        _validate_scenario(entry, f"scenarios[{index}]")
-
-    summary = document["summary"]
-    summary_keys = {"scenarioCount", "campaignCount", "defeatedScenarios",
-                    "cheapest"}
-    _require(isinstance(summary, dict) and set(summary) == summary_keys,
-             f"summary keys must be {sorted(summary_keys)}")
-    _require(summary["scenarioCount"] == len(scenarios),
-             "summary.scenarioCount must equal len(scenarios)")
-    campaign_count = sum(len(s["campaigns"]) for s in scenarios)
-    _require(summary["campaignCount"] == campaign_count,
-             "summary.campaignCount must equal the total campaign count")
-    defeated = summary["defeatedScenarios"]
-    _require(isinstance(defeated, list), "defeatedScenarios must be a list")
-    expected = sorted(s["scenario"] for s in scenarios if s["defeated"])
-    _require(defeated == expected,
-             "defeatedScenarios must list the defeated scenarios, sorted")
-    cheapest = summary["cheapest"]
-    if campaign_count == 0:
-        _require(cheapest is None, "cheapest must be null with no campaigns")
-    else:
-        _require(isinstance(cheapest, dict)
-                 and set(cheapest) == {"scenario", "sink", "totalCost"},
-                 "cheapest must be {scenario, sink, totalCost}")
-        _require(_is_number(cheapest["totalCost"]),
-                 "cheapest.totalCost must be a number")
+    validate(document, _DOCUMENT)

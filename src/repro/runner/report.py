@@ -23,6 +23,9 @@ gate and the round-trip tests both call it.
 
 from __future__ import annotations
 
+from repro.core.schema import (BOOL, COUNT, INT, STRING, TEXT, SchemaError,
+                               header, integer, list_of, number, obj, one_of,
+                               require, validate)
 from repro.obs.events import SimEvent
 from repro.obs.timeline import Timeline, render_timeline
 from repro.runner.engine import ExperimentResult
@@ -38,9 +41,8 @@ _STATUS_TO_SUMMARY = {"passed": "passed", "failed": "failed",
                       "error": "errors", "timeout": "timeouts",
                       "cached": "cached"}
 
-
-class SweepSchemaError(ValueError):
-    """A sweep JSON document does not match the documented schema."""
+#: The shared :class:`~repro.core.schema.SchemaError`, under its old name.
+SweepSchemaError = SchemaError
 
 
 class SweepReport:
@@ -140,114 +142,43 @@ class SweepReport:
 # schema validation
 # --------------------------------------------------------------------------
 
-_EXPERIMENT_KEYS = {"id", "status", "exitCode", "durationS", "seed",
-                    "retries", "cached", "cacheKey", "artifacts", "error"}
-_SUMMARY_KEYS = {"total", "passed", "failed", "errors", "timeouts",
-                 "cached", "ok"}
-_SWEEP_KEYS = {"jobs", "cache", "baseSeed", "wallS", "treeDigest",
-               "interrupted"}
+_EXPERIMENT = obj({
+    "id": TEXT, "status": one_of(STATUSES), "exitCode": INT,
+    "durationS": number(0), "seed": COUNT, "retries": COUNT, "cached": BOOL,
+    "cacheKey": STRING, "error": STRING,
+    "artifacts": list_of(obj({"title": TEXT, "rows": list_of(STRING)})),
+}, check=lambda entry, where: require(
+    entry["cached"] == (entry["status"] == "cached"), where,
+    "cached flag must match status == 'cached'"))
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SweepSchemaError(message)
+def _check_summary(document: dict, where: str) -> None:
+    summary, experiments = document["summary"], document["experiments"]
+    counts = {name: 0 for name in _STATUS_TO_SUMMARY.values()}
+    for entry in experiments:
+        counts[_STATUS_TO_SUMMARY[entry["status"]]] += 1
+    require(summary["total"] == len(experiments), where,
+            "summary.total must equal len(experiments)")
+    for name, value in counts.items():
+        require(summary[name] == value, where,
+                f"summary.{name} must count statuses (expected {value})")
+    ok = counts["failed"] == counts["errors"] == counts["timeouts"] == 0
+    require(summary["ok"] == ok, where,
+            "summary.ok must be true iff no failed/error/timeout entries")
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _validate_artifact(entry: object, where: str) -> None:
-    _require(isinstance(entry, dict) and set(entry) == {"title", "rows"},
-             f"{where}: artifact must be {{title, rows}}")
-    _require(isinstance(entry["title"], str) and entry["title"],
-             f"{where}: title must be a non-empty string")
-    _require(isinstance(entry["rows"], list)
-             and all(isinstance(row, str) for row in entry["rows"]),
-             f"{where}: rows must be a list of strings")
-
-
-def _validate_experiment(entry: object, where: str) -> str:
-    _require(isinstance(entry, dict), f"{where}: experiment must be an object")
-    _require(set(entry) == _EXPERIMENT_KEYS,
-             f"{where}: keys {sorted(entry)} != {sorted(_EXPERIMENT_KEYS)}")
-    _require(isinstance(entry["id"], str) and entry["id"],
-             f"{where}: id must be a non-empty string")
-    _require(entry["status"] in STATUSES,
-             f"{where}: bad status {entry['status']!r}")
-    _require(_is_int(entry["exitCode"]), f"{where}: exitCode must be an int")
-    _require(_is_number(entry["durationS"]) and entry["durationS"] >= 0,
-             f"{where}: durationS must be a non-negative number")
-    _require(_is_int(entry["seed"]) and entry["seed"] >= 0,
-             f"{where}: seed must be a non-negative int")
-    _require(_is_int(entry["retries"]) and entry["retries"] >= 0,
-             f"{where}: retries must be a non-negative int")
-    _require(isinstance(entry["cached"], bool),
-             f"{where}: cached must be a bool")
-    _require(entry["cached"] == (entry["status"] == "cached"),
-             f"{where}: cached flag must match status == 'cached'")
-    _require(isinstance(entry["cacheKey"], str),
-             f"{where}: cacheKey must be a string")
-    _require(isinstance(entry["error"], str),
-             f"{where}: error must be a string")
-    _require(isinstance(entry["artifacts"], list),
-             f"{where}: artifacts must be a list")
-    for index, artifact in enumerate(entry["artifacts"]):
-        _validate_artifact(artifact, f"{where}.artifacts[{index}]")
-    return entry["status"]
+_DOCUMENT = obj({
+    **header(SCHEMA_VERSION, TOOL_NAME),
+    "sweep": obj({"jobs": integer(1), "cache": BOOL, "baseSeed": INT,
+                  "wallS": number(0), "treeDigest": TEXT, "interrupted": BOOL}),
+    "experiments": list_of(_EXPERIMENT, unique_by="id"),
+    "summary": obj({**{name: COUNT for name in ("total", "passed", "failed",
+                                                "errors", "timeouts",
+                                                "cached")},
+                    "ok": BOOL}),
+}, check=_check_summary)
 
 
 def validate_sweep_dict(document: dict) -> None:
     """Raise :class:`SweepSchemaError` unless ``document`` matches."""
-    _require(isinstance(document, dict), "sweep report must be an object")
-    required = {"version", "tool", "sweep", "experiments", "summary"}
-    _require(set(document) == required,
-             f"top-level keys {sorted(document)} != {sorted(required)}")
-    _require(document["version"] == SCHEMA_VERSION,
-             f"unsupported schema version {document['version']!r}")
-    tool = document["tool"]
-    _require(isinstance(tool, dict) and set(tool) == {"name", "version"},
-             "tool must be {name, version}")
-    _require(tool["name"] == TOOL_NAME,
-             f"unexpected tool name {tool['name']!r}")
-
-    sweep = document["sweep"]
-    _require(isinstance(sweep, dict) and set(sweep) == _SWEEP_KEYS,
-             f"sweep must be {sorted(_SWEEP_KEYS)}")
-    _require(_is_int(sweep["jobs"]) and sweep["jobs"] >= 1,
-             "sweep.jobs must be an int >= 1")
-    _require(isinstance(sweep["cache"], bool), "sweep.cache must be a bool")
-    _require(_is_int(sweep["baseSeed"]), "sweep.baseSeed must be an int")
-    _require(_is_number(sweep["wallS"]) and sweep["wallS"] >= 0,
-             "sweep.wallS must be a non-negative number")
-    _require(isinstance(sweep["treeDigest"], str) and sweep["treeDigest"],
-             "sweep.treeDigest must be a non-empty string")
-    _require(isinstance(sweep["interrupted"], bool),
-             "sweep.interrupted must be a bool")
-
-    _require(isinstance(document["experiments"], list),
-             "experiments must be a list")
-    counts = {name: 0 for name in _STATUS_TO_SUMMARY.values()}
-    seen_ids: set[str] = set()
-    for index, entry in enumerate(document["experiments"]):
-        status = _validate_experiment(entry, f"experiments[{index}]")
-        counts[_STATUS_TO_SUMMARY[status]] += 1
-        _require(entry["id"] not in seen_ids,
-                 f"experiments[{index}]: duplicate id {entry['id']!r}")
-        seen_ids.add(entry["id"])
-
-    summary = document["summary"]
-    _require(isinstance(summary, dict) and set(summary) == _SUMMARY_KEYS,
-             f"summary must be {sorted(_SUMMARY_KEYS)}")
-    _require(summary["total"] == len(document["experiments"]),
-             "summary.total must equal len(experiments)")
-    for name, value in counts.items():
-        _require(summary[name] == value,
-                 f"summary.{name} must count statuses (expected {value})")
-    ok = counts["failed"] == counts["errors"] == counts["timeouts"] == 0
-    _require(summary["ok"] == ok,
-             "summary.ok must be true iff no failed/error/timeout entries")
+    validate(document, _DOCUMENT)

@@ -44,7 +44,10 @@ sentinel gate and the round-trip tests both call it.
 
 from __future__ import annotations
 
-from repro.faults.report import ChaosSchemaError, _validate_plan
+from repro.core.schema import (BOOL, COUNT, INT, NUMBER, STRING, TEXT, UNIT,
+                               SchemaError, header, integer, join, list_of,
+                               nullable, obj, one_of, require, validate)
+from repro.faults.report import DEGRADATION, FAULTS, PLAN, SCENARIO_HEADER
 
 __all__ = ["SentinelSchemaError", "validate_sentinel_dict",
            "SCHEMA_VERSION", "TOOL_NAME"]
@@ -52,329 +55,145 @@ __all__ = ["SentinelSchemaError", "validate_sentinel_dict",
 SCHEMA_VERSION = "1.0"
 TOOL_NAME = "repro-sentinel"
 
-_ALARM_STATES = {"idle", "suspect", "alarm", "cleared"}
-_TRUST_PHASES = {"cold-start", "verifying", "trusted"}
-_LEVEL_NAMES = {"full", "degraded", "minimal_risk", "safe_stop"}
+#: The shared :class:`~repro.core.schema.SchemaError`, under its old name.
+SentinelSchemaError = SchemaError
 
-_MACHINE_KEYS = {"source", "detector", "finalState", "transitions",
-                 "firstAlarmT"}
-_INCIDENT_KEYS = {"id", "openedT", "closedT", "sources", "alarmCount",
-                  "crossLayer"}
-_TRUST_KEYS = {"source", "score", "minScore", "phase", "observations",
-               "hardHits", "collapsedT"}
-_SENTINEL_KEYS = {"eventsConsumed", "eventsEmitted", "firstAlarmT",
-                  "alarmTransitions", "alarmedSources", "machines",
-                  "incidents", "trust"}
-_DETECTION_KEYS = {"alarmRaised", "firstAlarmT", "alarmIncidents",
-                   "trustCollapsed", "safeStopT", "leadTicks",
-                   "detectedBeforeSafeStop"}
-_DEGRADATION_KEYS = {"finalLevel", "minLevel", "changes",
-                     "timeToDegradeS", "timeToRecoverS"}
-_SCENARIO_KEYS = {"scenario", "description", "resilient", "durationTicks",
-                  "window", "faults", "sentinel", "response",
-                  "degradation", "detection"}
-_SUMMARY_KEYS = {"scenarioCount", "alarmIncidents", "scenariosDetected",
-                 "scenariosClean", "trustCollapsed"}
+_MAYBE_T = nullable(NUMBER)
+_SORTED_NAMES = list_of(TEXT, sorted_by=lambda name: name)
 
 
-class SentinelSchemaError(ValueError):
-    """A sentinel JSON document does not match the documented schema."""
+def _check_incident(entry: dict, where: str) -> None:
+    require(entry["closedT"] is None or entry["closedT"] >= entry["openedT"],
+            where, "closedT must be null or >= openedT")
+    require(entry["alarmCount"] >= len(entry["sources"]), where,
+            "alarmCount must cover every source")
+    require(entry["crossLayer"] == (len(entry["sources"]) > 1), where,
+            "crossLayer must mean 'more than one source'")
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise SentinelSchemaError(message)
+def _check_trust(entry: dict, where: str) -> None:
+    require(entry["minScore"] <= entry["score"], where,
+            "minScore must not exceed score")
+    require(entry["hardHits"] <= entry["observations"], where,
+            "hardHits must not exceed observations")
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_count(value: object) -> bool:
-    return _is_int(value) and value >= 0
-
-
-def _is_unit(value: object) -> bool:
-    return _is_number(value) and 0.0 <= value <= 1.0
-
-
-def _is_sorted_str_list(value: object) -> bool:
-    return (isinstance(value, list)
-            and all(isinstance(item, str) and item for item in value)
-            and value == sorted(value))
-
-
-def _validate_window(window: object, where: str) -> None:
-    _require(isinstance(window, dict) and set(window) == {"start", "end"},
-             f"{where}: window must be {{start, end}}")
-    _require(_is_number(window["start"]) and _is_number(window["end"]),
-             f"{where}: window bounds must be numbers")
-    _require(window["start"] <= window["end"],
-             f"{where}: window start must not exceed end")
-
-
-def _validate_machine(entry: object, where: str) -> dict:
-    _require(isinstance(entry, dict) and set(entry) == _MACHINE_KEYS,
-             f"{where}: keys must be {sorted(_MACHINE_KEYS)}")
-    for key in ("source", "detector"):
-        _require(isinstance(entry[key], str) and entry[key],
-                 f"{where}: {key} must be a non-empty string")
-    _require(entry["finalState"] in _ALARM_STATES,
-             f"{where}: unknown state {entry['finalState']!r}")
-    _require(_is_count(entry["transitions"]),
-             f"{where}: transitions must be a non-negative int")
-    _require(entry["firstAlarmT"] is None or _is_number(entry["firstAlarmT"]),
-             f"{where}: firstAlarmT must be a number or null")
-    return entry
-
-
-def _validate_incident(entry: object, where: str) -> dict:
-    _require(isinstance(entry, dict) and set(entry) == _INCIDENT_KEYS,
-             f"{where}: keys must be {sorted(_INCIDENT_KEYS)}")
-    _require(_is_int(entry["id"]) and entry["id"] >= 1,
-             f"{where}: id must be an int >= 1")
-    _require(_is_number(entry["openedT"]),
-             f"{where}: openedT must be a number")
-    _require(entry["closedT"] is None
-             or (_is_number(entry["closedT"])
-                 and entry["closedT"] >= entry["openedT"]),
-             f"{where}: closedT must be null or >= openedT")
-    _require(_is_sorted_str_list(entry["sources"]) and entry["sources"],
-             f"{where}: sources must be a sorted non-empty string list")
-    _require(_is_count(entry["alarmCount"])
-             and entry["alarmCount"] >= len(entry["sources"]),
-             f"{where}: alarmCount must cover every source")
-    _require(entry["crossLayer"] == (len(entry["sources"]) > 1),
-             f"{where}: crossLayer must mean 'more than one source'")
-    return entry
-
-
-def _validate_trust(entry: object, where: str) -> dict:
-    _require(isinstance(entry, dict) and set(entry) == _TRUST_KEYS,
-             f"{where}: keys must be {sorted(_TRUST_KEYS)}")
-    _require(isinstance(entry["source"], str) and entry["source"],
-             f"{where}: source must be a non-empty string")
-    _require(_is_unit(entry["score"]) and _is_unit(entry["minScore"]),
-             f"{where}: score/minScore must be in [0, 1]")
-    _require(entry["minScore"] <= entry["score"],
-             f"{where}: minScore must not exceed score")
-    _require(entry["phase"] in _TRUST_PHASES,
-             f"{where}: unknown phase {entry['phase']!r}")
-    _require(_is_count(entry["observations"]) and _is_count(entry["hardHits"]),
-             f"{where}: observations/hardHits must be non-negative ints")
-    _require(entry["hardHits"] <= entry["observations"],
-             f"{where}: hardHits must not exceed observations")
-    _require(entry["collapsedT"] is None or _is_number(entry["collapsedT"]),
-             f"{where}: collapsedT must be a number or null")
-    return entry
-
-
-def _validate_sentinel(entry: object, where: str) -> dict:
-    _require(isinstance(entry, dict) and set(entry) == _SENTINEL_KEYS,
-             f"{where}: keys must be {sorted(_SENTINEL_KEYS)}")
-    for key in ("eventsConsumed", "eventsEmitted", "alarmTransitions"):
-        _require(_is_count(entry[key]),
-                 f"{where}: {key} must be a non-negative int")
-    _require(entry["firstAlarmT"] is None or _is_number(entry["firstAlarmT"]),
-             f"{where}: firstAlarmT must be a number or null")
-
-    _require(isinstance(entry["machines"], list),
-             f"{where}: machines must be a list")
-    seen_machines: set[tuple[str, str]] = set()
-    alarmed: set[str] = set()
-    transition_total = 0
-    for index, machine in enumerate(entry["machines"]):
-        inner = f"{where}.machines[{index}]"
-        _validate_machine(machine, inner)
-        key = (machine["source"], machine["detector"])
-        _require(key not in seen_machines, f"{inner}: duplicate machine")
-        seen_machines.add(key)
-        transition_total += machine["transitions"]
-        if machine["firstAlarmT"] is not None:
-            alarmed.add(machine["source"])
-    _require(entry["alarmTransitions"] == transition_total,
-             f"{where}: alarmTransitions must sum machine transitions")
-    _require(entry["alarmedSources"] == sorted(alarmed),
-             f"{where}: alarmedSources must list machines that alarmed, sorted")
-
-    _require(isinstance(entry["incidents"], list),
-             f"{where}: incidents must be a list")
+def _check_sentinel(entry: dict, where: str) -> None:
+    machines = entry["machines"]
+    require(entry["alarmTransitions"]
+            == sum(machine["transitions"] for machine in machines), where,
+            "alarmTransitions must sum machine transitions")
+    alarmed = {machine["source"] for machine in machines
+               if machine["firstAlarmT"] is not None}
+    require(entry["alarmedSources"] == sorted(alarmed), where,
+            "alarmedSources must list machines that alarmed, sorted")
     for index, incident in enumerate(entry["incidents"]):
-        inner = f"{where}.incidents[{index}]"
-        _validate_incident(incident, inner)
-        _require(incident["id"] == index + 1,
-                 f"{inner}: ids must be dense and 1-based")
-
-    _require(isinstance(entry["trust"], list) and entry["trust"],
-             f"{where}: trust must be a non-empty list")
-    seen_sources: list[str] = []
-    for index, trust in enumerate(entry["trust"]):
-        _validate_trust(trust, f"{where}.trust[{index}]")
-        seen_sources.append(trust["source"])
-    _require(seen_sources == sorted(seen_sources)
-             and len(set(seen_sources)) == len(seen_sources),
-             f"{where}: trust must be sorted by source, no duplicates")
-    return entry
+        require(incident["id"] == index + 1,
+                join(join(where, "incidents"), index),
+                "ids must be dense and 1-based")
 
 
-def _validate_degradation(entry: object, where: str) -> dict:
-    _require(isinstance(entry, dict) and set(entry) == _DEGRADATION_KEYS,
-             f"{where}: keys must be {sorted(_DEGRADATION_KEYS)}")
-    for key in ("finalLevel", "minLevel"):
-        _require(entry[key] in _LEVEL_NAMES,
-                 f"{where}: {key} must be one of {sorted(_LEVEL_NAMES)}")
-    _require(isinstance(entry["changes"], list),
-             f"{where}: changes must be a list")
-    for index, change in enumerate(entry["changes"]):
-        inner = f"{where}.changes[{index}]"
-        _require(isinstance(change, dict)
-                 and set(change) == {"t", "level", "reason"},
-                 f"{inner}: must be {{t, level, reason}}")
-        _require(_is_number(change["t"]), f"{inner}: t must be a number")
-        _require(change["level"] in _LEVEL_NAMES,
-                 f"{inner}: unknown level {change['level']!r}")
-        _require(isinstance(change["reason"], str) and change["reason"],
-                 f"{inner}: reason must be a non-empty string")
-    for key in ("timeToDegradeS", "timeToRecoverS"):
-        _require(entry[key] is None or _is_number(entry[key]),
-                 f"{where}: {key} must be a number or null")
-    return entry
+_SENTINEL = obj({
+    "eventsConsumed": COUNT, "eventsEmitted": COUNT, "alarmTransitions": COUNT,
+    "firstAlarmT": _MAYBE_T, "alarmedSources": list_of(STRING),
+    "machines": list_of(obj({
+        "source": TEXT, "detector": TEXT, "transitions": COUNT,
+        "finalState": one_of({"idle", "suspect", "alarm", "cleared"}),
+        "firstAlarmT": _MAYBE_T,
+    }), unique_by=lambda machine: (machine["source"], machine["detector"])),
+    "incidents": list_of(obj({
+        "id": integer(1), "openedT": NUMBER, "closedT": _MAYBE_T,
+        "sources": list_of(TEXT, nonempty=True, sorted_by=lambda name: name),
+        "alarmCount": COUNT, "crossLayer": BOOL,
+    }, check=_check_incident)),
+    "trust": list_of(obj({
+        "source": TEXT, "score": UNIT, "minScore": UNIT,
+        "phase": one_of({"cold-start", "verifying", "trusted"}),
+        "observations": COUNT, "hardHits": COUNT, "collapsedT": _MAYBE_T,
+    }, check=_check_trust), nonempty=True, sorted_by="source",
+        unique_by="source"),
+}, check=_check_sentinel)
 
 
-def _validate_detection(entry: object, sentinel: dict,
-                        degradation: dict, where: str) -> dict:
-    _require(isinstance(entry, dict) and set(entry) == _DETECTION_KEYS,
-             f"{where}: keys must be {sorted(_DETECTION_KEYS)}")
-    _require(isinstance(entry["alarmRaised"], bool),
-             f"{where}: alarmRaised must be a bool")
-    _require(entry["alarmRaised"] == (sentinel["firstAlarmT"] is not None),
-             f"{where}: alarmRaised must mirror sentinel.firstAlarmT")
-    _require(entry["firstAlarmT"] == sentinel["firstAlarmT"],
-             f"{where}: firstAlarmT must equal sentinel.firstAlarmT")
-    _require(entry["alarmIncidents"] == len(sentinel["incidents"]),
-             f"{where}: alarmIncidents must count sentinel.incidents")
+def _check_detection(scenario: dict, where: str) -> None:
+    entry, sentinel = scenario["detection"], scenario["sentinel"]
+    where = join(where, "detection")
+    require(entry["alarmRaised"] == (sentinel["firstAlarmT"] is not None),
+            where, "alarmRaised must mirror sentinel.firstAlarmT")
+    require(entry["firstAlarmT"] == sentinel["firstAlarmT"], where,
+            "firstAlarmT must equal sentinel.firstAlarmT")
+    require(entry["alarmIncidents"] == len(sentinel["incidents"]), where,
+            "alarmIncidents must count sentinel.incidents")
     collapsed = sorted(trust["source"] for trust in sentinel["trust"]
                        if trust["collapsedT"] is not None)
-    _require(entry["trustCollapsed"] == collapsed,
-             f"{where}: trustCollapsed must list collapsed trust sources")
-    safe_stop = next((change["t"] for change in degradation["changes"]
+    require(entry["trustCollapsed"] == collapsed, where,
+            "trustCollapsed must list collapsed trust sources")
+    safe_stop = next((change["t"] for change
+                      in scenario["degradation"]["changes"]
                       if change["level"] == "safe_stop"), None)
-    _require(entry["safeStopT"] == safe_stop,
-             f"{where}: safeStopT must be the first safe_stop change")
+    require(entry["safeStopT"] == safe_stop, where,
+            "safeStopT must be the first safe_stop change")
     if entry["safeStopT"] is not None and entry["firstAlarmT"] is not None:
-        _require(entry["leadTicks"] ==
-                 entry["safeStopT"] - entry["firstAlarmT"],
-                 f"{where}: leadTicks must be safeStopT - firstAlarmT")
+        require(entry["leadTicks"] == entry["safeStopT"] - entry["firstAlarmT"],
+                where, "leadTicks must be safeStopT - firstAlarmT")
     else:
-        _require(entry["leadTicks"] is None,
-                 f"{where}: leadTicks must be null without both endpoints")
+        require(entry["leadTicks"] is None, where,
+                "leadTicks must be null without both endpoints")
     expected = (entry["alarmRaised"]
                 and (entry["safeStopT"] is None
                      or entry["firstAlarmT"] < entry["safeStopT"]))
-    _require(entry["detectedBeforeSafeStop"] == expected,
-             f"{where}: detectedBeforeSafeStop is inconsistent")
-    return entry
+    require(entry["detectedBeforeSafeStop"] == expected, where,
+            "detectedBeforeSafeStop is inconsistent")
 
 
-def _validate_scenario(entry: object, where: str) -> dict:
-    _require(isinstance(entry, dict) and set(entry) == _SCENARIO_KEYS,
-             f"{where}: keys {sorted(entry) if isinstance(entry, dict) else '?'}"
-             f" != {sorted(_SCENARIO_KEYS)}")
-    _require(isinstance(entry["scenario"], str) and entry["scenario"],
-             f"{where}: scenario must be a non-empty string")
-    _require(isinstance(entry["description"], str) and entry["description"],
-             f"{where}: description must be a non-empty string")
-    _require(isinstance(entry["resilient"], bool),
-             f"{where}: resilient must be a bool")
-    _require(_is_int(entry["durationTicks"]) and entry["durationTicks"] >= 1,
-             f"{where}: durationTicks must be an int >= 1")
-    _validate_window(entry["window"], where)
+_SCENARIO = obj({
+    **SCENARIO_HEADER,
+    "faults": FAULTS,
+    "sentinel": _SENTINEL,
+    "response": obj({"alerts": COUNT, "isolated": _SORTED_NAMES}),
+    "degradation": DEGRADATION,
+    "detection": obj({
+        "alarmRaised": BOOL, "firstAlarmT": _MAYBE_T, "alarmIncidents": COUNT,
+        "trustCollapsed": list_of(STRING), "safeStopT": _MAYBE_T,
+        "leadTicks": _MAYBE_T, "detectedBeforeSafeStop": BOOL,
+    }),
+}, check=_check_detection)
 
-    faults = entry["faults"]
-    _require(isinstance(faults, dict) and set(faults) == {"injected", "byKind"},
-             f"{where}: faults must be {{injected, byKind}}")
-    _require(_is_count(faults["injected"]),
-             f"{where}: faults.injected must be a non-negative int")
-    _require(isinstance(faults["byKind"], dict)
-             and all(_is_count(count) and count > 0
-                     for count in faults["byKind"].values()),
-             f"{where}: faults.byKind must map kinds to positive ints")
-    _require(sum(faults["byKind"].values()) == faults["injected"],
-             f"{where}: byKind must sum to faults.injected")
 
-    sentinel = _validate_sentinel(entry["sentinel"], f"{where}.sentinel")
+def _check_summary(document: dict, where: str) -> None:
+    scenarios, summary = document["scenarios"], document["summary"]
+    detections = [(s["scenario"], s["detection"]) for s in scenarios]
+    require(summary["scenarioCount"] == len(scenarios), where,
+            "summary.scenarioCount must equal len(scenarios)")
+    require(summary["alarmIncidents"]
+            == sum(detection["alarmIncidents"] for _, detection in detections),
+            where, "summary.alarmIncidents must sum the per-scenario totals")
+    require(summary["scenariosDetected"]
+            == sorted(name for name, d in detections if d["alarmRaised"]),
+            where, "summary.scenariosDetected must list alarmed scenarios, "
+            "sorted")
+    require(summary["scenariosClean"]
+            == sorted(name for name, d in detections if not d["alarmRaised"]),
+            where, "summary.scenariosClean must list alarm-free scenarios, "
+            "sorted")
+    collapsed = {source for _, d in detections for source in d["trustCollapsed"]}
+    require(summary["trustCollapsed"] == sorted(collapsed), where,
+            "summary.trustCollapsed must union the per-scenario lists, sorted")
 
-    response = entry["response"]
-    _require(isinstance(response, dict)
-             and set(response) == {"alerts", "isolated"},
-             f"{where}: response must be {{alerts, isolated}}")
-    _require(_is_count(response["alerts"]),
-             f"{where}: response.alerts must be a non-negative int")
-    _require(_is_sorted_str_list(response["isolated"]),
-             f"{where}: response.isolated must be a sorted string list")
 
-    degradation = _validate_degradation(entry["degradation"],
-                                        f"{where}.degradation")
-    _validate_detection(entry["detection"], sentinel, degradation,
-                        f"{where}.detection")
-    return entry
+_DOCUMENT = obj({
+    **header(SCHEMA_VERSION, TOOL_NAME),
+    "plan": PLAN,
+    "baseSeed": INT,
+    "scenarios": list_of(_SCENARIO, nonempty=True, unique_by="scenario"),
+    "summary": obj({
+        "scenarioCount": COUNT, "alarmIncidents": COUNT,
+        "scenariosDetected": list_of(STRING), "scenariosClean": list_of(STRING),
+        "trustCollapsed": list_of(STRING),
+    }),
+}, check=_check_summary)
 
 
 def validate_sentinel_dict(document: dict) -> None:
     """Raise :class:`SentinelSchemaError` unless ``document`` matches."""
-    _require(isinstance(document, dict), "sentinel report must be an object")
-    required = {"version", "tool", "plan", "baseSeed", "scenarios", "summary"}
-    _require(set(document) == required,
-             f"top-level keys {sorted(document)} != {sorted(required)}")
-    _require(document["version"] == SCHEMA_VERSION,
-             f"unsupported schema version {document['version']!r}")
-    tool = document["tool"]
-    _require(isinstance(tool, dict) and set(tool) == {"name", "version"},
-             "tool must be {name, version}")
-    _require(tool["name"] == TOOL_NAME,
-             f"unexpected tool name {tool['name']!r}")
-    _require(isinstance(tool["version"], str) and tool["version"],
-             "tool.version must be a non-empty string")
-    try:
-        _validate_plan(document["plan"])
-    except ChaosSchemaError as exc:
-        raise SentinelSchemaError(str(exc)) from None
-    _require(_is_int(document["baseSeed"]), "baseSeed must be an int")
-
-    _require(isinstance(document["scenarios"], list) and document["scenarios"],
-             "scenarios must be a non-empty list")
-    seen: set[str] = set()
-    incident_total = 0
-    detected: set[str] = set()
-    clean: set[str] = set()
-    collapsed: set[str] = set()
-    for index, entry in enumerate(document["scenarios"]):
-        scenario = _validate_scenario(entry, f"scenarios[{index}]")
-        _require(scenario["scenario"] not in seen,
-                 f"scenarios[{index}]: duplicate scenario "
-                 f"{scenario['scenario']!r}")
-        seen.add(scenario["scenario"])
-        incident_total += scenario["detection"]["alarmIncidents"]
-        if scenario["detection"]["alarmRaised"]:
-            detected.add(scenario["scenario"])
-        else:
-            clean.add(scenario["scenario"])
-        collapsed.update(scenario["detection"]["trustCollapsed"])
-
-    summary = document["summary"]
-    _require(isinstance(summary, dict) and set(summary) == _SUMMARY_KEYS,
-             f"summary must be {sorted(_SUMMARY_KEYS)}")
-    _require(summary["scenarioCount"] == len(document["scenarios"]),
-             "summary.scenarioCount must equal len(scenarios)")
-    _require(summary["alarmIncidents"] == incident_total,
-             "summary.alarmIncidents must sum the per-scenario totals")
-    _require(summary["scenariosDetected"] == sorted(detected),
-             "summary.scenariosDetected must list alarmed scenarios, sorted")
-    _require(summary["scenariosClean"] == sorted(clean),
-             "summary.scenariosClean must list alarm-free scenarios, sorted")
-    _require(summary["trustCollapsed"] == sorted(collapsed),
-             "summary.trustCollapsed must union the per-scenario lists, sorted")
+    validate(document, _DOCUMENT)

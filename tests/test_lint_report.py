@@ -78,19 +78,19 @@ class TestSchemaValidation:
     def test_missing_top_level_key_rejected(self):
         document = self.make_valid()
         del document["summary"]
-        with pytest.raises(SchemaError, match="top-level keys"):
+        with pytest.raises(SchemaError, match="document: keys mismatch"):
             validate_report_dict(document)
 
     def test_wrong_version_rejected(self):
         document = self.make_valid()
         document["version"] = "9.9"
-        with pytest.raises(SchemaError, match="schema version"):
+        with pytest.raises(SchemaError, match="version: must be"):
             validate_report_dict(document)
 
     def test_bad_severity_rejected(self):
         document = self.make_valid()
         document["findings"][0]["severity"] = "catastrophic"
-        with pytest.raises(SchemaError, match="bad severity"):
+        with pytest.raises(SchemaError, match="severity: must be one of"):
             validate_report_dict(document)
 
     def test_extra_finding_key_rejected(self):

@@ -119,7 +119,7 @@ class TestValidation:
     def test_bad_level_rejected(self):
         document = make_sarif()
         document["runs"][0]["results"][0]["level"] = "catastrophic"
-        with pytest.raises(SchemaError, match="bad level"):
+        with pytest.raises(SchemaError, match="level: must be one of"):
             validate_sarif_dict(document)
 
     def test_missing_fingerprints_rejected(self):

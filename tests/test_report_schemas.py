@@ -1,0 +1,203 @@
+"""Every report validator rejects malformed input with a typed error.
+
+For each validator, one real document is built in-process from the
+shipped scenarios.  Every node of it (the first 3 items of each list)
+is then replaced, one at a time, by each value in ``REPLACEMENTS``.
+Each mutant must either validate or raise
+:class:`repro.core.schema.SchemaError`; any other exception is an
+untyped escape (a traceback instead of a verdict).
+"""
+
+import copy
+import pathlib
+import tempfile
+import textwrap
+
+import pytest
+
+from repro.audit import AuditContext, AuditEngine, validate_audit_dict
+from repro.audit.report import to_sarif_dict as audit_to_sarif
+from repro.campaign import (CampaignReport, CampaignSpec, CampaignTool,
+                            ShardEntry, execute_shard, validate_campaign_dict)
+from repro.core.schema import SchemaError
+from repro.faults import run_chaos_campaign, validate_chaos_dict
+from repro.lint import Baseline, Linter, build_scenario, validate_report_dict
+from repro.lint.sarif import to_sarif_dict, validate_sarif_dict
+from repro.obs import (TraceReport, instrumented, run_trace_scenario,
+                       validate_metrics_dict, validate_trace_dict)
+from repro.redteam import run_redteam_campaign, validate_redteam_dict
+from repro.runner import validate_sweep_dict
+from repro.runner.engine import ExperimentResult
+from repro.runner.report import SweepReport
+from repro.sentinel import run_sentinel_campaign, validate_sentinel_dict
+
+REPLACEMENTS = (None, 7, "x", [], {}, True, -1.5)
+LIST_PREFIX = 3
+
+
+def lint_document():
+    linter = Linter()
+    report = linter.run(build_scenario("cariad-breach"))
+    return report.to_json_dict(linter.enabled_rules())
+
+
+def lint_sarif_document():
+    linter = Linter()
+    target = build_scenario("pkes-legacy")
+    # Baseline the first run so the log carries suppressed results too.
+    baseline = Baseline.from_report(linter.run(target))
+    baseline.entries = dict(list(baseline.entries.items())[:1])
+    report = linter.run(target, baseline=baseline)
+    return to_sarif_dict(report, linter.enabled_rules())
+
+
+def _audit_run():
+    """Audit a tree that trips AUD001 (stdlib random) and AUD006."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp) / "repro"
+        (root / "faults").mkdir(parents=True)
+        (root / "faults" / "jitter.py").write_text(textwrap.dedent("""\
+            import random
+
+            def jitter(bins=[]):
+                bins.append(random.random())
+                return bins
+        """))
+        engine = AuditEngine()
+        return engine, engine.run(AuditContext.parse(root))
+
+
+def audit_document():
+    engine, report = _audit_run()
+    return report.to_json_dict(engine.checkers)
+
+
+def audit_sarif_document():
+    engine, report = _audit_run()
+    return audit_to_sarif(report, engine.checkers)
+
+
+def trace_document():
+    with instrumented():
+        result = run_trace_scenario("onboard-insecure")
+        return TraceReport.from_instrumentation("onboard-insecure",
+                                                result=result).to_json_dict()
+
+
+def metrics_document():
+    return trace_document()["metrics"]
+
+
+def campaign_document():
+    spec = CampaignSpec.matrix(
+        tools=[CampaignTool.LINT, CampaignTool.CHAOS],
+        scenarios=["maas-platform", "pkes-legacy"], plans=["baseline"],
+        seeds=[0], duration=20, name="schemas")
+    # An interrupted report: every shard but the last settled.
+    report = CampaignReport(spec=spec, interrupted=True)
+    for shard in spec.shards[:-1]:
+        payload = execute_shard(shard.to_dict())
+        report.entries[shard.shard_id] = ShardEntry(
+            shard=payload["shard"], status=payload["status"],
+            result=payload["result"], digest=payload["digest"],
+            error=payload["error"])
+    return report.to_json_dict()
+
+
+def sweep_document():
+    results = [
+        ExperimentResult("FIG1", "passed", 0, 1.25, 11, cache_key="a" * 64,
+                         artifacts=[{"title": "Fig. 1", "rows": ["r1", "r2"]}]),
+        ExperimentResult("FIG2", "cached", 0, 2.5, 22, cached=True,
+                         cache_key="b" * 64),
+        ExperimentResult("TAB1", "failed", 1, 0.5, 33, error="assert failed"),
+        ExperimentResult("EXT-1", "timeout", -1, 0.3, 44, retries=1,
+                         error="timed out after 0.3s"),
+    ]
+    return SweepReport(results, jobs=2, cache_enabled=True, base_seed=0,
+                       wall_s=3.75, tree="t" * 64).to_json_dict()
+
+
+CASES = {
+    "lint": (validate_report_dict, lint_document),
+    "lint-sarif": (validate_sarif_dict, lint_sarif_document),
+    "redteam": (validate_redteam_dict,
+                lambda: run_redteam_campaign(["pkes-legacy",
+                                              "onboard-hardened"])),
+    "audit": (validate_audit_dict, audit_document),
+    "audit-sarif": (validate_sarif_dict, audit_sarif_document),
+    "trace": (validate_trace_dict, trace_document),
+    "metrics": (validate_metrics_dict, metrics_document),
+    "chaos": (validate_chaos_dict,
+              lambda: run_chaos_campaign(["cariad-breach", "maas-platform"],
+                                         "baseline", duration=20)),
+    "sentinel": (validate_sentinel_dict,
+                 lambda: run_sentinel_campaign(["onboard-insecure"], "severe",
+                                               duration=60)),
+    "campaign": (validate_campaign_dict, campaign_document),
+    "sweep": (validate_sweep_dict, sweep_document),
+}
+
+
+@pytest.fixture(params=sorted(CASES))
+def case(request):
+    validator, build = CASES[request.param]
+    return validator, build()
+
+
+def node_paths(node, path=()):
+    """Every node's path; only the first LIST_PREFIX items of a list."""
+    yield path
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from node_paths(child, path + (key,))
+    elif isinstance(node, list):
+        for index, child in enumerate(node[:LIST_PREFIX]):
+            yield from node_paths(child, path + (index,))
+
+
+def untyped_escapes(validator, document):
+    """(path, replacement, exception) for every mutant that escapes."""
+    escapes = []
+    for path in list(node_paths(document)):
+        parent = document
+        for key in path[:-1]:
+            parent = parent[key]
+        original = parent[path[-1]] if path else document
+        for replacement in REPLACEMENTS:
+            mutant = copy.copy(replacement)
+            if path:
+                parent[path[-1]] = mutant
+            try:
+                validator(document if path else mutant)
+            except SchemaError:
+                pass
+            except Exception as exc:
+                escapes.append((path, replacement, repr(exc)))
+            finally:
+                if path:
+                    parent[path[-1]] = original
+    return escapes
+
+
+def test_real_document_validates(case):
+    validator, document = case
+    validator(document)
+
+
+def test_every_mutant_is_accepted_or_typed(case):
+    validator, document = case
+    escapes = untyped_escapes(validator, document)
+    assert not escapes, f"{len(escapes)} untyped escapes, e.g. {escapes[:5]}"
+    validator(document)  # every mutation was undone
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.update(baseSeed=True),
+    lambda d: d["scenarios"][0]["library"].update(attacks=True),
+], ids=["baseSeed", "library.attacks"])
+def test_redteam_rejects_bool_in_int_fields(mutate):
+    document = run_redteam_campaign(["pkes-legacy"])
+    mutate(document)
+    with pytest.raises(SchemaError, match="must be an int"):
+        validate_redteam_dict(document)

@@ -53,15 +53,20 @@ class TestSchema:
         with pytest.raises(SweepSchemaError, match="summary.passed"):
             validate_sweep_dict(document)
 
+    # Explicit ids keep these cases' names stable where the match string,
+    # which otherwise becomes the id, is spelled as a node path.
     @pytest.mark.parametrize("mutate, match", [
-        (lambda d: d.pop("sweep"), "top-level keys"),
-        (lambda d: d.update(version="9.9"), "schema version"),
-        (lambda d: d["tool"].update(name="other"), "tool name"),
+        pytest.param(lambda d: d.pop("sweep"), "document: keys mismatch",
+                     id="<lambda>-top-level keys"),
+        pytest.param(lambda d: d.update(version="9.9"), "version: must be",
+                     id="<lambda>-schema version"),
+        pytest.param(lambda d: d["tool"].update(name="other"),
+                     "tool.name: must be", id="<lambda>-tool name"),
         (lambda d: d["sweep"].update(jobs=0), "jobs"),
         (lambda d: d["sweep"].update(wallS=-1.0), "wallS"),
         (lambda d: d["sweep"].update(treeDigest=""), "treeDigest"),
-        (lambda d: d["experiments"][0].update(status="exploded"),
-         "bad status"),
+        pytest.param(lambda d: d["experiments"][0].update(status="exploded"),
+                     "status: must be one of", id="<lambda>-bad status"),
         (lambda d: d["experiments"][0].update(cached=True),
          "cached flag"),
         (lambda d: d["experiments"][0].update(durationS=-2), "durationS"),
