@@ -1,4 +1,4 @@
-"""Command-line experiment runner and static analyzer.
+"""Command-line experiment runner and tool fleet.
 
 Usage::
 
@@ -22,35 +22,487 @@ Usage::
     python -m repro campaign run --tools chaos,lint --scenarios all
     python -m repro campaign resume <id> # re-execute only unfinished shards
     python -m repro campaign list        # journaled campaigns and their state
+
+Each subcommand is one :class:`Tool` entry in ``TOOLS``; ``build_parser()``,
+``SUBCOMMANDS`` and ``main()``'s dispatch are generated from that table.
+Tools of one family share a pipeline (``_analyze``, ``_fault_campaign``)
+and differ only by their hooks.  Every usage error, including a numeric
+flag below the bound declared on its :class:`Arg`, exits 2 with one line
+on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.experiments import EXPERIMENTS, find
 
-#: Every registered subcommand with its one-line description.  The
-#: ``--help`` listing is generated from this table and a smoke test
-#: asserts it stays in sync with the registered subparsers, so adding a
-#: subcommand without describing it here fails CI.
-SUBCOMMANDS: dict[str, str] = {
-    "list": "enumerate experiments",
-    "run": "run experiments (parallel, cached sweep)",
-    "lint": "static security-configuration analysis",
-    "flow": "static cross-layer taint/reachability analysis",
-    "trace": "run an instrumented simulation and show its trace",
-    "chaos": "run a scenario under an injected fault campaign",
-    "redteam": "plan ranked attack campaigns (static red team)",
-    "sentinel": "stream a fault campaign into the online alarm engine",
-    "audit": "statically self-audit the shipped source tree",
-    "campaign": "crash-safe resumable campaigns over the tool fleet",
-}
+
+class UsageError(Exception):
+    """A bad invocation: ``main()`` prints the message and returns 2."""
 
 
-def _cmd_list() -> int:
+@contextmanager
+def _usage(*errors: type[Exception], template: str = "{}") -> Iterator[None]:
+    """Re-raise ``errors`` from the block as a :class:`UsageError`."""
+    try:
+        yield
+    except errors as exc:
+        # str() of a KeyError adds quotes; its message is args[0]
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
+        raise UsageError(template.format(message)) from exc
+
+
+def _known(kind: str, value: str, names: Sequence[str]) -> None:
+    if value not in names:
+        raise UsageError(f"unknown {kind} {value!r}; available: " + ", ".join(names))
+
+
+def _ref(reference: str) -> Any:
+    """Import ``"module:attribute"`` on use, so ``list`` starts fast."""
+    module, _, attribute = reference.partition(":")
+    return getattr(importlib.import_module(module), attribute)
+
+
+@dataclass(frozen=True)
+class Arg:
+    """One ``add_argument`` call, plus an optional lower bound."""
+
+    flags: tuple[str, ...]
+    options: dict[str, Any]
+    low: int | None = None
+    strict: bool = False        # the bound itself is rejected too
+
+    def check(self, args: argparse.Namespace) -> None:
+        value = getattr(args, self.flags[0].lstrip("-").replace("-", "_"))
+        if self.low is not None and value is not None and (
+                value < self.low or (self.strict and value == self.low)):
+            raise UsageError(f"{self.flags[0]} must be {'>' if self.strict else '>='} {self.low}")
+
+
+def arg(*flags: str, low: int | None = None, strict: bool = False, **options: Any) -> Arg:
+    return Arg(flags, options, low, strict)
+
+
+def _report_table(target: Any, report: Any, args: argparse.Namespace) -> str:
+    return report.to_table()
+
+
+@dataclass(frozen=True)
+class Tool:
+    """One subcommand: ``run(tool, args)`` is its family's pipeline and the
+    other fields are the hooks that pipeline calls.
+
+    ``scenarios``, ``sarif``, ``validate`` and a fault campaign's ``engine``
+    are ``"module:attr"`` references, imported only when the tool runs.  A
+    static analyzer's ``targets(tool, args)`` defaults to the named
+    scenarios, its ``engine(args)`` returns ``(engine, rules)``, its
+    ``render(target, report, args)`` defaults to the report's table, and
+    its ``document(tool, args)``, when set, replaces the per-target
+    ``--json``.  A fault campaign's ``render(document, args)`` draws the
+    whole campaign.
+    """
+
+    name: str
+    help: str
+    run: Callable[[Tool, argparse.Namespace], int] | None = None
+    args: tuple[Arg, ...] = ()
+    subcommands: tuple[Tool, ...] = ()
+    scenarios: str = "repro.lint:scenario_names"
+    targets: Callable[[Tool, argparse.Namespace], list] | None = None
+    engine: Any = None
+    catalog: Callable[[], str] | None = None
+    document: Callable[[Tool, argparse.Namespace], dict] | None = None
+    sarif: str = "repro.lint.sarif:to_sarif_dict"
+    render: Callable[..., str] = _report_table
+    validate: str = ""
+    gate: Callable[[dict, str], list[str]] | None = None
+    baseline_comment: str = "accepted by baseline"
+
+
+# -- shared arguments ---------------------------------------------------------
+
+SEVERITIES = ["info", "low", "medium", "high", "critical", "none"]
+
+
+def _scenario_arg(registry: str) -> Arg:
+    return arg("scenario", nargs="?", help=f"scenario name from {registry}, or 'all'")
+
+
+def _flag(name: str, help: str) -> Arg:
+    return arg(name, action="store_true", help=help)
+
+
+def _gate_arg(findings: str = "findings") -> Arg:
+    return arg("--gate", default="low", choices=SEVERITIES,
+               help=f"fail (exit 1) on {findings} at or above this severity "
+                    "(default: low; 'none' never fails)")
+
+
+def _baseline_args(findings: str = "findings") -> tuple[Arg, Arg]:
+    return (arg("--baseline", metavar="FILE",
+                help="suppress findings pinned in this baseline file"),
+            arg("--write-baseline", metavar="FILE",
+                help=f"capture current {findings} as the baseline and exit 0"))
+
+
+def _report_arg(noun: str) -> Arg:
+    return arg("--report", metavar="FILE", help=f"also write the {noun} JSON document to FILE")
+
+
+def _seed_arg(help: str) -> Arg:
+    return arg("--base-seed", type=int, default=0, metavar="N", help=help)
+
+
+def _jobs_arg(help: str) -> Arg:
+    return arg("--jobs", "-j", type=int, default=1, metavar="N", low=1, help=help)
+
+
+def _timeout_arg(default: float, help: str) -> Arg:
+    return arg("--timeout", type=float, default=default, metavar="S", low=0, strict=True,
+               help=help)
+
+
+def _duration_arg(help: str = "campaign length in virtual-clock ticks (default 30)") -> Arg:
+    return arg("--duration", type=int, default=30, metavar="N", low=1, help=help)
+
+
+def _plan_arg(verb: str) -> Arg:
+    return arg("--plan", default="baseline", metavar="PLAN",
+               help=f"fault plan to {verb} (baseline or severe; default baseline)")
+
+
+# -- shared steps -------------------------------------------------------------
+
+def _scenarios(tool: Tool, args: argparse.Namespace) -> list[str]:
+    """The ``scenario`` argument with ``all`` expanded; an unknown name is
+    left for the tool's own registry to reject."""
+    names = list(_ref(tool.scenarios)())
+    if args.scenario is None:
+        raise UsageError("a scenario name (or 'all') is required; available: "
+                         + ", ".join(names))
+    return names if args.scenario == "all" else [args.scenario]
+
+
+def _print_json(document: Any, validate: str = "") -> None:
+    if validate:
+        _ref(validate)(document)
+    print(json.dumps(document, indent=2))
+
+
+def _publish(document: dict, args: argparse.Namespace, noun: str,
+             render: Callable[[], str]) -> None:
+    """``--report FILE``, then the document (``--json``) or its text."""
+    if args.report:
+        with open(args.report, "w") as handle:
+            json.dump(document, handle, indent=2)
+            handle.write("\n")
+        print(f"wrote {noun} report to {args.report}", file=sys.stderr)
+    print(json.dumps(document, indent=2) if args.json else render())
+
+
+def _listing(items: list[str]) -> str:
+    return ", ".join(items) or "none"
+
+
+def _at(t: float | None, form: str = "t={:g}", never: str = "never") -> str:
+    return never if t is None else form.format(t)
+
+
+# -- static analyzers: lint, flow, redteam, audit -----------------------------
+
+def _analyze(tool: Tool, args: argparse.Namespace) -> int:
+    """One report per target, then the shared baseline, emission and gate."""
+    from repro.lint import Baseline, Severity
+
+    if getattr(args, "rules", False) and tool.catalog is not None:
+        print(tool.catalog())
+        return 0
+    targets = (tool.targets or _scenario_targets)(tool, args)
+    baseline = None
+    if getattr(args, "baseline", None):
+        with _usage(OSError, ValueError, template=f"cannot load baseline {args.baseline}: {{}}"):
+            baseline = Baseline.load(args.baseline)
+    engine, rules = tool.engine(args)
+    reports = [engine.run(target, baseline=baseline) for target in targets]
+
+    if getattr(args, "write_baseline", None):
+        # one file per invocation: every scenario's findings are merged
+        comment = getattr(args, "baseline_comment", tool.baseline_comment)
+        combined = Baseline.from_report(reports[0], comment=comment)
+        for report in reports[1:]:
+            combined.target = "all"
+            combined.entries.update(Baseline.from_report(report, comment=comment).entries)
+        combined.save(args.write_baseline)
+        scenarios = f"from {len(reports)} scenario(s) " if hasattr(args, "scenario") else ""
+        print(f"wrote baseline with {len(combined)} suppression(s) "
+              f"{scenarios}to {args.write_baseline}")
+        return 0
+
+    if args.json and tool.document is not None:
+        _print_json(tool.document(tool, args), tool.validate)
+    else:
+        for target, report in zip(targets, reports):
+            if args.sarif:
+                _print_json(_ref(tool.sarif)(report, rules),
+                            "repro.lint.sarif:validate_sarif_dict")
+            elif args.json:
+                _print_json(report.to_json_dict(rules), tool.validate)
+            else:
+                print(tool.render(target, report, args))
+    gate = None if args.gate == "none" else Severity.from_name(args.gate)
+    return max(report.exit_code(gate) for report in reports)
+
+
+def _scenario_targets(tool: Tool, args: argparse.Namespace) -> list:
+    from repro.lint import build_scenario
+
+    with _usage(KeyError):
+        return [build_scenario(name) for name in _scenarios(tool, args)]
+
+
+def _lint_engine(args: argparse.Namespace) -> tuple:
+    from repro.lint import Linter
+
+    linter = Linter()
+    if args.disable:
+        with _usage(KeyError, template="--disable: {}; see --rules for the catalog"):
+            linter.disable(*[r.strip() for r in args.disable.split(",") if r.strip()])
+    return linter, linter.enabled_rules()
+
+
+def _lint_catalog() -> str:
+    from repro.lint import full_catalog
+
+    return "\n".join([f"{'id':8s} {'layer':18s} {'severity':9s} {'paper':16s} title",
+                      f"{'-' * 8} {'-' * 18} {'-' * 9} {'-' * 16} {'-' * 40}"]
+                     + [f"{r.rule_id:8s} {r.layer.name.lower():18s} {r.severity.name.lower():9s} "
+                        f"{r.paper_ref:16s} {r.title}"
+                        for r in sorted(full_catalog(), key=lambda r: r.rule_id)])
+
+
+def _flow_engine(args: argparse.Namespace) -> tuple:
+    from repro.flow import flow_linter
+
+    linter = flow_linter()
+    return linter, linter.enabled_rules()
+
+
+def _render_flow(target: Any, report: Any, args: argparse.Namespace) -> str:
+    from repro.flow import analyze, render_cut, render_summary, render_witnesses
+
+    result = analyze(target)
+    blocks = [render_summary(result)]
+    if args.paths:
+        blocks.append(render_witnesses(result))
+    if args.cut:
+        blocks.append(render_cut(result))
+    return "\n\n".join(blocks)
+
+
+def _redteam(tool: Tool, args: argparse.Namespace) -> int:
+    """The static analyzer pipeline, or ``--differential``: do lint, flow
+    and redteam agree on every scenario?"""
+    from repro.redteam import run_differential
+
+    if not args.differential:
+        return _analyze(tool, args)
+    with _usage(KeyError):
+        violations = run_differential(_scenarios(tool, args))
+    for name, found in violations.items():
+        if found:
+            print(f"{name}: {len(found)} analyzer disagreement(s)")
+            print("\n".join(f"  {violation}" for violation in found))
+        else:
+            print(f"{name}: analyzers agree (lint/flow/redteam)")
+    return 1 if any(violations.values()) else 0
+
+
+def _redteam_engine(args: argparse.Namespace) -> tuple:
+    from repro.lint import Linter
+    from repro.redteam import RT_RULES
+
+    return Linter(RT_RULES), RT_RULES
+
+
+def _redteam_document(tool: Tool, args: argparse.Namespace) -> dict:
+    from repro.redteam import run_redteam_campaign
+
+    return run_redteam_campaign(_scenarios(tool, args), base_seed=args.base_seed)
+
+
+def _render_redteam(target: Any, report: Any, args: argparse.Namespace) -> str:
+    from repro.redteam import plan, render_campaigns, render_summary
+
+    result = plan(target)
+    blocks = [render_summary(result)]
+    if args.campaigns:
+        blocks.append(render_campaigns(result, top=args.top))
+    return "\n\n".join(blocks)
+
+
+def _audit_targets(tool: Tool, args: argparse.Namespace) -> list:
+    from repro.audit import AuditContext
+
+    with _usage(OSError, SyntaxError, template="cannot parse audit root: {}"):
+        return [AuditContext.parse(args.root)]
+
+
+def _audit_engine(args: argparse.Namespace) -> tuple:
+    from repro.audit import AuditEngine
+
+    engine = AuditEngine()
+    return engine, engine.checkers
+
+
+def _audit_catalog() -> str:
+    from repro.audit import all_checkers
+
+    return "\n".join([f"{'id':8s} {'severity':9s} title", f"{'-' * 8} {'-' * 9} {'-' * 50}"]
+                     + [f"{c.rule_id:8s} {c.severity.name.lower():9s} {c.title}"
+                        for c in all_checkers()])
+
+
+# -- fault campaigns: chaos, sentinel -----------------------------------------
+
+def _fault_campaign(tool: Tool, args: argparse.Namespace) -> int:
+    """Run the campaign, then validate, publish and gate its document."""
+    from repro.faults import plan_names
+
+    names = _scenarios(tool, args)
+    _known("fault plan", args.plan, plan_names())
+    with _usage(KeyError):
+        document = _ref(tool.engine)(names, args.plan, base_seed=args.base_seed,
+                                     duration=args.duration)
+    _ref(tool.validate)(document)
+    _publish(document, args, tool.name, lambda: tool.render(document, args))
+    level = getattr(args, "gate", "none")
+    failures = tool.gate(document, level) if tool.gate and level != "none" else []
+    for failure in failures:
+        print(f"gate '{level}' failed — {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
+def _scenario_head(tool: str, result: dict, streamed: str = "") -> list[str]:
+    window = result["window"]
+    return [f"=== {tool}: {result['scenario']} "
+            f"({'resilient' if result['resilient'] else 'no resilience'}) ===",
+            f"fault window [{window['start']:g}, {window['end']:g}) over "
+            f"{result['durationTicks']} ticks — {result['faults']['injected']} fault(s) "
+            f"injected{streamed}"]
+
+
+def _campaign_text(document: dict, args: argparse.Namespace, blocks: list[str],
+                   totals: str) -> str:
+    return "\n\n".join(blocks + [f"campaign '{args.plan}': "
+                                 f"{document['summary']['scenarioCount']} scenario(s), {totals}"])
+
+
+def _render_chaos(document: dict, args: argparse.Namespace) -> str:
+    summary = document["summary"]
+    return _campaign_text(
+        document, args, [_chaos_block(result) for result in document["scenarios"]],
+        f"{summary['faultsInjected']} fault(s) injected; layers sustained in-window: "
+        f"{_listing(summary['layersSustained'])}; at minimal-risk or below: "
+        f"{_listing(summary['scenariosAtMinimalRiskOrBelow'])}")
+
+
+def _chaos_block(result: dict) -> str:
+    lines = _scenario_head("chaos", result)
+    lines.append(f"{'layer':18s}  {'avail':>6s}  {'in-window':>9s}")
+    lines += [f"{entry['layer']:18s}  {entry['availability']:6.2%}  "
+              f"{entry['windowAvailability']:9.2%}" for entry in result["layers"]]
+    degradation = result["degradation"]
+    lines.append(f"service level: min={degradation['minLevel']} "
+                 f"final={degradation['finalLevel']} "
+                 f"degraded@{_at(degradation['timeToDegradeS'], '{:g}s')} "
+                 f"recovered@{_at(degradation['timeToRecoverS'], '{:g}s')}")
+    retry = result["retry"]
+    if retry["calls"]:
+        lines.append(f"retries: {retry['retries']} across {retry['calls']} call(s), "
+                     f"{retry['recovered']} recovered, {retry['exhausted']} exhausted")
+    lines += [f"breaker {breaker['name']}: {breaker['opens']} open(s), "
+              f"{breaker['rejections']} rejection(s), final {breaker['finalState']}"
+              for breaker in result["breakers"]]
+    if result["ssi"] is not None:
+        ssi = result["ssi"]
+        lines.append(f"ssi resolver: {ssi['hits']} fresh, {ssi['staleHits']} stale-cache, "
+                     f"{ssi['failures']} failure(s)")
+    if result["alerts"]:
+        lines.append(f"ids alerts handled: {result['alerts']}")
+    return "\n".join(lines)
+
+
+def _render_sentinel(document: dict, args: argparse.Namespace) -> str:
+    summary = document["summary"]
+    return _campaign_text(
+        document, args, [_sentinel_block(result, args) for result in document["scenarios"]],
+        f"{summary['alarmIncidents']} incident(s); detected: "
+        f"{_listing(summary['scenariosDetected'])}; clean: {_listing(summary['scenariosClean'])}; "
+        f"trust collapsed: {_listing(summary['trustCollapsed'])}")
+
+
+def _sentinel_block(result: dict, args: argparse.Namespace) -> str:
+    sentinel, detection = result["sentinel"], result["detection"]
+    lines = _scenario_head("sentinel", result,
+                           f", {sentinel['eventsConsumed']} event(s) streamed")
+    lines.append(f"first alarm: {_at(detection['firstAlarmT'])}; "
+                 f"safe stop: {_at(detection['safeStopT'])}; "
+                 f"lead: {_at(detection['leadTicks'], '{:g} tick(s)', 'n/a')}")
+    lines += [f"incident #{incident['id']}: opened t={incident['openedT']:g}, "
+              f"{_at(incident['closedT'], 'closed t={:g}', 'open')}, "
+              f"{incident['alarmCount']} alarm(s) across {', '.join(incident['sources'])}"
+              f"{' [cross-layer]' if incident['crossLayer'] else ''}"
+              for incident in sentinel["incidents"]]
+    if detection["trustCollapsed"]:
+        lines.append("trust collapsed: " + ", ".join(detection["trustCollapsed"]))
+    if result["response"]["isolated"]:
+        lines.append("isolated: " + ", ".join(result["response"]["isolated"]))
+    lines.append(f"service level: min={result['degradation']['minLevel']} "
+                 f"final={result['degradation']['finalLevel']}")
+    if args.alarms:
+        lines.append(f"{'source':18s} {'detector':17s} {'state':8s} {'moves':>5s}  first alarm")
+        lines += [f"{m['source']:18s} {m['detector']:17s} {m['finalState']:8s} "
+                  f"{m['transitions']:5d}  {_at(m['firstAlarmT'], never='-')}"
+                  for m in sentinel["machines"]]
+    if args.trust:
+        lines.append(f"{'source':18s} {'phase':10s} {'score':>6s} {'min':>6s} {'hard':>4s}  "
+                     f"collapsed")
+        lines += [f"{e['source']:18s} {e['phase']:10s} {e['score']:6.3f} {e['minScore']:6.3f} "
+                  f"{e['hardHits']:4d}  {_at(e['collapsedT'], never='-')}"
+                  for e in sentinel["trust"]]
+    return "\n".join(lines)
+
+
+def _sentinel_gate(document: dict, level: str) -> list[str]:
+    """The twin CI gates: 'clean' (no alarms) and 'detect' (alarm in time)."""
+    failures = []
+    for result in document["scenarios"]:
+        name, detection = result["scenario"], result["detection"]
+        if level == "clean":
+            if detection["alarmIncidents"]:
+                failures.append(f"{name}: {detection['alarmIncidents']} ALARM incident(s) "
+                                f"on a scenario expected to stay clean")
+            continue
+        if not detection["alarmRaised"]:
+            failures.append(f"{name}: no ALARM raised")
+        elif not detection["detectedBeforeSafeStop"]:
+            failures.append(f"{name}: first alarm t={detection['firstAlarmT']:g} "
+                            f"missed safe stop t={detection['safeStopT']:g}")
+        if not detection["trustCollapsed"]:
+            failures.append(f"{name}: no trust score collapsed")
+    return failures
+
+
+# -- one-off pipelines: list, run, trace, campaign ----------------------------
+
+def _list(tool: Tool, args: argparse.Namespace) -> int:
     width = max(len(e.exp_id) for e in EXPERIMENTS)
     print(f"{'id'.ljust(width)}  artifact   description")
     print(f"{'-' * width}  ---------  {'-' * 50}")
@@ -60,45 +512,23 @@ def _cmd_list() -> int:
     return 0
 
 
-def _render_artifacts(artifacts: list[dict]) -> str:
-    sections = []
-    for artifact in artifacts:
-        sections.append("\n".join([f"=== {artifact['title']} ==="]
-                                  + list(artifact["rows"])))
-    return "\n\n".join(sections)
+def _run(tool: Tool, args: argparse.Namespace) -> int:
+    from repro.runner import SweepRunner
 
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.runner import SweepRunner, validate_sweep_dict
-
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
-        return 2
-    if args.cache_max_entries < 0:
-        print("--cache-max-entries must be >= 0", file=sys.stderr)
-        return 2
     if any(exp_id.lower() == "all" for exp_id in args.exp_ids):
         experiments = list(EXPERIMENTS)
     else:
-        experiments = []
-        for exp_id in args.exp_ids:
-            try:
-                experiment = find(exp_id)
-            except KeyError as exc:
-                print(exc.args[0], file=sys.stderr)
-                return 2
-            if experiment not in experiments:
-                experiments.append(experiment)
+        with _usage(KeyError):
+            experiments = list(dict.fromkeys(find(exp_id) for exp_id in args.exp_ids))
 
     def _stream(result) -> None:
         if args.json:
             return
-        header = (f"--- {result.exp_id}: {result.status} "
-                  f"({result.duration_s:.2f}s"
-                  f"{', cached' if result.cached else ''}) ---")
-        print(header)
+        print(f"--- {result.exp_id}: {result.status} ({result.duration_s:.2f}s"
+              f"{', cached' if result.cached else ''}) ---")
         if result.cached:
-            body = _render_artifacts(result.artifacts)
+            body = "\n\n".join("\n".join([f"=== {artifact['title']} ==="] + list(artifact["rows"]))
+                               for artifact in result.artifacts)
         else:
             body = result.output_tail.rstrip()
         if body:
@@ -106,18 +536,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if result.error:
             print(f"error: {result.error}", file=sys.stderr)
 
-    runner = SweepRunner(
-        experiments, jobs=args.jobs, use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        cache_max_entries=args.cache_max_entries or None,
-        base_seed=args.base_seed,
-        timeout_s=args.timeout, on_result=_stream)
-    report = runner.run()
-
+    report = SweepRunner(
+        experiments, jobs=args.jobs, use_cache=not args.no_cache, cache_dir=args.cache_dir,
+        cache_max_entries=args.cache_max_entries or None, base_seed=args.base_seed,
+        timeout_s=args.timeout, on_result=_stream).run()
     if args.json:
-        document = report.to_json_dict()
-        validate_sweep_dict(document)
-        print(json.dumps(document, indent=2))
+        _print_json(report.to_json_dict(), "repro.runner:validate_sweep_dict")
     else:
         print()
         print(report.to_table())
@@ -127,199 +551,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return report.exit_code()
 
 
-def _cmd_lint_rules() -> int:
-    from repro.lint import full_catalog
-
-    print(f"{'id':8s} {'layer':18s} {'severity':9s} {'paper':16s} title")
-    print(f"{'-' * 8} {'-' * 18} {'-' * 9} {'-' * 16} {'-' * 40}")
-    for rule in sorted(full_catalog(), key=lambda r: r.rule_id):
-        print(f"{rule.rule_id:8s} {rule.layer.name.lower():18s} "
-              f"{rule.severity.name.lower():9s} {rule.paper_ref:16s} {rule.title}")
-    return 0
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint import (Baseline, Linter, Severity, build_scenario,
-                            scenario_names, validate_report_dict)
-
-    if args.rules:
-        return _cmd_lint_rules()
-    if args.scenario is None:
-        print("a scenario name (or 'all') is required; available: "
-              + ", ".join(scenario_names()), file=sys.stderr)
-        return 2
-
-    names = scenario_names() if args.scenario == "all" else [args.scenario]
-    gate = None if args.gate == "none" else Severity.from_name(args.gate)
-
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load baseline {args.baseline}: {exc}", file=sys.stderr)
-            return 2
-
-    linter = Linter()
-    if args.disable:
-        try:
-            linter.disable(*[r.strip() for r in args.disable.split(",")
-                             if r.strip()])
-        except KeyError as exc:
-            print(f"--disable: {exc.args[0]}; see --rules for the catalog",
-                  file=sys.stderr)
-            return 2
-
-    if args.write_baseline:
-        # One baseline file for the whole invocation: findings from every
-        # scenario are merged (a per-scenario loop writing to the same
-        # path would keep only the last scenario's suppressions).
-        combined: Baseline | None = None
-        for name in names:
-            try:
-                target = build_scenario(name)
-            except KeyError as exc:
-                print(exc.args[0], file=sys.stderr)
-                return 2
-            report = linter.run(target, baseline=baseline)
-            captured = Baseline.from_report(report,
-                                            comment=args.baseline_comment)
-            if combined is None:
-                combined = captured
-            else:
-                combined.target = "all"
-                combined.entries.update(captured.entries)
-        assert combined is not None
-        combined.save(args.write_baseline)
-        print(f"wrote baseline with {len(combined)} suppression(s) "
-              f"from {len(names)} scenario(s) to {args.write_baseline}")
-        return 0
-
-    exit_code = 0
-    for name in names:
-        try:
-            target = build_scenario(name)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        report = linter.run(target, baseline=baseline)
-        if args.sarif:
-            from repro.lint.sarif import to_sarif_dict, validate_sarif_dict
-
-            document = to_sarif_dict(report, linter.enabled_rules())
-            validate_sarif_dict(document)
-            print(json.dumps(document, indent=2))
-        elif args.json:
-            document = report.to_json_dict(linter.enabled_rules())
-            validate_report_dict(document)
-            print(json.dumps(document, indent=2))
-        else:
-            print(report.to_table())
-        exit_code = max(exit_code, report.exit_code(gate))
-    return exit_code
-
-
-def _cmd_flow(args: argparse.Namespace) -> int:
-    from repro.flow import (analyze, flow_linter, render_cut, render_summary,
-                            render_witnesses)
-    from repro.lint import (Baseline, Severity, build_scenario, scenario_names,
-                            validate_report_dict)
-
-    if args.scenario is None:
-        print("a scenario name (or 'all') is required; available: "
-              + ", ".join(scenario_names()), file=sys.stderr)
-        return 2
-    names = scenario_names() if args.scenario == "all" else [args.scenario]
-    gate = None if args.gate == "none" else Severity.from_name(args.gate)
-
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load baseline {args.baseline}: {exc}", file=sys.stderr)
-            return 2
-
-    linter = flow_linter()
-    if args.write_baseline:
-        # Mirror `lint --write-baseline`: one merged file per invocation.
-        combined: Baseline | None = None
-        for name in names:
-            try:
-                target = build_scenario(name)
-            except KeyError as exc:
-                print(exc.args[0], file=sys.stderr)
-                return 2
-            report = linter.run(target, baseline=baseline)
-            captured = Baseline.from_report(report)
-            if combined is None:
-                combined = captured
-            else:
-                combined.target = "all"
-                combined.entries.update(captured.entries)
-        assert combined is not None
-        combined.save(args.write_baseline)
-        print(f"wrote baseline with {len(combined)} suppression(s) "
-              f"from {len(names)} scenario(s) to {args.write_baseline}")
-        return 0
-
-    exit_code = 0
-    for name in names:
-        try:
-            target = build_scenario(name)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        report = linter.run(target, baseline=baseline)
-        if args.sarif:
-            from repro.lint.sarif import to_sarif_dict, validate_sarif_dict
-
-            document = to_sarif_dict(report, linter.enabled_rules())
-            validate_sarif_dict(document)
-            print(json.dumps(document, indent=2))
-        elif args.json:
-            document = report.to_json_dict(linter.enabled_rules())
-            validate_report_dict(document)
-            print(json.dumps(document, indent=2))
-        else:
-            result = analyze(target)
-            print(render_summary(result))
-            if args.paths:
-                print()
-                print(render_witnesses(result))
-            if args.cut:
-                print()
-                print(render_cut(result))
-        exit_code = max(exit_code, report.exit_code(gate))
-    return exit_code
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import (TraceReport, instrumented, render_metrics_table,
-                           run_trace_scenario, trace_scenario_names,
-                           validate_trace_dict)
-    from repro.obs.runtime import OBS
+def _trace(tool: Tool, args: argparse.Namespace) -> int:
+    from repro.obs import (EventLog, TraceReport, instrumented, render_metrics_table,
+                           run_trace_scenario, validate_trace_dict)
     from repro.obs.timeline import render_timeline
 
-    if args.scenario is None:
-        print("a scenario name (or 'all') is required; available: "
-              + ", ".join(trace_scenario_names()), file=sys.stderr)
-        return 2
-    names = (trace_scenario_names() if args.scenario == "all"
-             else [args.scenario])
-
-    documents = []
-    for name in names:
-        try:
-            with instrumented(capacity=args.events):
-                result = run_trace_scenario(name)
-                report = TraceReport.from_instrumentation(name, result=result)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
-        if args.jsonl:
-            written = OBS.events.write_jsonl(args.jsonl)
-            print(f"wrote {written} event(s) to {args.jsonl}", file=sys.stderr)
+    documents: list[dict] = []
+    events: list = []
+    for name in _scenarios(tool, args):
+        with _usage(KeyError), instrumented(capacity=args.events):
+            result = run_trace_scenario(name)
+            report = TraceReport.from_instrumentation(name, result=result)
+        # the report keeps this block's events; leaving it restored the old ring
+        events += report.events
         if args.json:
             document = report.to_json_dict()
             validate_trace_dict(document)
@@ -332,759 +576,264 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(report.to_table())
         if args.metrics:
             print(render_metrics_table(report.metrics))
+    if args.jsonl:
+        log = EventLog(capacity=max(1, len(events)))
+        for event in events:
+            log.append(event)
+        written = log.write_jsonl(args.jsonl)
+        print(f"wrote {written} event(s) to {args.jsonl}", file=sys.stderr)
     if args.json:
-        payload = documents[0] if len(documents) == 1 else documents
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(documents[0] if len(documents) == 1 else documents, indent=2))
     return 0
 
 
-def _render_chaos_scenario(result: dict) -> str:
-    """Human-readable block for one chaos scenario result."""
-    lines = [f"=== chaos: {result['scenario']} "
-             f"({'resilient' if result['resilient'] else 'no resilience'}) ==="]
-    window = result["window"]
-    lines.append(f"fault window [{window['start']:g}, {window['end']:g}) over "
-                 f"{result['durationTicks']} ticks — "
-                 f"{result['faults']['injected']} fault(s) injected")
-    lines.append(f"{'layer':18s}  {'avail':>6s}  {'in-window':>9s}")
-    for entry in result["layers"]:
-        lines.append(f"{entry['layer']:18s}  {entry['availability']:6.2%}  "
-                     f"{entry['windowAvailability']:9.2%}")
-    degradation = result["degradation"]
-    ttd, ttr = degradation["timeToDegradeS"], degradation["timeToRecoverS"]
-    lines.append(
-        f"service level: min={degradation['minLevel']} "
-        f"final={degradation['finalLevel']} "
-        f"degraded@{'never' if ttd is None else f'{ttd:g}s'} "
-        f"recovered@{'never' if ttr is None else f'{ttr:g}s'}")
-    retry = result["retry"]
-    if retry["calls"]:
-        lines.append(f"retries: {retry['retries']} across {retry['calls']} "
-                     f"call(s), {retry['recovered']} recovered, "
-                     f"{retry['exhausted']} exhausted")
-    for breaker in result["breakers"]:
-        lines.append(f"breaker {breaker['name']}: {breaker['opens']} open(s), "
-                     f"{breaker['rejections']} rejection(s), "
-                     f"final {breaker['finalState']}")
-    if result["ssi"] is not None:
-        ssi = result["ssi"]
-        lines.append(f"ssi resolver: {ssi['hits']} fresh, {ssi['staleHits']} "
-                     f"stale-cache, {ssi['failures']} failure(s)")
-    if result["alerts"]:
-        lines.append(f"ids alerts handled: {result['alerts']}")
-    return "\n".join(lines)
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.faults import (chaos_scenario_names, plan_names,
-                              run_chaos_campaign, validate_chaos_dict)
-
-    if args.scenario is None:
-        print("a scenario name (or 'all') is required; available: "
-              + ", ".join(chaos_scenario_names()), file=sys.stderr)
-        return 2
-    if args.plan not in plan_names():
-        print(f"unknown fault plan {args.plan!r}; available: "
-              + ", ".join(plan_names()), file=sys.stderr)
-        return 2
-    names = (chaos_scenario_names() if args.scenario == "all"
-             else [args.scenario])
-    try:
-        document = run_chaos_campaign(names, args.plan,
-                                      base_seed=args.base_seed,
-                                      duration=args.duration)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    validate_chaos_dict(document)
-
-    if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote chaos report to {args.report}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(document, indent=2))
-    else:
-        blocks = [_render_chaos_scenario(result)
-                  for result in document["scenarios"]]
-        summary = document["summary"]
-        blocks.append(
-            f"campaign '{args.plan}': {summary['scenarioCount']} scenario(s), "
-            f"{summary['faultsInjected']} fault(s) injected; layers sustained "
-            f"in-window: {', '.join(summary['layersSustained']) or 'none'}; "
-            f"at minimal-risk or below: "
-            f"{', '.join(summary['scenariosAtMinimalRiskOrBelow']) or 'none'}")
-        print("\n\n".join(blocks))
-    return 0
-
-
-def _cmd_redteam(args: argparse.Namespace) -> int:
-    from repro.lint import Severity, build_scenario, scenario_names
-    from repro.lint.engine import Linter
-    from repro.redteam import (RT_RULES, plan, render_campaigns,
-                               render_summary, run_differential,
-                               run_redteam_campaign, validate_redteam_dict)
-
-    if args.scenario is None:
-        print("a scenario name (or 'all') is required; available: "
-              + ", ".join(scenario_names()), file=sys.stderr)
-        return 2
-    names = scenario_names() if args.scenario == "all" else [args.scenario]
-    for name in names:
-        if name not in scenario_names():
-            print(f"unknown scenario {name!r}; available: "
-                  + ", ".join(scenario_names()), file=sys.stderr)
-            return 2
-    gate = None if args.gate == "none" else Severity.from_name(args.gate)
-
-    if args.differential:
-        violations_by_scenario = run_differential(names)
-        failed = False
-        for name in names:
-            violations = violations_by_scenario[name]
-            if violations:
-                failed = True
-                print(f"{name}: {len(violations)} analyzer "
-                      f"disagreement(s)")
-                for violation in violations:
-                    print(f"  {violation}")
-            else:
-                print(f"{name}: analyzers agree (lint/flow/redteam)")
-        return 1 if failed else 0
-
-    if args.json:
-        document = run_redteam_campaign(names, base_seed=args.base_seed)
-        validate_redteam_dict(document)
-        print(json.dumps(document, indent=2))
-        # the gate still applies to machine-readable runs
-        exit_code = 0
-        for name in names:
-            report = Linter(RT_RULES).run(build_scenario(name))
-            exit_code = max(exit_code, report.exit_code(gate))
-        return exit_code
-
-    exit_code = 0
-    for name in names:
-        target = build_scenario(name)
-        report = Linter(RT_RULES).run(target)
-        if args.sarif:
-            from repro.lint.sarif import to_sarif_dict, validate_sarif_dict
-
-            document = to_sarif_dict(report, RT_RULES)
-            validate_sarif_dict(document)
-            print(json.dumps(document, indent=2))
-        else:
-            result = plan(target)
-            print(render_summary(result))
-            if args.campaigns:
-                print()
-                print(render_campaigns(result, top=args.top))
-        exit_code = max(exit_code, report.exit_code(gate))
-    return exit_code
-
-
-def _render_sentinel_scenario(result: dict, *, trust: bool = False,
-                              alarms: bool = False) -> str:
-    """Human-readable block for one sentinel scenario result."""
-    sentinel = result["sentinel"]
-    detection = result["detection"]
-    lines = [f"=== sentinel: {result['scenario']} "
-             f"({'resilient' if result['resilient'] else 'no resilience'}) ==="]
-    window = result["window"]
-    lines.append(f"fault window [{window['start']:g}, {window['end']:g}) over "
-                 f"{result['durationTicks']} ticks — "
-                 f"{result['faults']['injected']} fault(s) injected, "
-                 f"{sentinel['eventsConsumed']} event(s) streamed")
-    first = detection["firstAlarmT"]
-    safe_stop = detection["safeStopT"]
-    lines.append(
-        f"first alarm: {'never' if first is None else f't={first:g}'}; "
-        f"safe stop: {'never' if safe_stop is None else f't={safe_stop:g}'}; "
-        f"lead: " + ("n/a" if detection["leadTicks"] is None
-                     else f"{detection['leadTicks']:g} tick(s)"))
-    for incident in sentinel["incidents"]:
-        closed = incident["closedT"]
-        lines.append(
-            f"incident #{incident['id']}: opened t={incident['openedT']:g}, "
-            f"{'open' if closed is None else f'closed t={closed:g}'}, "
-            f"{incident['alarmCount']} alarm(s) across "
-            f"{', '.join(incident['sources'])}"
-            f"{' [cross-layer]' if incident['crossLayer'] else ''}")
-    if detection["trustCollapsed"]:
-        lines.append("trust collapsed: " + ", ".join(detection["trustCollapsed"]))
-    if result["response"]["isolated"]:
-        lines.append("isolated: " + ", ".join(result["response"]["isolated"]))
-    degradation = result["degradation"]
-    lines.append(f"service level: min={degradation['minLevel']} "
-                 f"final={degradation['finalLevel']}")
-    if alarms:
-        lines.append(f"{'source':18s} {'detector':17s} {'state':8s} "
-                     f"{'moves':>5s}  first alarm")
-        for machine in sentinel["machines"]:
-            first_alarm = machine["firstAlarmT"]
-            lines.append(
-                f"{machine['source']:18s} {machine['detector']:17s} "
-                f"{machine['finalState']:8s} {machine['transitions']:5d}  "
-                f"{'-' if first_alarm is None else f't={first_alarm:g}'}")
-    if trust:
-        lines.append(f"{'source':18s} {'phase':10s} {'score':>6s} "
-                     f"{'min':>6s} {'hard':>4s}  collapsed")
-        for entry in sentinel["trust"]:
-            collapsed_t = entry["collapsedT"]
-            lines.append(
-                f"{entry['source']:18s} {entry['phase']:10s} "
-                f"{entry['score']:6.3f} {entry['minScore']:6.3f} "
-                f"{entry['hardHits']:4d}  "
-                f"{'-' if collapsed_t is None else f't={collapsed_t:g}'}")
-    return "\n".join(lines)
-
-
-def _sentinel_gate_failures(document: dict, gate: str) -> list[str]:
-    """The twin CI gates: 'clean' (no alarms) and 'detect' (alarm in time)."""
-    failures = []
-    for result in document["scenarios"]:
-        name = result["scenario"]
-        detection = result["detection"]
-        if gate == "clean":
-            if detection["alarmIncidents"]:
-                failures.append(
-                    f"{name}: {detection['alarmIncidents']} ALARM incident(s) "
-                    f"on a scenario expected to stay clean")
-        elif gate == "detect":
-            if not detection["alarmRaised"]:
-                failures.append(f"{name}: no ALARM raised")
-            elif not detection["detectedBeforeSafeStop"]:
-                failures.append(
-                    f"{name}: first alarm t={detection['firstAlarmT']:g} "
-                    f"missed safe stop t={detection['safeStopT']:g}")
-            if not detection["trustCollapsed"]:
-                failures.append(f"{name}: no trust score collapsed")
-    return failures
-
-
-def _cmd_sentinel(args: argparse.Namespace) -> int:
-    from repro.faults import plan_names
-    from repro.sentinel import (run_sentinel_campaign, sentinel_scenario_names,
-                                validate_sentinel_dict)
-
-    if args.scenario is None:
-        print("a scenario name (or 'all') is required; available: "
-              + ", ".join(sentinel_scenario_names()), file=sys.stderr)
-        return 2
-    if args.plan not in plan_names():
-        print(f"unknown fault plan {args.plan!r}; available: "
-              + ", ".join(plan_names()), file=sys.stderr)
-        return 2
-    names = (sentinel_scenario_names() if args.scenario == "all"
-             else [args.scenario])
-    try:
-        document = run_sentinel_campaign(names, args.plan,
-                                         base_seed=args.base_seed,
-                                         duration=args.duration)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    validate_sentinel_dict(document)
-
-    if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote sentinel report to {args.report}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(document, indent=2))
-    else:
-        blocks = [_render_sentinel_scenario(result, trust=args.trust,
-                                            alarms=args.alarms)
-                  for result in document["scenarios"]]
-        summary = document["summary"]
-        blocks.append(
-            f"campaign '{args.plan}': {summary['scenarioCount']} scenario(s), "
-            f"{summary['alarmIncidents']} incident(s); detected: "
-            f"{', '.join(summary['scenariosDetected']) or 'none'}; clean: "
-            f"{', '.join(summary['scenariosClean']) or 'none'}; trust "
-            f"collapsed: {', '.join(summary['trustCollapsed']) or 'none'}")
-        print("\n\n".join(blocks))
-
-    if args.gate != "none":
-        failures = _sentinel_gate_failures(document, args.gate)
-        for failure in failures:
-            print(f"gate '{args.gate}' failed — {failure}", file=sys.stderr)
-        if failures:
-            return 1
-    return 0
-
-
-def _cmd_audit_rules() -> int:
-    from repro.audit import all_checkers
-
-    print(f"{'id':8s} {'severity':9s} title")
-    print(f"{'-' * 8} {'-' * 9} {'-' * 50}")
-    for checker in all_checkers():
-        print(f"{checker.rule_id:8s} {checker.severity.name.lower():9s} "
-              f"{checker.title}")
-    return 0
-
-
-def _cmd_audit(args: argparse.Namespace) -> int:
-    from repro.audit import (AuditContext, AuditEngine, to_sarif_dict,
-                             validate_audit_dict)
-    from repro.lint import Baseline, Severity
-
-    if args.rules:
-        return _cmd_audit_rules()
-
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = Baseline.load(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load baseline {args.baseline}: {exc}",
-                  file=sys.stderr)
-            return 2
-
-    engine = AuditEngine()
-    try:
-        context = AuditContext.parse(args.root)
-    except (OSError, SyntaxError) as exc:
-        print(f"cannot parse audit root: {exc}", file=sys.stderr)
-        return 2
-    report = engine.run(context, baseline=baseline)
-
-    if args.write_baseline:
-        captured = Baseline.from_report(
-            report, comment="accepted: pre-existing audit finding")
-        captured.save(args.write_baseline)
-        print(f"wrote baseline with {len(captured)} suppression(s) to "
-              f"{args.write_baseline}")
-        return 0
-
-    gate = None if args.gate == "none" else Severity.from_name(args.gate)
-    if args.sarif:
-        from repro.lint.sarif import validate_sarif_dict
-
-        document = to_sarif_dict(report, engine.checkers)
-        validate_sarif_dict(document)
-        print(json.dumps(document, indent=2))
-    elif args.json:
-        document = report.to_json_dict(engine.checkers)
-        validate_audit_dict(document)
-        print(json.dumps(document, indent=2))
-    else:
-        print(report.to_table())
-    return report.exit_code(gate)
-
-
-def _campaign_spec_from_args(args: argparse.Namespace):
+def _campaign_spec(args: argparse.Namespace):
     """Build the shard matrix a ``campaign run`` invocation asks for."""
     from repro.campaign import CampaignSpec, CampaignTool
     from repro.faults import plan_names
     from repro.lint import scenario_names
 
-    tool_values = [t.strip() for t in args.tools.split(",") if t.strip()]
-    if any(value == "all" for value in tool_values):
-        tool_values = [tool.value for tool in CampaignTool]
-    tools = []
-    for value in tool_values:
-        try:
-            tools.append(CampaignTool(value))
-        except ValueError:
-            known = ", ".join(tool.value for tool in CampaignTool)
-            raise ValueError(f"unknown tool {value!r}; available: {known}")
-    scenarios = ([s.strip() for s in args.scenarios.split(",") if s.strip()]
-                 if args.scenarios != "all" else sorted(scenario_names()))
-    for scenario in scenarios:
-        if scenario not in scenario_names():
-            raise ValueError(f"unknown scenario {scenario!r}; available: "
-                             + ", ".join(scenario_names()))
-    plans = [p.strip() for p in args.plans.split(",") if p.strip()]
-    for plan in plans:
-        if plan not in plan_names():
-            raise ValueError(f"unknown fault plan {plan!r}; available: "
-                             + ", ".join(plan_names()))
-    seeds = [int(s) for s in str(args.seeds).split(",") if s.strip()]
-    return CampaignSpec.matrix(tools=tools, scenarios=scenarios, plans=plans,
-                               seeds=seeds, duration=args.duration,
-                               name=args.name)
+    def values(text: str) -> list[str]:
+        return [value.strip() for value in text.split(",") if value.strip()]
+
+    known_tools = [tool.value for tool in CampaignTool]
+    tools = known_tools if "all" in values(args.tools) else values(args.tools)
+    scenarios = (values(args.scenarios) if args.scenarios != "all"
+                 else sorted(scenario_names()))
+    plans = values(args.plans)
+    for kind, chosen, known in (("tool", tools, known_tools),
+                                ("scenario", scenarios, scenario_names()),
+                                ("fault plan", plans, plan_names())):
+        for value in chosen:
+            _known(kind, value, known)
+    return CampaignSpec.matrix(
+        tools=[CampaignTool(value) for value in tools], scenarios=scenarios, plans=plans,
+        seeds=[int(seed) for seed in values(str(args.seeds))], duration=args.duration,
+        name=args.name)
 
 
-def _campaign_emit(report, args: argparse.Namespace) -> int:
-    from repro.campaign import validate_campaign_dict
+def _campaign(tool: Tool, args: argparse.Namespace) -> int:
+    """``campaign run``/``resume``/``status`` over one journal."""
+    from repro.campaign import (CampaignEngine, CampaignError, JournalCorrupt, load_campaign,
+                                replay, validate_campaign_dict)
 
-    document = report.to_json_dict()
-    validate_campaign_dict(document)
-    if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote campaign report to {args.report}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(document, indent=2))
-    else:
-        print(report.to_table())
-    return report.exit_code()
+    with _usage(CampaignError, JournalCorrupt, ValueError):
+        spec = (_campaign_spec(args) if tool.name == "run"
+                else load_campaign(args.campaign_id, args.journal_root))
+    engine = CampaignEngine(spec, jobs=args.jobs, journal_root=args.journal_root,
+                            shard_timeout_s=args.timeout,
+                            install_signal_handlers=tool.name != "status")
 
-
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.campaign import (CampaignEngine, CampaignError, JournalCorrupt,
-                                list_campaigns, load_campaign)
-
-    if args.campaign_command == "list":
-        rows = list_campaigns(args.journal_root)
-        if not rows:
-            print("no journaled campaigns")
-            return 0
-        width = max(len(row["id"]) for row in rows)
-        print(f"{'id'.ljust(width)}  {'status':12s}  settled")
-        for row in rows:
-            print(f"{row['id'].ljust(width)}  {row['status']:12s}  "
-                  f"{row['settled']}/{row['shards']}")
-        return 0
-
-    if args.campaign_command in ("resume", "status"):
-        try:
-            spec = load_campaign(args.campaign_id, args.journal_root)
-        except (CampaignError, JournalCorrupt, ValueError) as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    else:  # run
-        try:
-            spec = _campaign_spec_from_args(args)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
-    engine = CampaignEngine(
-        spec, jobs=args.jobs, journal_root=args.journal_root,
-        shard_timeout_s=args.timeout,
-        install_signal_handlers=args.campaign_command != "status")
-
-    if args.campaign_command == "status":
-        from repro.campaign import replay
-
+    if tool.name == "status":
         state = replay(engine.journal_file)
-        settled = sum(1 for shard in spec.shards
-                      if state.settled(shard.shard_id))
-        status = "complete" if state.ended else (
-            "interrupted" if state.interrupts else "incomplete")
-        print(f"campaign {engine.campaign_id}: {status}, "
-              f"{settled}/{len(spec)} shard(s) settled, "
-              f"{len(state.quarantined)} quarantined, "
+        settled = sum(1 for shard in spec.shards if state.settled(shard.shard_id))
+        status = ("complete" if state.ended
+                  else "interrupted" if state.interrupts else "incomplete")
+        print(f"campaign {engine.campaign_id}: {status}, {settled}/{len(spec)} shard(s) "
+              f"settled, {len(state.quarantined)} quarantined, "
               f"{state.records} journal record(s)")
         if state.in_flight:
-            print("in flight at last crash/interrupt: "
-                  + ", ".join(state.in_flight))
+            print("in flight at last crash/interrupt: " + ", ".join(state.in_flight))
         if not state.ended:
             print(f"resume with: {engine.resume_command}")
         return 0
 
-    try:
-        report = engine.run(resume=args.campaign_command == "resume")
-    except (CampaignError, JournalCorrupt) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    code = _campaign_emit(report, args)
+    with _usage(CampaignError, JournalCorrupt):
+        report = engine.run(resume=tool.name == "resume")
+    document = report.to_json_dict()
+    validate_campaign_dict(document)
+    _publish(document, args, "campaign", report.to_table)
     if report.interrupted:
-        print(f"interrupted; resume with: {engine.resume_command}",
-              file=sys.stderr)
-    return code
+        print(f"interrupted; resume with: {engine.resume_command}", file=sys.stderr)
+    return report.exit_code()
+
+
+def _campaign_list(tool: Tool, args: argparse.Namespace) -> int:
+    from repro.campaign import list_campaigns
+
+    rows = list_campaigns(args.journal_root)
+    if not rows:
+        print("no journaled campaigns")
+        return 0
+    width = max(len(row["id"]) for row in rows)
+    print(f"{'id'.ljust(width)}  {'status':12s}  settled")
+    for row in rows:
+        print(f"{row['id'].ljust(width)}  {row['status']:12s}  {row['settled']}/{row['shards']}")
+    return 0
+
+
+# -- the table ----------------------------------------------------------------
+
+_LINT_SCENARIO = _scenario_arg("repro.lint.SCENARIOS")
+_CHAOS_SCENARIO = _scenario_arg("repro.faults.CHAOS_SCENARIOS")
+_JOURNAL_ROOT = arg("--journal-root", metavar="DIR", default=None,
+                    help="journal directory (default .repro-cache/campaigns)")
+_CAMPAIGN_ID = arg("campaign_id", metavar="ID", help="campaign id from `campaign list`")
+_CAMPAIGN_COMMON = (
+    _jobs_arg("supervised worker processes (default 1)"),
+    _timeout_arg(120.0, "per-shard time budget in seconds; retries get only what remains "
+                        "(default 120)"),
+    _JOURNAL_ROOT,
+    _flag("--json", "emit the schema-validated campaign document"),
+    _report_arg("campaign"))
+
+TOOLS: tuple[Tool, ...] = (
+    Tool("list", "enumerate experiments", _list),
+    Tool("run", "run experiments (parallel, cached sweep)", _run, (
+        arg("exp_ids", nargs="+", metavar="EXP_ID", help="experiment id(s) from `list`, or 'all'"),
+        _jobs_arg("worker processes for the sweep (default 1)"),
+        _flag("--no-cache", "ignore and don't update the result cache"),
+        _flag("--json", "emit the schema-validated sweep document"),
+        _flag("--timeline", "append the sweep dispatch/completion timeline"),
+        _timeout_arg(900.0, "per-experiment timeout in seconds (default 900)"),
+        _seed_arg("sweep base seed; re-shards every experiment's rng streams (default 0)"),
+        arg("--cache-dir", metavar="DIR",
+            help="result-cache directory (default .repro-cache/runner)"),
+        arg("--cache-max-entries", type=int, default=512, metavar="N", low=0,
+            help="prune the result cache to the N most recently used entries on every write "
+                 "(default 512; 0 disables pruning)"))),
+    Tool("lint", "static security-configuration analysis", _analyze, (
+        _LINT_SCENARIO,
+        _flag("--json", "emit the SARIF-lite JSON report"),
+        _gate_arg(),
+        *_baseline_args(),
+        arg("--baseline-comment", default="accepted: intentionally insecure scenario",
+            help="comment recorded with --write-baseline entries"),
+        arg("--disable", metavar="IDS", help="comma-separated rule ids to skip"),
+        _flag("--rules", "print the rule catalog and exit"),
+        _flag("--sarif", "emit a SARIF 2.1.0 log instead of a table")),
+        engine=_lint_engine, catalog=_lint_catalog,
+        validate="repro.lint:validate_report_dict"),
+    Tool("flow", "static cross-layer taint/reachability analysis", _analyze, (
+        _LINT_SCENARIO,
+        _flag("--paths", "print every source->sink witness hop by hop"),
+        _flag("--cut", "print the minimal hardening cut per sink"),
+        _flag("--json", "emit the SARIF-lite JSON report (FLOW rules only)"),
+        _flag("--sarif", "emit a SARIF 2.1.0 log (FLOW rules only)"),
+        _gate_arg(),
+        *_baseline_args("flow findings")),
+        engine=_flow_engine, render=_render_flow,
+        validate="repro.lint:validate_report_dict"),
+    Tool("trace", "run an instrumented simulation and show its trace", _trace, (
+        _scenario_arg("repro.obs.TRACE_SCENARIOS"),
+        _flag("--json", "emit the schema-validated trace document"),
+        _flag("--metrics", "append the counters/gauges/histograms table"),
+        _flag("--timeline", "print only the cross-layer event timeline"),
+        arg("--events", type=int, default=65536, metavar="N", low=1,
+            help="event ring-buffer capacity (default 65536)"),
+        arg("--jsonl", metavar="FILE", help="also export the event log as JSONL")),
+        scenarios="repro.obs:trace_scenario_names"),
+    Tool("chaos", "run a scenario under an injected fault campaign", _fault_campaign, (
+        _CHAOS_SCENARIO,
+        _plan_arg("inject"),
+        _seed_arg("campaign base seed; identical seed + plan replays the exact fault sequence "
+                  "(default 0)"),
+        _duration_arg(),
+        _flag("--json", "emit the schema-validated chaos document"),
+        _report_arg("chaos")),
+        scenarios="repro.faults:chaos_scenario_names", engine="repro.faults:run_chaos_campaign",
+        render=_render_chaos, validate="repro.faults:validate_chaos_dict"),
+    Tool("redteam", "plan ranked attack campaigns (static red team)", _redteam, (
+        _LINT_SCENARIO,
+        _flag("--campaigns", "print every ranked campaign hop by hop with the defense that "
+                             "breaks each step"),
+        arg("--top", type=int, default=None, metavar="N", low=0,
+            help="with --campaigns, show only the N cheapest campaigns"),
+        _flag("--json", "emit the schema-validated campaign document"),
+        _flag("--sarif", "emit a SARIF 2.1.0 log (RT rules only)"),
+        _gate_arg("RT findings"),
+        _flag("--differential", "check the three static analyzers agree; exit 1 on any "
+                                "disagreement"),
+        _seed_arg("recorded in the JSON document; the planner is static, so output is "
+                  "byte-identical per (scenario, seed) (default 0)")),
+        engine=_redteam_engine, document=_redteam_document,
+        render=_render_redteam, validate="repro.redteam:validate_redteam_dict"),
+    Tool("sentinel", "stream a fault campaign into the online alarm engine", _fault_campaign, (
+        _CHAOS_SCENARIO,
+        _plan_arg("stream against"),
+        _seed_arg("campaign base seed; identical seed + plan replays the exact telemetry and "
+                  "verdicts (default 0)"),
+        _duration_arg(),
+        _flag("--trust", "append the per-source trust table"),
+        _flag("--alarms", "append the per-machine alarm table"),
+        _flag("--json", "emit the schema-validated sentinel document"),
+        _report_arg("sentinel"),
+        arg("--gate", default="none", choices=["clean", "detect", "none"],
+            help="fail (exit 1) unless every scenario stays alarm-free ('clean') or raises an "
+                 "ALARM with collapsed trust before SAFE_STOP ('detect'); default none")),
+        scenarios="repro.sentinel:sentinel_scenario_names",
+        engine="repro.sentinel:run_sentinel_campaign", render=_render_sentinel,
+        gate=_sentinel_gate, validate="repro.sentinel:validate_sentinel_dict"),
+    Tool("audit", "statically self-audit the shipped source tree", _analyze, (
+        arg("--root", metavar="DIR", default=None,
+            help="source tree to audit (default: the shipped src/repro)"),
+        _flag("--json", "emit the schema-validated audit document"),
+        _flag("--sarif", "emit a SARIF 2.1.0 log (AUD rules only)"),
+        arg("--gate", nargs="?", const="info", default="none", choices=SEVERITIES,
+            help="fail (exit 1) on findings at or above this severity (bare --gate means "
+                 "'info'; default: never fail)"),
+        *_baseline_args(),
+        _flag("--rules", "print the checker catalog and exit")),
+        targets=_audit_targets, engine=_audit_engine, catalog=_audit_catalog,
+        sarif="repro.audit:to_sarif_dict", validate="repro.audit:validate_audit_dict",
+        baseline_comment="accepted: pre-existing audit finding"),
+    Tool("campaign", "crash-safe resumable campaigns over the tool fleet", subcommands=(
+        Tool("run", "journal and execute a new shard matrix", _campaign, (
+            arg("--tools", default="all", metavar="T,T",
+                help="comma-separated tools (chaos,sentinel,redteam,flow,lint; default all)"),
+            arg("--scenarios", default="all", metavar="S,S",
+                help="comma-separated scenario names (default all)"),
+            arg("--plans", default="baseline", metavar="P,P",
+                help="fault plans for chaos/sentinel shards (default baseline)"),
+            arg("--seeds", default="0", metavar="N,N",
+                help="comma-separated base seeds (default 0)"),
+            _duration_arg("virtual-clock ticks for chaos/sentinel shards (default 30)"),
+            arg("--name", default="", metavar="NAME",
+                help="campaign id (default: a digest of the shard matrix)"),
+            *_CAMPAIGN_COMMON)),
+        Tool("resume", "replay a journal and run only unfinished shards", _campaign,
+             (_CAMPAIGN_ID, *_CAMPAIGN_COMMON)),
+        Tool("status", "summarise one campaign's journal without running", _campaign,
+             (_CAMPAIGN_ID, *_CAMPAIGN_COMMON)),
+        Tool("list", "enumerate journaled campaigns", _campaign_list, (_JOURNAL_ROOT,)))),
+)
+
+#: Every subcommand with its one-line description, for ``--help``.
+SUBCOMMANDS: dict[str, str] = {tool.name: tool.help for tool in TOOLS}
+
+
+def _add_parser(subparsers: Any, tool: Tool) -> None:
+    parser = subparsers.add_parser(tool.name, help=tool.help)
+    parser.set_defaults(tool=tool)
+    for argument in tool.args:
+        parser.add_argument(*argument.flags, **argument.options)
+    if tool.subcommands:
+        nested = parser.add_subparsers(dest=f"{tool.name}_command", required=True)
+        for subcommand in tool.subcommands:
+            _add_parser(nested, subcommand)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The full CLI parser; every subcommand comes from SUBCOMMANDS."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Reproduce the paper's figures and tables.",
-    )
+    """The full CLI parser, generated from ``TOOLS``."""
+    parser = argparse.ArgumentParser(prog="python -m repro",
+                                     description="Reproduce the paper's figures and tables.")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    subparsers.add_parser("list", help=SUBCOMMANDS["list"])
-    run_parser = subparsers.add_parser("run", help=SUBCOMMANDS["run"])
-    run_parser.add_argument("exp_ids", nargs="+", metavar="EXP_ID",
-                            help="experiment id(s) from `list`, or 'all'")
-    run_parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                            help="worker processes for the sweep (default 1)")
-    run_parser.add_argument("--no-cache", action="store_true",
-                            help="ignore and don't update the result cache")
-    run_parser.add_argument("--json", action="store_true",
-                            help="emit the schema-validated sweep document")
-    run_parser.add_argument("--timeline", action="store_true",
-                            help="append the sweep dispatch/completion "
-                                 "timeline")
-    run_parser.add_argument("--timeout", type=float, default=900.0,
-                            metavar="S",
-                            help="per-experiment timeout in seconds "
-                                 "(default 900)")
-    run_parser.add_argument("--base-seed", type=int, default=0, metavar="N",
-                            help="sweep base seed; re-shards every "
-                                 "experiment's rng streams (default 0)")
-    run_parser.add_argument("--cache-dir", metavar="DIR",
-                            help="result-cache directory "
-                                 "(default .repro-cache/runner)")
-    run_parser.add_argument("--cache-max-entries", type=int, default=512,
-                            metavar="N",
-                            help="prune the result cache to the N most "
-                                 "recently used entries on every write "
-                                 "(default 512; 0 disables pruning)")
-
-    lint_parser = subparsers.add_parser("lint", help=SUBCOMMANDS["lint"])
-    lint_parser.add_argument("scenario", nargs="?",
-                             help="scenario name from repro.lint.SCENARIOS, or 'all'")
-    lint_parser.add_argument("--json", action="store_true",
-                             help="emit the SARIF-lite JSON report")
-    lint_parser.add_argument("--gate", default="low",
-                             choices=["info", "low", "medium", "high",
-                                      "critical", "none"],
-                             help="fail (exit 1) on findings at or above this "
-                                  "severity (default: low; 'none' never fails)")
-    lint_parser.add_argument("--baseline", metavar="FILE",
-                             help="suppress findings pinned in this baseline file")
-    lint_parser.add_argument("--write-baseline", metavar="FILE",
-                             help="capture current findings as the baseline "
-                                  "and exit 0")
-    lint_parser.add_argument("--baseline-comment",
-                             default="accepted: intentionally insecure scenario",
-                             help="comment recorded with --write-baseline entries")
-    lint_parser.add_argument("--disable", metavar="IDS",
-                             help="comma-separated rule ids to skip")
-    lint_parser.add_argument("--rules", action="store_true",
-                             help="print the rule catalog and exit")
-    lint_parser.add_argument("--sarif", action="store_true",
-                             help="emit a SARIF 2.1.0 log instead of a table")
-
-    flow_parser = subparsers.add_parser("flow", help=SUBCOMMANDS["flow"])
-    flow_parser.add_argument("scenario", nargs="?",
-                             help="scenario name from repro.lint.SCENARIOS, "
-                                  "or 'all'")
-    flow_parser.add_argument("--paths", action="store_true",
-                             help="print every source->sink witness hop by hop")
-    flow_parser.add_argument("--cut", action="store_true",
-                             help="print the minimal hardening cut per sink")
-    flow_parser.add_argument("--json", action="store_true",
-                             help="emit the SARIF-lite JSON report "
-                                  "(FLOW rules only)")
-    flow_parser.add_argument("--sarif", action="store_true",
-                             help="emit a SARIF 2.1.0 log (FLOW rules only)")
-    flow_parser.add_argument("--gate", default="low",
-                             choices=["info", "low", "medium", "high",
-                                      "critical", "none"],
-                             help="fail (exit 1) on findings at or above this "
-                                  "severity (default: low; 'none' never fails)")
-    flow_parser.add_argument("--baseline", metavar="FILE",
-                             help="suppress findings pinned in this baseline "
-                                  "file")
-    flow_parser.add_argument("--write-baseline", metavar="FILE",
-                             help="capture current flow findings as the "
-                                  "baseline and exit 0")
-
-    trace_parser = subparsers.add_parser("trace", help=SUBCOMMANDS["trace"])
-    trace_parser.add_argument("scenario", nargs="?",
-                              help="scenario name from repro.obs.TRACE_SCENARIOS, "
-                                   "or 'all'")
-    trace_parser.add_argument("--json", action="store_true",
-                              help="emit the schema-validated trace document")
-    trace_parser.add_argument("--metrics", action="store_true",
-                              help="append the counters/gauges/histograms table")
-    trace_parser.add_argument("--timeline", action="store_true",
-                              help="print only the cross-layer event timeline")
-    trace_parser.add_argument("--events", type=int, default=65536,
-                              metavar="N",
-                              help="event ring-buffer capacity (default 65536)")
-    trace_parser.add_argument("--jsonl", metavar="FILE",
-                              help="also export the event log as JSONL")
-
-    chaos_parser = subparsers.add_parser("chaos", help=SUBCOMMANDS["chaos"])
-    chaos_parser.add_argument("scenario", nargs="?",
-                              help="scenario name from "
-                                   "repro.faults.CHAOS_SCENARIOS, or 'all'")
-    chaos_parser.add_argument("--plan", default="baseline",
-                              metavar="PLAN",
-                              help="fault plan to inject "
-                                   "(baseline or severe; default baseline)")
-    chaos_parser.add_argument("--base-seed", type=int, default=0, metavar="N",
-                              help="campaign base seed; identical seed + plan "
-                                   "replays the exact fault sequence "
-                                   "(default 0)")
-    chaos_parser.add_argument("--duration", type=int, default=30, metavar="N",
-                              help="campaign length in virtual-clock ticks "
-                                   "(default 30)")
-    chaos_parser.add_argument("--json", action="store_true",
-                              help="emit the schema-validated chaos document")
-    chaos_parser.add_argument("--report", metavar="FILE",
-                              help="also write the chaos JSON document to FILE")
-
-    redteam_parser = subparsers.add_parser("redteam",
-                                           help=SUBCOMMANDS["redteam"])
-    redteam_parser.add_argument("scenario", nargs="?",
-                                help="scenario name from "
-                                     "repro.lint.SCENARIOS, or 'all'")
-    redteam_parser.add_argument("--campaigns", action="store_true",
-                                help="print every ranked campaign hop by hop "
-                                     "with the defense that breaks each step")
-    redteam_parser.add_argument("--top", type=int, default=None, metavar="N",
-                                help="with --campaigns, show only the N "
-                                     "cheapest campaigns")
-    redteam_parser.add_argument("--json", action="store_true",
-                                help="emit the schema-validated campaign "
-                                     "document")
-    redteam_parser.add_argument("--sarif", action="store_true",
-                                help="emit a SARIF 2.1.0 log (RT rules only)")
-    redteam_parser.add_argument("--gate", default="low",
-                                choices=["info", "low", "medium", "high",
-                                         "critical", "none"],
-                                help="fail (exit 1) on RT findings at or "
-                                     "above this severity (default: low; "
-                                     "'none' never fails)")
-    redteam_parser.add_argument("--differential", action="store_true",
-                                help="check the three static analyzers "
-                                     "agree; exit 1 on any disagreement")
-    redteam_parser.add_argument("--base-seed", type=int, default=0,
-                                metavar="N",
-                                help="recorded in the JSON document; the "
-                                     "planner is static, so output is "
-                                     "byte-identical per (scenario, seed) "
-                                     "(default 0)")
-
-    sentinel_parser = subparsers.add_parser("sentinel",
-                                            help=SUBCOMMANDS["sentinel"])
-    sentinel_parser.add_argument("scenario", nargs="?",
-                                 help="scenario name from "
-                                      "repro.faults.CHAOS_SCENARIOS, or 'all'")
-    sentinel_parser.add_argument("--plan", default="baseline", metavar="PLAN",
-                                 help="fault plan to stream against "
-                                      "(baseline or severe; default baseline)")
-    sentinel_parser.add_argument("--base-seed", type=int, default=0,
-                                 metavar="N",
-                                 help="campaign base seed; identical seed + "
-                                      "plan replays the exact telemetry and "
-                                      "verdicts (default 0)")
-    sentinel_parser.add_argument("--duration", type=int, default=30,
-                                 metavar="N",
-                                 help="campaign length in virtual-clock ticks "
-                                      "(default 30)")
-    sentinel_parser.add_argument("--trust", action="store_true",
-                                 help="append the per-source trust table")
-    sentinel_parser.add_argument("--alarms", action="store_true",
-                                 help="append the per-machine alarm table")
-    sentinel_parser.add_argument("--json", action="store_true",
-                                 help="emit the schema-validated sentinel "
-                                      "document")
-    sentinel_parser.add_argument("--report", metavar="FILE",
-                                 help="also write the sentinel JSON document "
-                                      "to FILE")
-    sentinel_parser.add_argument("--gate", default="none",
-                                 choices=["clean", "detect", "none"],
-                                 help="fail (exit 1) unless every scenario "
-                                      "stays alarm-free ('clean') or raises "
-                                      "an ALARM with collapsed trust before "
-                                      "SAFE_STOP ('detect'); default none")
-
-    audit_parser = subparsers.add_parser("audit", help=SUBCOMMANDS["audit"])
-    audit_parser.add_argument("--root", metavar="DIR", default=None,
-                              help="source tree to audit "
-                                   "(default: the shipped src/repro)")
-    audit_parser.add_argument("--json", action="store_true",
-                              help="emit the schema-validated audit document")
-    audit_parser.add_argument("--sarif", action="store_true",
-                              help="emit a SARIF 2.1.0 log (AUD rules only)")
-    audit_parser.add_argument("--gate", nargs="?", const="info",
-                              default="none",
-                              choices=["info", "low", "medium", "high",
-                                       "critical", "none"],
-                              help="fail (exit 1) on findings at or above "
-                                   "this severity (bare --gate means 'info'; "
-                                   "default: never fail)")
-    audit_parser.add_argument("--baseline", metavar="FILE",
-                              help="suppress findings pinned in this "
-                                   "baseline file")
-    audit_parser.add_argument("--write-baseline", metavar="FILE",
-                              help="capture current findings as the baseline "
-                                   "and exit 0")
-    audit_parser.add_argument("--rules", action="store_true",
-                              help="print the checker catalog and exit")
-
-    campaign_parser = subparsers.add_parser("campaign",
-                                            help=SUBCOMMANDS["campaign"])
-    campaign_sub = campaign_parser.add_subparsers(dest="campaign_command",
-                                                  required=True)
-
-    def _campaign_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                       help="supervised worker processes (default 1)")
-        p.add_argument("--timeout", type=float, default=120.0, metavar="S",
-                       help="per-shard time budget in seconds; retries get "
-                            "only what remains (default 120)")
-        p.add_argument("--journal-root", metavar="DIR", default=None,
-                       help="journal directory "
-                            "(default .repro-cache/campaigns)")
-        p.add_argument("--json", action="store_true",
-                       help="emit the schema-validated campaign document")
-        p.add_argument("--report", metavar="FILE",
-                       help="also write the campaign JSON document to FILE")
-
-    campaign_run = campaign_sub.add_parser(
-        "run", help="journal and execute a new shard matrix")
-    campaign_run.add_argument("--tools", default="all", metavar="T,T",
-                              help="comma-separated tools "
-                                   "(chaos,sentinel,redteam,flow,lint; "
-                                   "default all)")
-    campaign_run.add_argument("--scenarios", default="all", metavar="S,S",
-                              help="comma-separated scenario names "
-                                   "(default all)")
-    campaign_run.add_argument("--plans", default="baseline", metavar="P,P",
-                              help="fault plans for chaos/sentinel shards "
-                                   "(default baseline)")
-    campaign_run.add_argument("--seeds", default="0", metavar="N,N",
-                              help="comma-separated base seeds (default 0)")
-    campaign_run.add_argument("--duration", type=int, default=30, metavar="N",
-                              help="virtual-clock ticks for chaos/sentinel "
-                                   "shards (default 30)")
-    campaign_run.add_argument("--name", default="", metavar="NAME",
-                              help="campaign id (default: a digest of the "
-                                   "shard matrix)")
-    _campaign_common(campaign_run)
-
-    campaign_resume = campaign_sub.add_parser(
-        "resume", help="replay a journal and run only unfinished shards")
-    campaign_resume.add_argument("campaign_id", metavar="ID",
-                                 help="campaign id from `campaign list`")
-    _campaign_common(campaign_resume)
-
-    campaign_status = campaign_sub.add_parser(
-        "status", help="summarise one campaign's journal without running")
-    campaign_status.add_argument("campaign_id", metavar="ID",
-                                 help="campaign id from `campaign list`")
-    _campaign_common(campaign_status)
-
-    campaign_list = campaign_sub.add_parser(
-        "list", help="enumerate journaled campaigns")
-    campaign_list.add_argument("--journal-root", metavar="DIR", default=None,
-                               help="journal directory "
-                                    "(default .repro-cache/campaigns)")
+    for tool in TOOLS:
+        _add_parser(subparsers, tool)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "lint":
-        return _cmd_lint(args)
-    if args.command == "flow":
-        return _cmd_flow(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "redteam":
-        return _cmd_redteam(args)
-    if args.command == "sentinel":
-        return _cmd_sentinel(args)
-    if args.command == "audit":
-        return _cmd_audit(args)
-    if args.command == "campaign":
-        return _cmd_campaign(args)
-    return _cmd_run(args)
+    tool: Tool = args.tool
+    assert tool.run is not None, "a tool with subcommands never ends the parse"
+    try:
+        for argument in tool.args:
+            argument.check(args)
+        return tool.run(tool, args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -5,7 +5,8 @@ that (a) pins a module-level ``*SCHEMA_VERSION`` string, (b) names
 itself via a module-level ``*TOOL_NAME`` string, and (c) ships at
 least one ``validate_*_dict`` function that round-trips the JSON shape
 by declaring a spec with ``repro/core/schema.py`` and handing it to
-``repro.core.schema.validate``.  Those three artifacts are
+``repro.core.schema.validate`` (the checker looks for that call, under
+whatever name the module imports it).  Those three artifacts are
 what let downstream consumers — CI jobs, the flow analyzer, external
 dashboards — detect schema drift instead of silently misparsing.  A
 ``report.py`` missing any of them is publishing an unversioned,
@@ -36,13 +37,37 @@ def _module_level_names(tree: ast.Module) -> set[str]:
     return names
 
 
-def _has_validator(tree: ast.Module) -> bool:
-    return any(
-        isinstance(stmt, ast.FunctionDef)
-        and stmt.name.startswith("validate_")
-        and stmt.name.endswith("_dict")
-        for stmt in tree.body
-    )
+def _validators(tree: ast.Module) -> list[ast.FunctionDef]:
+    return [stmt for stmt in tree.body
+            if isinstance(stmt, ast.FunctionDef)
+            and stmt.name.startswith("validate_")
+            and stmt.name.endswith("_dict")]
+
+
+def _calls_schema_validate(module: ModuleInfo,
+                           function: ast.FunctionDef) -> bool:
+    """Does ``function`` call ``repro.core.schema.validate``, under any
+    name this module imports it (or ``repro.core.schema``) as?"""
+    functions: set[str] = set()
+    modules = {"repro.core.schema"}
+    for node in module.nodes:
+        if isinstance(node, ast.ImportFrom) \
+                and node.module == "repro.core.schema":
+            functions.update(a.asname or a.name for a in node.names
+                             if a.name == "validate")
+        elif isinstance(node, ast.ImportFrom) and node.module == "repro.core":
+            modules.update(a.asname or a.name for a in node.names
+                           if a.name == "schema")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "repro.core.schema" and alias.asname:
+                    modules.add(alias.asname)
+    calls = [node.func for node in ast.walk(function)
+             if isinstance(node, ast.Call)]
+    return any((isinstance(f, ast.Name) and f.id in functions)
+               or (isinstance(f, ast.Attribute) and f.attr == "validate"
+                   and ast.unparse(f.value) in modules)
+               for f in calls)
 
 
 @register
@@ -73,8 +98,15 @@ class ReportSchemaConventions(Checker):
                 module, 1,
                 "no module-level *TOOL_NAME constant — SARIF/JSON output "
                 "cannot attribute its producer")
-        if not _has_validator(module.tree):
+        validators = _validators(module.tree)
+        if not validators:
             yield self.finding(
                 module, 1,
                 "no validate_*_dict function — the published JSON shape "
                 "is unvalidatable")
+        elif not any(_calls_schema_validate(module, f) for f in validators):
+            yield self.finding(
+                module, validators[0].lineno,
+                f"{validators[0].name} never calls "
+                "repro.core.schema.validate — the JSON shape is checked by "
+                "hand, not against a schema spec")

@@ -168,12 +168,14 @@ FIXTURES = {
         },
         "negative": {
             "flow/report.py": """\
+                from repro.core.schema import STRING, obj, validate
+
                 FLOW_SCHEMA_VERSION = "1.0"
                 FLOW_TOOL_NAME = "repro-flow"
+                _DOCUMENT = obj({"version": STRING})
 
                 def validate_flow_dict(document: dict) -> None:
-                    if not isinstance(document, dict):
-                        raise ValueError("not an object")
+                    validate(document, _DOCUMENT)
             """,
         },
     },
@@ -201,6 +203,59 @@ FIXTURES = {
         },
     },
 }
+
+
+#: AUD007's schema check: a validator must hand a spec to
+#: ``repro.core.schema.validate``, under whatever name it imports it.
+_AUD007_HEADER = """\
+    FLOW_SCHEMA_VERSION = "1.0"
+    FLOW_TOOL_NAME = "repro-flow"
+"""
+AUD007_VALIDATORS = {
+    "positive": {
+        "hand-written": """\
+            def validate_flow_dict(document: dict) -> None:
+                if not isinstance(document, dict):
+                    raise ValueError("not an object")
+        """,
+        "other-validate": """\
+            from repro.lint.report import validate_report_dict as validate
+
+            def validate_flow_dict(document: dict) -> None:
+                validate(document)
+        """,
+    },
+    "negative": {
+        "module-alias": """\
+            from repro.core import schema as spec
+
+            def validate_flow_dict(document: dict) -> None:
+                spec.validate(document, spec.obj({}))
+        """,
+        "lazy-import": """\
+            def validate_flow_dict(document: dict) -> None:
+                from repro.core.schema import validate as check
+
+                check(document, {})
+        """,
+    },
+}
+
+
+@pytest.mark.parametrize("kind, case", [
+    (kind, case) for kind in AUD007_VALIDATORS
+    for case in AUD007_VALIDATORS[kind]])
+def test_aud007_requires_a_schema_spec(tmp_path, kind, case):
+    source = (textwrap.dedent(_AUD007_HEADER)
+              + textwrap.dedent(AUD007_VALIDATORS[kind][case]))
+    report = _run_rule(tmp_path, "AUD007", {"flow/report.py": source})
+    messages = [f.message for f in report.findings]
+    if kind == "positive":
+        assert len(messages) == 1, messages
+        assert "never calls repro.core.schema.validate" in messages[0]
+        assert report.findings[0].line > 1
+    else:
+        assert not messages, messages
 
 
 @pytest.mark.parametrize("rule_id", sorted(FIXTURES))

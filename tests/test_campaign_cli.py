@@ -2,14 +2,7 @@
 
 import json
 
-from repro.__main__ import main
 from repro.campaign import validate_campaign_dict
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def run_args(root, *extra):
@@ -19,80 +12,80 @@ def run_args(root, *extra):
 
 
 class TestRun:
-    def test_table_output_and_exit_code(self, capsys, tmp_path):
-        code, out, _ = run_cli(capsys, *run_args(tmp_path))
+    def test_table_output_and_exit_code(self, run_cli, tmp_path):
+        code, out, _ = run_cli(*run_args(tmp_path))
         assert code == 0
         assert "campaign clitest (4 shards)" in out and "4 ok" in out
         assert "lint/pkes-legacy/-/s0" in out
 
-    def test_json_validates(self, capsys, tmp_path):
-        code, out, _ = run_cli(capsys, *run_args(tmp_path, "--json"))
+    def test_json_validates(self, run_cli, tmp_path):
+        code, out, _ = run_cli(*run_args(tmp_path, "--json"))
         assert code == 0
         document = json.loads(out)
         validate_campaign_dict(document)
         assert document["campaign"]["id"] == "clitest"
         assert document["summary"]["ok"] == 4
 
-    def test_report_file_is_byte_identical_across_fresh_runs(self, capsys,
+    def test_report_file_is_byte_identical_across_fresh_runs(self, run_cli,
                                                              tmp_path):
         paths = []
         for run in ("a", "b"):
             root = tmp_path / run      # fresh journal root per run
             path = tmp_path / f"{run}.json"
-            code, _, err = run_cli(capsys, *run_args(
+            code, _, err = run_cli(*run_args(
                 root, "--report", str(path)))
             assert code == 0 and "wrote campaign report" in err
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_second_run_over_same_journal_is_refused(self, capsys, tmp_path):
-        assert run_cli(capsys, *run_args(tmp_path))[0] == 0
-        code, _, err = run_cli(capsys, *run_args(tmp_path))
+    def test_second_run_over_same_journal_is_refused(self, run_cli, tmp_path):
+        assert run_cli(*run_args(tmp_path))[0] == 0
+        code, _, err = run_cli(*run_args(tmp_path))
         assert code == 2
         assert "campaign resume clitest" in err
 
-    def test_unknown_axis_values_exit_2(self, capsys, tmp_path):
+    def test_unknown_axis_values_exit_2(self, run_cli, tmp_path):
         for extra in (("--tools", "fuzzer"),
                       ("--scenarios", "nope"),
                       ("--plans", "nope")):
             code, _, err = run_cli(
-                capsys, "campaign", "run", "--journal-root", str(tmp_path),
+                "campaign", "run", "--journal-root", str(tmp_path),
                 *extra)
             assert code == 2 and "available" in err
 
 
 class TestResumeStatusList:
-    def test_resume_completes_to_identical_bytes(self, capsys, tmp_path):
+    def test_resume_completes_to_identical_bytes(self, run_cli, tmp_path):
         first = tmp_path / "first.json"
         again = tmp_path / "again.json"
-        run_cli(capsys, *run_args(tmp_path / "j", "--report", str(first)))
-        code, _, _ = run_cli(capsys, "campaign", "resume", "clitest",
+        run_cli(*run_args(tmp_path / "j", "--report", str(first)))
+        code, _, _ = run_cli("campaign", "resume", "clitest",
                              "--journal-root", str(tmp_path / "j"),
                              "--report", str(again))
         assert code == 0
         assert first.read_bytes() == again.read_bytes()
 
-    def test_status_summarises_without_running(self, capsys, tmp_path):
-        run_cli(capsys, *run_args(tmp_path))
-        code, out, _ = run_cli(capsys, "campaign", "status", "clitest",
+    def test_status_summarises_without_running(self, run_cli, tmp_path):
+        run_cli(*run_args(tmp_path))
+        code, out, _ = run_cli("campaign", "status", "clitest",
                                "--journal-root", str(tmp_path))
         assert code == 0
         assert "complete" in out and "4/4 shard(s) settled" in out
 
-    def test_list_enumerates_journaled_campaigns(self, capsys, tmp_path):
-        run_cli(capsys, *run_args(tmp_path))
-        code, out, _ = run_cli(capsys, "campaign", "list",
+    def test_list_enumerates_journaled_campaigns(self, run_cli, tmp_path):
+        run_cli(*run_args(tmp_path))
+        code, out, _ = run_cli("campaign", "list",
                                "--journal-root", str(tmp_path))
         assert code == 0
         assert "clitest" in out and "complete" in out
 
-    def test_list_with_no_journals(self, capsys, tmp_path):
-        code, out, _ = run_cli(capsys, "campaign", "list",
+    def test_list_with_no_journals(self, run_cli, tmp_path):
+        code, out, _ = run_cli("campaign", "list",
                                "--journal-root", str(tmp_path))
         assert code == 0 and "no journaled campaigns" in out
 
-    def test_unknown_campaign_id_exits_2(self, capsys, tmp_path):
+    def test_unknown_campaign_id_exits_2(self, run_cli, tmp_path):
         for command in ("resume", "status"):
-            code, _, err = run_cli(capsys, "campaign", command, "ghost",
+            code, _, err = run_cli("campaign", command, "ghost",
                                    "--journal-root", str(tmp_path))
             assert code == 2 and "ghost" in err

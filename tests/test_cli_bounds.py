@@ -1,0 +1,58 @@
+"""Numeric flags below their declared bound are usage errors.
+
+Each bound is declared once, on the argument in ``repro.__main__.TOOLS``;
+``main()`` must return 2 with a one-line message on stderr before any
+work starts, never a traceback or a silently wrong run.
+"""
+
+import pytest
+
+CAMPAIGN = ("--tools", "lint", "--scenarios", "pkes-legacy")
+
+#: (argv before the flag, flag, bad value, expected stderr line)
+CASES = [
+    (("run", "FIG1"), "--jobs", "0", "--jobs must be >= 1"),
+    (("run", "FIG1"), "--cache-max-entries", "-1",
+     "--cache-max-entries must be >= 0"),
+    (("run", "FIG1"), "--timeout", "-1", "--timeout must be > 0"),
+    (("run", "FIG1"), "--timeout", "0", "--timeout must be > 0"),
+    (("trace", "pkes-legacy"), "--events", "0", "--events must be >= 1"),
+    (("chaos", "pkes-legacy"), "--duration", "0", "--duration must be >= 1"),
+    (("sentinel", "pkes-legacy"), "--duration", "0",
+     "--duration must be >= 1"),
+    (("redteam", "pkes-legacy", "--campaigns"), "--top", "-1",
+     "--top must be >= 0"),
+    (("campaign", "run", *CAMPAIGN), "--jobs", "0", "--jobs must be >= 1"),
+    (("campaign", "run", *CAMPAIGN), "--timeout", "0",
+     "--timeout must be > 0"),
+    (("campaign", "run", *CAMPAIGN), "--duration", "0",
+     "--duration must be >= 1"),
+    (("campaign", "resume", "some-id"), "--jobs", "0", "--jobs must be >= 1"),
+    (("campaign", "status", "some-id"), "--timeout", "-5",
+     "--timeout must be > 0"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value, message", CASES,
+    ids=[f"{' '.join(c[0][:2])} {c[1]} {c[2]}" for c in CASES])
+def test_bad_numeric_flag_exits_2(run_cli, tmp_path, argv, flag, value,
+                                  message):
+    extra = (("--journal-root", str(tmp_path)) if argv[0] == "campaign"
+             else ("--cache-dir", str(tmp_path)) if argv[0] == "run" else ())
+    code, out, err = run_cli(*argv, *extra, flag, value)
+    assert code == 2
+    assert err == message + "\n"
+    assert "Traceback" not in err
+    assert out == ""
+    assert not any(tmp_path.iterdir()), "nothing may run before the check"
+
+
+@pytest.mark.parametrize("argv", [
+    ("redteam", "cariad-breach", "--campaigns", "--top", "0"),
+    ("trace", "pkes-legacy", "--events", "1", "--json"),
+])
+def test_values_at_the_bound_are_accepted(run_cli, argv):
+    code, _, err = run_cli(*argv)
+    assert code in (0, 1), err
+    assert "must be" not in err

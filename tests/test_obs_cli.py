@@ -7,19 +7,14 @@ CLI conventions).
 """
 
 import json
+import subprocess
+import sys
 
 import pytest
 
-from repro.__main__ import main
 from repro.obs import (run_trace_scenario, trace_scenario_names,
                        validate_trace_dict)
 from repro.obs.runtime import OBS, instrumented
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 class TestScenarios:
@@ -48,71 +43,91 @@ class TestScenarios:
 
 
 class TestCliUsageErrors:
-    def test_missing_scenario_exits_2_and_lists_names(self, capsys):
-        code, _, err = run_cli(capsys, "trace")
+    def test_missing_scenario_exits_2_and_lists_names(self, run_cli):
+        code, _, err = run_cli("trace")
         assert code == 2
         assert "onboard-hardened" in err
 
-    def test_unknown_scenario_exits_2(self, capsys):
-        code, _, err = run_cli(capsys, "trace", "not-a-scenario")
+    def test_unknown_scenario_exits_2(self, run_cli):
+        code, _, err = run_cli("trace", "not-a-scenario")
         assert code == 2
         assert "available" in err
 
 
 class TestCliOutput:
-    def test_hardened_table_exits_zero(self, capsys):
-        code, out, _ = run_cli(capsys, "trace", "onboard-hardened")
+    def test_hardened_table_exits_zero(self, run_cli):
+        code, out, _ = run_cli("trace", "onboard-hardened")
         assert code == 0
         assert "=== trace: onboard-hardened ===" in out
         assert "span(s)" in out
 
-    def test_json_is_schema_valid_with_two_layers(self, capsys):
-        code, out, _ = run_cli(capsys, "trace", "onboard-hardened", "--json")
+    def test_json_is_schema_valid_with_two_layers(self, run_cli):
+        code, out, _ = run_cli("trace", "onboard-hardened", "--json")
         assert code == 0
         document = json.loads(out)
         validate_trace_dict(document)
         assert len(document["summary"]["layers"]) >= 2
         assert document["summary"]["events"] >= 2
 
-    def test_json_all_emits_an_array_per_scenario(self, capsys):
-        code, out, _ = run_cli(capsys, "trace", "all", "--json")
+    def test_json_all_emits_an_array_per_scenario(self, run_cli):
+        code, out, _ = run_cli("trace", "all", "--json")
         assert code == 0
         documents = json.loads(out)
         assert [d["scenario"] for d in documents] == trace_scenario_names()
         for document in documents:
             validate_trace_dict(document)
 
-    def test_timeline_flag_prints_only_the_timeline(self, capsys):
-        code, out, _ = run_cli(capsys, "trace", "cariad-breach", "--timeline")
+    def test_timeline_flag_prints_only_the_timeline(self, run_cli):
+        code, out, _ = run_cli("trace", "cariad-breach", "--timeline")
         assert code == 0
         assert "=== timeline: cariad-breach ===" in out
         assert "attack-step" in out
         assert "wall=" not in out
 
-    def test_metrics_flag_appends_the_table(self, capsys):
-        code, out, _ = run_cli(capsys, "trace", "onboard-insecure", "--metrics")
+    def test_metrics_flag_appends_the_table(self, run_cli):
+        code, out, _ = run_cli("trace", "onboard-insecure", "--metrics")
         assert code == 0
         assert "ivn.bus.frames_sent" in out
 
-    def test_jsonl_export_round_trips(self, capsys, tmp_path):
+    def test_jsonl_export_round_trips(self, run_cli, tmp_path):
         from repro.obs.events import EventLog
 
         path = tmp_path / "events.jsonl"
-        code, _, err = run_cli(capsys, "trace", "pkes-legacy",
+        code, _, err = run_cli("trace", "pkes-legacy",
                                "--jsonl", str(path))
         assert code == 0
         assert "wrote" in err
         log = EventLog.read_jsonl(path)
         assert len(log) >= 2
 
-    def test_events_capacity_bounds_the_ring(self, capsys):
-        code, out, _ = run_cli(capsys, "trace", "onboard-insecure",
+    @pytest.mark.parametrize("scenario", ["onboard-hardened", "all"])
+    def test_jsonl_in_a_fresh_process_holds_every_event(self, tmp_path,
+                                                        scenario):
+        # A fresh process has no events left over from earlier runs, so
+        # the file must hold exactly what --json reports, summed over
+        # every scenario of an ``all`` run.
+        path = tmp_path / "events.jsonl"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "trace", scenario, "--json",
+             "--jsonl", str(path)],
+            capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        documents = json.loads(result.stdout)
+        if isinstance(documents, dict):
+            documents = [documents]
+        expected = sum(d["summary"]["events"] for d in documents)
+        assert expected > 0
+        assert len(path.read_text().splitlines()) == expected
+        assert f"wrote {expected} event(s)" in result.stderr
+
+    def test_events_capacity_bounds_the_ring(self, run_cli):
+        code, out, _ = run_cli("trace", "onboard-insecure",
                                "--events", "4", "--json")
         assert code == 0
         document = json.loads(out)
         validate_trace_dict(document)
         assert document["summary"]["events"] <= 4
 
-    def test_cli_leaves_instrumentation_disabled(self, capsys):
-        run_cli(capsys, "trace", "onboard-hardened")
+    def test_cli_leaves_instrumentation_disabled(self, run_cli):
+        run_cli("trace", "onboard-hardened")
         assert not OBS.enabled
