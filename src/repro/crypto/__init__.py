@@ -10,8 +10,12 @@ specifications and pinned to published test vectors:
 * :mod:`repro.crypto.x25519` — X25519 key agreement (RFC 7748).
 * :mod:`repro.crypto.kdf` — HMAC-SHA256 / HKDF (RFC 5869).
 
-These are simulation substrates: clear, spec-shaped, and correct, but not
-constant-time and not intended for production use.
+AES encrypts with 32-bit T-tables and a word-based key schedule, and GCM
+computes GHASH with Shoup's 4-bit tables, built once per key.  Besides the
+published vectors, ``tests/test_crypto_oracle.py`` checks every primitive
+differentially against the ``cryptography`` library, a test-only
+dependency.  These are simulation substrates: spec-shaped and correct, but
+not constant-time and not intended for production use.
 """
 
 from repro.crypto.aes import AES, xor_bytes

@@ -14,6 +14,8 @@ suite (RFC 4493 appendix, NIST GCM test cases).
 
 from __future__ import annotations
 
+from hmac import compare_digest
+
 from repro.crypto.aes import AES, xor_bytes
 
 __all__ = ["ctr_keystream", "ctr_xcrypt", "Cmac", "cmac", "Gcm", "AuthenticationError"]
@@ -29,6 +31,15 @@ def _inc32(block: bytes) -> bytes:
     return prefix + ((ctr + 1) & 0xFFFFFFFF).to_bytes(4, "big")
 
 
+def _keystream(cipher: AES, initial_counter: bytes, length: int) -> bytes:
+    """``length`` bytes of CTR keystream from whole blocks of ``cipher``."""
+    encrypt = cipher.encrypt_block
+    prefix, ctr = initial_counter[:12], int.from_bytes(initial_counter[12:], "big")
+    blocks = [encrypt(prefix + ((ctr + i) & 0xFFFFFFFF).to_bytes(4, "big"))
+              for i in range((length + 15) // 16)]
+    return b"".join(blocks)[:length]
+
+
 def ctr_keystream(key: bytes, initial_counter: bytes, length: int) -> bytes:
     """Generate ``length`` bytes of AES-CTR keystream.
 
@@ -38,13 +49,7 @@ def ctr_keystream(key: bytes, initial_counter: bytes, length: int) -> bytes:
     """
     if len(initial_counter) != 16:
         raise ValueError("initial counter must be 16 bytes")
-    cipher = AES(key)
-    out = bytearray()
-    counter = initial_counter
-    while len(out) < length:
-        out.extend(cipher.encrypt_block(counter))
-        counter = _inc32(counter)
-    return bytes(out[:length])
+    return _keystream(AES(key), initial_counter, length)
 
 
 def ctr_xcrypt(key: bytes, initial_counter: bytes, data: bytes) -> bytes:
@@ -101,14 +106,10 @@ class Cmac:
         return full[: tag_bits // 8]
 
     def verify(self, message: bytes, tag: bytes) -> bool:
-        """Constant-result check of a (possibly truncated) tag."""
-        expected = self.tag(message, tag_bits=len(tag) * 8)
-        # Non-short-circuit compare; timing is irrelevant in simulation but
-        # we keep the idiom to mirror real implementations.
-        diff = 0
-        for a, b in zip(expected, tag):
-            diff |= a ^ b
-        return diff == 0 and len(expected) == len(tag)
+        """Check a (possibly truncated) tag; any length outside 1..16 is false."""
+        if not 1 <= len(tag) <= 16:
+            return False
+        return compare_digest(self.tag(message, tag_bits=len(tag) * 8), tag)
 
 
 def cmac(key: bytes, message: bytes, tag_bits: int = 128) -> bytes:
@@ -116,19 +117,24 @@ def cmac(key: bytes, message: bytes, tag_bits: int = 128) -> bytes:
     return Cmac(key).tag(message, tag_bits=tag_bits)
 
 
-def _ghash_mul(x: int, y: int) -> int:
-    """Carry-less multiply in GF(2^128) with the GCM polynomial (bit-reflected)."""
-    r = 0xE1 << 120
-    z = 0
-    v = y
-    for i in range(127, -1, -1):
-        if (x >> i) & 1:
-            z ^= v
-        if v & 1:
-            v = (v >> 1) ^ r
-        else:
-            v >>= 1
-    return z
+# GHASH works in GF(2^128) with the GCM bit order: bit 127 of the integer
+# is the coefficient of x^0, so multiplying by x is a right shift, and a
+# coefficient shifted out past x^127 folds back in as x^128 = x^7+x^2+x+1.
+_GHASH_R = 0xE1 << 120
+
+
+def _nibble_table(v8: int, v4: int, v2: int, v1: int) -> list[int]:
+    """XOR of the values picked by each nibble's set bits (8, 4, 2, 1)."""
+    return [(v8 if n & 8 else 0) ^ (v4 if n & 4 else 0) ^ (v2 if n & 2 else 0)
+            ^ (v1 if n & 1 else 0) for n in range(16)]
+
+
+#: ``_GHASH_RED[n]``: the reduction of the four coefficients a right shift
+#: by 4 pushes out of the low nibble ``n`` (x^124..x^127 times x^4).
+_GHASH_RED = _nibble_table(_GHASH_R, _GHASH_R >> 1, _GHASH_R >> 2, _GHASH_R >> 3)
+
+#: Tag lengths in bytes that NIST SP 800-38D §5.2.1.2 allows.
+_GCM_TAG_LENGTHS = frozenset({4, 8, 12, 13, 14, 15, 16})
 
 
 class Gcm:
@@ -136,25 +142,43 @@ class Gcm:
 
     Supports the 96-bit IV fast path and arbitrary IV lengths via GHASH.
     This is the AEAD used by the MACsec model (:mod:`repro.ivn.macsec`).
+
+    GHASH uses Shoup's 4-bit tables: per key, the sixteen products of
+    ``H`` with every 4-bit polynomial, so one block costs 32 table steps
+    instead of 128 bit steps.
     """
 
     def __init__(self, key: bytes) -> None:
         self._cipher = AES(key)
-        self._key = key
-        self._h = int.from_bytes(self._cipher.encrypt_block(b"\x00" * 16), "big")
+        h = int.from_bytes(self._cipher.encrypt_block(b"\x00" * 16), "big")
+        # _m[n] = n·H, where nibble n holds the coefficients of x^0..x^3
+        # (its bit 3 is x^0): _m[8] = H, _m[4] = H·x, _m[2] = H·x², _m[1] = H·x³.
+        powers = [h]
+        for _ in range(3):
+            h = (h >> 1) ^ _GHASH_R if h & 1 else h >> 1
+            powers.append(h)
+        self._m = _nibble_table(*powers)
 
-    def _ghash(self, data: bytes) -> bytes:
+    def _ghash(self, data: bytes) -> int:
+        """GHASH over ``data``, a whole number of 16-byte blocks."""
+        m, red = self._m, _GHASH_RED
         y = 0
         for i in range(0, len(data), 16):
-            block = data[i : i + 16].ljust(16, b"\x00")
-            y = _ghash_mul(y ^ int.from_bytes(block, "big"), self._h)
-        return y.to_bytes(16, "big")
+            z = 0
+            # Horner's rule over the 32 nibbles, from the lowest (x^124..x^127)
+            # up: each step multiplies z by x^4 and adds the nibble times H.
+            for byte in (y ^ int.from_bytes(data[i : i + 16], "big")).to_bytes(16, "little"):
+                z = (z >> 4) ^ red[z & 0xF] ^ m[byte & 0xF]
+                z = (z >> 4) ^ red[z & 0xF] ^ m[byte >> 4]
+            y = z
+        return y
 
     def _j0(self, iv: bytes) -> bytes:
         if len(iv) == 12:
             return iv + b"\x00\x00\x00\x01"
         pad = (16 - len(iv) % 16) % 16
-        return self._ghash(iv + b"\x00" * (pad + 8) + (8 * len(iv)).to_bytes(8, "big"))
+        y = self._ghash(iv + b"\x00" * (pad + 8) + (8 * len(iv)).to_bytes(8, "big"))
+        return y.to_bytes(16, "big")
 
     def _auth_tag(self, j0: bytes, aad: bytes, ciphertext: bytes, tag_len: int) -> bytes:
         def padded(d: bytes) -> bytes:
@@ -166,21 +190,29 @@ class Gcm:
             + (8 * len(aad)).to_bytes(8, "big")
             + (8 * len(ciphertext)).to_bytes(8, "big")
         )
-        return xor_bytes(s, self._cipher.encrypt_block(j0))[:tag_len]
+        mask = int.from_bytes(self._cipher.encrypt_block(j0), "big")
+        return (s ^ mask).to_bytes(16, "big")[:tag_len]
 
-    def encrypt(self, iv: bytes, plaintext: bytes, aad: bytes = b"", tag_len: int = 16) -> tuple[bytes, bytes]:
-        """Return ``(ciphertext, tag)``."""
+    def _xcrypt(self, j0: bytes, data: bytes) -> bytes:
+        return xor_bytes(data, _keystream(self._cipher, _inc32(j0), len(data)))
+
+    def encrypt(self, iv: bytes, plaintext: bytes, aad: bytes = b"",
+                tag_len: int = 16) -> tuple[bytes, bytes]:
+        """Return ``(ciphertext, tag)``; ``tag_len`` is 4, 8 or 12..16 bytes."""
+        if tag_len not in _GCM_TAG_LENGTHS:
+            raise ValueError(f"GCM tag length must be one of {sorted(_GCM_TAG_LENGTHS)} bytes")
         j0 = self._j0(iv)
-        ciphertext = ctr_xcrypt(self._key, _inc32(j0), plaintext)
+        ciphertext = self._xcrypt(j0, plaintext)
         return ciphertext, self._auth_tag(j0, aad, ciphertext, tag_len)
 
     def decrypt(self, iv: bytes, ciphertext: bytes, tag: bytes, aad: bytes = b"") -> bytes:
-        """Verify ``tag`` and return the plaintext; raise on failure."""
-        j0 = self._j0(iv)
-        expected = self._auth_tag(j0, aad, ciphertext, len(tag))
-        diff = 0
-        for a, b in zip(expected, tag):
-            diff |= a ^ b
-        if diff or len(expected) != len(tag):
+        """Verify ``tag`` and return the plaintext; raise on failure.
+
+        A tag of a length SP 800-38D does not allow fails like a wrong one.
+        """
+        if len(tag) not in _GCM_TAG_LENGTHS:
             raise AuthenticationError("GCM tag verification failed")
-        return ctr_xcrypt(self._key, _inc32(j0), ciphertext)
+        j0 = self._j0(iv)
+        if not compare_digest(self._auth_tag(j0, aad, ciphertext, len(tag)), tag):
+            raise AuthenticationError("GCM tag verification failed")
+        return self._xcrypt(j0, ciphertext)

@@ -41,17 +41,24 @@ class Sci:
 
 @dataclass
 class SecureAssociation:
-    """One SA: association number, key, and next packet number."""
+    """One SA: association number, key, and next packet number.
+
+    Installing an SA installs its cipher: ``gcm`` is keyed with the SAK
+    once, as a SecY loads a SAK into its cipher suite, and every frame
+    protected or validated under this SA reuses it.
+    """
 
     an: int
     sak: bytes
     next_pn: int = 1
+    gcm: Gcm = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.an <= 3:
             raise ValueError("AN is a 2-bit field")
         if len(self.sak) not in (16, 32):
             raise ValueError("SAK must be 128 or 256 bits")
+        self.gcm = Gcm(self.sak)
 
 
 @dataclass
@@ -141,9 +148,8 @@ class MacsecPort:
         sa = self.tx_sc.active
         pn = sa.next_pn
         sa.next_pn += 1
-        gcm = Gcm(sa.sak)
         header = self.sci.encode() + bytes([sa.an]) + pn.to_bytes(4, "big") + aad
-        ciphertext, icv = gcm.encrypt(self._nonce(self.sci, pn), payload, aad=header)
+        ciphertext, icv = sa.gcm.encrypt(self._nonce(self.sci, pn), payload, aad=header)
         self.stats["protected"] += 1
         return MacsecFrame(self.sci, sa.an, pn, ciphertext, icv, dst=dst, src=src)
 
@@ -163,11 +169,10 @@ class MacsecPort:
         if frame.pn <= highest - self.replay_window or frame.pn in self._rx_seen.get(sc_key, set()):
             self.stats["replay_dropped"] += 1
             return None
-        gcm = Gcm(sa.sak)
         header = frame.sci.encode() + bytes([frame.an]) + frame.pn.to_bytes(4, "big") + aad
         try:
-            plaintext = gcm.decrypt(self._nonce(frame.sci, frame.pn),
-                                    frame.ciphertext, frame.icv, aad=header)
+            plaintext = sa.gcm.decrypt(self._nonce(frame.sci, frame.pn),
+                                       frame.ciphertext, frame.icv, aad=header)
         except AuthenticationError:
             self.stats["auth_failed"] += 1
             return None

@@ -53,6 +53,12 @@ class TestCmacTruncation:
         assert not mac.verify(b"messagf", tag)
         assert not mac.verify(b"message", bytes(8))
 
+    @pytest.mark.parametrize("bad_len", [0, 17, 32])
+    def test_verify_rejects_malformed_tag_length(self, bad_len):
+        mac = Cmac(RFC4493_KEY)
+        tag = (mac.tag(b"message") * 2)[:bad_len]
+        assert mac.verify(b"message", tag) is False
+
     @given(st.binary(max_size=80), st.sampled_from([32, 64, 128]))
     def test_verify_roundtrip_property(self, message, bits):
         mac = Cmac(b"\x42" * 16)
@@ -141,6 +147,30 @@ class TestGcmBehaviour:
         gcm = Gcm(b"\x33" * 16)
         ct, tag = gcm.encrypt(b"\x09" * 12, pt, aad=aad)
         assert gcm.decrypt(b"\x09" * 12, ct, tag, aad=aad) == pt
+
+
+class TestGcmTagLength:
+    """SP 800-38D allows tags of 4, 8 and 12..16 bytes, and no others."""
+
+    @pytest.mark.parametrize("bad_len", [0, 3, 17])
+    def test_decrypt_rejects_disallowed_tag_length(self, bad_len):
+        gcm = Gcm(b"\x07" * 16)
+        ct, tag = gcm.encrypt(b"\x01" * 12, b"payload bytes")
+        with pytest.raises(AuthenticationError):
+            gcm.decrypt(b"\x01" * 12, ct, (tag + tag)[:bad_len])
+
+    @pytest.mark.parametrize("bad_len", [0, 1, 3, 5, 11, 17])
+    def test_encrypt_rejects_disallowed_tag_length(self, bad_len):
+        with pytest.raises(ValueError):
+            Gcm(b"\x07" * 16).encrypt(b"\x01" * 12, b"payload", tag_len=bad_len)
+
+    @pytest.mark.parametrize("tag_len", [4, 8, 12, 13, 14, 15, 16])
+    def test_allowed_truncations_roundtrip(self, tag_len):
+        gcm = Gcm(b"\x07" * 16)
+        ct, tag = gcm.encrypt(b"\x01" * 12, b"payload", tag_len=tag_len)
+        assert len(tag) == tag_len
+        assert tag == gcm.encrypt(b"\x01" * 12, b"payload")[1][:tag_len]
+        assert gcm.decrypt(b"\x01" * 12, ct, tag) == b"payload"
 
 
 def test_ctr_xcrypt_is_involution():

@@ -1,5 +1,7 @@
 """Tests for MACsec (SecY, MKA) and CANsec."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.ivn.cansec import CANSEC_OVERHEAD_BYTES, CansecZone
@@ -56,6 +58,25 @@ class TestMacsecDataPath:
         stranger.install_tx_sak(0, b"\x99" * 16)
         frame = stranger.protect(b"injected")
         assert b.validate(frame) is None
+
+    def test_empty_icv_forgery_dropped(self):
+        a, b = _pair()
+        frame = a.protect(b"brake command")
+        forged = replace(frame, ciphertext=b"attacker-chosen!", icv=b"")
+        assert b.validate(forged) is None
+        assert b.stats["auth_failed"] == 1
+        assert b.validate(frame) == b"brake command"
+
+    def test_sa_cipher_is_installed_once(self):
+        a, b = _pair()
+        sa = a.tx_sc.active
+        gcm = sa.gcm
+        for payload in (b"one", b"two", b"three"):
+            assert b.validate(a.protect(payload)) == payload
+        assert sa.gcm is gcm
+        # The cipher is derived state: it takes no part in equality or repr.
+        assert SecureAssociation(sa.an, sa.sak, sa.next_pn) == sa
+        assert "gcm" not in repr(sa)
 
     def test_packet_numbers_increase(self):
         a, _ = _pair()
@@ -150,6 +171,20 @@ class TestCansec:
             secured.freshness, secured.icv, secured.encrypted,
         )
         assert rx.verify(moved) is None
+
+    @pytest.mark.parametrize("encrypt", [True, False])
+    def test_empty_icv_forgery_dropped(self, encrypt):
+        from repro.ivn.cansec import CansecSecuredFrame
+
+        tx, rx = self._zone_pair(encrypt=encrypt)
+        secured = tx.protect(CanXlFrame(0x50, b"cmd"))
+        forged = CansecSecuredFrame(
+            replace(secured.frame, payload=b"attacker-chosen!" + b"\x00" * CANSEC_OVERHEAD_BYTES),
+            secured.freshness, b"", secured.encrypted,
+        )
+        assert rx.verify(forged) is None
+        assert rx.stats["rejected"] == 1
+        assert rx.verify(secured) == b"cmd"
 
     def test_overhead_constant(self):
         tx, _ = self._zone_pair()
