@@ -53,10 +53,10 @@ def _make_synthetic(directory: Path, n: int = N_TASKS) -> list[Experiment]:
     return experiments
 
 
-def _sweep(experiments, directory: Path, *, jobs: int, use_cache: bool,
+def _sweep(experiments, directory: Path, *, jobs: int,
            cache: ResultCache | None = None):
     runner = SweepRunner(
-        experiments, jobs=jobs, use_cache=use_cache, cache=cache,
+        experiments, jobs=jobs, cache=cache,
         bench_dir=directory, timeout_s=60.0,
         command_template=(sys.executable, "{bench}"),
         digest_paths=[])
@@ -76,14 +76,12 @@ def test_parallel_speedup_and_warm_cache(show, tmp_path):
     experiments = _make_synthetic(directory)
     cache = ResultCache(tmp_path / "cache")
 
-    sequential = _sweep(experiments, directory, jobs=1, use_cache=False)
-    parallel = _sweep(experiments, directory, jobs=JOBS, use_cache=False)
+    sequential = _sweep(experiments, directory, jobs=1)
+    parallel = _sweep(experiments, directory, jobs=JOBS)
     assert sequential.ok and parallel.ok
 
-    cold = _sweep(experiments, directory, jobs=JOBS, use_cache=True,
-                  cache=cache)
-    warm = _sweep(experiments, directory, jobs=JOBS, use_cache=True,
-                  cache=cache)
+    cold = _sweep(experiments, directory, jobs=JOBS, cache=cache)
+    warm = _sweep(experiments, directory, jobs=JOBS, cache=cache)
     assert cold.ok and warm.ok
     cached = sum(1 for result in warm.results if result.cached)
 
@@ -122,11 +120,10 @@ def test_cache_invalidates_on_workload_change(show, tmp_path):
     experiments = _make_synthetic(directory, 3)
     cache = ResultCache(tmp_path / "cache")
 
-    _sweep(experiments, directory, jobs=2, use_cache=True, cache=cache)
+    _sweep(experiments, directory, jobs=2, cache=cache)
     (directory / "syn_1.py").write_text(
         _SCRIPT.format(i=1, sleep=0.01) + "# edited\n")
-    report = _sweep(experiments, directory, jobs=2, use_cache=True,
-                    cache=cache)
+    report = _sweep(experiments, directory, jobs=2, cache=cache)
 
     by_id = {result.exp_id: result for result in report.results}
     show("BENCH-RUN — cache invalidation after editing syn_1.py",

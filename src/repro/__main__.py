@@ -39,6 +39,7 @@ import json
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.experiments import EXPERIMENTS, find
@@ -72,22 +73,30 @@ def _ref(reference: str) -> Any:
 
 @dataclass(frozen=True)
 class Arg:
-    """One ``add_argument`` call, plus an optional lower bound."""
+    """One ``add_argument`` call, plus an optional lower bound or a
+    directory check."""
 
     flags: tuple[str, ...]
     options: dict[str, Any]
     low: int | None = None
     strict: bool = False        # the bound itself is rejected too
+    directory: bool = False     # an existing file is rejected
 
     def check(self, args: argparse.Namespace) -> None:
         value = getattr(args, self.flags[0].lstrip("-").replace("-", "_"))
         if self.low is not None and value is not None and (
                 value < self.low or (self.strict and value == self.low)):
             raise UsageError(f"{self.flags[0]} must be {'>' if self.strict else '>='} {self.low}")
+        if self.directory and value is not None:
+            path = Path(value)
+            existing = next(p for p in (path, *path.parents) if p.exists())
+            if not existing.is_dir():
+                raise UsageError(f"{self.flags[0]}: {str(existing)!r} is not a directory")
 
 
-def arg(*flags: str, low: int | None = None, strict: bool = False, **options: Any) -> Arg:
-    return Arg(flags, options, low, strict)
+def arg(*flags: str, low: int | None = None, strict: bool = False, directory: bool = False,
+        **options: Any) -> Arg:
+    return Arg(flags, options, low, strict, directory)
 
 
 def _report_table(target: Any, report: Any, args: argparse.Namespace) -> str:
@@ -513,7 +522,8 @@ def _list(tool: Tool, args: argparse.Namespace) -> int:
 
 
 def _run(tool: Tool, args: argparse.Namespace) -> int:
-    from repro.runner import SweepRunner
+    from repro.campaign.supervisor import stop_on_signals
+    from repro.runner import ResultCache, SweepRunner
 
     if any(exp_id.lower() == "all" for exp_id in args.exp_ids):
         experiments = list(EXPERIMENTS)
@@ -536,10 +546,12 @@ def _run(tool: Tool, args: argparse.Namespace) -> int:
         if result.error:
             print(f"error: {result.error}", file=sys.stderr)
 
-    report = SweepRunner(
-        experiments, jobs=args.jobs, use_cache=not args.no_cache, cache_dir=args.cache_dir,
-        cache_max_entries=args.cache_max_entries or None, base_seed=args.base_seed,
-        timeout_s=args.timeout, on_result=_stream).run()
+    cache = None if args.no_cache else ResultCache(
+        args.cache_dir, max_entries=args.cache_max_entries or None)
+    runner = SweepRunner(experiments, jobs=args.jobs, cache=cache, base_seed=args.base_seed,
+                         timeout_s=args.timeout, on_result=_stream)
+    with stop_on_signals(runner.request_stop):
+        report = runner.run()
     if args.json:
         _print_json(report.to_json_dict(), "repro.runner:validate_sweep_dict")
     else:
@@ -666,7 +678,7 @@ def _campaign_list(tool: Tool, args: argparse.Namespace) -> int:
 
 _LINT_SCENARIO = _scenario_arg("repro.lint.SCENARIOS")
 _CHAOS_SCENARIO = _scenario_arg("repro.faults.CHAOS_SCENARIOS")
-_JOURNAL_ROOT = arg("--journal-root", metavar="DIR", default=None,
+_JOURNAL_ROOT = arg("--journal-root", metavar="DIR", default=None, directory=True,
                     help="journal directory (default .repro-cache/campaigns)")
 _CAMPAIGN_ID = arg("campaign_id", metavar="ID", help="campaign id from `campaign list`")
 _CAMPAIGN_COMMON = (
@@ -687,7 +699,7 @@ TOOLS: tuple[Tool, ...] = (
         _flag("--timeline", "append the sweep dispatch/completion timeline"),
         _timeout_arg(900.0, "per-experiment timeout in seconds (default 900)"),
         _seed_arg("sweep base seed; re-shards every experiment's rng streams (default 0)"),
-        arg("--cache-dir", metavar="DIR",
+        arg("--cache-dir", metavar="DIR", directory=True,
             help="result-cache directory (default .repro-cache/runner)"),
         arg("--cache-max-entries", type=int, default=512, metavar="N", low=0,
             help="prune the result cache to the N most recently used entries on every write "

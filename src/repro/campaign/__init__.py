@@ -1,7 +1,6 @@
 """Crash-safe, resumable campaign engine over the repro tool fleet.
 
-``repro.campaign`` generalises :class:`repro.runner.engine.SweepRunner`
-from pytest sweeps to arbitrary ``(tool, scenario, plan, seed)`` shard
+``repro.campaign`` runs ``(tool, scenario, plan, seed)`` shard
 matrices across ``chaos``, ``sentinel``, ``redteam``, ``flow`` and
 ``lint`` — and applies the paper's graceful-degradation discipline to
 the harness itself:
@@ -12,7 +11,8 @@ the harness itself:
   journal every scheduling decision hits before the engine acts on it;
 * :mod:`repro.campaign.supervisor` — heartbeat-supervised workers with
   hang detection, remaining-budget restarts and poison-shard
-  quarantine;
+  quarantine; the repo's one worker pool, which
+  :class:`repro.runner.SweepRunner` runs the paper experiments on too;
 * :mod:`repro.campaign.shard` — worker-side tool execution and the
   canonical result digest;
 * :mod:`repro.campaign.engine` — the journal-driven scheduler and the

@@ -34,14 +34,14 @@ not just the systems it tests.
 
 from __future__ import annotations
 
-import signal
 import time
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
-from types import FrameType
 
 from repro.campaign.journal import Journal, JournalCorrupt, JournalState, replay
 from repro.campaign.report import CampaignReport, ShardEntry
+from repro.campaign.shard import execute_shard
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.supervisor import (
     DEFAULT_HANG_TIMEOUT_S,
@@ -50,6 +50,7 @@ from repro.campaign.supervisor import (
     DEFAULT_SHARD_TIMEOUT_S,
     ShardOutcome,
     Supervisor,
+    stop_on_signals,
 )
 from repro.core.layers import Layer
 from repro.faults.injector import FaultInjector
@@ -127,13 +128,12 @@ def plan_worker_faults(spec: CampaignSpec, plan: FaultPlan, *,
 
     Consults the plan's ``runner-worker-crash`` / ``runner-worker-hang``
     specs once per ``(shard, attempt)`` opportunity — the shard id is
-    the fault target and the attempt index the virtual instant, exactly
-    the convention :meth:`FaultInjector.worker_crash_hook` established
-    for sweep workers.  The plan's worker-fault specs are re-targeted
-    onto every shard id first (built-in plans aim them at the generic
-    ``sweep-worker`` target), so each shard draws from its own labelled
-    stream.  Determinism of the injector streams makes the derived
-    fault map a pure function of ``(spec, plan, base_seed)``.
+    the fault target and the attempt index the virtual instant.  The
+    plan's worker-fault specs are re-targeted onto every shard id first
+    (built-in plans aim them at the generic ``sweep-worker`` target), so
+    each shard draws from its own labelled stream.  Determinism of the
+    injector streams makes the derived fault map a pure function of
+    ``(spec, plan, base_seed)``.
     """
     worker_kinds = (FaultKind.RUNNER_WORKER_CRASH,
                     FaultKind.RUNNER_WORKER_HANG)
@@ -320,7 +320,7 @@ class CampaignEngine:
                                 "settled": len(report.entries)})
             return
 
-        def on_start(shard_id: str, attempt: int) -> None:
+        def on_start(shard_id: str, attempt: int, budget_s: float) -> None:
             journal.append({"type": "shard-start", "shardId": shard_id,
                             "attempt": attempt})
             self._emit(EventKind.SHARD_START, shard_id,
@@ -349,7 +349,7 @@ class CampaignEngine:
                     OBS.count("campaign.shards.retried")
 
         supervisor = Supervisor(
-            jobs=self.jobs,
+            execute_shard, jobs=self.jobs,
             heartbeat_interval_s=self.heartbeat_interval_s,
             hang_timeout_s=self.hang_timeout_s,
             shard_timeout_s=self.shard_timeout_s,
@@ -357,17 +357,9 @@ class CampaignEngine:
             worker_faults=self.worker_faults,
             on_start=on_start, on_outcome=on_outcome,
             should_stop=lambda: self._stop_requested)
-        previous: dict[int, object] = {}
-        if self.install_signal_handlers:
-            def handler(signum: int, frame: FrameType | None) -> None:
-                self._stop_requested = True
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                previous[signum] = signal.signal(signum, handler)
-        try:
+        with (stop_on_signals(self.request_stop)
+              if self.install_signal_handlers else nullcontext()):
             _, interrupted = supervisor.run(pending)
-        finally:
-            for signum, old in previous.items():
-                signal.signal(signum, old)  # type: ignore[arg-type]
         if interrupted:
             journal.append({"type": "interrupt",
                             "settled": len(report.entries),

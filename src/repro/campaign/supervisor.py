@@ -1,10 +1,13 @@
 """Supervised worker pool: heartbeats, hang detection, poison quarantine.
 
-The campaign engine cannot trust its workers: a shard can crash its
-process outright, wedge it without exiting (the failure mode a timeout
-alone never distinguishes from "slow"), or poison every worker that
-touches it.  This supervisor owns that distrust so the engine can stay
-a simple journal-driven scheduler:
+The repo's one worker pool.  Its callers cannot trust their workers: a
+shard can crash its process outright, wedge it without exiting (the
+failure mode a timeout alone never distinguishes from "slow"), or poison
+every worker that touches it.  This supervisor owns that distrust so
+its callers stay simple schedulers.  A shard is any dict with an
+``"id"``; the caller passes the function its workers run on it —
+:func:`~repro.campaign.shard.execute_shard` for the campaign engine,
+:func:`repro.runner.worker.execute` for the experiment sweep:
 
 * every worker runs a **heartbeat thread** beating over its pipe at a
   fixed interval; a worker whose beats stop for ``hang_timeout_s`` is
@@ -17,12 +20,16 @@ a simple journal-driven scheduler:
 * a shard that kills ``quarantine_after`` workers in a row is **poison**
   and is quarantined — surfaced as a terminal outcome, never silently
   dropped and never retried again (not even by a resumed campaign);
-* a shard that exhausts its budget is a *timeout* — also terminal.
+* a shard that exhausts its budget is a *timeout* — also terminal; the
+  per-shard budget is the only timeout, so each worker leads its own
+  process group and a kill takes any subprocess it started with it;
+* a stop request (``should_stop``, or a ``KeyboardInterrupt`` raised
+  while the pool runs) ends the run early with only settled outcomes;
+  :func:`stop_on_signals` turns SIGINT/SIGTERM into such a request.
 
-Worker deaths are infrastructure verdicts; tool-level failures come
-back as ordinary ``error`` payloads from
-:func:`~repro.campaign.shard.execute_shard` and are never retried
-(they are deterministic, so a retry would only burn budget).
+Worker deaths are infrastructure verdicts; failures the worker function
+reports come back as ordinary payloads and are never retried (they are
+deterministic, so a retry would only burn budget).
 """
 
 from __future__ import annotations
@@ -33,13 +40,12 @@ import signal
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, wait as connection_wait
-from typing import Callable
+from typing import Callable, Iterator
 
-from repro.campaign.shard import execute_shard
-
-__all__ = ["Supervisor", "ShardOutcome", "WORKER_CRASH_EXIT",
+__all__ = ["Supervisor", "ShardOutcome", "stop_on_signals", "WORKER_CRASH_EXIT",
            "DEFAULT_HEARTBEAT_INTERVAL_S", "DEFAULT_HANG_TIMEOUT_S",
            "DEFAULT_SHARD_TIMEOUT_S", "DEFAULT_QUARANTINE_AFTER",
            "FAULT_WORKER_CRASH", "FAULT_WORKER_HANG"]
@@ -66,19 +72,36 @@ FAULT_WORKER_HANG = "runner-worker-hang"
 _HANG_SLEEP_S = 3600.0
 
 
-def _worker_main(parent_conn: Connection, conn: Connection) -> None:
+@contextmanager
+def stop_on_signals(request_stop: Callable[[], None]) -> Iterator[None]:
+    """Turn SIGINT/SIGTERM into ``request_stop()`` while the block runs."""
+    def handler(signum: int, frame: object) -> None:
+        request_stop()
+
+    previous = {signum: signal.signal(signum, handler)
+                for signum in (signal.SIGINT, signal.SIGTERM)}
+    try:
+        yield
+    finally:
+        for signum, old in previous.items():
+            signal.signal(signum, old)
+
+
+def _worker_main(parent_conn: Connection, conn: Connection,
+                 execute: Callable[[dict], dict]) -> None:
     """The worker loop: receive a shard envelope, beat, execute, reply.
 
-    Runs in a child process.  Closes the inherited parent-side pipe end
-    immediately so that if the scheduling process dies (even SIGKILL),
-    this worker's blocking ``recv`` sees EOF and exits instead of
-    leaking as an orphan.
+    Runs in a child process that leads its own process group, so killing
+    the group also kills whatever ``execute`` started.  Closes the
+    inherited parent-side pipe end immediately so that if the scheduling
+    process dies (even SIGKILL), this worker's blocking ``recv`` sees EOF
+    and exits instead of leaking as an orphan.
     """
     parent_conn.close()
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except ValueError:  # pragma: no cover - non-main-thread guard
-        pass
+    os.setpgid(0, 0)
+    # a forked worker inherits the parent's stop handler; drop it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     send_lock = threading.Lock()
     while True:
         try:
@@ -108,7 +131,7 @@ def _worker_main(parent_conn: Connection, conn: Connection) -> None:
 
         beater = threading.Thread(target=beat, daemon=True)
         beater.start()
-        payload = execute_shard(message["shard"])
+        payload = execute(message["shard"])
         stop.set()
         beater.join()
         try:
@@ -143,12 +166,14 @@ class _WorkItem:
 class _Worker:
     """One supervised child process and its scheduling state."""
 
-    def __init__(self, context: multiprocessing.context.BaseContext) -> None:
+    def __init__(self, context: multiprocessing.context.BaseContext,
+                 execute: Callable[[dict], dict]) -> None:
         self.conn: Connection
         child_conn: Connection
         self.conn, child_conn = context.Pipe(duplex=True)
         self.process = context.Process(
-            target=_worker_main, args=(self.conn, child_conn), daemon=True)
+            target=_worker_main, args=(self.conn, child_conn, execute),
+            daemon=True)
         self.process.start()
         child_conn.close()
         self.item: _WorkItem | None = None
@@ -169,12 +194,12 @@ class _Worker:
                         "heartbeatIntervalS": heartbeat_interval_s})
 
     def kill(self) -> None:
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=2.0)
-            if self.process.is_alive():  # pragma: no cover - stuck worker
-                self.process.kill()
-                self.process.join(timeout=2.0)
+        """Kill the worker's process group: the worker and its children."""
+        try:
+            os.killpg(self.process.pid, signal.SIGKILL)
+        except ProcessLookupError:  # no group yet: it started nothing
+            self.process.kill()
+        self.process.join(timeout=2.0)
         self.conn.close()
 
     def stop(self) -> None:
@@ -193,6 +218,9 @@ class _Worker:
 class Supervisor:
     """Schedule shards across supervised workers; never trust a worker.
 
+    ``execute`` is the function every worker runs on a shard dict; it
+    must be a module-level function returning a dict payload with a
+    ``status`` (and optionally ``durationS``/``error``).
     ``worker_faults`` maps ``shard_id -> {attempt_index: fault_kind}``
     (:data:`FAULT_WORKER_CRASH` / :data:`FAULT_WORKER_HANG`) and is the
     self-chaos injection point: the fault ships to the worker with the
@@ -200,13 +228,13 @@ class Supervisor:
     test is exactly the machinery in production.
     """
 
-    def __init__(self, *, jobs: int = 1,
+    def __init__(self, execute: Callable[[dict], dict], *, jobs: int = 1,
                  heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
                  hang_timeout_s: float = DEFAULT_HANG_TIMEOUT_S,
                  shard_timeout_s: float = DEFAULT_SHARD_TIMEOUT_S,
                  quarantine_after: int = DEFAULT_QUARANTINE_AFTER,
                  worker_faults: dict[str, dict[int, str]] | None = None,
-                 on_start: Callable[[str, int], None] | None = None,
+                 on_start: Callable[[str, int, float], None] | None = None,
                  on_outcome: Callable[[ShardOutcome], None] | None = None,
                  should_stop: Callable[[], bool] | None = None) -> None:
         if jobs < 1:
@@ -218,6 +246,7 @@ class Supervisor:
                              "interval or every shard looks hung")
         if quarantine_after < 1:
             raise ValueError("quarantine_after must be >= 1")
+        self.execute = execute
         self.jobs = jobs
         self.heartbeat_interval_s = heartbeat_interval_s
         self.hang_timeout_s = hang_timeout_s
@@ -275,9 +304,10 @@ class Supervisor:
 
         ``outcomes`` maps shard id to its terminal verdict; on interrupt
         the map holds only the shards that settled before the stop
-        request — in-flight and queued shards are simply absent (their
-        journal trail is a ``shard-start`` without a ``shard-done``,
-        which is exactly what the resume path re-executes).
+        request — in-flight and queued shards are simply absent (for a
+        campaign, their journal trail is a ``shard-start`` without a
+        ``shard-done``, which is exactly what the resume path
+        re-executes).
         """
         queue: deque[_WorkItem] = deque(
             _WorkItem(shard_id=str(shard["id"]), shard=dict(shard),
@@ -287,7 +317,7 @@ class Supervisor:
         if not queue:
             return outcomes, False
         context = multiprocessing.get_context()
-        workers = [_Worker(context)
+        workers = [_Worker(context, self.execute)
                    for _ in range(min(self.jobs, len(queue)))]
         interrupted = False
         try:
@@ -299,7 +329,8 @@ class Supervisor:
                     if not worker.busy and queue:
                         item = queue.popleft()
                         if self.on_start is not None:
-                            self.on_start(item.shard_id, item.attempt)
+                            self.on_start(item.shard_id, item.attempt,
+                                          item.budget_s)
                         worker.assign(
                             item, fault=self._fault_for(item),
                             heartbeat_interval_s=self.heartbeat_interval_s)
@@ -342,7 +373,9 @@ class Supervisor:
                 needed = min(self.jobs,
                              len(queue) + sum(1 for w in workers if w.busy))
                 while len(workers) < needed:
-                    workers.append(_Worker(context))
+                    workers.append(_Worker(context, self.execute))
+        except KeyboardInterrupt:
+            interrupted = True
         finally:
             for worker in workers:
                 if worker.busy or not worker.process.is_alive():

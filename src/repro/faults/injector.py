@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -133,36 +132,6 @@ class FaultInjector:
                          n: int, magnitude: float) -> np.ndarray:
         """A burst of Gaussian sample noise from the pair's noise stream."""
         return self._noise_stream(kind, target).normal(0.0, magnitude, size=n)
-
-    def worker_crash_hook(self) -> Callable[[dict, int], dict | None]:
-        """A :class:`~repro.runner.engine.SweepRunner` ``fault_hook``.
-
-        The hook consults :data:`FaultKind.RUNNER_WORKER_CRASH` with the
-        attempt index as the virtual instant, so a spec windowed
-        ``[0, 1)`` kills only the first attempt while ``[0, 2)`` kills
-        the retry too.  A fired crash consumes ``magnitude`` of the
-        attempt's timeout budget — the scheduler must grant the retry
-        only what remains.
-        """
-        def hook(spec: dict, attempt: int) -> dict | None:
-            exp_id = str(spec["exp_id"])
-            t = float(attempt)
-            if not self.fires(FaultKind.RUNNER_WORKER_CRASH, exp_id, t):
-                return None
-            consumed = self.magnitude(FaultKind.RUNNER_WORKER_CRASH,
-                                      exp_id, t) * float(spec["timeout_s"])
-            return {
-                "id": exp_id,
-                "status": "error",
-                "exitCode": -1,
-                "durationS": consumed,
-                "seed": int(spec["seed"]),
-                "artifacts": [],
-                "outputTail": "",
-                "error": f"injected worker crash (attempt {attempt})",
-            }
-
-        return hook
 
     # -- bookkeeping ---------------------------------------------------------
 

@@ -84,7 +84,7 @@ class FaultSpec:
             window (drawn from the injector's per-``(kind, target)``
             seeded stream).
         magnitude: kind-specific intensity (noise amplitude for sample
-            corruption, consumed-budget fraction for worker crashes, ...).
+            corruption, ...).
     """
 
     kind: FaultKind

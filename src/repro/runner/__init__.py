@@ -1,22 +1,24 @@
 """``repro.runner`` — the parallel, cached experiment-sweep engine.
 
-The reproduction's whole-surface sweep (``python -m repro run all``)
-used to be one sequential pytest subprocess; this package turns it into
-a scheduled sweep: experiments from :data:`repro.experiments.EXPERIMENTS`
-fan out across a process pool with per-experiment timeouts, one
-automatic retry on worker failure, deterministic per-experiment seed
-shards, and a content-addressed result cache keyed by the bench file +
-the ``src/repro`` tree — so a warm re-run after an unrelated edit skips
-everything unchanged and reports it as ``cached``.  The paper's
-layered-defense argument depends on exactly this: cross-layer sweeps
-cheap enough to re-run on every change.
+The reproduction's whole-surface sweep (``python -m repro run all``):
+experiments from :data:`repro.experiments.EXPERIMENTS` fan out across
+the campaign engine's supervised worker pool
+(:class:`repro.campaign.supervisor.Supervisor`) with one time budget
+per experiment, deterministic per-experiment seed shards, and a
+content-addressed result cache keyed by the bench file + the
+``src/repro`` tree — so a warm re-run after an unrelated edit skips
+everything unchanged and reports it as ``cached``.  A worker crash or
+hang restarts the experiment with the remaining budget; after three
+worker failures it is reported as ``error``; a failing test is never
+retried.  The paper's layered-defense argument depends on exactly
+this: cross-layer sweeps cheap enough to re-run on every change.
 
 Quickstart::
 
     from repro.experiments import EXPERIMENTS
-    from repro.runner import SweepRunner
+    from repro.runner import ResultCache, SweepRunner
 
-    report = SweepRunner(EXPERIMENTS, jobs=4).run()
+    report = SweepRunner(EXPERIMENTS, jobs=4, cache=ResultCache()).run()
     print(report.to_table())
 
 CLI::

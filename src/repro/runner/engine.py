@@ -1,14 +1,16 @@
-"""The parallel, cached experiment-sweep scheduler.
+"""The cached experiment sweep, run on the campaign's supervised pool.
 
 :class:`SweepRunner` takes experiments from the registry and runs them
-to completion across a :class:`~concurrent.futures.ProcessPoolExecutor`:
+to completion on :class:`~repro.campaign.supervisor.Supervisor`, the
+repo's one worker pool:
 
-- **Parallelism** — ``jobs`` worker processes; each worker runs one
-  experiment's bench file as a subprocess (so a crashing bench can never
-  take the scheduler down) and hands back a plain result document.
-- **Timeout + retry** — every experiment gets a hard per-run timeout;
-  infrastructure failures (``timeout``/``error``, *not* deterministic
-  test failures) are retried exactly once.
+- **Parallelism** — ``jobs`` supervised worker processes; each worker
+  runs one experiment's bench file as a subprocess and hands back a
+  plain result document.
+- **Timeout + restarts** — every experiment gets one time budget.  A
+  worker crash or hang restarts the experiment on a fresh worker with
+  what is left of that budget; after three worker failures it is
+  reported as ``error``.  A failing test is never retried.
 - **Caching** — results are looked up in / written to a
   content-addressed :class:`~repro.runner.cache.ResultCache`; a warm
   re-run reports unchanged experiments as ``cached`` without spawning
@@ -17,6 +19,8 @@ to completion across a :class:`~concurrent.futures.ProcessPoolExecutor`:
   with :func:`repro.core.rng.derive_seed` from the sweep's base seed,
   so replicated sweeps (``--base-seed N``) are deterministic per
   experiment and decorrelated across experiments.
+- **Interrupts** — :meth:`SweepRunner.request_stop` (or a Ctrl-C) ends
+  the sweep early with a partial report marked ``interrupted``.
 - **Observability** — a ``runner.sweep`` span with one child span per
   executed experiment, ``runner.*`` counters/histograms, and
   experiment start/done events collected on a sweep
@@ -28,11 +32,11 @@ from __future__ import annotations
 
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
+from repro.campaign.supervisor import ShardOutcome, Supervisor
 from repro.core.layers import Layer
 from repro.core.rng import derive_seed
 from repro.experiments import Experiment, benchmarks_dir
@@ -55,12 +59,6 @@ DEFAULT_TIMEOUT_S = 900.0
 
 #: Statuses that count as success (a cache hit implies a past pass).
 OK_STATUSES = frozenset({"passed", "cached"})
-
-#: Statuses worth one automatic retry (worker trouble, not test verdicts).
-RETRYABLE_STATUSES = frozenset({"timeout", "error"})
-
-#: Minimum leftover timeout budget (seconds) worth spending on a retry.
-RETRY_BUDGET_FLOOR_S = 0.05
 
 
 @dataclass
@@ -103,30 +101,22 @@ class SweepRunner:
 
     def __init__(self, experiments: Iterable[Experiment], *,
                  jobs: int = 1,
-                 use_cache: bool = True,
                  cache: ResultCache | None = None,
-                 cache_dir: str | Path | None = None,
-                 cache_max_entries: int | None = None,
                  base_seed: int = 0,
                  timeout_s: float = DEFAULT_TIMEOUT_S,
-                 retry: bool = True,
                  bench_dir: Path | None = None,
                  command_template: Sequence[str] = DEFAULT_COMMAND_TEMPLATE,
                  digest_paths: Sequence[Path] | None = None,
                  on_result: Callable[[ExperimentResult], None] | None = None,
-                 fault_hook: Callable[[dict, int], dict | None] | None = None,
                  ) -> None:
         self.experiments = list(experiments)
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
-        self.use_cache = use_cache
-        # NB: not `cache or ...` — an *empty* ResultCache is falsy (len 0)
-        self.cache = cache if cache is not None else ResultCache(
-            cache_dir, max_entries=cache_max_entries)
+        #: ``None`` runs uncached: no lookups, no stores.
+        self.cache = cache
         self.base_seed = base_seed
         self.timeout_s = timeout_s
-        self.retry = retry
         self.bench_dir = Path(bench_dir) if bench_dir else benchmarks_dir()
         self.command_template = tuple(command_template)
         if digest_paths is None:
@@ -134,12 +124,13 @@ class SweepRunner:
             digest_paths = [src_tree, benchmarks_dir() / "conftest.py"]
         self.digest_paths = list(digest_paths)
         self.on_result = on_result
-        # Consulted before every dispatch with (spec, attempt); returning a
-        # result document simulates the worker dying with that outcome —
-        # the deterministic worker-crash fault of repro.faults rides this.
-        self.fault_hook = fault_hook
         self.events = EventLog(capacity=8192)
+        self._stop_requested = False
         self._t0 = 0.0
+
+    def request_stop(self) -> None:
+        """Ask the sweep to stop at the next boundary with partial results."""
+        self._stop_requested = True
 
     # -- helpers -------------------------------------------------------------
 
@@ -154,12 +145,26 @@ class SweepRunner:
     def _spec(self, experiment: Experiment) -> dict:
         bench_path = self.bench_dir / experiment.bench_file
         return {
-            "exp_id": experiment.exp_id,
+            "id": experiment.exp_id,
             "command": self._command(bench_path),
-            "timeout_s": self.timeout_s,
             "seed": self.seed_for(experiment.exp_id),
             "base_seed": self.base_seed,
         }
+
+    def _document(self, outcome: ShardOutcome) -> dict:
+        """The result document of a settled experiment.
+
+        A worker's own payload is the document; a timeout or a
+        quarantine (three dead or hung workers) has none, so one is
+        built with status ``timeout`` or ``error``.
+        """
+        if outcome.payload is not None:
+            return outcome.payload
+        return {"id": outcome.shard_id,
+                "status": "timeout" if outcome.status == "timeout" else "error",
+                "exitCode": -1, "durationS": outcome.duration_s,
+                "seed": self.seed_for(outcome.shard_id), "artifacts": [],
+                "outputTail": "", "error": outcome.error}
 
     def _emit(self, kind: EventKind, exp_id: str, message: str,
               **fields: str | int | float | bool) -> SimEvent:
@@ -221,9 +226,11 @@ class SweepRunner:
         from repro.runner.report import SweepReport
 
         self._t0 = time.perf_counter()
+        self._stop_requested = False
         tree = tree_digest(self.digest_paths)
         results: dict[str, ExperimentResult] = {}
-        pending: list[tuple[Experiment, str]] = []
+        keys: dict[str, str] = {}
+        pending: list[dict] = []
 
         with OBS.span("runner.sweep", jobs=self.jobs,
                       experiments=len(self.experiments)) as root:
@@ -232,7 +239,8 @@ class SweepRunner:
                     experiment.exp_id, self.bench_dir / experiment.bench_file,
                     tree=tree, base_seed=self.base_seed,
                     command_template=self.command_template)
-                document = self.cache.get(key) if self.use_cache else None
+                document = self.cache.get(key) if self.cache is not None \
+                    else None
                 if document is not None:
                     result = self._result_from_doc(document, key=key,
                                                    cached=True)
@@ -240,108 +248,42 @@ class SweepRunner:
                     results[experiment.exp_id] = result
                     self._record(result, root)
                 else:
-                    pending.append((experiment, key))
+                    keys[experiment.exp_id] = key
+                    pending.append(self._spec(experiment))
 
-            interrupted = False
-            if pending:
-                workers = max(1, min(self.jobs, len(pending)))
-                # The pool is managed by hand rather than as a context
-                # manager: ProcessPoolExecutor.__exit__ is a blocking
-                # shutdown(wait=True), which would hang a Ctrl-C right
-                # back on the in-flight experiments the user is trying
-                # to abandon.
-                pool = ProcessPoolExecutor(max_workers=workers)
-                try:
-                    future_map: dict = {}
-                    # Fault-hook outcomes complete without a worker; they
-                    # queue here and drain through the same handling path.
-                    injected: list[tuple[Experiment, str, int, dict, dict]] = []
+            def on_start(exp_id: str, attempt: int, budget_s: float) -> None:
+                self._emit(EventKind.EXPERIMENT_START, exp_id,
+                           "dispatched" if attempt == 0 else
+                           f"restarted after worker failure "
+                           f"({budget_s:.1f}s budget left)", attempt=attempt)
+                if OBS.enabled:
+                    OBS.count("runner.scheduled")
+                    if attempt:
+                        OBS.count("runner.retries")
 
-                    def dispatch(experiment: Experiment, key: str,
-                                 attempt: int, spec: dict,
-                                 message: str) -> None:
-                        self._emit(EventKind.EXPERIMENT_START,
-                                   experiment.exp_id, message, attempt=attempt)
-                        if OBS.enabled:
-                            OBS.count("runner.scheduled")
-                        if self.fault_hook is not None:
-                            document = self.fault_hook(spec, attempt)
-                            if document is not None:
-                                injected.append((experiment, key, attempt,
-                                                 spec, document))
-                                return
-                        future = pool.submit(execute, spec)
-                        future_map[future] = (experiment, key, attempt, spec)
+            def on_outcome(outcome: ShardOutcome) -> None:
+                document = self._document(outcome)
+                key = keys[outcome.shard_id]
+                result = self._result_from_doc(
+                    document, key=key, cached=False,
+                    retries=outcome.attempts - 1)
+                if self.cache is not None and result.status == "passed":
+                    self.cache.put(key, document)
+                results[outcome.shard_id] = result
+                self._record(result, root)
 
-                    for experiment, key in pending:
-                        dispatch(experiment, key, 0, self._spec(experiment),
-                                 "dispatched")
-                    while future_map or injected:
-                        if injected:
-                            experiment, key, attempt, spec, document = \
-                                injected.pop(0)
-                        else:
-                            done, _ = wait(future_map,
-                                           return_when=FIRST_COMPLETED)
-                            future = next(iter(done))
-                            experiment, key, attempt, spec = \
-                                future_map.pop(future)
-                            try:
-                                document = future.result()
-                            except Exception as exc:  # worker process died
-                                document = {
-                                    "id": experiment.exp_id, "status": "error",
-                                    "exitCode": -1, "durationS": 0.0,
-                                    "seed": self.seed_for(experiment.exp_id),
-                                    "artifacts": [], "outputTail": "",
-                                    "error": f"worker crashed: {exc!r}",
-                                }
-                        if (document["status"] in RETRYABLE_STATUSES
-                                and attempt == 0 and self.retry):
-                            # A retried worker only gets what is left of the
-                            # experiment's timeout budget — a crash after
-                            # consuming most of it must not win a fresh full
-                            # timeout.
-                            remaining = (float(spec["timeout_s"])
-                                         - float(document.get("durationS",
-                                                              0.0)))
-                            if remaining > RETRY_BUDGET_FLOOR_S:
-                                if OBS.enabled:
-                                    OBS.count("runner.retries")
-                                dispatch(experiment, key, 1,
-                                         {**spec, "timeout_s": remaining},
-                                         f"retrying after "
-                                         f"{document['status']} "
-                                         f"({remaining:.1f}s budget left)")
-                                continue
-                            note = "retry skipped: timeout budget exhausted"
-                            error = str(document.get("error", ""))
-                            document = {**document,
-                                        "error": (f"{error}; {note}"
-                                                  if error else note)}
-                        result = self._result_from_doc(
-                            document, key=key, cached=False,
-                            retries=attempt)
-                        if self.use_cache and result.status == "passed":
-                            self.cache.put(key, document)
-                        results[experiment.exp_id] = result
-                        self._record(result, root)
-                except KeyboardInterrupt:
-                    # Keep every completed result: cancel what never
-                    # started, abandon what is running, and fall through
-                    # to emit a partial, schema-valid report.
-                    interrupted = True
-                    if OBS.enabled:
-                        OBS.count("runner.interrupted")
-                finally:
-                    pool.shutdown(wait=not interrupted,
-                                  cancel_futures=interrupted)
+            _, interrupted = Supervisor(
+                execute, jobs=self.jobs, shard_timeout_s=self.timeout_s,
+                on_start=on_start, on_outcome=on_outcome,
+                should_stop=lambda: self._stop_requested).run(pending)
+            if interrupted and OBS.enabled:
+                OBS.count("runner.interrupted")
 
         wall_s = time.perf_counter() - self._t0
         ordered = [results[e.exp_id] for e in self.experiments
                    if e.exp_id in results]
         return SweepReport(ordered, jobs=self.jobs,
-                           cache_enabled=self.use_cache,
+                           cache_enabled=self.cache is not None,
                            base_seed=self.base_seed, wall_s=wall_s,
                            tree=tree, events=list(self.events),
                            interrupted=interrupted)

@@ -1,16 +1,18 @@
 """Worker-side execution of one experiment (runs in a pool process).
 
-:func:`execute` is the only function the :class:`ProcessPoolExecutor`
-ships across the process boundary, so it takes and returns plain dicts
-(picklable, JSON-ready).  It runs the experiment's bench file as a
-subprocess with a hard timeout, classifies the outcome, and parses the
-``=== title ===`` artifact tables the bench harness prints into
-structured rows — the per-experiment payload the sweep report and the
-result cache both store.
+:func:`execute` is the function the sweep's supervised workers run, so
+it takes and returns plain dicts (picklable, JSON-ready).  It runs the
+experiment's bench file as a subprocess, classifies the outcome, and
+parses the ``=== title ===`` artifact tables the bench harness prints
+into structured rows — the per-experiment payload the sweep report and
+the result cache both store.  It has no timeout of its own: the
+supervisor's per-experiment budget kills the worker's whole process
+group, bench subprocess included.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import subprocess
 import time
@@ -55,17 +57,15 @@ def _tail(text: str) -> str:
 def execute(spec: dict) -> dict:
     """Run one experiment to completion inside a worker process.
 
-    ``spec`` carries: ``exp_id``, ``command`` (argv list), ``timeout_s``,
-    ``seed`` (exported as ``REPRO_EXP_SEED``), and optionally
-    ``base_seed`` (exported as ``REPRO_BASE_SEED`` when non-zero, which
-    re-shards every ``repro.core.rng`` stream in the bench).
+    ``spec`` carries: ``id``, ``command`` (argv list), ``seed``
+    (exported as ``REPRO_EXP_SEED``), and optionally ``base_seed``
+    (exported as ``REPRO_BASE_SEED`` when non-zero, which re-shards
+    every ``repro.core.rng`` stream in the bench).
 
-    Never raises on experiment trouble — failures, timeouts, and launch
-    errors all come back as a status so the scheduler can decide whether
-    to retry.  Statuses: ``passed`` | ``failed`` | ``timeout`` | ``error``.
+    Never raises on experiment trouble — failures and launch errors both
+    come back as a status, and neither is retried: both are
+    deterministic.  Statuses: ``passed`` | ``failed`` | ``error``.
     """
-    import os
-
     env = dict(os.environ)
     env["REPRO_EXP_SEED"] = str(spec["seed"])
     if spec.get("base_seed"):
@@ -74,25 +74,18 @@ def execute(spec: dict) -> dict:
     t0 = time.perf_counter()
     stdout, stderr, error = "", "", ""
     try:
-        proc = subprocess.run(
-            list(spec["command"]), capture_output=True, text=True,
-            timeout=spec["timeout_s"], env=env,
-        )
+        proc = subprocess.run(list(spec["command"]), capture_output=True,
+                              text=True, env=env)
         stdout, stderr = proc.stdout or "", proc.stderr or ""
         status = "passed" if proc.returncode == 0 else "failed"
         exit_code = proc.returncode
-    except subprocess.TimeoutExpired as exc:
-        stdout = exc.stdout.decode(errors="replace") \
-            if isinstance(exc.stdout, bytes) else (exc.stdout or "")
-        status, exit_code = "timeout", -1
-        error = f"timed out after {spec['timeout_s']:g}s"
     except OSError as exc:
         status, exit_code = "error", -1
         error = f"could not launch worker command: {exc}"
     duration_s = time.perf_counter() - t0
 
     return {
-        "id": spec["exp_id"],
+        "id": spec["id"],
         "status": status,
         "exitCode": exit_code,
         "durationS": duration_s,

@@ -2,7 +2,8 @@
 
 Each bound is declared once, on the argument in ``repro.__main__.TOOLS``;
 ``main()`` must return 2 with a one-line message on stderr before any
-work starts, never a traceback or a silently wrong run.
+work starts, never a traceback or a silently wrong run.  The same holds
+for an existing file passed where a directory is expected.
 """
 
 import pytest
@@ -56,3 +57,20 @@ def test_values_at_the_bound_are_accepted(run_cli, argv):
     code, _, err = run_cli(*argv)
     assert code in (0, 1), err
     assert "must be" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("run", "FIG1"), "--cache-dir"),
+    (("campaign", "run", *CAMPAIGN), "--journal-root"),
+], ids=["run --cache-dir", "campaign run --journal-root"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+def test_file_as_directory_exits_2(run_cli, tmp_path, argv, flag, below):
+    file = tmp_path / "not-a-dir"
+    file.write_text("")
+    value = file / "sub" if below else file
+    code, out, err = run_cli(*argv, flag, str(value))
+    assert code == 2
+    assert err == f"{flag}: {str(file)!r} is not a directory\n"
+    assert "Traceback" not in err
+    assert out == ""
+    assert sorted(tmp_path.iterdir()) == [file]

@@ -86,8 +86,8 @@ class TestRunnerWiring:
         cache_dir = tmp_path / "cache"
         runner = SweepRunner(experiments, bench_dir=bench,
                              command_template=(sys.executable, "{bench}"),
-                             digest_paths=[], use_cache=True,
-                             cache_dir=cache_dir, cache_max_entries=2,
+                             digest_paths=[],
+                             cache=ResultCache(cache_dir, max_entries=2),
                              timeout_s=30.0, jobs=1)
         report = runner.run()
         assert all(r.status == "passed" for r in report.results)

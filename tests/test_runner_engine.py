@@ -1,6 +1,8 @@
-"""The sweep scheduler: parallelism, retry, caching, seeds, and obs."""
+"""The sweep scheduler: parallelism, restarts, caching, seeds, and obs."""
 
+import os
 import sys
+import time
 
 import pytest
 
@@ -21,6 +23,35 @@ print("base", os.environ.get("REPRO_BASE_SEED", "<unset>"))
 SCRIPT_FAIL = "import sys\nprint('boom')\nsys.exit(3)\n"
 SCRIPT_HANG = "import time\ntime.sleep(60)\n"
 
+#: Kills its own worker on the first attempt only: the marker file
+#: records that the first attempt ran.
+SCRIPT_KILL_WORKER_ONCE = """\
+import os, signal, time
+from pathlib import Path
+marker = Path({marker!r})
+if not marker.exists():
+    marker.write_text("attempt 0")
+    time.sleep(0.5)
+    os.kill(os.getppid(), signal.SIGKILL)
+    time.sleep(60)
+print("=== X table ===")
+"""
+
+#: Kills its own worker on every attempt.
+SCRIPT_KILL_WORKER = """\
+import os, signal, time
+os.kill(os.getppid(), signal.SIGKILL)
+time.sleep(60)
+"""
+
+#: Writes its PID, then outlives any sane budget.
+SCRIPT_PID_HANG = """\
+import os, time
+from pathlib import Path
+Path({pidfile!r}).write_text(str(os.getpid()))
+time.sleep(60)
+"""
+
 
 def make_experiments(directory, scripts):
     """scripts: {exp_id: source}; writes files and returns Experiments."""
@@ -33,7 +64,6 @@ def make_experiments(directory, scripts):
 
 
 def make_runner(experiments, directory, **kwargs):
-    kwargs.setdefault("use_cache", False)
     kwargs.setdefault("timeout_s", 30.0)
     return SweepRunner(experiments, bench_dir=directory,
                        command_template=(sys.executable, "{bench}"),
@@ -78,89 +108,71 @@ class TestScheduling:
 
 class TestTimeoutAndRetry:
     def test_timeout_that_consumed_the_budget_is_not_retried(self, tmp_path):
-        # A hung worker burns its whole timeout budget; granting the retry
-        # a fresh full timeout would double the sweep's worst case, so the
-        # scheduler skips the retry when nothing meaningful remains.
+        # A timeout spends the whole budget, so it is terminal: a restart
+        # with a fresh full budget would double the sweep's worst case.
         experiments = make_experiments(tmp_path, {"SLOW": SCRIPT_HANG})
         report = make_runner(experiments, tmp_path, timeout_s=0.3).run()
         result = report.results[0]
         assert result.status == "timeout"
         assert result.retries == 0
         assert "timed out" in result.error
-        assert "retry skipped: timeout budget exhausted" in result.error
+        assert report.exit_code() == 1
+        starts = [e for e in report.events
+                  if e.kind is EventKind.EXPERIMENT_START]
+        assert len(starts) == 1
+
+    def test_timed_out_experiment_leaves_no_surviving_child(self, tmp_path):
+        # The budget kills the worker's whole process group, so the
+        # bench subprocess the worker started dies with it.
+        pidfile = tmp_path / "child.pid"
+        experiments = make_experiments(
+            tmp_path, {"SLOW": SCRIPT_PID_HANG.format(pidfile=str(pidfile))})
+        report = make_runner(experiments, tmp_path, timeout_s=1.0).run()
+        assert report.results[0].status == "timeout"
+        pid = int(pidfile.read_text())
+        # the killed child is an orphan: it lingers as a zombie until
+        # init reaps it, which some inits only do on a timer
+        deadline = time.monotonic() + 10.0
+        with pytest.raises(ProcessLookupError):
+            while time.monotonic() < deadline:
+                os.kill(pid, 0)
+                time.sleep(0.05)
+
+    def test_worker_death_restarts_with_remaining_budget(self, tmp_path):
+        # The bench kills its own worker on the first attempt; the
+        # experiment restarts on a fresh worker with what is left of its
+        # budget, not a fresh one, and then passes.
+        marker = tmp_path / "attempted"
+        experiments = make_experiments(tmp_path, {
+            "X": SCRIPT_KILL_WORKER_ONCE.format(marker=str(marker))})
+        report = make_runner(experiments, tmp_path, timeout_s=30.0).run()
+        result = report.results[0]
+        assert result.status == "passed" and result.retries == 1
+        assert result.artifacts == [{"title": "X table", "rows": []}]
+        starts = [e for e in report.events
+                  if e.kind is EventKind.EXPERIMENT_START]
+        assert [e.fields["attempt"] for e in starts] == [0, 1]
+        budget = float(starts[1].message.split("(")[1].split("s budget")[0])
+        assert budget <= 29.5
+
+    def test_worker_killed_every_attempt_is_reported_error(self, tmp_path):
+        experiments = make_experiments(tmp_path, {"X": SCRIPT_KILL_WORKER})
+        report = make_runner(experiments, tmp_path, timeout_s=30.0).run()
+        result = report.results[0]
+        assert result.status == "error" and result.retries == 2
+        assert "quarantined after 3 worker failure(s)" in result.error
         assert report.exit_code() == 1
 
-    def test_retry_gets_remaining_budget_not_fresh_timeout(self, tmp_path):
-        # An injected crash that consumed 2s of a 5s budget must leave the
-        # retry with exactly the remaining 3s.
-        experiments = make_experiments(
-            tmp_path, {"X": SCRIPT_OK.format(exp_id="X")})
-        seen: list[tuple[int, float]] = []
-
-        def hook(spec, attempt):
-            seen.append((attempt, spec["timeout_s"]))
-            if attempt == 0:
-                return {"id": spec["exp_id"], "status": "error",
-                        "exitCode": -1, "durationS": 2.0,
-                        "seed": spec["seed"], "artifacts": [],
-                        "outputTail": "", "error": "injected crash"}
-            return None
-
-        report = make_runner(experiments, tmp_path, timeout_s=5.0,
-                             fault_hook=hook).run()
-        result = report.results[0]
-        assert result.status == "passed" and result.retries == 1
-        assert seen == [(0, 5.0), (1, pytest.approx(3.0))]
-
-    def test_injected_worker_crash_fault_is_retried_within_budget(self, tmp_path):
-        # The repro.faults regression: a FaultPlan worker-crash windowed
-        # [0, 1) kills only the first attempt; the sweep recovers on the
-        # retry using the remaining budget.
-        from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
-
-        experiments = make_experiments(
-            tmp_path, {"X": SCRIPT_OK.format(exp_id="X")})
-        injector = FaultInjector(FaultPlan("crash-test", (
-            FaultSpec(FaultKind.RUNNER_WORKER_CRASH, "X", 0.0, 1.0,
-                      probability=1.0, magnitude=0.4),
-        )), base_seed=0)
-        report = make_runner(experiments, tmp_path, timeout_s=10.0,
-                             fault_hook=injector.worker_crash_hook()).run()
-        result = report.results[0]
-        assert result.status == "passed" and result.retries == 1
-        assert injector.count == 1
-
-    def test_injected_crash_consuming_full_budget_is_terminal(self, tmp_path):
-        from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
-
-        experiments = make_experiments(
-            tmp_path, {"X": SCRIPT_OK.format(exp_id="X")})
-        injector = FaultInjector(FaultPlan("crash-hard", (
-            FaultSpec(FaultKind.RUNNER_WORKER_CRASH, "X", 0.0, 1.0,
-                      probability=1.0, magnitude=1.0),
-        )), base_seed=0)
-        report = make_runner(experiments, tmp_path, timeout_s=10.0,
-                             fault_hook=injector.worker_crash_hook()).run()
-        result = report.results[0]
-        assert result.status == "error" and result.retries == 0
-        assert "retry skipped: timeout budget exhausted" in result.error
-
-    def test_launch_error_is_retried_once(self, tmp_path):
+    def test_launch_error_is_not_retried(self, tmp_path):
+        # A missing interpreter fails the same way every time.
         experiments = make_experiments(tmp_path, {"X": SCRIPT_OK})
-        runner = SweepRunner(experiments, bench_dir=tmp_path,
-                             use_cache=False, timeout_s=5.0,
+        runner = SweepRunner(experiments, bench_dir=tmp_path, timeout_s=5.0,
                              command_template=("/nonexistent-interpreter",
                                                "{bench}"),
                              digest_paths=[])
         result = runner.run().results[0]
-        assert result.status == "error" and result.retries == 1
+        assert result.status == "error" and result.retries == 0
         assert "could not launch" in result.error
-
-    def test_retry_disabled(self, tmp_path):
-        experiments = make_experiments(tmp_path, {"SLOW": SCRIPT_HANG})
-        report = make_runner(experiments, tmp_path, timeout_s=0.3,
-                             retry=False).run()
-        assert report.results[0].retries == 0
 
 
 class TestCaching:
@@ -172,10 +184,8 @@ class TestCaching:
         experiments = make_experiments(bench_dir, scripts)
         cache = ResultCache(tmp_path / "cache")
 
-        cold = make_runner(experiments, bench_dir, use_cache=True,
-                           cache=cache, jobs=2).run()
-        warm = make_runner(experiments, bench_dir, use_cache=True,
-                           cache=cache, jobs=2).run()
+        cold = make_runner(experiments, bench_dir, cache=cache, jobs=2).run()
+        warm = make_runner(experiments, bench_dir, cache=cache, jobs=2).run()
         assert [r.status for r in cold.results] == ["passed"] * 2
         assert [r.status for r in warm.results] == ["cached"] * 2
         assert all(r.ok for r in warm.results)
@@ -190,12 +200,11 @@ class TestCaching:
                    for i in range(3)}
         experiments = make_experiments(bench_dir, scripts)
         cache = ResultCache(tmp_path / "cache")
-        make_runner(experiments, bench_dir, use_cache=True, cache=cache).run()
+        make_runner(experiments, bench_dir, cache=cache).run()
 
         (bench_dir / "syn1.py").write_text(
             SCRIPT_OK.format(exp_id="SYN1") + "# touched\n")
-        report = make_runner(experiments, bench_dir, use_cache=True,
-                             cache=cache).run()
+        report = make_runner(experiments, bench_dir, cache=cache).run()
         statuses = {r.exp_id: r.status for r in report.results}
         assert statuses == {"SYN0": "cached", "SYN1": "passed",
                             "SYN2": "cached"}
@@ -205,19 +214,20 @@ class TestCaching:
         bench_dir.mkdir()
         experiments = make_experiments(bench_dir, {"BAD": SCRIPT_FAIL})
         cache = ResultCache(tmp_path / "cache")
-        make_runner(experiments, bench_dir, use_cache=True, cache=cache).run()
+        make_runner(experiments, bench_dir, cache=cache).run()
         assert len(cache) == 0
-        report = make_runner(experiments, bench_dir, use_cache=True,
-                             cache=cache).run()
+        report = make_runner(experiments, bench_dir, cache=cache).run()
         assert report.results[0].status == "failed"
 
     def test_no_cache_skips_lookup_and_store(self, tmp_path):
         experiments = make_experiments(
             tmp_path, {"X": SCRIPT_OK.format(exp_id="X")})
         cache = ResultCache(tmp_path / "cache")
-        make_runner(experiments, tmp_path, use_cache=False,
-                    cache=cache).run()
-        assert len(cache) == 0
+        make_runner(experiments, tmp_path, cache=cache).run()
+        assert len(cache) == 1
+        report = make_runner(experiments, tmp_path, cache=None).run()
+        assert report.results[0].status == "passed"  # not a cache hit
+        assert report.to_json_dict()["sweep"]["cache"] is False
 
 
 class TestSeedSharding:

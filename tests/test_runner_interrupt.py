@@ -1,20 +1,29 @@
-"""Ctrl-C during a sweep: partial, schema-valid reports (regression).
+"""Ctrl-C or SIGTERM during a sweep: partial, schema-valid reports.
 
 Before the campaign-engine work, a ``KeyboardInterrupt`` mid-sweep
 escaped :meth:`SweepRunner.run` and every already-completed result was
 lost with it.  The contract now: completed results survive, the report
 carries ``interrupted: true``, validates against the sweep schema, and
-exits 130.
+exits 130.  ``repro run`` stops the same way on SIGTERM, through the
+campaign engine's stop-flag handler.
 """
 
 import json
+import os
+import signal
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from repro.campaign.supervisor import stop_on_signals
 from repro.experiments import Experiment
 from repro.runner import SweepRunner
 from repro.runner.report import validate_sweep_dict
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 SCRIPT = "print('=== {exp_id} table ===')\n"
 
@@ -25,7 +34,6 @@ def make_runner(tmp_path, count=4, **kwargs):
         name = f"syn{i}.py"
         (tmp_path / name).write_text(SCRIPT.format(exp_id=f"SYN{i}"))
         experiments.append(Experiment(f"SYN{i}", "-", "synthetic", name))
-    kwargs.setdefault("use_cache", False)
     kwargs.setdefault("timeout_s", 30.0)
     return SweepRunner(experiments, bench_dir=tmp_path,
                        command_template=(sys.executable, "{bench}"),
@@ -69,7 +77,7 @@ class TestSweepInterrupt:
         assert runner.run().exit_code() == 130
 
     def test_interrupt_beats_failure_in_exit_code(self, tmp_path):
-        runner = make_runner(tmp_path, jobs=1, retry=False)
+        runner = make_runner(tmp_path, jobs=1)
         (tmp_path / "syn0.py").write_text("import sys; sys.exit(3)\n")
         interrupt_after(runner, 1)
         report = runner.run()
@@ -98,3 +106,44 @@ class TestValidatorCoversInterrupted:
         document["sweep"]["interrupted"] = "no"
         with pytest.raises(Exception, match="interrupted"):
             validate_sweep_dict(document)
+
+
+class TestSigterm:
+    def test_sigterm_stops_the_sweep_with_partial_results(self, tmp_path):
+        def terminate_self(result):
+            os.kill(os.getpid(), signal.SIGTERM)
+
+        runner = make_runner(tmp_path, jobs=1, on_result=terminate_self)
+        with stop_on_signals(runner.request_stop):
+            report = runner.run()
+        assert report.interrupted and report.exit_code() == 130
+        assert 1 <= len(report.results) < 4
+        validate_sweep_dict(report.to_json_dict())
+
+    def test_handlers_are_restored_after_the_block(self, tmp_path):
+        before = signal.getsignal(signal.SIGTERM)
+        runner = make_runner(tmp_path, count=1, jobs=1)
+        with stop_on_signals(runner.request_stop):
+            runner.run()
+        assert signal.getsignal(signal.SIGTERM) is before
+
+    def test_repro_run_exits_130_on_sigterm(self, tmp_path):
+        cache = tmp_path / "cache"
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "run", "FIG1", "TAB1", "--json",
+             "--cache-dir", str(cache)],
+            env={**os.environ, "PYTHONPATH": SRC}, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True)
+        deadline = time.monotonic() + 120.0
+        while not list(cache.glob("*.json")) and process.poll() is None \
+                and time.monotonic() < deadline:
+            time.sleep(0.05)
+        process.send_signal(signal.SIGTERM)
+        out, err = process.communicate(timeout=120.0)
+        if process.returncode == 0:
+            pytest.skip("signal landed after the final experiment")
+        assert process.returncode == 130, err
+        document = json.loads(out)
+        validate_sweep_dict(document)
+        assert document["sweep"]["interrupted"] is True
+        assert [e["id"] for e in document["experiments"]] == ["FIG1"]
