@@ -25,9 +25,9 @@ from repro.faults import (
     FaultInjector,
     FaultKind,
     baseline_plan,
-    chaos_scenario_names,
     run_chaos_campaign,
 )
+from repro.lint import scenario_names
 from repro.obs import MetricsRegistry
 
 N_FRAMES = 400
@@ -97,7 +97,7 @@ def test_unscheduled_probe_is_within_the_frame_budget(show):
     overhead = probe_s / frame_s
 
     campaign_t0 = time.perf_counter()
-    document = run_chaos_campaign(chaos_scenario_names(), "baseline",
+    document = run_chaos_campaign(scenario_names(), "baseline",
                                   base_seed=0)
     campaign_s = time.perf_counter() - campaign_t0
 

@@ -28,13 +28,13 @@ from pathlib import Path
 
 from repro.core.layers import Layer
 from repro.faults import get_plan
+from repro.lint import scenario_names
 from repro.obs import MetricsRegistry
 from repro.obs.events import EventKind, EventLog
 from repro.sentinel import (
     SentinelEngine,
     run_sentinel_campaign,
     run_sentinel_scenario,
-    sentinel_scenario_names,
 )
 
 N_EVENTS = 5000
@@ -140,13 +140,13 @@ def test_per_event_streaming_cost_and_detection_latency(show):
 def test_campaign_cost_is_ci_friendly(show, benchmark):
     """A full five-scenario streamed campaign stays CI-cheap."""
     document = benchmark(
-        lambda: run_sentinel_campaign(sentinel_scenario_names(), "baseline"))
+        lambda: run_sentinel_campaign(scenario_names(), "baseline"))
     assert document["summary"]["scenarioCount"] == 5
 
 
 def test_output_byte_identical_per_plan_and_seed(show):
     """Same (scenarios, plan, seed) -> the same bytes, every time."""
-    names = sentinel_scenario_names()
+    names = scenario_names()
     rows = []
     for plan_name in ("baseline", "severe"):
         first = json.dumps(run_sentinel_campaign(names, plan_name),

@@ -19,11 +19,11 @@ def step1_audit_everything() -> None:
     print("\n--- 1. auditing every shipped scenario ---")
     linter = Linter()
     print(f"{'scenario':20s} {'findings':>8s} {'worst':>9s}  layers flagged")
-    for name, (description, _) in SCENARIOS.items():
-        report = linter.run(build_scenario(name))
+    for scenario in SCENARIOS.values():
+        report = linter.run(scenario.build())
         worst = report.worst_severity()
         layers = sorted({f.layer.name.lower() for f in report.findings})
-        print(f"{name:20s} {len(report.findings):8d} "
+        print(f"{scenario.name:20s} {len(report.findings):8d} "
               f"{(worst.name.lower() if worst else '-'):>9s}  "
               f"{', '.join(layers) or '-'}")
     print("=> misconfigurations at every layer are caught before any "

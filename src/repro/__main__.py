@@ -74,13 +74,14 @@ def _ref(reference: str) -> Any:
 @dataclass(frozen=True)
 class Arg:
     """One ``add_argument`` call, plus an optional lower bound or a
-    directory check."""
+    directory or output-file check."""
 
     flags: tuple[str, ...]
     options: dict[str, Any]
     low: int | None = None
     strict: bool = False        # the bound itself is rejected too
     directory: bool = False     # an existing file is rejected
+    output: bool = False        # a directory, or a file in a missing one, is rejected
 
     def check(self, args: argparse.Namespace) -> None:
         value = getattr(args, self.flags[0].lstrip("-").replace("-", "_"))
@@ -92,11 +93,17 @@ class Arg:
             existing = next(p for p in (path, *path.parents) if p.exists())
             if not existing.is_dir():
                 raise UsageError(f"{self.flags[0]}: {str(existing)!r} is not a directory")
+        if self.output and value is not None:
+            path = Path(value)
+            if path.is_dir():
+                raise UsageError(f"{self.flags[0]}: {value!r} is a directory")
+            if not path.parent.is_dir():
+                raise UsageError(f"{self.flags[0]}: {str(path.parent)!r} is not a directory")
 
 
 def arg(*flags: str, low: int | None = None, strict: bool = False, directory: bool = False,
-        **options: Any) -> Arg:
-    return Arg(flags, options, low, strict, directory)
+        output: bool = False, **options: Any) -> Arg:
+    return Arg(flags, options, low, strict, directory, output)
 
 
 def _report_table(target: Any, report: Any, args: argparse.Namespace) -> str:
@@ -108,8 +115,8 @@ class Tool:
     """One subcommand: ``run(tool, args)`` is its family's pipeline and the
     other fields are the hooks that pipeline calls.
 
-    ``scenarios``, ``sarif``, ``validate`` and a fault campaign's ``engine``
-    are ``"module:attr"`` references, imported only when the tool runs.  A
+    ``sarif``, ``validate`` and a fault campaign's ``engine`` are
+    ``"module:attr"`` references, imported only when the tool runs.  A
     static analyzer's ``targets(tool, args)`` defaults to the named
     scenarios, its ``engine(args)`` returns ``(engine, rules)``, its
     ``render(target, report, args)`` defaults to the report's table, and
@@ -123,7 +130,6 @@ class Tool:
     run: Callable[[Tool, argparse.Namespace], int] | None = None
     args: tuple[Arg, ...] = ()
     subcommands: tuple[Tool, ...] = ()
-    scenarios: str = "repro.lint:scenario_names"
     targets: Callable[[Tool, argparse.Namespace], list] | None = None
     engine: Any = None
     catalog: Callable[[], str] | None = None
@@ -140,10 +146,6 @@ class Tool:
 SEVERITIES = ["info", "low", "medium", "high", "critical", "none"]
 
 
-def _scenario_arg(registry: str) -> Arg:
-    return arg("scenario", nargs="?", help=f"scenario name from {registry}, or 'all'")
-
-
 def _flag(name: str, help: str) -> Arg:
     return arg(name, action="store_true", help=help)
 
@@ -157,12 +159,13 @@ def _gate_arg(findings: str = "findings") -> Arg:
 def _baseline_args(findings: str = "findings") -> tuple[Arg, Arg]:
     return (arg("--baseline", metavar="FILE",
                 help="suppress findings pinned in this baseline file"),
-            arg("--write-baseline", metavar="FILE",
+            arg("--write-baseline", metavar="FILE", output=True,
                 help=f"capture current {findings} as the baseline and exit 0"))
 
 
 def _report_arg(noun: str) -> Arg:
-    return arg("--report", metavar="FILE", help=f"also write the {noun} JSON document to FILE")
+    return arg("--report", metavar="FILE", output=True,
+               help=f"also write the {noun} JSON document to FILE")
 
 
 def _seed_arg(help: str) -> Arg:
@@ -189,14 +192,18 @@ def _plan_arg(verb: str) -> Arg:
 
 # -- shared steps -------------------------------------------------------------
 
-def _scenarios(tool: Tool, args: argparse.Namespace) -> list[str]:
-    """The ``scenario`` argument with ``all`` expanded; an unknown name is
-    left for the tool's own registry to reject."""
-    names = list(_ref(tool.scenarios)())
+def _scenarios(args: argparse.Namespace) -> list[str]:
+    """The ``scenario`` argument, looked up in ``repro.lint.SCENARIOS``,
+    with ``all`` expanded."""
+    from repro.lint import get_scenario, scenario_names
+
     if args.scenario is None:
         raise UsageError("a scenario name (or 'all') is required; available: "
-                         + ", ".join(names))
-    return names if args.scenario == "all" else [args.scenario]
+                         + ", ".join(scenario_names()))
+    if args.scenario == "all":
+        return scenario_names()
+    with _usage(KeyError):
+        return [get_scenario(args.scenario).name]
 
 
 def _print_json(document: Any, validate: str = "") -> None:
@@ -272,8 +279,7 @@ def _analyze(tool: Tool, args: argparse.Namespace) -> int:
 def _scenario_targets(tool: Tool, args: argparse.Namespace) -> list:
     from repro.lint import build_scenario
 
-    with _usage(KeyError):
-        return [build_scenario(name) for name in _scenarios(tool, args)]
+    return [build_scenario(name) for name in _scenarios(args)]
 
 
 def _lint_engine(args: argparse.Namespace) -> tuple:
@@ -322,8 +328,7 @@ def _redteam(tool: Tool, args: argparse.Namespace) -> int:
 
     if not args.differential:
         return _analyze(tool, args)
-    with _usage(KeyError):
-        violations = run_differential(_scenarios(tool, args))
+    violations = run_differential(_scenarios(args))
     for name, found in violations.items():
         if found:
             print(f"{name}: {len(found)} analyzer disagreement(s)")
@@ -343,7 +348,7 @@ def _redteam_engine(args: argparse.Namespace) -> tuple:
 def _redteam_document(tool: Tool, args: argparse.Namespace) -> dict:
     from repro.redteam import run_redteam_campaign
 
-    return run_redteam_campaign(_scenarios(tool, args), base_seed=args.base_seed)
+    return run_redteam_campaign(_scenarios(args), base_seed=args.base_seed)
 
 
 def _render_redteam(target: Any, report: Any, args: argparse.Namespace) -> str:
@@ -384,11 +389,10 @@ def _fault_campaign(tool: Tool, args: argparse.Namespace) -> int:
     """Run the campaign, then validate, publish and gate its document."""
     from repro.faults import plan_names
 
-    names = _scenarios(tool, args)
+    names = _scenarios(args)
     _known("fault plan", args.plan, plan_names())
-    with _usage(KeyError):
-        document = _ref(tool.engine)(names, args.plan, base_seed=args.base_seed,
-                                     duration=args.duration)
+    document = _ref(tool.engine)(names, args.plan, base_seed=args.base_seed,
+                                 duration=args.duration)
     _ref(tool.validate)(document)
     _publish(document, args, tool.name, lambda: tool.render(document, args))
     level = getattr(args, "gate", "none")
@@ -570,8 +574,8 @@ def _trace(tool: Tool, args: argparse.Namespace) -> int:
 
     documents: list[dict] = []
     events: list = []
-    for name in _scenarios(tool, args):
-        with _usage(KeyError), instrumented(capacity=args.events):
+    for name in _scenarios(args):
+        with instrumented(capacity=args.events):
             result = run_trace_scenario(name)
             report = TraceReport.from_instrumentation(name, result=result)
         # the report keeps this block's events; leaving it restored the old ring
@@ -676,8 +680,7 @@ def _campaign_list(tool: Tool, args: argparse.Namespace) -> int:
 
 # -- the table ----------------------------------------------------------------
 
-_LINT_SCENARIO = _scenario_arg("repro.lint.SCENARIOS")
-_CHAOS_SCENARIO = _scenario_arg("repro.faults.CHAOS_SCENARIOS")
+_SCENARIO = arg("scenario", nargs="?", help="scenario name from repro.lint.SCENARIOS, or 'all'")
 _JOURNAL_ROOT = arg("--journal-root", metavar="DIR", default=None, directory=True,
                     help="journal directory (default .repro-cache/campaigns)")
 _CAMPAIGN_ID = arg("campaign_id", metavar="ID", help="campaign id from `campaign list`")
@@ -705,7 +708,7 @@ TOOLS: tuple[Tool, ...] = (
             help="prune the result cache to the N most recently used entries on every write "
                  "(default 512; 0 disables pruning)"))),
     Tool("lint", "static security-configuration analysis", _analyze, (
-        _LINT_SCENARIO,
+        _SCENARIO,
         _flag("--json", "emit the SARIF-lite JSON report"),
         _gate_arg(),
         *_baseline_args(),
@@ -717,7 +720,7 @@ TOOLS: tuple[Tool, ...] = (
         engine=_lint_engine, catalog=_lint_catalog,
         validate="repro.lint:validate_report_dict"),
     Tool("flow", "static cross-layer taint/reachability analysis", _analyze, (
-        _LINT_SCENARIO,
+        _SCENARIO,
         _flag("--paths", "print every source->sink witness hop by hop"),
         _flag("--cut", "print the minimal hardening cut per sink"),
         _flag("--json", "emit the SARIF-lite JSON report (FLOW rules only)"),
@@ -727,26 +730,26 @@ TOOLS: tuple[Tool, ...] = (
         engine=_flow_engine, render=_render_flow,
         validate="repro.lint:validate_report_dict"),
     Tool("trace", "run an instrumented simulation and show its trace", _trace, (
-        _scenario_arg("repro.obs.TRACE_SCENARIOS"),
+        _SCENARIO,
         _flag("--json", "emit the schema-validated trace document"),
         _flag("--metrics", "append the counters/gauges/histograms table"),
         _flag("--timeline", "print only the cross-layer event timeline"),
         arg("--events", type=int, default=65536, metavar="N", low=1,
             help="event ring-buffer capacity (default 65536)"),
-        arg("--jsonl", metavar="FILE", help="also export the event log as JSONL")),
-        scenarios="repro.obs:trace_scenario_names"),
+        arg("--jsonl", metavar="FILE", output=True,
+            help="also export the event log as JSONL"))),
     Tool("chaos", "run a scenario under an injected fault campaign", _fault_campaign, (
-        _CHAOS_SCENARIO,
+        _SCENARIO,
         _plan_arg("inject"),
         _seed_arg("campaign base seed; identical seed + plan replays the exact fault sequence "
                   "(default 0)"),
         _duration_arg(),
         _flag("--json", "emit the schema-validated chaos document"),
         _report_arg("chaos")),
-        scenarios="repro.faults:chaos_scenario_names", engine="repro.faults:run_chaos_campaign",
+        engine="repro.faults:run_chaos_campaign",
         render=_render_chaos, validate="repro.faults:validate_chaos_dict"),
     Tool("redteam", "plan ranked attack campaigns (static red team)", _redteam, (
-        _LINT_SCENARIO,
+        _SCENARIO,
         _flag("--campaigns", "print every ranked campaign hop by hop with the defense that "
                              "breaks each step"),
         arg("--top", type=int, default=None, metavar="N", low=0,
@@ -761,7 +764,7 @@ TOOLS: tuple[Tool, ...] = (
         engine=_redteam_engine, document=_redteam_document,
         render=_render_redteam, validate="repro.redteam:validate_redteam_dict"),
     Tool("sentinel", "stream a fault campaign into the online alarm engine", _fault_campaign, (
-        _CHAOS_SCENARIO,
+        _SCENARIO,
         _plan_arg("stream against"),
         _seed_arg("campaign base seed; identical seed + plan replays the exact telemetry and "
                   "verdicts (default 0)"),
@@ -773,7 +776,6 @@ TOOLS: tuple[Tool, ...] = (
         arg("--gate", default="none", choices=["clean", "detect", "none"],
             help="fail (exit 1) unless every scenario stays alarm-free ('clean') or raises an "
                  "ALARM with collapsed trust before SAFE_STOP ('detect'); default none")),
-        scenarios="repro.sentinel:sentinel_scenario_names",
         engine="repro.sentinel:run_sentinel_campaign", render=_render_sentinel,
         gate=_sentinel_gate, validate="repro.sentinel:validate_sentinel_dict"),
     Tool("audit", "statically self-audit the shipped source tree", _analyze, (

@@ -15,19 +15,12 @@ testable against injected faults.  This package provides:
 * :mod:`repro.faults.degradation` — the FULL → DEGRADED → MINIMAL_RISK
   → SAFE_STOP ladder with hysteresis, fed by health signals and
   :class:`repro.core.response.ResponseEngine` escalations;
-* :mod:`repro.faults.chaos` — the five scenarios run as chaos
-  campaigns (``python -m repro chaos``);
+* :mod:`repro.faults.chaos` — the five :data:`repro.lint.SCENARIOS`
+  run as chaos campaigns (``python -m repro chaos``);
 * :mod:`repro.faults.report` — the schema-validated chaos JSON.
 """
 
-from repro.faults.chaos import (
-    CHAOS_SCENARIOS,
-    DEFAULT_DURATION,
-    ChaosPosture,
-    chaos_scenario_names,
-    run_chaos_campaign,
-    run_chaos_scenario,
-)
+from repro.faults.chaos import DEFAULT_DURATION, run_chaos_campaign, run_chaos_scenario
 from repro.faults.degradation import DegradationManager, LevelChange, ServiceLevel
 from repro.faults.injector import FaultInjector, InjectionRecord
 from repro.faults.plan import (
@@ -78,9 +71,6 @@ __all__ = [
     "ServiceLevel",
     "LevelChange",
     "DegradationManager",
-    "ChaosPosture",
-    "CHAOS_SCENARIOS",
-    "chaos_scenario_names",
     "run_chaos_scenario",
     "run_chaos_campaign",
     "DEFAULT_DURATION",

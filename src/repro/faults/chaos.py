@@ -13,12 +13,13 @@ the paper's fail-operational argument (§VIII) actually requires:
 * **resilience statistics** — retry recoveries, breaker opens and
   rejections, stale-cache DID resolutions.
 
-Each scenario carries a *posture*: the hardened onboard network retries
-transmissions, breaks circuits around the telemetry backend, runs an
-IDS whose CRITICAL alert isolates the babbling ECU, and recovers with
-hysteresis; the legacy/insecure scenarios run the same workload with no
-resilience machinery at all, which is precisely why the severe plan
-drives them to MINIMAL_RISK or SAFE_STOP while ``onboard-hardened``
+Each scenario's *posture* lives on its one record,
+:class:`repro.lint.scenarios.Scenario`: the hardened onboard network
+retries transmissions, breaks circuits around the telemetry backend,
+runs an IDS whose CRITICAL alert isolates the babbling ECU, and recovers
+with hysteresis; the legacy/insecure scenarios run the same workload
+with no resilience machinery at all, which is precisely why the severe
+plan drives them to MINIMAL_RISK or SAFE_STOP while ``onboard-hardened``
 rides the baseline plan out at DEGRADED and returns to FULL.
 
 Everything — firing decisions, retry jitter, backoff — derives from
@@ -54,6 +55,7 @@ from repro.faults.resilience import (
     VirtualClock,
     retry_with_backoff,
 )
+from repro.lint.scenarios import get_scenario
 from repro.ssi.did import Did, DidDocument, KeyPair
 from repro.ssi.registry import (
     CachingResolver,
@@ -61,8 +63,7 @@ from repro.ssi.registry import (
     VerifiableDataRegistry,
 )
 
-__all__ = ["ChaosPosture", "CHAOS_SCENARIOS", "chaos_scenario_names",
-           "run_chaos_scenario", "run_chaos_campaign", "DEFAULT_DURATION"]
+__all__ = ["run_chaos_scenario", "run_chaos_campaign", "DEFAULT_DURATION"]
 
 #: Campaign length in virtual-clock ticks (seconds).
 DEFAULT_DURATION = 30
@@ -84,67 +85,6 @@ _SUBSYSTEM_KINDS = {
               FaultKind.CLOUD_OUTAGE),
     "ssi": (FaultKind.SSI_REGISTRY_DOWN,),
 }
-
-
-@dataclass(frozen=True)
-class ChaosPosture:
-    """One scenario's workload shape and resilience configuration."""
-
-    name: str
-    description: str
-    subsystems: tuple[str, ...]
-    resilient: bool              # retries + breakers + stale-cache fallbacks
-    has_ids: bool                # IDS -> ResponseEngine -> isolation
-    degrade_threshold: float
-    degrade_streak: int
-    recovery_streak: int
-    allow_recovery: bool
-
-
-CHAOS_SCENARIOS: dict[str, ChaosPosture] = {
-    posture.name: posture for posture in (
-        ChaosPosture(
-            "pkes-legacy",
-            "legacy passive-entry vehicle: UWB ranging and a flat CAN with "
-            "no retransmission, IDS, or degradation machinery",
-            ("phy", "ivn"), resilient=False, has_ids=False,
-            degrade_threshold=0.5, degrade_streak=1, recovery_streak=3,
-            allow_recovery=False),
-        ChaosPosture(
-            "onboard-insecure",
-            "flat onboard E/E architecture with a cloud uplink, every layer "
-            "single-shot: one dropped frame or timed-out fetch is a failure",
-            ("phy", "ivn", "cloud"), resilient=False, has_ids=False,
-            degrade_threshold=0.5, degrade_streak=1, recovery_streak=3,
-            allow_recovery=False),
-        ChaosPosture(
-            "onboard-hardened",
-            "hardened onboard architecture: retransmission and ranging "
-            "retries, circuit breaker on the telemetry backend, cached DID "
-            "resolution, IDS isolation of babbling ECUs, hysteretic recovery",
-            ("phy", "ivn", "cloud", "ssi"), resilient=True, has_ids=True,
-            degrade_threshold=0.75, degrade_streak=3, recovery_streak=3,
-            allow_recovery=True),
-        ChaosPosture(
-            "cariad-breach",
-            "cloud telemetry backend alone (the CARIAD-style deployment): "
-            "no client-side resilience, availability tracks the outage",
-            ("cloud",), resilient=False, has_ids=False,
-            degrade_threshold=0.5, degrade_streak=1, recovery_streak=3,
-            allow_recovery=False),
-        ChaosPosture(
-            "maas-platform",
-            "mobility-as-a-service platform: breaker-guarded backend plus "
-            "SSI directory with last-known-good DID caching",
-            ("cloud", "ssi"), resilient=True, has_ids=False,
-            degrade_threshold=0.5, degrade_streak=2, recovery_streak=2,
-            allow_recovery=True),
-    )
-}
-
-
-def chaos_scenario_names() -> list[str]:
-    return list(CHAOS_SCENARIOS)
 
 
 class _OpFailed(Exception):
@@ -208,10 +148,7 @@ def _build_registry() -> tuple[VerifiableDataRegistry, Did]:
 def run_chaos_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
                        duration: int = DEFAULT_DURATION) -> dict:
     """Run one scenario under ``plan`` and return its result document."""
-    posture = CHAOS_SCENARIOS.get(name)
-    if posture is None:
-        raise KeyError(f"unknown chaos scenario {name!r}; "
-                       f"available: {', '.join(CHAOS_SCENARIOS)}")
+    scenario = get_scenario(name)
     if duration < 1:
         raise ValueError("duration must be >= 1 tick")
 
@@ -222,32 +159,32 @@ def run_chaos_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
                                factor=2.0, max_delay_s=0.2, jitter=0.1)
     retry_stats = RetryStats()
     manager = DegradationManager(
-        degrade_threshold=posture.degrade_threshold,
-        degrade_streak=posture.degrade_streak,
-        recovery_streak=posture.recovery_streak,
-        allow_recovery=posture.allow_recovery)
+        degrade_threshold=scenario.degrade_threshold,
+        degrade_streak=scenario.degrade_streak,
+        recovery_streak=scenario.recovery_streak,
+        allow_recovery=scenario.allow_recovery)
 
     engine: ResponseEngine | None = None
-    if posture.has_ids:
+    if scenario.has_ids:
         engine = ResponseEngine(escalation_threshold=8)
         manager.attach(engine)
 
-    cloud = _build_cloud() if "cloud" in posture.subsystems else None
+    cloud = _build_cloud() if "cloud" in scenario.subsystems else None
     breaker: CircuitBreaker | None = None
-    if cloud is not None and posture.resilient:
+    if cloud is not None and scenario.resilient:
         breaker = CircuitBreaker("telemetry-backend", clock=clock,
                                  failure_threshold=3, recovery_time_s=3.0)
 
     resolver: CachingResolver | None = None
     did: Did | None = None
     now = {"t": 0.0}  # shared with the registry-outage predicate
-    if "ssi" in posture.subsystems:
+    if "ssi" in scenario.subsystems:
         registry, did = _build_registry()
         resolver = CachingResolver(registry, unavailable=lambda: injector.fires(
             FaultKind.SSI_REGISTRY_DOWN, "did-registry", now["t"]))
 
-    window_start, window_end = _scenario_window(plan, posture.subsystems)
-    tallies = {name_: _Tally() for name_ in posture.subsystems}
+    window_start, window_end = _scenario_window(plan, scenario.subsystems)
+    tallies = {name_: _Tally() for name_ in scenario.subsystems}
     babbler_isolated = False
     floor_cleared = False
 
@@ -284,8 +221,8 @@ def run_chaos_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
 
     def attempt(op: Callable[[float], None], t: float,
                 retry_on: tuple[type[BaseException], ...]) -> bool:
-        """Run one subsystem op, with retries when the posture has them."""
-        if not posture.resilient:
+        """Run one subsystem op, with retries when the scenario has them."""
+        if not scenario.resilient:
             try:
                 op(t)
             except retry_on:
@@ -357,20 +294,20 @@ def run_chaos_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
         # Once the fault window has closed, a hardened deployment clears
         # the response-imposed floor (the isolated ECU was re-flashed and
         # forensically cleared), letting recovery ticks climb to FULL.
-        if (posture.resilient and not floor_cleared and t >= window_end):
+        if (scenario.resilient and not floor_cleared and t >= window_end):
             manager.clear_response_floor()
             if engine is not None:
                 engine.reset("ecu-babbler")
             floor_cleared = True
 
     return {
-        "scenario": posture.name,
-        "description": posture.description,
-        "resilient": posture.resilient,
+        "scenario": scenario.name,
+        "description": scenario.description,
+        "resilient": scenario.resilient,
         "durationTicks": duration,
         "window": {"start": window_start, "end": window_end},
         "layers": [tallies[name_].to_dict(_SUBSYSTEM_LAYER[name_])
-                   for name_ in posture.subsystems],
+                   for name_ in scenario.subsystems],
         "faults": {"injected": injector.count,
                    "byKind": injector.count_by_kind()},
         "retry": retry_stats.to_dict(),

@@ -25,7 +25,8 @@ from repro.lint.baseline import Baseline, BaselineEntry
 from repro.lint.engine import Finding, Linter, Rule, Severity
 from repro.lint.report import Report, SchemaError, validate_report_dict
 from repro.lint.rules import CATALOG, full_catalog, rules_by_id
-from repro.lint.scenarios import SCENARIOS, build_scenario, scenario_names
+from repro.lint.scenarios import (SCENARIOS, Scenario, build_scenario,
+                                  get_scenario, scenario_names)
 from repro.lint.target import (AnalysisTarget, GatewayBinding,
                                V2xChannelBinding)
 
@@ -40,11 +41,13 @@ __all__ = [
     "Report",
     "Rule",
     "SCENARIOS",
+    "Scenario",
     "SchemaError",
     "Severity",
     "V2xChannelBinding",
     "build_scenario",
     "full_catalog",
+    "get_scenario",
     "rules_by_id",
     "scenario_names",
     "validate_report_dict",

@@ -1,22 +1,60 @@
-"""Lintable scenario builders for the ``python -m repro lint`` CLI.
+"""The five paper scenarios, each declared once as a :class:`Scenario`.
 
-Each builder assembles a fully-configured :class:`AnalysisTarget` from
-the library's own example setups.  Three are *intentionally insecure* —
-they reproduce the paper's incident configurations and must keep
-flagging — and one is the hardened §III onboard deployment that must
-lint **clean** (the regression gate for every future PR).
+Every tool checks the same setups: lint, flow and redteam analyze the
+target a record's ``build`` assembles, ``repro trace`` runs its
+``trace`` driver, chaos and sentinel campaigns run its posture, and the
+sentinel maps its telemetry onto flow-graph nodes through ``senders``
+and ``anchors``.  :data:`SCENARIOS` is the one table and
+:func:`get_scenario` the one lookup.
+
+Three scenarios are *intentionally insecure* — they reproduce the
+paper's incident configurations and must keep flagging — and one is the
+hardened §III onboard deployment that must lint **clean** (the
+regression gate for every future PR).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.core.entities import Component, Interface, SystemModel
 from repro.core.layers import Layer
 from repro.core.threats import AccessLevel
 from repro.lint.target import AnalysisTarget, GatewayBinding, V2xChannelBinding
+from repro.obs import scenarios as traces
 
-__all__ = ["SCENARIOS", "build_scenario", "scenario_names"]
+__all__ = ["SCENARIOS", "Scenario", "build_scenario", "get_scenario",
+           "scenario_names"]
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One paper setup: its target, trace driver, posture and telemetry map.
+
+    The posture fields shape a chaos or sentinel campaign: the
+    subsystems it exercises (``phy``, ``ivn``, ``cloud``, ``ssi``),
+    whether it retries, breaks circuits and falls back to cached DIDs
+    (``resilient``), whether an IDS isolates a babbling ECU
+    (``has_ids``), and the degradation ladder's hysteresis.
+    """
+
+    name: str
+    description: str
+    build: Callable[[], AnalysisTarget]
+    trace: Callable[[], dict]
+    subsystems: tuple[str, ...]
+    #: telemetry source -> nearest flow-graph node (the cascade
+    #: correlator's bridge between runtime names and graph names)
+    anchors: dict[str, str]
+    #: legit CAN senders, flow-graph node names; empty without ``ivn``
+    senders: tuple[str, ...] = ()
+    resilient: bool = False
+    has_ids: bool = False
+    degrade_threshold: float = 0.5
+    degrade_streak: int = 1
+    recovery_streak: int = 3
+    allow_recovery: bool = False
 
 
 def pkes_legacy() -> AnalysisTarget:
@@ -185,29 +223,89 @@ def maas_platform() -> AnalysisTarget:
     return target
 
 
-SCENARIOS: dict[str, tuple[str, Callable[[], AnalysisTarget]]] = {
-    "pkes-legacy": ("§II-A legacy PKES: relay-vulnerable proximity check",
-                    pkes_legacy),
-    "cariad-breach": ("§V/Fig. 8 telemetry backend as breached",
-                      cariad_breach),
-    "onboard-insecure": ("§III zonal IVN before any protection is deployed",
-                         onboard_insecure),
-    "onboard-hardened": ("§III zonal IVN with S1-S3 + SSI fully deployed "
-                         "(must lint clean)", onboard_hardened),
-    "maas-platform": ("§VI/Fig. 9 MaaS SoS with unsecured integrations",
-                      maas_platform),
-}
+SCENARIOS: dict[str, Scenario] = {scenario.name: scenario for scenario in (
+    Scenario(
+        "pkes-legacy",
+        "legacy passive-entry vehicle: UWB ranging and a flat CAN with "
+        "no retransmission, IDS, or degradation machinery",
+        pkes_legacy, traces.trace_pkes_legacy, ("phy", "ivn"),
+        anchors={
+            "uwb-anchor": "pkes-receiver",
+            "ecu-babbler": "body-control",
+            "zonal-can": "body-control",
+            "pkes-receiver": "pkes-receiver",
+            "body-control": "body-control",
+            "immobilizer": "immobilizer",
+        },
+        senders=("pkes-receiver", "body-control", "immobilizer")),
+    Scenario(
+        "cariad-breach",
+        "cloud telemetry backend alone (the CARIAD-style deployment): "
+        "no client-side resilience, availability tracks the outage",
+        cariad_breach, traces.trace_cariad_breach, ("cloud",),
+        anchors={"telemetry-backend": "telemetry-backend"}),
+    Scenario(
+        "onboard-insecure",
+        "flat onboard E/E architecture with a cloud uplink, every layer "
+        "single-shot: one dropped frame or timed-out fetch is a failure",
+        onboard_insecure, traces.trace_onboard_insecure, ("phy", "ivn", "cloud"),
+        anchors={
+            "uwb-anchor": "adas-cam",
+            "ecu-babbler": "infotainment-amp",
+            "zonal-can": "zc-front",
+            "telemetry-backend": "telematics",
+            "zc-front": "zc-front",
+            "zc-rear": "zc-rear",
+            "brake-ecu": "brake-ecu",
+        },
+        senders=("zc-front", "zc-rear", "brake-ecu")),
+    Scenario(
+        "onboard-hardened",
+        "hardened onboard architecture: retransmission and ranging "
+        "retries, circuit breaker on the telemetry backend, cached DID "
+        "resolution, IDS isolation of babbling ECUs, hysteretic recovery",
+        onboard_hardened, traces.trace_onboard_hardened,
+        ("phy", "ivn", "cloud", "ssi"),
+        anchors={
+            "uwb-anchor": "zc-left",
+            "ecu-babbler": "ecu-can-2",
+            "zonal-can": "zc-left",
+            "telemetry-backend": "telematics",
+            "did-registry": "telematics",
+            "zc-left": "zc-left",
+            "zc-right": "zc-right",
+            "ecu-can-1": "ecu-can-1",
+        },
+        senders=("zc-left", "zc-right", "ecu-can-1"),
+        resilient=True, has_ids=True, degrade_threshold=0.75,
+        degrade_streak=3, allow_recovery=True),
+    Scenario(
+        "maas-platform",
+        "mobility-as-a-service platform: breaker-guarded backend plus "
+        "SSI directory with last-known-good DID caching",
+        maas_platform, traces.trace_maas_platform, ("cloud", "ssi"),
+        anchors={
+            "telemetry-backend": "cloud-backend",
+            "did-registry": "platform-gateway",
+        },
+        resilient=True, degrade_streak=2, recovery_streak=2,
+        allow_recovery=True),
+)}
 
 
 def scenario_names() -> list[str]:
     return list(SCENARIOS)
 
 
-def build_scenario(name: str) -> AnalysisTarget:
+def get_scenario(name: str) -> Scenario:
+    """The one lookup: an unknown name raises ``KeyError`` listing them all."""
     try:
-        _, builder = SCENARIOS[name]
+        return SCENARIOS[name]
     except KeyError:
         raise KeyError(
             f"unknown scenario {name!r}; available: {', '.join(SCENARIOS)}"
         ) from None
-    return builder()
+
+
+def build_scenario(name: str) -> AnalysisTarget:
+    return get_scenario(name).build()

@@ -37,8 +37,7 @@ from repro.obs.report import (SchemaError, TraceReport, render_metrics_table,
                               validate_trace_dict)
 from repro.obs.runtime import (OBS, Instrumentation, disable, enable,
                                instrumented, is_enabled)
-from repro.obs.scenarios import (TRACE_SCENARIOS, run_trace_scenario,
-                                 trace_scenario_names)
+from repro.obs.scenarios import run_trace_scenario
 from repro.obs.timeline import Timeline, merge_events, render_timeline
 from repro.obs.trace import Span, Tracer
 
@@ -54,7 +53,6 @@ __all__ = [
     "SchemaError",
     "SimEvent",
     "Span",
-    "TRACE_SCENARIOS",
     "Timeline",
     "TraceReport",
     "Tracer",
@@ -67,7 +65,6 @@ __all__ = [
     "render_span_tree",
     "render_timeline",
     "run_trace_scenario",
-    "trace_scenario_names",
     "validate_metrics_dict",
     "validate_trace_dict",
 ]

@@ -1,18 +1,19 @@
-"""Traceable scenario runners for the ``python -m repro trace`` CLI.
+"""Trace drivers for the ``python -m repro trace`` CLI.
 
-Each lint scenario (:mod:`repro.lint.scenarios`) audits a *static*
-configuration; the runners here execute that configuration's dynamic
-counterpart with instrumentation enabled, so the CLI can show the
-relay attack, the secured-onboard traffic, or the kill chain unfolding
-event by event.  Runners assume :data:`repro.obs.runtime.OBS` is
-already enabled (the CLI wraps them in :func:`~repro.obs.runtime.
-instrumented`) and return a flat dict of scalar results that lands in
-the JSON document's ``result`` block.
+Each lint scenario audits a *static* configuration; the drivers here
+execute that configuration's dynamic counterpart with instrumentation
+enabled, so the CLI can show the relay attack, the secured-onboard
+traffic, or the kill chain unfolding event by event.  Each scenario
+record in :data:`repro.lint.scenarios.SCENARIOS` points at its driver
+through its ``trace`` field; ``obs`` imports no analyzer at module
+scope, so :func:`run_trace_scenario` looks the record up only when
+called.  Drivers assume :data:`repro.obs.runtime.OBS` is already enabled
+(the CLI wraps them in :func:`~repro.obs.runtime.instrumented`) and
+return a flat dict of scalar results that lands in the JSON document's
+``result`` block.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from repro.core.layers import Layer
 from repro.obs.events import EventKind
 from repro.obs.runtime import OBS
 
-__all__ = ["TRACE_SCENARIOS", "run_trace_scenario", "trace_scenario_names"]
+__all__ = ["run_trace_scenario"]
 
 
 def _alert(component: str, attack: str, layer: Layer, severity_name: str,
@@ -236,32 +237,10 @@ def trace_maas_platform() -> dict:
     return results
 
 
-#: scenario name -> (description, runner); names mirror ``repro.lint.SCENARIOS``.
-TRACE_SCENARIOS: dict[str, tuple[str, Callable[[], dict]]] = {
-    "pkes-legacy": ("§II-A relay attack vs RSSI and ToF receivers, live",
-                    trace_pkes_legacy),
-    "cariad-breach": ("§V/Fig. 8 kill chain executing stage by stage",
-                      trace_cariad_breach),
-    "onboard-insecure": ("§III unprotected IVN: forgery + bus-off eviction",
-                         trace_onboard_insecure),
-    "onboard-hardened": ("§III secured IVN traffic + UWB ranging + response",
-                         trace_onboard_hardened),
-    "maas-platform": ("§VI/§VII cooperating fleet under share injection",
-                      trace_maas_platform),
-}
-
-
-def trace_scenario_names() -> list[str]:
-    return list(TRACE_SCENARIOS)
-
-
 def run_trace_scenario(name: str) -> dict:
-    """Run one scenario (instrumentation must already be enabled)."""
-    try:
-        _, runner = TRACE_SCENARIOS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scenario {name!r}; available: {', '.join(TRACE_SCENARIOS)}"
-        ) from None
+    """Run one scenario's driver (instrumentation must already be enabled)."""
+    from repro.lint.scenarios import get_scenario
+
+    driver = get_scenario(name).trace
     with OBS.span(name):
-        return runner()
+        return driver()

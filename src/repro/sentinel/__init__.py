@@ -30,12 +30,7 @@ the vehicle *does*.  This package provides:
 """
 
 from repro.sentinel.alarms import AlarmMachine, AlarmState, AlarmTransition
-from repro.sentinel.campaign import (
-    SCENARIO_ANCHORS,
-    run_sentinel_campaign,
-    run_sentinel_scenario,
-    sentinel_scenario_names,
-)
+from repro.sentinel.campaign import run_sentinel_campaign, run_sentinel_scenario
 from repro.sentinel.correlator import CascadeCorrelator, Incident
 from repro.sentinel.detectors import (
     CanRateDetector,
@@ -79,10 +74,8 @@ __all__ = [
     "SentinelEngine",
     "MACHINE_PARAMS",
     "IGNORED_KINDS",
-    "SCENARIO_ANCHORS",
     "run_sentinel_scenario",
     "run_sentinel_campaign",
-    "sentinel_scenario_names",
     "SentinelSchemaError",
     "validate_sentinel_dict",
 ]

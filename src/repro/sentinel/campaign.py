@@ -1,11 +1,14 @@
 """Sentinel campaigns: the five scenarios streamed through the engine.
 
-Each campaign replays a chaos-posture workload (the same postures,
+Each campaign replays a chaos workload (the same scenario postures,
 fault plans, and injector streams as :mod:`repro.faults.chaos`) but
 emits *operational telemetry* — ranging residuals, per-sender frame
 rates, SecOC rejects, request statuses, DID resolutions — into a live
 :class:`~repro.obs.events.EventLog` that a :class:`SentinelEngine`
-consumes online via the ``subscribe`` hook.  The engine never sees the
+consumes online via the ``subscribe`` hook.  The scenario record
+(:class:`repro.lint.scenarios.Scenario`) names the legit CAN
+``senders`` and the ``anchors`` that map each telemetry source onto a
+flow-graph node for the cascade correlator.  The engine never sees the
 injector's ``FAULT_INJECTED`` ground truth; it must detect campaigns
 from the same evidence a deployed IDS would have.
 
@@ -22,12 +25,13 @@ from __future__ import annotations
 
 from repro.core.layers import Layer
 from repro.core.response import ResponseEngine
-from repro.faults.chaos import CHAOS_SCENARIOS, DEFAULT_DURATION, _scenario_window
+from repro.faults.chaos import DEFAULT_DURATION, _scenario_window
 from repro.faults.degradation import DegradationManager, ServiceLevel
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, get_plan
 from repro.faults.resilience import CircuitBreaker, VirtualClock
 from repro.core.rng import python_rng
+from repro.lint.scenarios import Scenario, get_scenario
 from repro.obs.events import EventKind, EventLog
 from repro.sentinel.correlator import CascadeCorrelator
 from repro.sentinel.engine import SentinelEngine
@@ -38,76 +42,20 @@ from repro.ssi.registry import (
     VerifiableDataRegistry,
 )
 
-__all__ = ["run_sentinel_scenario", "run_sentinel_campaign",
-           "sentinel_scenario_names", "SCENARIO_ANCHORS"]
-
-#: Legit per-scenario CAN senders (names match the scenario flow graph).
-_SENDERS: dict[str, tuple[str, ...]] = {
-    "pkes-legacy": ("pkes-receiver", "body-control", "immobilizer"),
-    "onboard-insecure": ("zc-front", "zc-rear", "brake-ecu"),
-    "onboard-hardened": ("zc-left", "zc-right", "ecu-can-1"),
-}
-
-#: Telemetry source -> nearest flow-graph node, per scenario (the
-#: cascade correlator's bridge between runtime names and graph names).
-SCENARIO_ANCHORS: dict[str, dict[str, str]] = {
-    "pkes-legacy": {
-        "uwb-anchor": "pkes-receiver",
-        "ecu-babbler": "body-control",
-        "zonal-can": "body-control",
-        "pkes-receiver": "pkes-receiver",
-        "body-control": "body-control",
-        "immobilizer": "immobilizer",
-    },
-    "onboard-insecure": {
-        "uwb-anchor": "adas-cam",
-        "ecu-babbler": "infotainment-amp",
-        "zonal-can": "zc-front",
-        "telemetry-backend": "telematics",
-        "zc-front": "zc-front",
-        "zc-rear": "zc-rear",
-        "brake-ecu": "brake-ecu",
-    },
-    "onboard-hardened": {
-        "uwb-anchor": "zc-left",
-        "ecu-babbler": "ecu-can-2",
-        "zonal-can": "zc-left",
-        "telemetry-backend": "telematics",
-        "did-registry": "telematics",
-        "zc-left": "zc-left",
-        "zc-right": "zc-right",
-        "ecu-can-1": "ecu-can-1",
-    },
-    "cariad-breach": {
-        "telemetry-backend": "telemetry-backend",
-    },
-    "maas-platform": {
-        "telemetry-backend": "cloud-backend",
-        "did-registry": "platform-gateway",
-    },
-}
+__all__ = ["run_sentinel_scenario", "run_sentinel_campaign"]
 
 
-def sentinel_scenario_names() -> list[str]:
-    return list(CHAOS_SCENARIOS)
-
-
-def _build_correlator(name: str) -> CascadeCorrelator:
+def _build_correlator(scenario: Scenario) -> CascadeCorrelator:
     from repro.flow.graph import build_flow_graph
-    from repro.lint.scenarios import build_scenario
 
-    graph = build_flow_graph(build_scenario(name))
     return CascadeCorrelator.from_flow_graph(
-        graph, SCENARIO_ANCHORS.get(name, {}))
+        build_flow_graph(scenario.build()), scenario.anchors)
 
 
 def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
                           duration: int = DEFAULT_DURATION) -> dict:
     """Stream one scenario's telemetry through the sentinel engine."""
-    posture = CHAOS_SCENARIOS.get(name)
-    if posture is None:
-        raise KeyError(f"unknown sentinel scenario {name!r}; "
-                       f"available: {', '.join(CHAOS_SCENARIOS)}")
+    scenario = get_scenario(name)
     if duration < 1:
         raise ValueError("duration must be >= 1 tick")
 
@@ -120,24 +68,24 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
     log = EventLog(capacity=8192)
     response = ResponseEngine(escalation_threshold=8)
     manager = DegradationManager(
-        degrade_threshold=posture.degrade_threshold,
-        degrade_streak=posture.degrade_streak,
-        recovery_streak=posture.recovery_streak,
-        allow_recovery=posture.allow_recovery)
+        degrade_threshold=scenario.degrade_threshold,
+        degrade_streak=scenario.degrade_streak,
+        recovery_streak=scenario.recovery_streak,
+        allow_recovery=scenario.allow_recovery)
     manager.attach(response)
-    engine = SentinelEngine(name, correlator=_build_correlator(name),
+    engine = SentinelEngine(name, correlator=_build_correlator(scenario),
                             response=response)
     detach = engine.attach(log)
 
     breaker: CircuitBreaker | None = None
-    if "cloud" in posture.subsystems and posture.resilient:
+    if "cloud" in scenario.subsystems and scenario.resilient:
         breaker = CircuitBreaker("telemetry-backend", clock=clock,
                                  failure_threshold=3, recovery_time_s=3.0)
 
     resolver: CachingResolver | None = None
     did: Did | None = None
     registry_down = {"down": False}
-    if "ssi" in posture.subsystems and posture.resilient:
+    if "ssi" in scenario.subsystems and scenario.resilient:
         registry = VerifiableDataRegistry()
         did = Did("vehicle-7")
         registry.register(DidDocument.for_keypair(
@@ -145,9 +93,8 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
         resolver = CachingResolver(registry,
                                    unavailable=lambda: registry_down["down"])
 
-    window_start, window_end = _scenario_window(plan, posture.subsystems)
-    senders = _SENDERS.get(name, ())
-    attempts = 3 if posture.resilient else 1
+    window_start, window_end = _scenario_window(plan, scenario.subsystems)
+    attempts = 3 if scenario.resilient else 1
     floor_cleared = False
 
     def fires_after_retries(kind: FaultKind, target: str, t: float) -> bool:
@@ -161,7 +108,7 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
         t = float(tick)
         clock.now = t
 
-        if "phy" in posture.subsystems:
+        if "phy" in scenario.subsystems:
             corrupted = fires_after_retries(
                 FaultKind.PHY_SAMPLE_CORRUPTION, "uwb-anchor", t)
             nlos = (not corrupted) and fires_after_retries(
@@ -169,7 +116,7 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
             residual = residual_rng.gauss(0.0, 0.05)
             rejected = False
             if corrupted:
-                if posture.resilient:
+                if scenario.resilient:
                     rejected = True  # secure receiver discards the sample
                 else:
                     magnitude = injector.magnitude(
@@ -178,7 +125,7 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
                         FaultKind.PHY_SAMPLE_CORRUPTION, "uwb-anchor",
                         1, magnitude)[0])
             elif nlos:
-                if posture.resilient:
+                if scenario.resilient:
                     rejected = True
                 else:
                     residual = 1.0 + abs(residual_rng.gauss(0.0, 1.0))
@@ -192,10 +139,10 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
                          rejected=False, residual_m=round(residual, 4))
             manager.report("phy", not corrupted and not nlos)
 
-        if "ivn" in posture.subsystems:
+        if "ivn" in scenario.subsystems:
             babbling = injector.fires(FaultKind.IVN_BABBLING_IDIOT,
                                       "ecu-babbler", t)
-            for sender in senders:
+            for sender in scenario.senders:
                 frames = frames_rng.randint(3, 5)
                 log.emit(EventKind.FRAME_SENT, Layer.NETWORK, "zonal-can",
                          f"{sender}: {frames} frame(s)", t=t,
@@ -205,7 +152,7 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
             if babbler_active:
                 # A hardened gateway rate-polices the port; a flat bus
                 # carries the full storm.
-                frames = 8 if posture.resilient else 24
+                frames = 8 if scenario.resilient else 24
                 log.emit(EventKind.FRAME_SENT, Layer.NETWORK, "zonal-can",
                          f"ecu-babbler: {frames} frame(s)", t=t,
                          sender="ecu-babbler", frames=frames)
@@ -213,14 +160,14 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
                                        "zonal-can", t)
             flip = fires_after_retries(FaultKind.IVN_BIT_FLIP,
                                        "zonal-can", t)
-            if flip and posture.resilient:
+            if flip and scenario.resilient:
                 log.emit(EventKind.MAC_REJECTED, Layer.NETWORK, "zonal-can",
                          "SecOC MAC verification failed", t=t)
-            ok = (not (babbler_active and not posture.resilient)
+            ok = (not (babbler_active and not scenario.resilient)
                   and not drop and not flip)
             manager.report("ivn", ok)
 
-        if "cloud" in posture.subsystems:
+        if "cloud" in scenario.subsystems:
             def attempt_once(now: float) -> str:
                 if injector.fires(FaultKind.CLOUD_OUTAGE,
                                   "telemetry-backend", now):
@@ -256,7 +203,7 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
                      latency_ms=round(latency_ms, 1))
             manager.report("cloud", status == "ok")
 
-        if "ssi" in posture.subsystems:
+        if "ssi" in scenario.subsystems:
             down = injector.fires(FaultKind.SSI_REGISTRY_DOWN,
                                   "did-registry", t)
             registry_down["down"] = down
@@ -276,7 +223,7 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
         engine.tick(t)
         manager.tick(t)
 
-        if posture.resilient and not floor_cleared and t >= window_end:
+        if scenario.resilient and not floor_cleared and t >= window_end:
             manager.clear_response_floor()
             floor_cleared = True
 
@@ -290,9 +237,9 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
     lead = (safe_stop_t - first_alarm
             if safe_stop_t is not None and first_alarm is not None else None)
     return {
-        "scenario": posture.name,
-        "description": posture.description,
-        "resilient": posture.resilient,
+        "scenario": scenario.name,
+        "description": scenario.description,
+        "resilient": scenario.resilient,
         "durationTicks": duration,
         "window": {"start": window_start, "end": window_end},
         "faults": {"injected": injector.count,

@@ -3,7 +3,8 @@
 Each bound is declared once, on the argument in ``repro.__main__.TOOLS``;
 ``main()`` must return 2 with a one-line message on stderr before any
 work starts, never a traceback or a silently wrong run.  The same holds
-for an existing file passed where a directory is expected.
+for an existing file passed where a directory is expected, and for an
+output file that is a directory or sits in a missing one.
 """
 
 import pytest
@@ -74,3 +75,35 @@ def test_file_as_directory_exits_2(run_cli, tmp_path, argv, flag, below):
     assert "Traceback" not in err
     assert out == ""
     assert sorted(tmp_path.iterdir()) == [file]
+
+
+OUTPUT_FLAGS = [
+    (("chaos", "pkes-legacy"), "--report"),
+    (("sentinel", "pkes-legacy"), "--report"),
+    (("campaign", "run", *CAMPAIGN), "--report"),
+    (("campaign", "resume", "some-id"), "--report"),
+    (("trace", "pkes-legacy"), "--jsonl"),
+    (("lint", "pkes-legacy"), "--write-baseline"),
+    (("flow", "pkes-legacy"), "--write-baseline"),
+    (("audit",), "--write-baseline"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", OUTPUT_FLAGS,
+                         ids=[f"{' '.join(c[0][:2])} {c[1]}" for c in OUTPUT_FLAGS])
+@pytest.mark.parametrize("kind", ["missing-parent", "directory"])
+def test_unwritable_output_file_exits_2(run_cli, tmp_path, argv, flag, kind):
+    directory = tmp_path / "out"
+    directory.mkdir()
+    if kind == "directory":
+        value, message = directory, f"{flag}: {str(directory)!r} is a directory"
+    else:
+        missing = tmp_path / "missing"
+        value, message = missing / "out.json", f"{flag}: {str(missing)!r} is not a directory"
+    extra = ("--journal-root", str(tmp_path / "journals")) if argv[0] == "campaign" else ()
+    code, out, err = run_cli(*argv, *extra, flag, str(value))
+    assert code == 2
+    assert err == message + "\n"
+    assert "Traceback" not in err
+    assert out == ""
+    assert sorted(tmp_path.rglob("*")) == [directory], "nothing may run before the check"

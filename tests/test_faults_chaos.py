@@ -5,18 +5,17 @@ import json
 import pytest
 
 from repro.faults import (
-    CHAOS_SCENARIOS,
     FaultInjector,
     FaultKind,
     baseline_plan,
-    chaos_scenario_names,
     get_plan,
     run_chaos_campaign,
     run_chaos_scenario,
     validate_chaos_dict,
 )
+from repro.lint import SCENARIOS, scenario_names
 
-ALL = chaos_scenario_names()
+ALL = scenario_names()
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +64,7 @@ class TestCampaignDocument:
         assert baseline_campaign["summary"]["faultsInjected"] > 0
 
     def test_unknown_scenario_and_bad_duration_are_rejected(self):
-        with pytest.raises(KeyError, match="unknown chaos scenario"):
+        with pytest.raises(KeyError, match="unknown scenario"):
             run_chaos_scenario("warp-core", baseline_plan())
         with pytest.raises(ValueError, match="duration"):
             run_chaos_scenario("cariad-breach", baseline_plan(), duration=0)
@@ -113,10 +112,10 @@ class TestDegradationGates:
         booked = {"phy": "physical", "ivn": "network", "cloud": "data",
                   "ssi": "software_platform"}
         for result in baseline_campaign["scenarios"]:
-            posture = CHAOS_SCENARIOS[result["scenario"]]
-            assert result["resilient"] == posture.resilient
+            record = SCENARIOS[result["scenario"]]
+            assert result["resilient"] == record.resilient
             assert [e["layer"] for e in result["layers"]] \
-                == [booked[name] for name in posture.subsystems]
+                == [booked[name] for name in record.subsystems]
 
 
 class TestScenarioWindows:

@@ -62,7 +62,7 @@ class TestUsageErrors:
     def test_unknown_scenario(self, run_cli):
         code, _, err = run_cli("chaos", "warp-core")
         assert code == 2
-        assert "unknown chaos scenario" in err
+        assert "unknown scenario" in err
 
     def test_unknown_plan(self, run_cli):
         code, _, err = run_cli("chaos", "pkes-legacy",

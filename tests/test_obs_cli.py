@@ -12,22 +12,17 @@ import sys
 
 import pytest
 
-from repro.obs import (run_trace_scenario, trace_scenario_names,
-                       validate_trace_dict)
+from repro.lint import scenario_names
+from repro.obs import run_trace_scenario, validate_trace_dict
 from repro.obs.runtime import OBS, instrumented
 
 
 class TestScenarios:
-    def test_all_lint_scenarios_have_trace_counterparts(self):
-        from repro.lint import scenario_names
-
-        assert set(trace_scenario_names()) == set(scenario_names())
-
     def test_unknown_scenario_raises_with_listing(self):
         with pytest.raises(KeyError, match="available"):
             run_trace_scenario("not-a-scenario")
 
-    @pytest.mark.parametrize("name", trace_scenario_names())
+    @pytest.mark.parametrize("name", scenario_names())
     def test_every_scenario_produces_a_trace(self, name):
         with instrumented() as obs:
             result = run_trace_scenario(name)
@@ -73,7 +68,7 @@ class TestCliOutput:
         code, out, _ = run_cli("trace", "all", "--json")
         assert code == 0
         documents = json.loads(out)
-        assert [d["scenario"] for d in documents] == trace_scenario_names()
+        assert [d["scenario"] for d in documents] == scenario_names()
         for document in documents:
             validate_trace_dict(document)
 

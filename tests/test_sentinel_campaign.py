@@ -5,11 +5,10 @@ import json
 import pytest
 
 from repro.faults.plan import get_plan
+from repro.lint import scenario_names
 from repro.sentinel import (
-    SCENARIO_ANCHORS,
     run_sentinel_campaign,
     run_sentinel_scenario,
-    sentinel_scenario_names,
     validate_sentinel_dict,
 )
 
@@ -22,11 +21,6 @@ def scenario(name, plan="baseline", **kwargs):
 
 
 class TestInputs:
-    def test_scenario_names_match_anchor_table(self):
-        assert set(sentinel_scenario_names()) == set(SCENARIO_ANCHORS)
-        assert set(INSECURE) < set(sentinel_scenario_names())
-        assert "onboard-hardened" in sentinel_scenario_names()
-
     def test_unknown_scenario_lists_available(self):
         with pytest.raises(KeyError, match="onboard-hardened"):
             scenario("no-such-scenario")
@@ -86,7 +80,7 @@ class TestDeterminism:
 
     def test_campaign_document_validates(self):
         document = run_sentinel_campaign(
-            sentinel_scenario_names(), "baseline")
+            scenario_names(), "baseline")
         validate_sentinel_dict(document)
 
     def test_severe_campaign_document_validates(self):

@@ -100,7 +100,7 @@ class TestBadInput:
     def test_unknown_scenario_exits_2(self, run_cli):
         code, _, err = run_cli("sentinel", "no-such-scenario")
         assert code == 2
-        assert "unknown sentinel scenario" in err
+        assert "unknown scenario" in err
 
     def test_unknown_plan_exits_2(self, run_cli):
         code, _, err = run_cli("sentinel", "onboard-hardened",
