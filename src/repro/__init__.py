@@ -7,7 +7,7 @@ This package operationalizes every layer as executable simulators and
 analysis tooling:
 
 * :mod:`repro.core`   -- layered framework, threat catalog, cross-layer analyzer (Fig. 1, SVIII)
-* :mod:`repro.crypto` -- pure-Python crypto substrate (AES/CMAC/GCM/Ed25519/X25519)
+* :mod:`repro.crypto` -- crypto substrate (AES/CMAC/GCM/Ed25519/X25519 on `cryptography`)
 * :mod:`repro.phy`    -- UWB secure ranging, PKES, sensor attacks (SII, Fig. 2)
 * :mod:`repro.ivn`    -- in-vehicle networks + SECOC/MACsec/CANsec/CANAL (SIII, Figs. 3-6, Table I)
 * :mod:`repro.ssi`    -- self-sovereign identity, SDV reconfiguration, charging (SIV, Fig. 7)

@@ -9,6 +9,12 @@ The kernel is a plain priority queue of ``(time, seq, callback)`` entries.
 the same instant fire in scheduling order, so repeated runs of a seeded
 simulation are bit-identical — a prerequisite for reproducible security
 experiments.
+
+Canceling an event only marks it; the kernel skips it when popped.  So
+that marks cannot pile up behind a far-off head (the batched CAN bus
+cancels one completion event per burst), the queue is rebuilt without
+them once they are more than half of it, as asyncio does with cancelled
+timers.  ``(time, seq)`` is a total order, so firing order is unchanged.
 """
 
 from __future__ import annotations
@@ -28,10 +34,15 @@ class Event:
     seq: int
     action: Callable[[], None] = field(compare=False)
     canceled: bool = field(default=False, compare=False)
+    simulator: Simulator | None = field(default=None, compare=False, repr=False)
 
     def cancel(self) -> None:
         """Mark the event so the kernel skips it when popped."""
+        if self.canceled:
+            return
         self.canceled = True
+        if self.simulator is not None:
+            self.simulator._note_canceled()
 
 
 class Simulator:
@@ -49,6 +60,9 @@ class Simulator:
         self._queue: list[Event] = []
         self._seq = 0
         self._processed = 0
+        # Canceled entries still in the queue; an event canceled after it
+        # fired counts too, which only brings a compaction forward.
+        self._canceled = 0
 
     @property
     def processed_events(self) -> int:
@@ -64,7 +78,7 @@ class Simulator:
         """Schedule ``action`` to run ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        event = Event(self.now + delay, self._seq, action)
+        event = Event(self.now + delay, self._seq, action, simulator=self)
         self._seq += 1
         heapq.heappush(self._queue, event)
         return event
@@ -72,6 +86,13 @@ class Simulator:
     def schedule_at(self, time: float, action: Callable[[], None]) -> Event:
         """Schedule ``action`` at an absolute simulation time."""
         return self.schedule(time - self.now, action)
+
+    def _note_canceled(self) -> None:
+        self._canceled += 1
+        if 2 * self._canceled > len(self._queue):
+            self._queue = [event for event in self._queue if not event.canceled]
+            heapq.heapify(self._queue)
+            self._canceled = 0
 
     def peek_time(self) -> float | None:
         """Time of the next *live* event, or None when none remain.
@@ -85,6 +106,7 @@ class Simulator:
             head = self._queue[0]
             if head.canceled:
                 heapq.heappop(self._queue)
+                self._canceled -= 1
                 continue
             return head.time
         return None
@@ -118,6 +140,7 @@ class Simulator:
         while self._queue:
             event = heapq.heappop(self._queue)
             if event.canceled:
+                self._canceled -= 1
                 continue
             self.now = event.time
             event.action()

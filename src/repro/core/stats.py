@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.stats import norm
-
 __all__ = ["wilson_interval", "proportions_differ"]
 
 
@@ -27,6 +25,10 @@ def wilson_interval(successes: int, trials: int, *,
         raise ValueError("need 0 <= successes <= trials, trials >= 1")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
+    # scipy.stats costs ~67 MiB and ~0.9 s to import; every package
+    # imports repro.core, so only the callers pay for it.
+    from scipy.stats import norm
+
     z = float(norm.ppf(0.5 + confidence / 2.0))
     p_hat = successes / trials
     denom = 1.0 + z * z / trials
@@ -57,6 +59,8 @@ def proportions_differ(successes_a: int, trials_a: int,
     variance = pooled * (1 - pooled) * (1 / trials_a + 1 / trials_b)
     if variance == 0.0:
         return p_a != p_b
+    from scipy.stats import norm
+
     z = (p_a - p_b) / math.sqrt(variance)
     p_value = 2.0 * float(norm.sf(abs(z)))
     return p_value < alpha

@@ -1,21 +1,24 @@
-"""Pure-Python cryptographic substrate for the reproduction.
+"""Cryptographic substrate for the reproduction.
 
-The offline environment has no binary crypto packages, so every primitive
-the paper's protocol stacks rely on is implemented here from the relevant
-specifications and pinned to published test vectors:
+Every primitive the paper's protocol stacks rely on, behind one small API
+and pinned to published test vectors:
 
 * :mod:`repro.crypto.aes` — AES-128/192/256 block cipher (FIPS 197).
 * :mod:`repro.crypto.modes` — CTR, CMAC (RFC 4493), GCM (SP 800-38D).
 * :mod:`repro.crypto.ed25519` — Ed25519 signatures (RFC 8032).
 * :mod:`repro.crypto.x25519` — X25519 key agreement (RFC 7748).
 * :mod:`repro.crypto.kdf` — HMAC-SHA256 / HKDF (RFC 5869).
+* :mod:`repro.crypto.shamir` — Shamir secret sharing over GF(2^8).
 
-AES encrypts with 32-bit T-tables and a word-based key schedule, and GCM
-computes GHASH with Shoup's 4-bit tables, built once per key.  Besides the
-published vectors, ``tests/test_crypto_oracle.py`` checks every primitive
-differentially against the ``cryptography`` library, a test-only
-dependency.  These are simulation substrates: spec-shaped and correct, but
-not constant-time and not intended for production use.
+AES, the modes, Ed25519 and X25519 call the ``cryptography`` library,
+and each cipher object is keyed once.  The pure-Python implementations
+they replaced live on in ``tests/crypto_reference/`` as the slow path:
+``tests/test_crypto_oracle.py`` checks every primitive against them on
+Hypothesis-drawn inputs, and ``tests/test_crypto_edges.py`` pins the
+inputs where the library and RFC 8032 / RFC 7748 decoding would differ.
+``kdf`` and ``shamir`` stay pure Python.  The paper's comparisons
+(Table I, Figs. 4–6) are of per-frame protocol overhead, which the frame
+sizes carry; how fast the cipher runs is not part of them.
 """
 
 from repro.crypto.aes import AES, xor_bytes

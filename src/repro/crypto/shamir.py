@@ -6,19 +6,31 @@ Substrate for the owner-controlled data-access layer
 independent *key trustees*, and a consumer must convince a threshold of
 trustees to reconstruct it — no single trustee can leak the data.
 
-The field is GF(2^8) with the AES polynomial (x^8+x^4+x^3+x+1), shared
-with :mod:`repro.crypto.aes`; secrets of any byte length are shared
-byte-wise with a common x-coordinate per share.
+The field is GF(2^8) with the AES polynomial (x^8+x^4+x^3+x+1); secrets
+of any byte length are shared byte-wise with a common x-coordinate per
+share.
 """
 
 from __future__ import annotations
 
 from repro.core.rng import python_rng
-from repro.crypto.aes import _gf_mul  # same field as AES
 
 __all__ = ["split_secret", "reconstruct_secret", "Share"]
 
 Share = tuple[int, bytes]  # (x coordinate, share bytes)
+
+
+def _gf_mul(a: int, b: int) -> int:
+    """Multiply two elements of GF(2^8) modulo the AES polynomial x^8+x^4+x^3+x+1."""
+    result = 0
+    while b:
+        if b & 1:
+            result ^= a
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11B
+        b >>= 1
+    return result
 
 
 def _gf_pow(a: int, n: int) -> int:

@@ -176,8 +176,14 @@ class MacsecPort:
         except AuthenticationError:
             self.stats["auth_failed"] += 1
             return None
-        self._rx_highest[sc_key] = max(highest, frame.pn)
-        self._rx_seen.setdefault(sc_key, set()).add(frame.pn)
+        seen = self._rx_seen.setdefault(sc_key, set())
+        seen.add(frame.pn)
+        if frame.pn > highest:
+            # PNs at or below the new floor fail the window check anyway,
+            # so the replay set only keeps the ones inside the window.
+            self._rx_highest[sc_key] = frame.pn
+            floor = frame.pn - self.replay_window
+            self._rx_seen[sc_key] = {pn for pn in seen if pn > floor}
         self.stats["validated"] += 1
         return plaintext
 

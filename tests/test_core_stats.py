@@ -1,5 +1,10 @@
 """Tests for the Monte-Carlo statistics helpers."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -82,3 +87,15 @@ class TestCascadeInterval:
         assert proportions_differ(
             round(open_result.p_safety_critical_hit * trials), trials,
             round(sec_result.p_safety_critical_hit * trials), trials)
+
+
+def test_simulator_imports_do_not_load_scipy_stats():
+    # scipy.stats is imported only inside the two helpers that use it, so
+    # a fresh interpreter importing the simulators never pays for it.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, repro.crypto, repro.ivn, repro.ssi; "
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats was imported'")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr

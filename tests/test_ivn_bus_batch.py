@@ -213,6 +213,28 @@ class TestScalarFallback:
         assert bus.run_batch() == 5
 
 
+class TestCanceledCompletions:
+    def test_many_bursts_keep_the_queue_bounded(self):
+        # Every burst on an idle bus starts its first frame, then run_batch
+        # cancels that frame's completion event; the kernel must drop the
+        # canceled entries instead of keeping one per burst.
+        cycles = 10_000
+        bursts = [[CanFrame(0x100 + i % 7, bytes([i % 256]) * 8), CanFrame(0x80, b"\x01")]
+                  for i in range(cycles)]
+        scalar_sim, scalar_bus = _build_bus()
+        batched_sim, batched_bus = _build_bus()
+        most_pending = 0
+        for burst in bursts:
+            for frame in burst:
+                scalar_bus.send("tx", frame)
+            scalar_sim.run()
+            batched_bus.send_batch("tx", burst)
+            batched_bus.run_batch()
+            most_pending = max(most_pending, batched_sim.pending_events)
+        assert most_pending <= 1
+        _assert_equivalent((scalar_sim, scalar_bus), (batched_sim, batched_bus))
+
+
 class TestUtilizationWindow:
     def test_includes_in_flight_partial_interval(self):
         """Regression: a mid-transmission query must count the active

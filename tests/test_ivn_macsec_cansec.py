@@ -3,6 +3,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ivn.cansec import CANSEC_OVERHEAD_BYTES, CansecZone
 from repro.ivn.frames import CanXlFrame
@@ -51,6 +53,26 @@ class TestMacsecDataPath:
         f2 = a.protect(b"two")
         assert b.validate(f2) == b"two"
         assert b.validate(f1) == b"one"  # within window, not yet seen
+
+    @pytest.mark.parametrize("window", [0, 1, 32])
+    @settings(max_examples=40, deadline=None)
+    @given(order=st.lists(st.integers(0, 59), max_size=120))
+    def test_bounded_replay_set_keeps_verdicts(self, window, order):
+        # Reordered and replayed deliveries of 60 protected frames: the
+        # port's verdicts must equal those of an unbounded replay set.
+        a = MacsecPort("node-a")
+        b = MacsecPort("node-b", replay_window=window)
+        MkaSession(b"\x68" * 16, [a, b]).distribute_sak()
+        frames = [a.protect(bytes([i])) for i in range(60)]
+        highest, seen = 0, set()
+        for i in order:
+            pn = frames[i].pn
+            accepted = not (pn <= highest - window or pn in seen)
+            if accepted:
+                highest = max(highest, pn)
+                seen.add(pn)
+            assert (b.validate(frames[i]) is not None) == accepted
+            assert all(len(pns) <= window + 1 for pns in b._rx_seen.values())
 
     def test_unknown_peer_dropped(self):
         a, b = _pair()
