@@ -8,21 +8,20 @@ Two claims are pinned here, per the ``repro.runner`` design contract:
    at ``jobs=4`` — the ≥ 2× speedup the acceptance criteria require.
 2. **A warm cache is near-free.** Re-running an unchanged sweep must
    skip every experiment (all reported ``cached``) and cost a small
-   fraction of the sequential time — just hashing, no subprocesses.
+   fraction of the sequential time — just hashing, no workers.
 
-The synthetic experiments deliberately bypass pytest (the worker
-command template is ``python <script>``): BENCH-RUN measures the
-*engine* — scheduling, pooling, caching — not pytest's startup, and a
-registry-driven sweep of real bench files would recurse into this very
-bench.  The measured numbers are exported through the observability
-layer's JSON metrics format into ``BENCH_RUNNER.json`` at the repo
-root, extending the benchmark trajectory BENCH-OBS seeded.
+The synthetic experiments are bench files whose one test sleeps and
+shows a table: BENCH-RUN measures the *engine* — scheduling, pooling,
+caching — not the experiments, and a registry-driven sweep of real
+bench files would recurse into this very bench.  The measured numbers
+are exported through the observability layer's JSON metrics format
+into ``BENCH_RUNNER.json`` at the repo root, extending the benchmark
+trajectory BENCH-OBS seeded.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from pathlib import Path
 
 from repro.experiments import Experiment
@@ -37,9 +36,11 @@ _REPO_ROOT = Path(__file__).resolve().parent.parent
 
 _SCRIPT = """\
 import time
-time.sleep({sleep:g})
-print("=== SYN{i} — synthetic sweep workload ===")
-print("slept_s  {sleep:g}")
+
+
+def test_syn{i}(show):
+    time.sleep({sleep:g})
+    show("SYN{i} — synthetic sweep workload", [("slept_s", "{sleep:g}")])
 """
 
 
@@ -57,9 +58,7 @@ def _sweep(experiments, directory: Path, *, jobs: int,
            cache: ResultCache | None = None):
     runner = SweepRunner(
         experiments, jobs=jobs, cache=cache,
-        bench_dir=directory, timeout_s=60.0,
-        command_template=(sys.executable, "{bench}"),
-        digest_paths=[])
+        bench_dir=directory, timeout_s=60.0, digest_paths=[])
     return runner.run()
 
 

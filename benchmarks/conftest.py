@@ -2,7 +2,10 @@
 
 Every bench regenerates one paper artifact (figure/table) as printed
 rows — visible in the ``pytest benchmarks/ --benchmark-only`` output —
-and times a representative kernel with pytest-benchmark.
+and times a representative kernel with pytest-benchmark.  ``python -m
+repro run`` calls the same test functions in-process with its own
+``benchmark`` and ``show``; both render tables with
+:func:`repro.experiments.format_table`.
 """
 
 from __future__ import annotations
@@ -10,33 +13,12 @@ from __future__ import annotations
 import pytest
 
 
-def format_table(title: str, rows: list[tuple],
-                 header: tuple | None = None) -> str:
-    """Render a titled, aligned table; tolerates ragged rows.
-
-    Rows (and the header) may have different lengths: every row is
-    padded with empty cells to the widest one, so nothing is silently
-    dropped and nothing raises.  Column widths come from the padded
-    table.
-    """
-    table = ([tuple(header)] if header else []) + [tuple(row) for row in rows]
-    lines = [f"\n=== {title} ==="]
-    if table:
-        columns = max(len(row) for row in table)
-        padded = [tuple(str(cell) for cell in row) + ("",) * (columns - len(row))
-                  for row in table]
-        widths = [max(len(row[i]) for row in padded) for i in range(columns)]
-        for idx, row in enumerate(padded):
-            lines.append("  ".join(cell.ljust(width)
-                                   for cell, width in zip(row, widths)).rstrip())
-            if header and idx == 0:
-                lines.append("  ".join("-" * width for width in widths))
-    return "\n".join(lines)
-
-
 @pytest.fixture()
 def show(capsys):
     """Print a titled table uncaptured, so it lands in the bench log."""
+    # imported here: ``pytest benchmarks/e2e`` loads this conftest before
+    # its own modules put ``src`` on the path
+    from repro.experiments import format_table
 
     def _show(title: str, rows: list[tuple], header: tuple | None = None) -> None:
         with capsys.disabled():

@@ -540,11 +540,8 @@ def _run(tool: Tool, args: argparse.Namespace) -> int:
             return
         print(f"--- {result.exp_id}: {result.status} ({result.duration_s:.2f}s"
               f"{', cached' if result.cached else ''}) ---")
-        if result.cached:
-            body = "\n\n".join("\n".join([f"=== {artifact['title']} ==="] + list(artifact["rows"]))
-                               for artifact in result.artifacts)
-        else:
-            body = result.output_tail.rstrip()
+        body = "\n\n".join("\n".join([f"=== {artifact['title']} ==="] + list(artifact["rows"]))
+                           for artifact in result.artifacts)
         if body:
             print(body)
         if result.error:

@@ -14,7 +14,10 @@ not reach for ambient nondeterminism:
 * ``datetime.now()`` / ``datetime.utcnow()`` / ``date.today()``;
 * entropy taps: ``os.urandom``, ``uuid.uuid1``/``uuid.uuid4``, and the
   ``secrets`` module — legitimate inside ``crypto/`` (keys need real
-  entropy at provisioning time), ambient anywhere else.
+  entropy at provisioning time), ambient anywhere else;
+* the built-in ``hash()`` outside a ``__hash__`` method: ``str`` and
+  ``bytes`` hashes are salted per process (``PYTHONHASHSEED``), so a
+  value derived from one changes from run to run.
 
 ``core/rng.py`` (the seeded-stream implementation) is the one fully
 sanctioned module.
@@ -53,6 +56,7 @@ class _Scan:
         self._datetime_classes: set[str] = set()
         self._urandom_names: set[str] = set()
         self._uuid_fn_names: set[str] = set()
+        self._hash_method_lines: set[int] = set()
 
     def _flag(self, node: ast.AST, what: str) -> None:
         self.violations.append((getattr(node, "lineno", 1), what))
@@ -63,6 +67,9 @@ class _Scan:
                 self._import(node)
             elif isinstance(node, ast.ImportFrom):
                 self._import_from(node)
+            elif isinstance(node, ast.FunctionDef) and node.name == "__hash__":
+                self._hash_method_lines.update(
+                    range(node.lineno, (node.end_lineno or node.lineno) + 1))
         for node in nodes:
             if isinstance(node, ast.Call):
                 self._call(node)
@@ -114,6 +121,9 @@ class _Scan:
     def _call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Name):
+            if func.id == "hash" and node.lineno not in self._hash_method_lines:
+                self._flag(node, "hash() of str/bytes is salted per process "
+                                 "(use a hashlib digest)")
             if func.id in self._urandom_names:
                 self._flag(node, "os.urandom() taps ambient entropy "
                                  "(use repro.core.rng streams)")

@@ -22,7 +22,8 @@ its callers stay simple schedulers.  A shard is any dict with an
   dropped and never retried again (not even by a resumed campaign);
 * a shard that exhausts its budget is a *timeout* — also terminal; the
   per-shard budget is the only timeout, so each worker leads its own
-  process group and a kill takes any subprocess it started with it;
+  process group and a kill takes any subprocess it started with it
+  (workers are not daemonic, so a shard may even run a pool of its own);
 * a stop request (``should_stop``, or a ``KeyboardInterrupt`` raised
   while the pool runs) ends the run early with only settled outcomes;
   :func:`stop_on_signals` turns SIGINT/SIGTERM into such a request.
@@ -173,7 +174,7 @@ class _Worker:
         self.conn, child_conn = context.Pipe(duplex=True)
         self.process = context.Process(
             target=_worker_main, args=(self.conn, child_conn, execute),
-            daemon=True)
+            daemon=False)
         self.process.start()
         child_conn.close()
         self.item: _WorkItem | None = None
@@ -317,10 +318,11 @@ class Supervisor:
         if not queue:
             return outcomes, False
         context = multiprocessing.get_context()
-        workers = [_Worker(context, self.execute)
-                   for _ in range(min(self.jobs, len(queue)))]
+        workers: list[_Worker] = []
         interrupted = False
         try:
+            workers.extend(_Worker(context, self.execute)
+                           for _ in range(min(self.jobs, len(queue))))
             while queue or any(w.busy for w in workers):
                 if self.should_stop is not None and self.should_stop():
                     interrupted = True

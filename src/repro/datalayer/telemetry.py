@@ -11,6 +11,7 @@ can quantify what leaking it means.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 
 from repro.core.rng import numpy_rng
@@ -42,9 +43,12 @@ class TelemetryRecord:
     lon: float
 
     def anonymized(self) -> "TelemetryRecord":
-        """PII stripped (the naive mitigation the privacy bench defeats)."""
+        """PII stripped (the naive mitigation the privacy bench defeats);
+        the VIN becomes a 64-bit keyed digest, stable across processes."""
+        digest = hashlib.blake2b(self.vin.encode(), digest_size=8,
+                                 key=b"repro.datalayer/pseudonym").hexdigest()
         return TelemetryRecord(
-            vin=f"anon-{hash(self.vin) & 0xFFFF:04x}",
+            vin=f"anon-{digest}",
             owner_name="", owner_email="",
             timestamp=self.timestamp, lat=self.lat, lon=self.lon,
         )

@@ -3,7 +3,8 @@
 The reproduction's per-figure experiments live as pytest-benchmark
 files; this registry gives them stable ids (matching DESIGN.md's
 experiment index) so the ``python -m repro`` CLI and downstream tooling
-can enumerate and run them without knowing the file layout.
+can enumerate and run them without knowing the file layout, and
+:func:`format_table` renders the tables every bench shows.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-__all__ = ["Experiment", "EXPERIMENTS", "benchmarks_dir"]
+__all__ = ["Experiment", "EXPERIMENTS", "benchmarks_dir", "format_table"]
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,25 @@ EXPERIMENTS: tuple[Experiment, ...] = (
 def benchmarks_dir() -> Path:
     """The repository's benchmarks directory (resolved from this file)."""
     return Path(__file__).resolve().parents[2] / "benchmarks"
+
+
+def format_table(title: str, rows: list[tuple],
+                 header: tuple | None = None) -> str:
+    """Render a titled, aligned table; ragged rows (and header) are padded
+    with empty cells to the widest, so nothing is dropped and nothing raises."""
+    table = ([tuple(header)] if header else []) + [tuple(row) for row in rows]
+    lines = [f"\n=== {title} ==="]
+    if table:
+        columns = max(len(row) for row in table)
+        padded = [tuple(str(cell) for cell in row) + ("",) * (columns - len(row))
+                  for row in table]
+        widths = [max(len(row[i]) for row in padded) for i in range(columns)]
+        for idx, row in enumerate(padded):
+            lines.append("  ".join(cell.ljust(width)
+                                   for cell, width in zip(row, widths)).rstrip())
+            if header and idx == 0:
+                lines.append("  ".join("-" * width for width in widths))
+    return "\n".join(lines)
 
 
 def find(exp_id: str) -> Experiment:

@@ -3,15 +3,16 @@
 The reproduction's whole-surface sweep (``python -m repro run all``):
 experiments from :data:`repro.experiments.EXPERIMENTS` fan out across
 the campaign engine's supervised worker pool
-(:class:`repro.campaign.supervisor.Supervisor`) with one time budget
-per experiment, deterministic per-experiment seed shards, and a
-content-addressed result cache keyed by the bench file + the
-``src/repro`` tree — so a warm re-run after an unrelated edit skips
-everything unchanged and reports it as ``cached``.  A worker crash or
-hang restarts the experiment with the remaining budget; after three
-worker failures it is reported as ``error``; a failing test is never
-retried.  The paper's layered-defense argument depends on exactly
-this: cross-layer sweeps cheap enough to re-run on every change.
+(:class:`repro.campaign.supervisor.Supervisor`); each worker calls one
+experiment's bench tests in its own process and keeps the tables they
+show.  Each experiment gets one time budget and a deterministic seed
+shard, and a content-addressed result cache keyed by the bench file +
+the ``src/repro`` tree lets a warm re-run report everything unchanged
+as ``cached``.  A worker crash or hang restarts the experiment with the
+remaining budget; after three worker failures it is reported as
+``error``; a failing test is never retried.  The paper's layered-defense
+argument depends on exactly this: cross-layer sweeps cheap enough to
+re-run on every change.
 
 Quickstart::
 
@@ -30,15 +31,13 @@ CLI::
 
 from repro.runner.cache import (CACHE_VERSION, ResultCache, default_cache_dir,
                                 experiment_key, tree_digest)
-from repro.runner.engine import (DEFAULT_COMMAND_TEMPLATE, DEFAULT_TIMEOUT_S,
-                                 ExperimentResult, SweepRunner)
+from repro.runner.engine import DEFAULT_TIMEOUT_S, ExperimentResult, SweepRunner
 from repro.runner.report import (SweepReport, SweepSchemaError,
                                  validate_sweep_dict)
-from repro.runner.worker import execute, parse_artifacts
+from repro.runner.worker import execute
 
 __all__ = [
     "CACHE_VERSION",
-    "DEFAULT_COMMAND_TEMPLATE",
     "DEFAULT_TIMEOUT_S",
     "ExperimentResult",
     "ResultCache",
@@ -48,7 +47,6 @@ __all__ = [
     "default_cache_dir",
     "execute",
     "experiment_key",
-    "parse_artifacts",
     "tree_digest",
     "validate_sweep_dict",
 ]

@@ -1,10 +1,9 @@
 """Content-addressed result cache for experiment sweeps.
 
 A sweep result is reusable exactly when nothing that could change it has
-changed: the bench file itself, the ``src/repro`` tree it imports, the
-shared bench harness (``benchmarks/conftest.py``), the base seed, and
-the worker command shape.  :func:`experiment_key` folds all of those
-into one SHA-256 key; :class:`ResultCache` maps keys to the JSON result
+changed: the bench file itself, the ``src/repro`` tree it imports, and
+the base seed.  :func:`experiment_key` folds all of those into one
+SHA-256 key; :class:`ResultCache` maps keys to the JSON result
 documents the worker produced.  A warm re-run therefore skips every
 experiment whose inputs are byte-identical and re-runs everything else —
 no mtimes, no manual invalidation.
@@ -30,7 +29,7 @@ __all__ = ["CACHE_VERSION", "ResultCache", "tree_digest", "experiment_key",
            "default_cache_dir"]
 
 #: Bumped whenever the cached document shape changes; part of every key.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 
 def default_cache_dir() -> Path:
@@ -70,17 +69,14 @@ def tree_digest(paths: Iterable[Path]) -> str:
 
 
 def experiment_key(exp_id: str, bench_path: Path, *, tree: str,
-                   base_seed: int = 0,
-                   command_template: Iterable[str] = ()) -> str:
+                   base_seed: int = 0) -> str:
     """The content-addressed cache key for one experiment."""
     try:
         bench_sha = _file_sha(Path(bench_path))
     except OSError:
         bench_sha = "<missing>"
-    material = "|".join([
-        f"v{CACHE_VERSION}", exp_id, bench_sha, tree, str(base_seed),
-        " ".join(command_template),
-    ])
+    material = "|".join([f"v{CACHE_VERSION}", exp_id, bench_sha, tree,
+                         str(base_seed)])
     return hashlib.sha256(material.encode()).hexdigest()
 
 

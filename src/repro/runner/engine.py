@@ -1,36 +1,18 @@
 """The cached experiment sweep, run on the campaign's supervised pool.
 
-:class:`SweepRunner` takes experiments from the registry and runs them
-to completion on :class:`~repro.campaign.supervisor.Supervisor`, the
-repo's one worker pool:
-
-- **Parallelism** — ``jobs`` supervised worker processes; each worker
-  runs one experiment's bench file as a subprocess and hands back a
-  plain result document.
-- **Timeout + restarts** — every experiment gets one time budget.  A
-  worker crash or hang restarts the experiment on a fresh worker with
-  what is left of that budget; after three worker failures it is
-  reported as ``error``.  A failing test is never retried.
-- **Caching** — results are looked up in / written to a
-  content-addressed :class:`~repro.runner.cache.ResultCache`; a warm
-  re-run reports unchanged experiments as ``cached`` without spawning
-  anything.
-- **Seed sharding** — each experiment's worker receives a seed derived
-  with :func:`repro.core.rng.derive_seed` from the sweep's base seed,
-  so replicated sweeps (``--base-seed N``) are deterministic per
-  experiment and decorrelated across experiments.
-- **Interrupts** — :meth:`SweepRunner.request_stop` (or a Ctrl-C) ends
-  the sweep early with a partial report marked ``interrupted``.
-- **Observability** — a ``runner.sweep`` span with one child span per
-  executed experiment, ``runner.*`` counters/histograms, and
-  experiment start/done events collected on a sweep
-  :class:`~repro.obs.timeline.Timeline` (mirrored into the global
-  :data:`~repro.obs.runtime.OBS` when instrumentation is enabled).
+:class:`SweepRunner` runs experiments to completion on
+:class:`~repro.campaign.supervisor.Supervisor`, whose workers each call
+:func:`~repro.runner.worker.execute`; :mod:`repro.runner` states the
+budget, retry, cache and seed rules.  :meth:`SweepRunner.request_stop`
+(or a Ctrl-C) ends the sweep early with a partial report marked
+``interrupted``.  A sweep records a ``runner.sweep`` span with one child
+per executed experiment, ``runner.*`` counters, and experiment
+start/done events (mirrored into :data:`~repro.obs.runtime.OBS` when
+instrumentation is enabled).
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,19 +28,9 @@ from repro.obs.trace import Span
 from repro.runner.cache import ResultCache, experiment_key, tree_digest
 from repro.runner.worker import execute
 
-__all__ = ["ExperimentResult", "SweepRunner", "DEFAULT_COMMAND_TEMPLATE",
-           "DEFAULT_TIMEOUT_S"]
-
-#: Worker argv template; ``{python}`` and ``{bench}`` are substituted.
-DEFAULT_COMMAND_TEMPLATE: tuple[str, ...] = (
-    "{python}", "-m", "pytest", "{bench}", "--benchmark-only", "-q",
-    "-p", "no:cacheprovider",
-)
+__all__ = ["ExperimentResult", "SweepRunner", "DEFAULT_TIMEOUT_S"]
 
 DEFAULT_TIMEOUT_S = 900.0
-
-#: Statuses that count as success (a cache hit implies a past pass).
-OK_STATUSES = frozenset({"passed", "cached"})
 
 
 @dataclass
@@ -74,12 +46,11 @@ class ExperimentResult:
     cached: bool = False
     cache_key: str = ""
     artifacts: list[dict] = field(default_factory=list)
-    output_tail: str = ""
     error: str = ""
 
     @property
     def ok(self) -> bool:
-        return self.status in OK_STATUSES
+        return self.status in ("passed", "cached")  # a hit implies a pass
 
     def to_dict(self) -> dict:
         return {
@@ -105,7 +76,6 @@ class SweepRunner:
                  base_seed: int = 0,
                  timeout_s: float = DEFAULT_TIMEOUT_S,
                  bench_dir: Path | None = None,
-                 command_template: Sequence[str] = DEFAULT_COMMAND_TEMPLATE,
                  digest_paths: Sequence[Path] | None = None,
                  on_result: Callable[[ExperimentResult], None] | None = None,
                  ) -> None:
@@ -118,11 +88,9 @@ class SweepRunner:
         self.base_seed = base_seed
         self.timeout_s = timeout_s
         self.bench_dir = Path(bench_dir) if bench_dir else benchmarks_dir()
-        self.command_template = tuple(command_template)
-        if digest_paths is None:
-            src_tree = Path(__file__).resolve().parents[1]  # src/repro
-            digest_paths = [src_tree, benchmarks_dir() / "conftest.py"]
-        self.digest_paths = list(digest_paths)
+        #: What every result depends on besides its bench file: src/repro.
+        self.digest_paths = list(digest_paths if digest_paths is not None
+                                 else [Path(__file__).resolve().parents[1]])
         self.on_result = on_result
         self.events = EventLog(capacity=8192)
         self._stop_requested = False
@@ -138,15 +106,10 @@ class SweepRunner:
         """The deterministic per-experiment seed shard."""
         return derive_seed(f"sweep/{exp_id}", self.base_seed)
 
-    def _command(self, bench_path: Path) -> list[str]:
-        return [part.format(python=sys.executable, bench=str(bench_path))
-                for part in self.command_template]
-
     def _spec(self, experiment: Experiment) -> dict:
-        bench_path = self.bench_dir / experiment.bench_file
         return {
             "id": experiment.exp_id,
-            "command": self._command(bench_path),
+            "bench": str(self.bench_dir / experiment.bench_file),
             "seed": self.seed_for(experiment.exp_id),
             "base_seed": self.base_seed,
         }
@@ -164,7 +127,7 @@ class SweepRunner:
                 "status": "timeout" if outcome.status == "timeout" else "error",
                 "exitCode": -1, "durationS": outcome.duration_s,
                 "seed": self.seed_for(outcome.shard_id), "artifacts": [],
-                "outputTail": "", "error": outcome.error}
+                "error": outcome.error}
 
     def _emit(self, kind: EventKind, exp_id: str, message: str,
               **fields: str | int | float | bool) -> SimEvent:
@@ -216,7 +179,6 @@ class SweepRunner:
             cached=cached,
             cache_key=key,
             artifacts=list(document.get("artifacts", [])),
-            output_tail=str(document.get("outputTail", "")),
             error=str(document.get("error", "")),
         )
 
@@ -237,8 +199,7 @@ class SweepRunner:
             for experiment in self.experiments:
                 key = experiment_key(
                     experiment.exp_id, self.bench_dir / experiment.bench_file,
-                    tree=tree, base_seed=self.base_seed,
-                    command_template=self.command_template)
+                    tree=tree, base_seed=self.base_seed)
                 document = self.cache.get(key) if self.cache is not None \
                     else None
                 if document is not None:

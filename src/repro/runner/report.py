@@ -27,7 +27,7 @@ from repro.core.schema import (BOOL, COUNT, INT, STRING, TEXT, SchemaError,
                                header, integer, list_of, number, obj, one_of,
                                require, validate)
 from repro.obs.events import SimEvent
-from repro.obs.timeline import Timeline, render_timeline
+from repro.obs.timeline import render_timeline
 from repro.runner.engine import ExperimentResult
 
 __all__ = ["SweepReport", "SweepSchemaError", "validate_sweep_dict"]
@@ -82,10 +82,6 @@ class SweepReport:
         return counts
 
     # -- rendering -----------------------------------------------------------
-
-    def timeline(self) -> Timeline:
-        """The sweep's dispatch/completion events as a Timeline."""
-        return Timeline().add(self.events)
 
     def render_timeline(self) -> str:
         return render_timeline(self.events)

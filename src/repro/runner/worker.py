@@ -1,96 +1,110 @@
-"""Worker-side execution of one experiment (runs in a pool process).
+"""Worker-side execution of one experiment (runs on a supervised worker).
 
-:func:`execute` is the function the sweep's supervised workers run, so
-it takes and returns plain dicts (picklable, JSON-ready).  It runs the
-experiment's bench file as a subprocess, classifies the outcome, and
-parses the ``=== title ===`` artifact tables the bench harness prints
-into structured rows — the per-experiment payload the sweep report and
-the result cache both store.  It has no timeout of its own: the
-supervisor's per-experiment budget kills the worker's whole process
-group, bench subprocess included.
+:func:`execute` imports an experiment's bench file by path and calls its
+``test_*`` functions in definition order, in the worker's own process.
+``benchmark`` calls the kernel once, so no table depends on a timing
+harness's round count; ``show`` records each table as ``{"title",
+"rows"}``; ``tmp_path`` is a fresh directory per test.  Prints are
+captured at the file-descriptor level and dropped; a raising test's
+traceback goes to stderr.  There is no timeout here: the supervisor's
+budget kills the worker's process group.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import inspect
 import os
-import re
-import subprocess
+import sys
+import tempfile
 import time
+import traceback
+from contextlib import redirect_stdout
+from pathlib import Path
+from types import ModuleType
+from typing import Callable
 
-__all__ = ["execute", "parse_artifacts", "OUTPUT_TAIL_CHARS"]
+from repro.experiments import format_table
 
-#: How much trailing stdout/stderr a result keeps for display.
-OUTPUT_TAIL_CHARS = 4000
-
-#: pytest progress lines (``.  [100%]``) that leak between artifact rows.
-_PROGRESS_RE = re.compile(r"^[.FEsxX]*\s*\[\s*\d+%\]$")
-
-
-def parse_artifacts(stdout: str) -> list[dict]:
-    """Extract ``=== title ===`` tables from a bench run's stdout.
-
-    Each table is the contiguous block of non-blank lines following its
-    banner; pytest's own progress markers are filtered out so the rows
-    are identical whether the bench ran alone or inside a sweep.
-    """
-    artifacts: list[dict] = []
-    current: dict | None = None
-    for raw in stdout.splitlines():
-        line = raw.rstrip()
-        stripped = line.strip()
-        if stripped.startswith("===") and stripped.endswith("===") and \
-                stripped.strip("=").strip():
-            current = {"title": stripped.strip("=").strip(), "rows": []}
-            artifacts.append(current)
-        elif current is not None:
-            if not stripped:
-                current = None
-            elif not _PROGRESS_RE.match(stripped):
-                current["rows"].append(line)
-    return artifacts
+__all__ = ["execute"]
 
 
-def _tail(text: str) -> str:
-    return text[-OUTPUT_TAIL_CHARS:] if len(text) > OUTPUT_TAIL_CHARS else text
+def _run_tests(module: ModuleType, show: Callable) -> tuple[str, str]:
+    """Call every test in definition order; returns ``(status, error)``."""
+    tests = [(name, value, list(inspect.signature(value).parameters))
+             for name, value in vars(module).items()
+             if name.startswith("test_") and callable(value)]
+    for name, _, params in tests:
+        unknown = [p for p in params if p not in ("benchmark", "show", "tmp_path")]
+        if unknown:
+            return "error", f"{name}: unknown fixture {unknown[0]!r}"
+    failures = []
+    for name, test, params in tests:
+        with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
+            fixtures = {"benchmark": lambda kernel, *args, **kwargs: kernel(*args, **kwargs),
+                        "show": show, "tmp_path": Path(tmp)}
+            try:
+                test(**{p: fixtures[p] for p in params})
+            except (Exception, SystemExit) as exc:
+                traceback.print_exc()
+                message = str(exc).strip().splitlines()[:1]
+                failures.append(": ".join([name, type(exc).__name__, *message]))
+    return ("failed", "; ".join(failures)) if failures else ("passed", "")
 
 
 def execute(spec: dict) -> dict:
-    """Run one experiment to completion inside a worker process.
+    """Run one experiment; takes and returns plain, JSON-ready dicts.
 
-    ``spec`` carries: ``id``, ``command`` (argv list), ``seed``
-    (exported as ``REPRO_EXP_SEED``), and optionally ``base_seed``
-    (exported as ``REPRO_BASE_SEED`` when non-zero, which re-shards
-    every ``repro.core.rng`` stream in the bench).
-
-    Never raises on experiment trouble — failures and launch errors both
-    come back as a status, and neither is retried: both are
-    deterministic.  Statuses: ``passed`` | ``failed`` | ``error``.
+    ``spec`` carries ``id``, ``bench`` (the bench file's path), ``seed``
+    (exported as ``REPRO_EXP_SEED`` for the run) and optionally a
+    non-zero ``base_seed`` (exported as ``REPRO_BASE_SEED``).  Never
+    raises: a raising test is ``failed`` (exit code 1); an import failure
+    or unknown fixture is ``error`` (exit code 2).  Both are
+    deterministic, so neither is retried.
     """
-    env = dict(os.environ)
-    env["REPRO_EXP_SEED"] = str(spec["seed"])
+    artifacts: list[dict] = []
+
+    def show(title: str, rows: list[tuple], header: tuple | None = None) -> None:
+        lines = format_table(title, rows, header).splitlines()
+        artifacts.append({"title": str(title), "rows": lines[2:]})
+
+    saved_env = {var: os.environ.get(var) for var in ("REPRO_EXP_SEED", "REPRO_BASE_SEED")}
+    os.environ["REPRO_EXP_SEED"] = str(spec["seed"])
     if spec.get("base_seed"):
-        env["REPRO_BASE_SEED"] = str(spec["base_seed"])
-
+        os.environ["REPRO_BASE_SEED"] = str(spec["base_seed"])
+    name = f"repro_bench_{Path(spec['bench']).stem}"
+    sys.stdout.flush()
+    saved_stdout = os.dup(1)
     t0 = time.perf_counter()
-    stdout, stderr, error = "", "", ""
     try:
-        proc = subprocess.run(list(spec["command"]), capture_output=True,
-                              text=True, env=env)
-        stdout, stderr = proc.stdout or "", proc.stderr or ""
-        status = "passed" if proc.returncode == 0 else "failed"
-        exit_code = proc.returncode
-    except OSError as exc:
-        status, exit_code = "error", -1
-        error = f"could not launch worker command: {exc}"
-    duration_s = time.perf_counter() - t0
-
+        with tempfile.TemporaryFile("w") as sink, redirect_stdout(sink):
+            os.dup2(sink.fileno(), 1)
+            try:
+                bench = importlib.util.spec_from_file_location(name, spec["bench"])
+                module = importlib.util.module_from_spec(bench)
+                sys.modules[name] = module  # dataclasses look their module up here
+                bench.loader.exec_module(module)
+            except (Exception, SystemExit) as exc:
+                traceback.print_exc()
+                status = "error"
+                error = f"could not import {spec['bench']}: {type(exc).__name__}: {exc}"
+            else:
+                status, error = _run_tests(module, show)
+    finally:
+        os.dup2(saved_stdout, 1)
+        os.close(saved_stdout)
+        sys.modules.pop(name, None)
+        for var, value in saved_env.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
     return {
         "id": spec["id"],
         "status": status,
-        "exitCode": exit_code,
-        "durationS": duration_s,
+        "exitCode": {"passed": 0, "failed": 1}.get(status, 2),
+        "durationS": time.perf_counter() - t0,
         "seed": spec["seed"],
-        "artifacts": parse_artifacts(stdout),
-        "outputTail": _tail(stdout if stdout else stderr),
+        "artifacts": artifacts,
         "error": error,
     }

@@ -291,3 +291,24 @@ def test_findings_carry_location_and_remediation(tmp_path):
     assert finding.line >= 1
     assert finding.remediation
     assert finding.subject == f"{finding.relpath}:{finding.line}"
+
+
+def test_aud001_flags_builtin_hash(tmp_path):
+    report = _run_rule(tmp_path, "AUD001", {"datalayer/ids.py": """\
+        def pseudonym(vin: str) -> str:
+            return f"anon-{hash(vin) & 0xFFFF:04x}"
+    """})
+    assert [(f.line, f.message) for f in report.findings] == [
+        (2, "hash() of str/bytes is salted per process (use a hashlib digest)")]
+
+
+def test_aud001_allows_hash_inside_dunder_hash(tmp_path):
+    report = _run_rule(tmp_path, "AUD001", {"core/key.py": """\
+        class Key:
+            def __init__(self, name: str) -> None:
+                self.name = name
+
+            def __hash__(self) -> int:
+                return hash(self.name)
+    """})
+    assert not report.findings

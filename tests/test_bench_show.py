@@ -1,20 +1,13 @@
-"""The benchmark harness's table formatter (``benchmarks/conftest.py``).
+"""The bench table formatter (:func:`repro.experiments.format_table`).
 
 The ``show`` fixture used to compute column widths from the *first* row
 and ``zip`` silently truncated longer rows — ragged tables either
-crashed with ``IndexError`` or dropped cells.  These tests load the
-bench conftest by path and pin the padded behavior.
+crashed with ``IndexError`` or dropped cells.  These tests pin the
+padded behavior of the formatter that the bench harness's ``show`` and
+the sweep runner's ``show`` both use.
 """
 
-import importlib.util
-from pathlib import Path
-
-_CONFTEST = Path(__file__).resolve().parent.parent / "benchmarks" / "conftest.py"
-_spec = importlib.util.spec_from_file_location("bench_conftest", _CONFTEST)
-bench_conftest = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(bench_conftest)
-
-format_table = bench_conftest.format_table
+from repro.experiments import format_table
 
 
 class TestFormatTable:

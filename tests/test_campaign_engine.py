@@ -20,10 +20,23 @@ from repro.campaign import (
     replay,
     validate_campaign_dict,
 )
+from repro.campaign.supervisor import Supervisor
 from repro.faults import get_plan
 
 CRASH = "runner-worker-crash"
 HANG = "runner-worker-hang"
+
+
+def _echo_shard(shard):
+    return {"status": "ok", "pid": shard["id"]}
+
+
+def _nested_pool_shard(shard):
+    """A shard that runs a supervised pool of its own (BENCH-RUN does)."""
+    outcomes, _ = Supervisor(_echo_shard, jobs=2).run(
+        [{"id": f"{shard['id']}/{i}"} for i in range(3)])
+    return {"status": "ok",
+            "inner": sorted(o.payload["pid"] for o in outcomes.values())}
 
 
 def small_spec(name="eng"):
@@ -142,6 +155,18 @@ class TestSupervisionVerdicts:
         assert entry.status == "error" and entry.attempts == 1
         assert "KeyError" in entry.error
         validate_campaign_dict(report.to_json_dict())
+
+
+class TestNestedPools:
+    def test_a_shard_can_start_its_own_supervisor(self):
+        # Daemonic workers may not have children: the inner pool failed
+        # in every worker and the shard was quarantined.
+        outcomes, interrupted = Supervisor(_nested_pool_shard, jobs=2).run(
+            [{"id": "a"}, {"id": "b"}])
+        assert not interrupted
+        assert {sid: (o.status, o.attempts) for sid, o in outcomes.items()} \
+            == {"a": ("ok", 1), "b": ("ok", 1)}
+        assert outcomes["a"].payload["inner"] == ["a/0", "a/1", "a/2"]
 
 
 class TestInterruptAndResume:

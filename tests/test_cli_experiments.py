@@ -122,3 +122,16 @@ class TestRunnerCli:
         assert code == 0
         document = json.loads(out)
         assert [e["id"] for e in document["experiments"]] == ["FIG1"]
+
+    def test_artifacts_repeat_across_runs_and_jobs(self, capsys):
+        # Each bench kernel runs exactly once, so FIG9's cascade table and
+        # EXP-C2's offset-insider table cannot depend on how many timing
+        # rounds a harness picked, nor on how experiments share workers.
+        runs = []
+        for jobs in ("1", "1", "2"):
+            code, out, _ = self._run(capsys, "FIG9", "EXP-C2", "--json",
+                                     "--no-cache", "--jobs", jobs)
+            assert code == 0
+            runs.append([e["artifacts"] for e in json.loads(out)["experiments"]])
+        assert runs[0] == runs[1] == runs[2]
+        assert all(len(artifacts) == 3 for artifacts in runs[0])

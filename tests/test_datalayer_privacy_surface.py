@@ -1,5 +1,11 @@
 """Tests for telemetry generation, privacy analysis, and surface minimization."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.datalayer.breach import build_cariad_service
@@ -10,6 +16,28 @@ from repro.datalayer.privacy import (
 )
 from repro.datalayer.surface import FeatureSurfaceAnalyzer
 from repro.datalayer.telemetry import FleetTelemetryGenerator
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+#: FIG8's privacy analysis (``benchmarks/bench_fig8_killchain.py``),
+#: printed with exact rates and every pseudonym.
+FIG8_PRIVACY = """\
+import json
+from repro.datalayer.privacy import reidentification_rate, trajectory_uniqueness
+from repro.datalayer.telemetry import FleetTelemetryGenerator
+
+fleet = FleetTelemetryGenerator(40, seed_label="fig8-privacy")
+anonymized = [r.anonymized() for r in fleet.generate(days=30)]
+print(json.dumps({
+    "pseudonyms": sorted({r.vin for r in anonymized}),
+    "precise": reidentification_rate(anonymized, fleet.vehicles),
+    "coarse": reidentification_rate([r.coarsened(1) for r in anonymized],
+                                    fleet.vehicles, cell_decimals=1),
+    "uniqueness": trajectory_uniqueness(anonymized, n_points=4,
+                                        trials_per_vehicle=5),
+}))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +73,21 @@ class TestTelemetry:
         assert anon.owner_name == "" and anon.owner_email == ""
         assert anon.vin != records[0].vin
         assert anon.lat == records[0].lat
+
+    def test_pseudonyms_do_not_depend_on_the_hash_seed(self):
+        # Python salts str hashes per process; under hash seed 4 the old
+        # 16-bit ``hash(vin)`` pseudonym merged two of FIG8's 40 vehicles.
+        outputs = []
+        for hash_seed in ("0", "4"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": SRC}
+            env.pop("REPRO_BASE_SEED", None)
+            result = subprocess.run([sys.executable, "-c", FIG8_PRIVACY],
+                                    env=env, capture_output=True, text=True,
+                                    timeout=120, check=True)
+            outputs.append(json.loads(result.stdout))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]["pseudonyms"]) == 40
 
     def test_coarsened_rounds_location(self, records):
         coarse = records[0].coarsened(1)

@@ -1,7 +1,6 @@
 """LRU pruning of the sweep result cache (``--cache-max-entries``)."""
 
 import os
-import sys
 
 import pytest
 
@@ -80,13 +79,11 @@ class TestRunnerWiring:
         experiments = []
         for i in range(3):
             (bench / f"syn{i}.py").write_text(
-                f"print('=== SYN{i} table ===')\n")
+                f"def test_table(show):\n    show('SYN{i} table', [])\n")
             experiments.append(Experiment(f"SYN{i}", "-", "synthetic",
                                           f"syn{i}.py"))
         cache_dir = tmp_path / "cache"
-        runner = SweepRunner(experiments, bench_dir=bench,
-                             command_template=(sys.executable, "{bench}"),
-                             digest_paths=[],
+        runner = SweepRunner(experiments, bench_dir=bench, digest_paths=[],
                              cache=ResultCache(cache_dir, max_entries=2),
                              timeout_s=30.0, jobs=1)
         report = runner.run()

@@ -1,7 +1,6 @@
 """The sweep scheduler: parallelism, restarts, caching, seeds, and obs."""
 
 import os
-import sys
 import time
 
 import pytest
@@ -10,47 +9,82 @@ from repro.core.rng import derive_seed
 from repro.experiments import Experiment
 from repro.obs.events import EventKind
 from repro.obs.runtime import OBS, instrumented
-from repro.runner import ResultCache, SweepRunner, parse_artifacts
+from repro.runner import ResultCache, SweepRunner, execute
 
 SCRIPT_OK = """\
 import os, time
-time.sleep(0.02)
-print("=== {exp_id} table ===")
-print("seed", os.environ.get("REPRO_EXP_SEED"))
-print("base", os.environ.get("REPRO_BASE_SEED", "<unset>"))
+
+
+def test_table(show):
+    time.sleep(0.02)
+    show("{exp_id} table",
+         [("seed " + str(os.environ.get("REPRO_EXP_SEED")),),
+          ("base " + os.environ.get("REPRO_BASE_SEED", "<unset>"),)])
 """
 
-SCRIPT_FAIL = "import sys\nprint('boom')\nsys.exit(3)\n"
-SCRIPT_HANG = "import time\ntime.sleep(60)\n"
+SCRIPT_FAIL = """\
+def test_boom():
+    print("stray output")
+    assert False, "boom"
+"""
+
+SCRIPT_HANG = "import time\n\n\ndef test_hang():\n    time.sleep(60)\n"
+
+#: Fails to import, the same way on every attempt.
+SCRIPT_IMPORT_ERROR = "import repro_no_such_module\n\n\ndef test_never():\n    pass\n"
 
 #: Kills its own worker on the first attempt only: the marker file
 #: records that the first attempt ran.
 SCRIPT_KILL_WORKER_ONCE = """\
 import os, signal, time
 from pathlib import Path
-marker = Path({marker!r})
-if not marker.exists():
-    marker.write_text("attempt 0")
-    time.sleep(0.5)
-    os.kill(os.getppid(), signal.SIGKILL)
-    time.sleep(60)
-print("=== X table ===")
+
+
+def test_kill_once(show):
+    marker = Path({marker!r})
+    if not marker.exists():
+        marker.write_text("attempt 0")
+        time.sleep(0.5)
+        os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(60)
+    show("X table", [])
 """
 
 #: Kills its own worker on every attempt.
 SCRIPT_KILL_WORKER = """\
 import os, signal, time
-os.kill(os.getppid(), signal.SIGKILL)
-time.sleep(60)
+
+
+def test_kill():
+    os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(60)
 """
 
-#: Writes its PID, then outlives any sane budget.
+#: Starts a child process, writes its PID, then outlives any sane budget.
 SCRIPT_PID_HANG = """\
-import os, time
+import subprocess, sys, time
 from pathlib import Path
-Path({pidfile!r}).write_text(str(os.getpid()))
-time.sleep(60)
+
+
+def test_child_hang():
+    child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+    Path({pidfile!r}).write_text(str(child.pid))
+    time.sleep(60)
 """
+
+#: Prints table-shaped noise but shows two real tables.
+SCRIPT_SHOW = """\
+def test_tables(show):
+    print("collected")
+    print("=== not a table ===")
+    print(".                  [100%]")
+    show("Fig. X — demo", [("row a", 1), ("row b", 2)])
+    print("other text")
+    show("second", [("only row",)])
+"""
+
+#: Prints a bare separator and shows nothing.
+SCRIPT_SEPARATOR = "def test_separator():\n    print(\"======\\nrow\")\n"
 
 
 def make_experiments(directory, scripts):
@@ -65,9 +99,8 @@ def make_experiments(directory, scripts):
 
 def make_runner(experiments, directory, **kwargs):
     kwargs.setdefault("timeout_s", 30.0)
-    return SweepRunner(experiments, bench_dir=directory,
-                       command_template=(sys.executable, "{bench}"),
-                       digest_paths=[], **kwargs)
+    return SweepRunner(experiments, bench_dir=directory, digest_paths=[],
+                       **kwargs)
 
 
 class TestScheduling:
@@ -96,10 +129,10 @@ class TestScheduling:
         experiments = make_experiments(tmp_path, {"BAD": SCRIPT_FAIL})
         report = make_runner(experiments, tmp_path).run()
         result = report.results[0]
-        assert result.status == "failed" and result.exit_code == 3
+        assert result.status == "failed" and result.exit_code == 1
         assert not result.ok and report.exit_code() == 1
         assert result.retries == 0  # deterministic failures are not retried
-        assert "boom" in result.output_tail
+        assert result.error == "test_boom: AssertionError: boom"
 
     def test_jobs_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="jobs"):
@@ -123,7 +156,7 @@ class TestTimeoutAndRetry:
 
     def test_timed_out_experiment_leaves_no_surviving_child(self, tmp_path):
         # The budget kills the worker's whole process group, so the
-        # bench subprocess the worker started dies with it.
+        # process the bench's test started dies with it.
         pidfile = tmp_path / "child.pid"
         experiments = make_experiments(
             tmp_path, {"SLOW": SCRIPT_PID_HANG.format(pidfile=str(pidfile))})
@@ -164,15 +197,14 @@ class TestTimeoutAndRetry:
         assert report.exit_code() == 1
 
     def test_launch_error_is_not_retried(self, tmp_path):
-        # A missing interpreter fails the same way every time.
-        experiments = make_experiments(tmp_path, {"X": SCRIPT_OK})
-        runner = SweepRunner(experiments, bench_dir=tmp_path, timeout_s=5.0,
-                             command_template=("/nonexistent-interpreter",
-                                               "{bench}"),
-                             digest_paths=[])
-        result = runner.run().results[0]
+        # A bench file that cannot import fails the same way every time.
+        experiments = make_experiments(tmp_path, {"X": SCRIPT_IMPORT_ERROR})
+        result = make_runner(experiments, tmp_path, timeout_s=5.0).run() \
+            .results[0]
         assert result.status == "error" and result.retries == 0
-        assert "could not launch" in result.error
+        assert result.exit_code == 2
+        assert "could not import" in result.error
+        assert "repro_no_such_module" in result.error
 
 
 class TestCaching:
@@ -278,16 +310,58 @@ class TestObservability:
         assert "experiment-done" in rendered
 
 
+def run_bench(directory, source):
+    """Execute one bench file in this process, as a worker would."""
+    path = directory / "bench_syn.py"
+    path.write_text(source)
+    return execute({"id": "SYN", "bench": str(path), "seed": 1})
+
+
 class TestArtifactParsing:
-    def test_tables_extracted_with_progress_noise_filtered(self):
-        stdout = ("collected\n\n=== Fig. X — demo ===\nrow a  1\n"
-                  ".                  [100%]\nrow b  2\n\nother text\n"
-                  "=== second ===\nonly row\n")
-        artifacts = parse_artifacts(stdout)
-        assert artifacts == [
+    """Artifacts are exactly what ``show`` recorded; prints never count."""
+
+    def test_tables_extracted_with_progress_noise_filtered(self, tmp_path,
+                                                           capfd):
+        result = run_bench(tmp_path, SCRIPT_SHOW)
+        assert result["status"] == "passed"
+        assert result["artifacts"] == [
             {"title": "Fig. X — demo", "rows": ["row a  1", "row b  2"]},
             {"title": "second", "rows": ["only row"]},
         ]
+        assert capfd.readouterr().out == ""  # the prints stayed captured
 
-    def test_bare_separator_is_not_a_title(self):
-        assert parse_artifacts("======\nrow\n") == []
+    def test_bare_separator_is_not_a_title(self, tmp_path):
+        result = run_bench(tmp_path, SCRIPT_SEPARATOR)
+        assert result["status"] == "passed"
+        assert result["artifacts"] == []
+
+
+class TestExecute:
+    def test_unknown_fixture_is_an_error_and_runs_nothing(self, tmp_path):
+        marker = tmp_path / "ran"
+        result = run_bench(tmp_path, (
+            "from pathlib import Path\n\n\n"
+            f"def test_first(show):\n    Path({str(marker)!r}).touch()\n\n\n"
+            "def test_second(capsys):\n    pass\n"))
+        assert result["status"] == "error" and result["exitCode"] == 2
+        assert result["error"] == "test_second: unknown fixture 'capsys'"
+        assert not marker.exists()
+
+    def test_every_test_runs_in_definition_order(self, tmp_path):
+        result = run_bench(tmp_path, (
+            "def test_b(show):\n    show('b', [])\n\n\n"
+            "def test_a(show):\n    assert False\n\n\n"
+            "def test_c(show, tmp_path):\n"
+            "    assert not any(tmp_path.iterdir())\n    show('c', [])\n"))
+        assert result["status"] == "failed" and result["exitCode"] == 1
+        assert result["error"] == "test_a: AssertionError"
+        assert [a["title"] for a in result["artifacts"]] == ["b", "c"]
+
+    def test_seed_environment_is_restored(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_EXP_SEED", raising=False)
+        monkeypatch.setenv("REPRO_BASE_SEED", "3")
+        result = execute({"id": "X", "bench": str(tmp_path / "x.py"),
+                          "seed": 9, "base_seed": 5})
+        assert result["status"] == "error"  # no such file
+        assert "REPRO_EXP_SEED" not in os.environ
+        assert os.environ["REPRO_BASE_SEED"] == "3"

@@ -25,7 +25,7 @@ from repro.runner.report import validate_sweep_dict
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-SCRIPT = "print('=== {exp_id} table ===')\n"
+SCRIPT = "def test_table(show):\n    show('{exp_id} table', [])\n"
 
 
 def make_runner(tmp_path, count=4, **kwargs):
@@ -35,9 +35,8 @@ def make_runner(tmp_path, count=4, **kwargs):
         (tmp_path / name).write_text(SCRIPT.format(exp_id=f"SYN{i}"))
         experiments.append(Experiment(f"SYN{i}", "-", "synthetic", name))
     kwargs.setdefault("timeout_s", 30.0)
-    return SweepRunner(experiments, bench_dir=tmp_path,
-                       command_template=(sys.executable, "{bench}"),
-                       digest_paths=[], **kwargs)
+    return SweepRunner(experiments, bench_dir=tmp_path, digest_paths=[],
+                       **kwargs)
 
 
 def interrupt_after(runner, n):
@@ -78,7 +77,8 @@ class TestSweepInterrupt:
 
     def test_interrupt_beats_failure_in_exit_code(self, tmp_path):
         runner = make_runner(tmp_path, jobs=1)
-        (tmp_path / "syn0.py").write_text("import sys; sys.exit(3)\n")
+        (tmp_path / "syn0.py").write_text(
+            "def test_fail():\n    raise AssertionError('boom')\n")
         interrupt_after(runner, 1)
         report = runner.run()
         assert any(r.status == "failed" for r in report.results)
