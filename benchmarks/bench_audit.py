@@ -13,20 +13,16 @@ properties:
    not vary across runs — the audit is itself subject to the repo's
    determinism promise.
 
-The measured numbers are exported through the observability layer's
-JSON metrics format into ``BENCH_AUDIT.json`` at the repo root.
+The measured numbers live in the tables the bench shows, which
+``python -m repro run BENCH-AUDIT --json`` records as artifacts.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from pathlib import Path
 
 from repro.audit import AuditContext, AuditEngine, validate_audit_dict
-from repro.obs import MetricsRegistry
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
+from repro.experiments import best_of
 
 #: Parse + full catalog over the shipped tree, per run (seconds) —
 #: generous on CI hardware (the parse dominates; the catalog itself
@@ -35,34 +31,14 @@ _REPO_ROOT = Path(__file__).resolve().parent.parent
 FULL_TREE_BUDGET_S = 1.5
 
 
-def _best_of(fn, repeats: int = 5) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def test_full_tree_audit_cost(show, benchmark):
     engine = AuditEngine()
-    registry = MetricsRegistry()
 
-    parse_s = _best_of(AuditContext.parse)
+    parse_s = best_of(AuditContext.parse)
     context = AuditContext.parse()
-    check_s = _best_of(lambda: engine.run(context))
-    full_s = _best_of(lambda: AuditEngine().run(AuditContext.parse()))
+    check_s = best_of(lambda: engine.run(context))
+    full_s = best_of(lambda: AuditEngine().run(AuditContext.parse()))
     report = engine.run(context)
-
-    registry.gauge("bench.audit.parse_ms").set(parse_s * 1e3)
-    registry.gauge("bench.audit.check_ms").set(check_s * 1e3)
-    registry.gauge("bench.audit.full_tree_ms").set(full_s * 1e3)
-    registry.gauge("bench.audit.modules").set(float(report.modules_audited))
-    registry.gauge("bench.audit.checkers").set(float(len(report.rules_run)))
-    registry.gauge("bench.audit.findings").set(float(len(report.findings)))
-    registry.gauge("bench.audit.suppressed").set(float(len(report.suppressed)))
-    path = _REPO_ROOT / "BENCH_AUDIT.json"
-    path.write_text(json.dumps(registry.to_json_dict(), indent=2) + "\n")
 
     show("BENCH-AUDIT — full-tree self-audit",
          [("parse (shared context)", f"{parse_s * 1e3:7.2f}"),
@@ -70,7 +46,8 @@ def test_full_tree_audit_cost(show, benchmark):
           ("parse + catalog", f"{full_s * 1e3:7.2f}"),
           ("modules", report.modules_audited),
           ("checkers", len(report.rules_run)),
-          ("findings", len(report.findings))],
+          ("findings", len(report.findings)),
+          ("suppressed", len(report.suppressed))],
          header=("stage", "ms"))
     benchmark(lambda: engine.run(context))
     assert full_s < FULL_TREE_BUDGET_S, f"full audit took {full_s:.2f}s"

@@ -15,8 +15,8 @@ journal; this bench pins the price and the payoff:
 3. **Byte-identical reports.** Cold, re-run, and resumed documents must
    serialize to the same bytes — the engine's core promise.
 
-The measured numbers are exported through the observability layer's
-JSON metrics format into ``BENCH_CAMPAIGN.json`` at the repo root.
+The measured numbers live in the tables the bench shows, which
+``python -m repro run BENCH-CAMPAIGN --json`` records as artifacts.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ from repro.campaign import (
     CampaignTool,
     validate_campaign_dict,
 )
-from repro.obs import MetricsRegistry
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Journal time as a fraction of shard compute time (ISSUE gate: <5%).
 JOURNAL_OVERHEAD_BUDGET = 0.05
@@ -69,8 +66,6 @@ def _bytes(report) -> str:
 
 
 def test_journal_overhead_and_resume_skip(tmp_path, show, benchmark):
-    registry = MetricsRegistry()
-
     cold_report, cold_s = _run(tmp_path / "cold")
     shard_s = sum(e.duration_s for e in cold_report.entries.values())
     overhead = cold_report.journal_write_s / shard_s
@@ -78,30 +73,16 @@ def test_journal_overhead_and_resume_skip(tmp_path, show, benchmark):
     resumed_report, resume_s = _run(tmp_path / "cold", resume=True)
     skip = 1.0 - resume_s / cold_s
 
-    registry.gauge("bench.campaign.shards").set(float(len(_spec())))
-    registry.gauge("bench.campaign.cold_ms").set(cold_s * 1e3)
-    registry.gauge("bench.campaign.shard_compute_ms").set(shard_s * 1e3)
-    registry.gauge("bench.campaign.journal_ms").set(
-        cold_report.journal_write_s * 1e3)
-    registry.gauge("bench.campaign.journal_records").set(
-        float(cold_report.journal_records))
-    registry.gauge("bench.campaign.journal_overhead_pct").set(
-        overhead * 100.0)
-    registry.gauge("bench.campaign.resume_ms").set(resume_s * 1e3)
-    registry.gauge("bench.campaign.resume_skip_pct").set(skip * 100.0)
-    registry.gauge("bench.campaign.resumed_shards").set(
-        float(resumed_report.resumed_shards))
-    path = _REPO_ROOT / "BENCH_CAMPAIGN.json"
-    path.write_text(json.dumps(registry.to_json_dict(), indent=2) + "\n")
-
     show("BENCH-CAMPAIGN — WAL overhead and resume payoff",
          [("shards", len(_spec())),
           ("cold run (ms)", f"{cold_s * 1e3:7.1f}"),
           ("shard compute (ms)", f"{shard_s * 1e3:7.1f}"),
           ("journal writes (ms)", f"{cold_report.journal_write_s * 1e3:7.2f}"),
+          ("journal records", cold_report.journal_records),
           ("journal overhead", f"{overhead * 100:6.2f}%"),
           ("resume (ms)", f"{resume_s * 1e3:7.1f}"),
-          ("resume skips", f"{skip * 100:6.1f}%")],
+          ("resume skips", f"{skip * 100:6.1f}%"),
+          ("resumed shards", resumed_report.resumed_shards)],
          header=("metric", "value"))
     # pure replay: an ended campaign appends nothing, so the loop is
     # side-effect free however many times pytest-benchmark runs it

@@ -11,16 +11,15 @@ effectively free.  Two claims are pinned here:
    virtual clock completes in tens of milliseconds — faults are modeled,
    never slept — so CI can run the chaos gate on every push.
 
-The measured numbers are exported through the observability layer's
-JSON metrics format into ``BENCH_FAULTS.json`` at the repo root.
+The measured numbers live in the tables the bench shows, which
+``python -m repro run BENCH-FAULTS --json`` records as artifacts.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
+from repro.experiments import best_of
 from repro.faults import (
     FaultInjector,
     FaultKind,
@@ -28,12 +27,9 @@ from repro.faults import (
     run_chaos_campaign,
 )
 from repro.lint import scenario_names
-from repro.obs import MetricsRegistry
 
 N_FRAMES = 400
 N_PROBES = 200_000
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _bus_workload(n_frames: int = N_FRAMES) -> None:
@@ -50,15 +46,6 @@ def _bus_workload(n_frames: int = N_FRAMES) -> None:
     for _ in range(n_frames):
         bus.send("sender", frame)
     sim.run()
-
-
-def _best_of(fn, repeats: int = 5) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def _probe_cost_s(iterations: int = N_PROBES) -> float:
@@ -84,15 +71,9 @@ def _loop_floor_s(iterations: int = N_PROBES) -> float:
     return (time.perf_counter() - t0) / iterations
 
 
-def _export(registry: MetricsRegistry) -> Path:
-    path = _REPO_ROOT / "BENCH_FAULTS.json"
-    path.write_text(json.dumps(registry.to_json_dict(), indent=2) + "\n")
-    return path
-
-
 def test_unscheduled_probe_is_within_the_frame_budget(show):
     """The acceptance gate: the no-fault fast path < 5% of per-frame work."""
-    frame_s = _best_of(_bus_workload) / N_FRAMES
+    frame_s = best_of(_bus_workload) / N_FRAMES
     probe_s = max(0.0, _probe_cost_s() - _loop_floor_s())
     overhead = probe_s / frame_s
 
@@ -100,16 +81,6 @@ def test_unscheduled_probe_is_within_the_frame_budget(show):
     document = run_chaos_campaign(scenario_names(), "baseline",
                                   base_seed=0)
     campaign_s = time.perf_counter() - campaign_t0
-
-    registry = MetricsRegistry()
-    registry.gauge("bench.faults.probe.ns_per_check").set(probe_s * 1e9)
-    registry.gauge("bench.faults.bus.ns_per_frame").set(frame_s * 1e9)
-    registry.gauge("bench.faults.probe.frame_budget_fraction").set(overhead)
-    registry.gauge("bench.faults.campaign.ms_five_scenarios").set(
-        campaign_s * 1e3)
-    registry.gauge("bench.faults.campaign.faults_injected").set(
-        float(document["summary"]["faultsInjected"]))
-    path = _export(registry)
 
     show("BENCH-FAULTS — injector cost on the hot paths",
          [("no-fault probe", f"{probe_s * 1e9:9.1f} ns",
@@ -121,7 +92,6 @@ def test_unscheduled_probe_is_within_the_frame_budget(show):
     assert overhead < 0.05, (
         f"no-fault probe costs {overhead:.1%} of the per-frame budget "
         f"(probe {probe_s * 1e9:.1f} ns, frame {frame_s * 1e9:.0f} ns)")
-    assert path.exists()
 
 
 def test_armed_window_still_replays_identically(show):

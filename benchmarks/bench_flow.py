@@ -10,35 +10,20 @@ lint invocation and inside CI gates.  This bench pins that property:
    growing width show the analysis scaling near-linearly in edges (BFS
    + one max-flow per reached sink).
 
-The measured numbers are exported through the observability layer's
-JSON metrics format into ``BENCH_FLOW.json`` at the repo root.
+The measured numbers live in the tables the bench shows, which
+``python -m repro run BENCH-FLOW --json`` records as artifacts.
 """
 
 from __future__ import annotations
 
-import json
-import time
-from pathlib import Path
-
+from repro.experiments import best_of
 from repro.flow import analyze, build_flow_graph
 from repro.lint.scenarios import SCENARIOS, build_scenario
-from repro.obs import MetricsRegistry
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: The fleet must analyze end to end within this budget (seconds) —
 #: generous on CI hardware, tight enough to catch accidental
 #: quadratic blowups in the graph builder.
 FLEET_BUDGET_S = 2.0
-
-
-def _best_of(fn, repeats: int = 5) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def _synthetic_target(n_zones: int, ecus_per_zone: int = 4):
@@ -59,22 +44,16 @@ def _synthetic_target(n_zones: int, ecus_per_zone: int = 4):
 
 def test_fleet_analysis_cost(show, benchmark):
     rows = []
-    registry = MetricsRegistry()
     total_s = 0.0
     for name in SCENARIOS:
         target = build_scenario(name)
-        seconds = _best_of(lambda t=target: analyze(t))
+        seconds = best_of(lambda t=target: analyze(t))
         total_s += seconds
         result = analyze(target)
         graph = result.graph
         rows.append((name, len(graph.nodes()), len(graph.edges()),
                      len(result.witnesses), f"{seconds * 1e3:7.2f}"))
-        registry.gauge(f"bench.flow.{name}.ms_per_analysis").set(seconds * 1e3)
-        registry.gauge(f"bench.flow.{name}.witnesses").set(
-            float(len(result.witnesses)))
-    registry.gauge("bench.flow.fleet.total_ms").set(total_s * 1e3)
-    path = _REPO_ROOT / "BENCH_FLOW.json"
-    path.write_text(json.dumps(registry.to_json_dict(), indent=2) + "\n")
+    rows.append(("fleet total", "-", "-", "-", f"{total_s * 1e3:7.2f}"))
 
     show("BENCH-FLOW — taint analysis per scenario",
          rows, header=("scenario", "nodes", "edges", "paths", "ms"))
@@ -88,7 +67,7 @@ def test_scaling_with_topology_width(show):
     for n_zones in (2, 4, 8, 16):
         target = _synthetic_target(n_zones)
         graph = build_flow_graph(target)
-        seconds = _best_of(lambda t=target: analyze(t), repeats=3)
+        seconds = best_of(lambda t=target: analyze(t), repeats=3)
         ratio = "" if previous is None else f"{seconds / previous:4.1f}x"
         rows.append((n_zones, len(graph.nodes()), len(graph.edges()),
                      f"{seconds * 1e3:7.2f}", ratio))

@@ -29,24 +29,21 @@ that makes the speedups admissible:
 The scalar fallback still exists on purpose: ``run_batch`` drops to the
 event loop whenever obs hooks are enabled, a node has a receive
 callback, or foreign events are live — the batch path is a fast lane,
-not a semantic fork.  Numbers land in ``BENCH_KERNELS.json`` at the
-repo root via the observability layer's JSON metrics format.
+not a semantic fork.  The measured numbers live in the tables the
+bench shows, which ``python -m repro run BENCH-KERNELS --json`` records
+as artifacts.
 """
 
 from __future__ import annotations
 
-import heapq
-import json
-import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from repro.core.events import Simulator
+from repro.experiments import best_of
 from repro.ivn.bus import BusNode, CanBus, DeliveryRecord
 from repro.ivn.frames import CanFdFrame, CanFrame, CanXlFrame
-from repro.obs import MetricsRegistry
 from repro.phy.pulses import HRP_CONFIG, build_pulse_train, pulse_template
 from repro.phy.ranging import ds_twr, ds_twr_batch
 
@@ -56,8 +53,6 @@ N_FRAMES = 400
 N_SYMBOLS = 512
 N_RANGINGS = 4000
 MIN_BATCHED_SPEEDUP = 10.0
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 # -- the preserved reference kernel ------------------------------------------
@@ -172,16 +167,6 @@ def _bus_batched(n_frames: int = N_FRAMES) -> CanBus:
     return bus
 
 
-def _best_of(fn, repeats: int = 5) -> float:
-    """Minimum wall time over ``repeats`` runs (noise-robust)."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def _mixed_burst(seed: int, n: int) -> list:
     rng = np.random.default_rng(seed)
     frames: list = []
@@ -202,12 +187,6 @@ def _record_tuple(record: DeliveryRecord) -> tuple:
             record.started_at, record.completed_at)
 
 
-def _export(registry: MetricsRegistry) -> Path:
-    path = _REPO_ROOT / "BENCH_KERNELS.json"
-    path.write_text(json.dumps(registry.to_json_dict(), indent=2) + "\n")
-    return path
-
-
 # -- benches -----------------------------------------------------------------
 
 
@@ -219,36 +198,27 @@ def test_batched_bus_is_10x_reference_kernel(show):
     # measure steady-state, not first-call cache fills.
     _bus_batched(8)
 
-    reference_s = _best_of(_bus_reference) / N_FRAMES
-    scalar_s = _best_of(_bus_scalar) / N_FRAMES
-    batched_s = _best_of(_bus_batched) / N_FRAMES
+    reference_s = best_of(_bus_reference) / N_FRAMES
+    scalar_s = best_of(_bus_scalar) / N_FRAMES
+    batched_s = best_of(_bus_batched) / N_FRAMES
 
     vs_reference = reference_s / batched_s
     vs_scalar = scalar_s / batched_s
     scalar_vs_reference = reference_s / scalar_s
 
-    registry = MetricsRegistry()
-    registry.gauge("bench.kernels.bus.us_per_frame_reference").set(reference_s * 1e6)
-    registry.gauge("bench.kernels.bus.us_per_frame_scalar").set(scalar_s * 1e6)
-    registry.gauge("bench.kernels.bus.us_per_frame_batched").set(batched_s * 1e6)
-    registry.gauge("bench.kernels.bus.frames_per_s_batched").set(1.0 / batched_s)
-    registry.gauge("bench.kernels.bus.batched_speedup_vs_reference").set(vs_reference)
-    registry.gauge("bench.kernels.bus.batched_speedup_vs_scalar").set(vs_scalar)
-    registry.gauge("bench.kernels.bus.scalar_speedup_vs_reference").set(scalar_vs_reference)
-    path = _export(registry)
-
     show(f"BENCH-KERNELS — CAN transport, {N_FRAMES}-frame saturated burst",
-         [("reference (list + O(n) scan)", f"{reference_s * 1e6:8.2f}", "1.00x"),
+         [("reference (list + O(n) scan)", f"{reference_s * 1e6:8.2f}",
+           f"{1.0 / reference_s:9.0f}", "1.00x"),
           ("scalar event loop (heap + memo)", f"{scalar_s * 1e6:8.2f}",
-           f"{scalar_vs_reference:5.2f}x"),
+           f"{1.0 / scalar_s:9.0f}", f"{scalar_vs_reference:5.2f}x"),
           ("batched (closed-form burst)", f"{batched_s * 1e6:8.2f}",
-           f"{vs_reference:5.2f}x")],
-         header=("kernel", "us/frame", "speedup"))
+           f"{1.0 / batched_s:9.0f}", f"{vs_reference:5.2f}x"),
+          ("batched vs scalar event loop", "-", "-", f"{vs_scalar:5.2f}x")],
+         header=("kernel", "us/frame", "frames/s", "speedup"))
     assert vs_reference >= MIN_BATCHED_SPEEDUP, (
         f"batched path is only {vs_reference:.1f}x the reference kernel "
         f"({batched_s * 1e6:.2f} vs {reference_s * 1e6:.2f} us/frame); "
         f"the gate requires >= {MIN_BATCHED_SPEEDUP:.0f}x")
-    assert path.exists()
 
 
 def test_batched_bus_outputs_are_byte_identical(show):
@@ -311,17 +281,9 @@ def test_vectorized_pulse_train_matches_placement_loop(show):
     looped = loop_train()
     assert np.array_equal(vectorized, looped)
 
-    loop_s = _best_of(loop_train) / N_SYMBOLS
-    vec_s = _best_of(lambda: build_pulse_train(symbols, HRP_CONFIG)) / N_SYMBOLS
+    loop_s = best_of(loop_train) / N_SYMBOLS
+    vec_s = best_of(lambda: build_pulse_train(symbols, HRP_CONFIG)) / N_SYMBOLS
     speedup = loop_s / vec_s
-
-    path = _REPO_ROOT / "BENCH_KERNELS.json"
-    document = (json.loads(path.read_text()) if path.exists()
-                else {"counters": {}, "gauges": {}, "histograms": {}})
-    document["gauges"]["bench.kernels.phy.ns_per_symbol_loop"] = loop_s * 1e9
-    document["gauges"]["bench.kernels.phy.ns_per_symbol_vectorized"] = vec_s * 1e9
-    document["gauges"]["bench.kernels.phy.pulse_train_speedup"] = speedup
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
     show(f"BENCH-KERNELS — pulse-train synthesis, {N_SYMBOLS} symbols",
          [("placement loop", f"{loop_s * 1e9:8.0f}", "1.00x"),
@@ -342,18 +304,11 @@ def test_batched_twr_matches_scalar_loop(show):
     batch = ds_twr_batch(distances, responder_drift_ppm=20.0)
     assert np.array_equal(batch.measured_distance_m, scalar_loop())
 
-    scalar_s = _best_of(scalar_loop, repeats=3) / N_RANGINGS
-    batch_s = _best_of(
+    scalar_s = best_of(scalar_loop, repeats=3) / N_RANGINGS
+    batch_s = best_of(
         lambda: ds_twr_batch(distances, responder_drift_ppm=20.0),
         repeats=3) / N_RANGINGS
     speedup = scalar_s / batch_s
-
-    path = _REPO_ROOT / "BENCH_KERNELS.json"
-    document = json.loads(path.read_text())
-    document["gauges"]["bench.kernels.phy.ns_per_twr_scalar"] = scalar_s * 1e9
-    document["gauges"]["bench.kernels.phy.ns_per_twr_batched"] = batch_s * 1e9
-    document["gauges"]["bench.kernels.phy.twr_batch_speedup"] = speedup
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
     show(f"BENCH-KERNELS — DS-TWR ranging, {N_RANGINGS} exchanges",
          [("scalar loop", f"{scalar_s * 1e9:8.0f}", "1.00x"),

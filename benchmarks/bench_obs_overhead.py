@@ -11,18 +11,15 @@ Two claims are pinned here, per the ``repro.obs`` design contract:
    measured on the CAN-bus and UWB-ranging hot paths and reported — the
    profiling tax you pay only when you ask for a trace.
 
-The measured numbers are exported through the observability layer's own
-JSON metrics format into ``BENCH_OBS.json`` at the repo root, seeding
-the benchmark trajectory later perf PRs extend.
+The measured numbers live in the tables the bench shows, which
+``python -m repro run BENCH-OBS --json`` records as artifacts.
 """
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
-from repro.obs import MetricsRegistry
+from repro.experiments import best_of
 from repro.obs.runtime import OBS, instrumented
 
 #: Guard evaluations per bus frame: one in send(), one in the delivery
@@ -30,8 +27,6 @@ from repro.obs.runtime import OBS, instrumented
 GUARDS_PER_FRAME = 2
 N_FRAMES = 400
 N_RANGINGS = 2000
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _bus_workload(n_frames: int = N_FRAMES) -> None:
@@ -59,16 +54,6 @@ def _ranging_workload(n: int = N_RANGINGS) -> None:
         ds_twr(10.0, responder_drift_ppm=20.0)
 
 
-def _best_of(fn, repeats: int = 5) -> float:
-    """Minimum wall time over ``repeats`` runs (noise-robust)."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def _guard_cost_s(iterations: int = 200_000) -> float:
     """Per-evaluation cost of the disabled-mode guard, on the real OBS."""
     obs = OBS
@@ -94,17 +79,11 @@ def _loop_floor_s(iterations: int = 200_000) -> float:
 def _measure(workload, n_items: int) -> tuple[float, float]:
     """(disabled, enabled) per-item seconds for one workload."""
     OBS.disable()
-    disabled = _best_of(workload) / n_items
+    disabled = best_of(workload) / n_items
     with instrumented():
-        enabled = _best_of(workload) / n_items
+        enabled = best_of(workload) / n_items
     OBS.disable()
     return disabled, enabled
-
-
-def _export(registry: MetricsRegistry) -> Path:
-    path = _REPO_ROOT / "BENCH_OBS.json"
-    path.write_text(json.dumps(registry.to_json_dict(), indent=2) + "\n")
-    return path
 
 
 def test_disabled_overhead_on_can_bus_hot_path(show):
@@ -115,27 +94,18 @@ def test_disabled_overhead_on_can_bus_hot_path(show):
 
     rng_disabled_s, rng_enabled_s = _measure(_ranging_workload, N_RANGINGS)
 
-    registry = MetricsRegistry()
-    registry.gauge("bench.obs.bus.ns_per_frame_disabled").set(disabled_s * 1e9)
-    registry.gauge("bench.obs.bus.ns_per_frame_enabled").set(enabled_s * 1e9)
-    registry.gauge("bench.obs.bus.disabled_overhead_fraction").set(overhead)
-    registry.gauge("bench.obs.guard.ns_per_check").set(guard_s * 1e9)
-    registry.gauge("bench.obs.ranging.ns_per_call_disabled").set(rng_disabled_s * 1e9)
-    registry.gauge("bench.obs.ranging.ns_per_call_enabled").set(rng_enabled_s * 1e9)
-    path = _export(registry)
-
     show("BENCH-OBS — instrumentation overhead on the hot paths",
          [("can-bus frame", f"{disabled_s * 1e9:9.0f}", f"{enabled_s * 1e9:9.0f}",
            f"{enabled_s / disabled_s:5.2f}x"),
           ("ds-twr ranging", f"{rng_disabled_s * 1e9:9.0f}",
            f"{rng_enabled_s * 1e9:9.0f}",
            f"{rng_enabled_s / rng_disabled_s:5.2f}x"),
-          ("guard check", f"{guard_s * 1e9:9.1f}", "-", "-")],
+          ("guard check", f"{guard_s * 1e9:9.1f}", "-", "-"),
+          ("guards per frame", "-", "-", f"{overhead:6.2%} of frame")],
          header=("hot path", "disabled ns", "enabled ns", "ratio"))
     assert overhead < 0.05, (
         f"disabled-mode guards cost {overhead:.1%} of the per-frame budget "
         f"(guard {guard_s * 1e9:.1f} ns, frame {disabled_s * 1e9:.0f} ns)")
-    assert path.exists()
 
 
 def test_enabled_mode_collects_on_both_paths(show):
@@ -164,7 +134,7 @@ def test_sampled_mode_cuts_enabled_overhead(show):
     """
     disabled_s, enabled_s = _measure(_ranging_workload, N_RANGINGS)
     with instrumented(sample_every=8):
-        sampled_s = _best_of(_ranging_workload) / N_RANGINGS
+        sampled_s = best_of(_ranging_workload) / N_RANGINGS
     OBS.disable()
 
     with instrumented(sample_every=8) as obs:
@@ -175,15 +145,6 @@ def test_sampled_mode_cuts_enabled_overhead(show):
     full_overhead = max(enabled_s - disabled_s, 1e-12)
     sampled_overhead = max(sampled_s - disabled_s, 0.0)
     ratio = sampled_overhead / full_overhead
-
-    # Merge into BENCH_OBS.json rather than rewriting it — the overhead
-    # test seeds the file with the full-rate gauges.
-    path = _REPO_ROOT / "BENCH_OBS.json"
-    document = (json.loads(path.read_text()) if path.exists()
-                else {"counters": {}, "gauges": {}, "histograms": {}})
-    document["gauges"]["bench.obs.ranging.ns_per_call_sampled_8"] = sampled_s * 1e9
-    document["gauges"]["bench.obs.ranging.sampled_overhead_fraction"] = ratio
-    path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
     show("BENCH-OBS — 1-in-8 sampling on the ranging hot path",
          [("disabled", f"{disabled_s * 1e9:9.0f}", "-"),

@@ -13,21 +13,17 @@ properties:
    same inputs must produce the exact same bytes, which is what makes
    the differential gates and golden campaigns trustworthy.
 
-The measured numbers are exported through the observability layer's
-JSON metrics format into ``BENCH_REDTEAM.json`` at the repo root.
+The measured numbers live in the tables the bench shows, which
+``python -m repro run BENCH-REDTEAM --json`` records as artifacts.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from pathlib import Path
 
+from repro.experiments import best_of
 from repro.lint.scenarios import SCENARIOS, build_scenario
-from repro.obs import MetricsRegistry
 from repro.redteam import plan, run_redteam_campaign
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: The fleet must plan end to end within this budget (seconds) —
 #: generous on CI hardware, tight enough to catch a super-linear
@@ -35,34 +31,17 @@ _REPO_ROOT = Path(__file__).resolve().parent.parent
 FLEET_BUDGET_S = 2.0
 
 
-def _best_of(fn, repeats: int = 5) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def test_fleet_planning_cost(show, benchmark):
     rows = []
-    registry = MetricsRegistry()
     total_s = 0.0
     for name in SCENARIOS:
         target = build_scenario(name)
-        seconds = _best_of(lambda t=target: plan(t))
+        seconds = best_of(lambda t=target: plan(t))
         total_s += seconds
         result = plan(target)
         rows.append((name, len(result.library), len(result.campaigns),
                      len(result.disruptions), f"{seconds * 1e3:7.2f}"))
-        registry.gauge(f"bench.redteam.{name}.ms_per_plan").set(seconds * 1e3)
-        registry.gauge(f"bench.redteam.{name}.campaigns").set(
-            float(len(result.campaigns)))
-        registry.gauge(f"bench.redteam.{name}.attacks").set(
-            float(len(result.library)))
-    registry.gauge("bench.redteam.fleet.total_ms").set(total_s * 1e3)
-    path = _REPO_ROOT / "BENCH_REDTEAM.json"
-    path.write_text(json.dumps(registry.to_json_dict(), indent=2) + "\n")
+    rows.append(("fleet total", "-", "-", "-", f"{total_s * 1e3:7.2f}"))
 
     show("BENCH-REDTEAM — campaign planning per scenario",
          rows, header=("scenario", "attacks", "campaigns", "disrupt", "ms"))

@@ -14,25 +14,20 @@ The synthetic experiments are bench files whose one test sleeps and
 shows a table: BENCH-RUN measures the *engine* — scheduling, pooling,
 caching — not the experiments, and a registry-driven sweep of real
 bench files would recurse into this very bench.  The measured numbers
-are exported through the observability layer's JSON metrics format
-into ``BENCH_RUNNER.json`` at the repo root, extending the benchmark
-trajectory BENCH-OBS seeded.
+live in the tables the bench shows, which ``python -m repro run
+BENCH-RUN --json`` records as artifacts.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from repro.experiments import Experiment
-from repro.obs import MetricsRegistry
 from repro.runner import ResultCache, SweepRunner
 
 N_TASKS = 8
 JOBS = 4
 SLEEP_S = 0.6
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
 
 _SCRIPT = """\
 import time
@@ -62,12 +57,6 @@ def _sweep(experiments, directory: Path, *, jobs: int,
     return runner.run()
 
 
-def _export(registry: MetricsRegistry) -> Path:
-    path = _REPO_ROOT / "BENCH_RUNNER.json"
-    path.write_text(json.dumps(registry.to_json_dict(), indent=2) + "\n")
-    return path
-
-
 def test_parallel_speedup_and_warm_cache(show, tmp_path):
     """The acceptance gate: ≥ 2× at jobs=4, warm cache skips everything."""
     directory = tmp_path / "benches"
@@ -85,16 +74,6 @@ def test_parallel_speedup_and_warm_cache(show, tmp_path):
     cached = sum(1 for result in warm.results if result.cached)
 
     speedup = sequential.wall_s / parallel.wall_s
-    registry = MetricsRegistry()
-    registry.gauge("bench.runner.tasks").set(N_TASKS)
-    registry.gauge("bench.runner.jobs").set(JOBS)
-    registry.gauge("bench.runner.sequential_s").set(sequential.wall_s)
-    registry.gauge("bench.runner.parallel_s").set(parallel.wall_s)
-    registry.gauge("bench.runner.speedup").set(speedup)
-    registry.gauge("bench.runner.warm_cache_s").set(warm.wall_s)
-    registry.gauge("bench.runner.warm_cached_count").set(cached)
-    path = _export(registry)
-
     show(f"BENCH-RUN — sweep of {N_TASKS} synthetic experiments",
          [("sequential (jobs=1)", f"{sequential.wall_s:7.2f}s", "-"),
           (f"parallel (jobs={JOBS})", f"{parallel.wall_s:7.2f}s",
@@ -109,7 +88,6 @@ def test_parallel_speedup_and_warm_cache(show, tmp_path):
     assert cached == N_TASKS, f"warm sweep re-ran {N_TASKS - cached} task(s)"
     assert warm.wall_s <= 0.25 * sequential.wall_s, (
         f"warm cache cost {warm.wall_s:.2f}s, expected near-zero")
-    assert path.exists()
 
 
 def test_cache_invalidates_on_workload_change(show, tmp_path):

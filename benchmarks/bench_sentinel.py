@@ -15,21 +15,18 @@ being watched.  Three claims are pinned here:
 3. **Reports replay byte-identically.** The same (scenario, plan, base
    seed) triple produces the same JSON document, byte for byte.
 
-The measured numbers are exported through the observability layer's
-JSON metrics format into ``BENCH_SENTINEL.json`` at the repo root,
-seeding the benchmark trajectory later perf PRs extend.
+The measured numbers live in the tables the bench shows, which
+``python -m repro run BENCH-SENTINEL --json`` records as artifacts.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from pathlib import Path
 
 from repro.core.layers import Layer
+from repro.experiments import best_of
 from repro.faults import get_plan
 from repro.lint import scenario_names
-from repro.obs import MetricsRegistry
 from repro.obs.events import EventKind, EventLog
 from repro.sentinel import (
     SentinelEngine,
@@ -41,8 +38,6 @@ N_EVENTS = 5000
 EVENTS_PER_TICK = 10
 INSECURE_SCENARIOS = ("pkes-legacy", "onboard-insecure", "cariad-breach",
                       "maas-platform")
-
-_REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _stream_workload(n_events: int = N_EVENTS) -> SentinelEngine:
@@ -74,30 +69,13 @@ def _stream_workload(n_events: int = N_EVENTS) -> SentinelEngine:
     return engine
 
 
-def _best_of(fn, repeats: int = 5) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _export(registry: MetricsRegistry) -> Path:
-    path = _REPO_ROOT / "BENCH_SENTINEL.json"
-    path.write_text(json.dumps(registry.to_json_dict(), indent=2) + "\n")
-    return path
-
-
 def test_per_event_streaming_cost_and_detection_latency(show):
     """The acceptance pins: µs-scale per-event cost, prompt detection."""
-    stream_s = _best_of(_stream_workload) / N_EVENTS
+    stream_s = best_of(_stream_workload) / N_EVENTS
     engine = _stream_workload()
     assert engine.events_consumed == N_EVENTS
 
     severe = get_plan("severe")
-    registry = MetricsRegistry()
-    registry.gauge("bench.sentinel.stream.ns_per_event").set(stream_s * 1e9)
 
     rows = [("stream (mixed kinds)", f"{stream_s * 1e9:8.0f} ns/event",
              "-", "-", "-")]
@@ -112,18 +90,12 @@ def test_per_event_streaming_cost_and_detection_latency(show):
         latency = detection["firstAlarmT"] - result["window"]["start"]
         assert latency >= 0.0
         latencies.append(latency)
-        registry.gauge(
-            f"bench.sentinel.detect.{name}.latency_ticks").set(latency)
-        registry.gauge(
-            f"bench.sentinel.detect.{name}.lead_ticks").set(
-            detection["leadTicks"])
         rows.append((name, f"alarm t={detection['firstAlarmT']:g}",
                      f"{latency:g} after window",
                      f"stop t={detection['safeStopT']:g}",
                      f"lead {detection['leadTicks']:g}"))
-    registry.gauge("bench.sentinel.detect.max_latency_ticks").set(
-        max(latencies))
-    path = _export(registry)
+    rows.append(("worst case", "-", f"{max(latencies):g} after window",
+                 "-", "-"))
 
     show("BENCH-SENTINEL — streaming cost + detection latency (severe)",
          rows, header=("workload", "cost / first alarm", "latency",
@@ -134,7 +106,6 @@ def test_per_event_streaming_cost_and_detection_latency(show):
     assert max(latencies) <= 6.0, (
         f"worst-case detection latency {max(latencies):g} ticks after the "
         f"fault window opened")
-    assert path.exists()
 
 
 def test_campaign_cost_is_ci_friendly(show, benchmark):

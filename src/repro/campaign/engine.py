@@ -40,7 +40,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from repro.campaign.journal import Journal, JournalCorrupt, JournalState, replay
-from repro.campaign.report import CampaignReport, ShardEntry
+from repro.campaign.report import CampaignReport, ShardEntry, check_outcome
 from repro.campaign.shard import execute_shard
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.supervisor import (
@@ -79,15 +79,36 @@ def journal_path(campaign_id: str, journal_root: str | Path | None) -> Path:
     return root / campaign_id / "journal.jsonl"
 
 
+def _replay_campaign(path: Path) -> tuple[JournalState, CampaignSpec | None]:
+    """Replay a journal and rebuild its spec, or raise :class:`JournalCorrupt`.
+
+    Beyond the record shapes :func:`replay` checks, every ``shard-done``
+    must be ``ok`` exactly when it carries a result with a matching
+    digest (the report's rule), and the recorded spec must rebuild.
+    The digests cost a hash per settled shard, so this runs where the
+    CLI names a campaign (:func:`load_campaign`, :func:`list_campaigns`),
+    not on every :meth:`CampaignEngine.run`.
+    """
+    state = replay(path)
+    try:
+        for shard_id, record in state.done.items():
+            check_outcome(record, f"shard-done {shard_id}")
+        spec = CampaignSpec.from_dict(state.spec) \
+            if state.spec is not None else None
+    except ValueError as exc:
+        raise JournalCorrupt(str(exc)) from None
+    return state, spec
+
+
 def load_campaign(campaign_id: str,
                   journal_root: str | Path | None = None) -> CampaignSpec:
     """Rebuild a campaign's spec from its journal (the resume entry)."""
     path = journal_path(campaign_id, journal_root)
-    state = replay(path)
-    if state.spec is None:
+    state, spec = _replay_campaign(path)
+    if spec is None:
         raise CampaignError(f"no journal for campaign {campaign_id!r} "
                             f"under {path.parent.parent}")
-    return CampaignSpec.from_dict(state.spec)
+    return spec
 
 
 def list_campaigns(journal_root: str | Path | None = None) -> list[dict]:
@@ -102,10 +123,8 @@ def list_campaigns(journal_root: str | Path | None = None) -> list[dict]:
         if not path.is_file():
             continue
         try:
-            state = replay(path)
-            spec = CampaignSpec.from_dict(state.spec) \
-                if state.spec is not None else None
-        except (JournalCorrupt, ValueError, KeyError):
+            state, spec = _replay_campaign(path)
+        except JournalCorrupt:
             summaries.append({"id": entry.name, "status": "corrupt",
                               "shards": 0, "settled": 0})
             continue
@@ -221,19 +240,16 @@ class CampaignEngine:
     @staticmethod
     def _entry_from_done(shard: dict, record: dict) -> ShardEntry:
         return ShardEntry(
-            shard=shard, status=str(record["status"]),
-            result=record.get("result"), digest=str(record.get("digest", "")),
-            error=str(record.get("error", "")),
-            attempts=int(record.get("attempts", 0)),
-            duration_s=float(record.get("durationS", 0.0)))
+            shard=shard, status=record["status"], result=record["result"],
+            digest=record["digest"], error=record["error"],
+            attempts=record["attempts"], duration_s=record["durationS"])
 
     @staticmethod
     def _entry_from_quarantine(shard: dict, record: dict) -> ShardEntry:
         return ShardEntry(
             shard=shard, status="quarantined", result=None, digest="",
-            error=str(record.get("error", "")),
-            attempts=int(record.get("attempts", 0)),
-            duration_s=float(record.get("durationS", 0.0)))
+            error=record["error"], attempts=record["attempts"],
+            duration_s=record["durationS"])
 
     def _outcome_record(self, outcome: ShardOutcome) -> dict:
         if outcome.status == "quarantined":

@@ -22,9 +22,11 @@ acts on it.  The protocol is the classic WAL discipline:
 
 Every record carries a sequence number and a content checksum.  A
 *trailing* record that fails to parse or verify is a torn write from
-the crash itself and is dropped; a corrupt record anywhere else means
-the file was tampered with or the disk is lying, and replay refuses
-with :class:`JournalCorrupt` rather than resuming from fiction.
+the crash itself and is dropped (and cut off before the next append);
+a corrupt record anywhere else means the file was tampered with or the
+disk is lying, and replay refuses with :class:`JournalCorrupt` rather
+than resuming from fiction.  So does a checksum-valid record whose
+fields do not have the shape the engine writes.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
 
+from repro.campaign.report import RESULT, SHARD_FIELDS
+from repro.core.schema import (COUNT, NUMBER, STRING, TEXT, SchemaError, list_of,
+                               obj, one_of)
+
 __all__ = ["RECORD_TYPES", "Journal", "JournalCorrupt", "JournalState",
            "read_records", "replay"]
 
@@ -46,9 +52,29 @@ RECORD_TYPES = ("campaign-start", "shard-start", "shard-done",
 #: Terminal shard-outcome statuses a ``shard-done`` record may carry.
 DONE_STATUSES = ("ok", "error", "timeout")
 
+_FRAME = {"type": TEXT, "seq": COUNT}
+_SHARD = {**_FRAME, "shardId": TEXT}
+
+#: The shape of each record type, as the engine writes it.
+_RECORDS = {
+    "campaign-start": obj({**_FRAME, "campaign": obj({
+        "id": TEXT, "name": STRING,
+        "shards": list_of(obj(SHARD_FIELDS), nonempty=True)})}),
+    "shard-start": obj({**_SHARD, "attempt": COUNT}),
+    "shard-done": obj({**_SHARD, "status": one_of(DONE_STATUSES),
+                       "result": RESULT, "digest": STRING, "error": STRING,
+                       "attempts": COUNT, "durationS": NUMBER}),
+    "shard-quarantined": obj({**_SHARD, "error": STRING, "attempts": COUNT,
+                              "durationS": NUMBER,
+                              "failures": list_of(STRING)}),
+    "interrupt": obj({**_FRAME, "settled": COUNT}, {"pending": COUNT}),
+    "campaign-end": obj({**_FRAME, "settled": COUNT}),
+}
+
 
 class JournalCorrupt(ValueError):
-    """A non-trailing journal record failed to parse or verify."""
+    """A non-trailing journal record failed to parse or verify, or a
+    verified record is not one the engine writes."""
 
 
 def _canonical(payload: dict) -> str:
@@ -78,11 +104,20 @@ class Journal:
         self._next_seq = 0
 
     def open(self) -> "Journal":
-        """Open for append, continuing the sequence of prior records."""
+        """Open for append, continuing the sequence of prior records.
+
+        A torn tail is cut off first, so the next record starts on a
+        line of its own.
+        """
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        existing = read_records(self.path)
+        existing, end = _read(self.path)
         self._next_seq = existing[-1]["seq"] + 1 if existing else 0
         self._fh = open(self.path, "a", encoding="utf-8")
+        intact = end + 1 if existing else 0  # the last record and its newline
+        if self._fh.tell() != intact:
+            self._fh.truncate(end)
+            if existing:
+                self._fh.write("\n")
         return self
 
     def close(self) -> None:
@@ -123,22 +158,32 @@ def read_records(path: str | Path) -> list[dict]:
     anything else that fails to parse or verify raises
     :class:`JournalCorrupt`.  A missing file is an empty journal.
     """
-    path = Path(path)
+    return _read(path)[0]
+
+
+def _read(path: str | Path) -> tuple[list[dict], int]:
+    """The verified records, and the byte offset where the last one ends."""
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        data = Path(path).read_bytes()
     except OSError:
-        return []
+        return [], 0
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()  # the newline that ends the last record
     records: list[dict] = []
+    start = end = 0
     for index, line in enumerate(lines):
         trailing = index == len(lines) - 1
         record = _verify_line(line, index, trailing=trailing)
         if record is None:
             break  # torn tail dropped
         records.append(record)
-    return records
+        end = start + len(line)
+        start = end + 1
+    return records, end
 
 
-def _verify_line(line: str, index: int, *, trailing: bool) -> dict | None:
+def _verify_line(line: bytes, index: int, *, trailing: bool) -> dict | None:
     def bad(reason: str) -> dict | None:
         if trailing:
             return None
@@ -200,6 +245,10 @@ def replay(path: str | Path) -> JournalState:
     for record in read_records(path):
         state.records += 1
         kind = record["type"]
+        try:
+            _RECORDS[kind](record, f"journal record {record['seq']}")
+        except SchemaError as exc:
+            raise JournalCorrupt(str(exc)) from None
         if kind == "campaign-start":
             if state.spec is not None:
                 raise JournalCorrupt("duplicate campaign-start record")
@@ -208,9 +257,6 @@ def replay(path: str | Path) -> JournalState:
             shard_id = record["shardId"]
             state.starts[shard_id] = state.starts.get(shard_id, 0) + 1
         elif kind == "shard-done":
-            if record.get("status") not in DONE_STATUSES:
-                raise JournalCorrupt(
-                    f"shard-done with bad status {record.get('status')!r}")
             state.done[record["shardId"]] = record
         elif kind == "shard-quarantined":
             state.quarantined[record["shardId"]] = record

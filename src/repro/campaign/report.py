@@ -155,7 +155,12 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-def _check_shard(entry: dict, where: str) -> None:
+def check_outcome(entry: dict, where: str) -> None:
+    """A shard is ``ok`` iff it carries a result whose digest matches.
+
+    Holds for report entries and for the journal's ``shard-done``
+    records alike.
+    """
     status = entry["status"]
     if status == "ok":
         require(entry["result"] is not None, where,
@@ -188,16 +193,19 @@ def _check_summary(document: dict, where: str) -> None:
             "a complete campaign cannot be interrupted")
 
 
+#: The fields of :meth:`~repro.campaign.spec.ShardSpec.to_dict`.
+SHARD_FIELDS = {"id": TEXT, "tool": TEXT, "scenario": TEXT, "plan": TEXT,
+                "seed": COUNT, "duration": COUNT}
+#: A shard's result document: opaque, checked only through its digest.
+RESULT = nullable(leaf(lambda v: isinstance(v, dict), "an object"))
+
 _DOCUMENT = obj({
     **header(CAMPAIGN_SCHEMA_VERSION, CAMPAIGN_TOOL_NAME),
     "campaign": obj({"id": TEXT, "name": STRING, "shardCount": COUNT}),
     "shards": list_of(obj({
-        "id": TEXT, "tool": TEXT, "scenario": TEXT, "plan": TEXT,
-        "seed": COUNT, "duration": COUNT, "status": one_of(SHARD_STATUSES),
-        "digest": STRING, "error": STRING,
-        # Opaque here: a result is checked only through its digest.
-        "result": nullable(leaf(lambda v: isinstance(v, dict), "an object")),
-    }, check=_check_shard), nonempty=True, sorted_by="id", unique_by="id"),
+        **SHARD_FIELDS, "status": one_of(SHARD_STATUSES),
+        "digest": STRING, "error": STRING, "result": RESULT,
+    }, check=check_outcome), nonempty=True, sorted_by="id", unique_by="id"),
     "summary": obj({**{key: COUNT for key in ("total", "ok", "errors",
                                               "timeouts", "quarantined",
                                               "pending")},

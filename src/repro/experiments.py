@@ -3,16 +3,19 @@
 The reproduction's per-figure experiments live as pytest-benchmark
 files; this registry gives them stable ids (matching DESIGN.md's
 experiment index) so the ``python -m repro`` CLI and downstream tooling
-can enumerate and run them without knowing the file layout, and
-:func:`format_table` renders the tables every bench shows.
+can enumerate and run them without knowing the file layout;
+:func:`format_table` renders the tables every bench shows and
+:func:`best_of` times the kernels the tool benches put in them.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
-__all__ = ["Experiment", "EXPERIMENTS", "benchmarks_dir", "format_table"]
+__all__ = ["Experiment", "EXPERIMENTS", "benchmarks_dir", "best_of", "format_table"]
 
 
 @dataclass(frozen=True)
@@ -117,6 +120,16 @@ def format_table(title: str, rows: list[tuple],
             if header and idx == 0:
                 lines.append("  ".join("-" * width for width in widths))
     return "\n".join(lines)
+
+
+def best_of(fn: Callable[[], object], repeats: int = 5) -> float:
+    """Minimum wall time of ``fn()`` over ``repeats`` runs (noise-robust)."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def find(exp_id: str) -> Experiment:

@@ -250,20 +250,13 @@ _DOCUMENT = obj({
 }, check=_check_summary)
 
 
-def validate_metrics_dict(metrics: dict,
-                          required_gauges: tuple[str, ...] = ()) -> None:
+def validate_metrics_dict(metrics: dict) -> None:
     """Raise :class:`SchemaError` unless ``metrics`` is a valid
-    :meth:`~repro.obs.metrics.MetricsRegistry.to_json_dict` document.
-
-    Standalone bench JSON files (``BENCH_OBS.json``, ``BENCH_KERNELS.json``
-    …) are bare metrics blocks; this validates them — and, optionally,
-    that every gauge named in ``required_gauges`` is present — without
-    requiring the full trace-report envelope.
+    :meth:`~repro.obs.metrics.MetricsRegistry.to_json_dict` document,
+    the ``metrics`` block of a trace report, without requiring the full
+    trace-report envelope.
     """
     validate(metrics, _METRICS)
-    missing = [name for name in required_gauges
-               if name not in metrics["gauges"]]
-    require(not missing, "gauges", f"missing required gauges: {missing}")
 
 
 def validate_trace_dict(document: dict) -> None:

@@ -1,4 +1,5 @@
-"""The bench table formatter (:func:`repro.experiments.format_table`).
+"""The bench helpers: :func:`repro.experiments.format_table` and
+:func:`repro.experiments.best_of`.
 
 The ``show`` fixture used to compute column widths from the *first* row
 and ``zip`` silently truncated longer rows — ragged tables either
@@ -7,7 +8,7 @@ padded behavior of the formatter that the bench harness's ``show`` and
 the sweep runner's ``show`` both use.
 """
 
-from repro.experiments import format_table
+from repro.experiments import best_of, format_table
 
 
 class TestFormatTable:
@@ -38,6 +39,13 @@ class TestFormatTable:
         text = format_table("t", [("name", 1.5), ("x", 100)])
         lines = text.splitlines()[2:]
         assert lines[0].index("1.5") == lines[1].index("100")
+
+
+class TestBestOf:
+    def test_runs_the_kernel_repeats_times(self):
+        calls = []
+        assert best_of(lambda: calls.append(None), repeats=3) >= 0.0
+        assert len(calls) == 3
 
 
 class TestShowFixture:

@@ -2,7 +2,8 @@
 
 import json
 
-from repro.campaign import validate_campaign_dict
+from repro.campaign import (CampaignSpec, CampaignTool, Journal,
+                            validate_campaign_dict)
 
 
 def run_args(root, *extra):
@@ -89,3 +90,49 @@ class TestResumeStatusList:
             code, _, err = run_cli("campaign", command, "ghost",
                                    "--journal-root", str(tmp_path))
             assert code == 2 and "ghost" in err
+
+
+class TestMalformedJournal:
+    """Checksum-valid records no engine writes: typed errors, not tracebacks."""
+
+    SHARD_ID = "lint/pkes-legacy/-/s0"
+
+    def campaign(self):
+        return CampaignSpec.matrix(tools=[CampaignTool.LINT],
+                                   scenarios=["pkes-legacy"],
+                                   name="bad").to_dict()
+
+    def assert_refused(self, run_cli, root, records, reason):
+        with Journal(root / "bad" / "journal.jsonl", fsync=False) as journal:
+            for record in records:
+                journal.append(record)
+        for command in ("resume", "status"):
+            code, _, err = run_cli("campaign", command, "bad",
+                                   "--journal-root", str(root))
+            assert code == 2 and reason in err, (command, err)
+        code, out, _ = run_cli("campaign", "list", "--journal-root", str(root))
+        assert code == 0 and "corrupt" in out
+
+    def test_shard_done_without_shard_id(self, run_cli, tmp_path):
+        self.assert_refused(run_cli, tmp_path, [
+            {"type": "campaign-start", "campaign": self.campaign()},
+            {"type": "shard-done", "status": "error", "result": None,
+             "digest": "", "error": "boom", "attempts": 1, "durationS": 0.1},
+        ], "missing ['shardId']")
+
+    def test_campaign_start_without_shards(self, run_cli, tmp_path):
+        campaign = self.campaign()
+        del campaign["shards"]
+        self.assert_refused(run_cli, tmp_path, [
+            {"type": "campaign-start", "campaign": campaign},
+        ], "missing ['shards']")
+
+    def test_ok_shard_without_result_or_matching_digest(self, run_cli,
+                                                        tmp_path):
+        self.assert_refused(run_cli, tmp_path, [
+            {"type": "campaign-start", "campaign": self.campaign()},
+            {"type": "shard-done", "shardId": self.SHARD_ID, "status": "ok",
+             "result": None, "digest": "bogus", "error": "", "attempts": 1,
+             "durationS": 0.1},
+            {"type": "campaign-end", "settled": 1},
+        ], "is ok but has no result document")

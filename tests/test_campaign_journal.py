@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.campaign import (
+    CampaignEngine,
     CampaignSpec,
     CampaignTool,
     Journal,
@@ -172,3 +173,24 @@ class TestReplay:
         state = replay(tmp_path / "missing.jsonl")
         assert state.spec is None and state.records == 0
         assert not state.ended and state.in_flight == []
+
+
+class TestTornTailResume:
+    def test_resume_after_a_torn_tail_leaves_a_replayable_journal(
+            self, tmp_path):
+        campaign = CampaignSpec.matrix(
+            tools=[CampaignTool.LINT, CampaignTool.FLOW],
+            scenarios=["pkes-legacy", "maas-platform"], name="torn")
+        engine = CampaignEngine(campaign, journal_root=tmp_path, fsync=False)
+        reference = engine.run().to_json_dict()
+        path = engine.journal_file
+        lines = path.read_text().splitlines(keepends=True)
+        # the crash tore the record after the first settled shard
+        path.write_text("".join(lines[:3]) + '{"attempts":1,"digest":"ab')
+
+        resumed = CampaignEngine(campaign, journal_root=tmp_path,
+                                 fsync=False).run(resume=True)
+        state = replay(path)
+        assert state.ended
+        assert path.read_text().endswith("\n")
+        assert resumed.to_json_dict() == reference
