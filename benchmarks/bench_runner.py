@@ -1,29 +1,31 @@
-"""BENCH-RUN — the sweep runner's parallel speedup and warm-cache cost.
+"""BENCH-RUN — experiment shards' parallel speedup and warm-cache cost.
 
-Two claims are pinned here, per the ``repro.runner`` design contract:
+Two claims are pinned here, on the path ``python -m repro run`` takes
+(``CampaignEngine`` with the experiment executor):
 
-1. **Parallel dispatch wins wall-clock.** A sweep of sleep-bound
+1. **Parallel dispatch wins wall-clock.** A campaign of sleep-bound
    synthetic experiments (plain-python workers, so overlap does not
    depend on core count) must finish in ≤ 0.5× the sequential wall time
    at ``jobs=4`` — the ≥ 2× speedup the acceptance criteria require.
-2. **A warm cache is near-free.** Re-running an unchanged sweep must
-   skip every experiment (all reported ``cached``) and cost a small
-   fraction of the sequential time — just hashing, no workers.
+2. **A warm cache is near-free.** Re-running an unchanged campaign must
+   run no bench (each run leaves a line in a log next to the benches)
+   and cost a small fraction of the sequential time — just hashing and
+   worker start-up.
 
 The synthetic experiments are bench files whose one test sleeps and
 shows a table: BENCH-RUN measures the *engine* — scheduling, pooling,
-caching — not the experiments, and a registry-driven sweep of real
-bench files would recurse into this very bench.  The measured numbers
-live in the tables the bench shows, which ``python -m repro run
-BENCH-RUN --json`` records as artifacts.
+caching — not the experiments, and a registry-driven run of real bench
+files would recurse into this very bench.  The measured numbers live in
+the tables the bench shows, which ``python -m repro run BENCH-RUN
+--json`` records as artifacts.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+from repro.campaign import CampaignEngine, ResultCache, experiment_executor, experiment_spec
 from repro.experiments import Experiment
-from repro.runner import ResultCache, SweepRunner
 
 N_TASKS = 8
 JOBS = 4
@@ -31,9 +33,12 @@ SLEEP_S = 0.6
 
 _SCRIPT = """\
 import time
+from pathlib import Path
 
 
 def test_syn{i}(show):
+    with open(Path(__file__).with_name("RUN_LOG"), "a") as log:
+        log.write("SYN{i}\\n")
     time.sleep({sleep:g})
     show("SYN{i} — synthetic sweep workload", [("slept_s", "{sleep:g}")])
 """
@@ -44,17 +49,21 @@ def _make_synthetic(directory: Path, n: int = N_TASKS) -> list[Experiment]:
     for i in range(n):
         name = f"syn_{i}.py"
         (directory / name).write_text(_SCRIPT.format(i=i, sleep=SLEEP_S))
-        experiments.append(Experiment(f"SYN{i}", "-",
-                                      "synthetic sleep workload", name))
+        experiments.append(Experiment(f"SYN{i}", "-", "synthetic sleep workload",
+                                      str(directory / name)))
     return experiments
 
 
-def _sweep(experiments, directory: Path, *, jobs: int,
-           cache: ResultCache | None = None):
-    runner = SweepRunner(
-        experiments, jobs=jobs, cache=cache,
-        bench_dir=directory, timeout_s=60.0, digest_paths=[])
-    return runner.run()
+def _ran(directory: Path) -> list[str]:
+    """The experiments whose bench ran so far, in order."""
+    log = directory / "RUN_LOG"
+    return log.read_text().split() if log.exists() else []
+
+
+def _sweep(experiments, journals: Path, *, jobs: int, cache: ResultCache | None = None):
+    return CampaignEngine(experiment_spec(experiments), jobs=jobs, journal_root=journals,
+                          shard_timeout_s=60.0,
+                          execute=experiment_executor(experiments, cache)).run()
 
 
 def test_parallel_speedup_and_warm_cache(show, tmp_path):
@@ -64,14 +73,15 @@ def test_parallel_speedup_and_warm_cache(show, tmp_path):
     experiments = _make_synthetic(directory)
     cache = ResultCache(tmp_path / "cache")
 
-    sequential = _sweep(experiments, directory, jobs=1)
-    parallel = _sweep(experiments, directory, jobs=JOBS)
-    assert sequential.ok and parallel.ok
+    sequential = _sweep(experiments, tmp_path / "j1", jobs=1)
+    parallel = _sweep(experiments, tmp_path / "j2", jobs=JOBS)
+    assert sequential.exit_code() == parallel.exit_code() == 0
 
-    cold = _sweep(experiments, directory, jobs=JOBS, cache=cache)
-    warm = _sweep(experiments, directory, jobs=JOBS, cache=cache)
-    assert cold.ok and warm.ok
-    cached = sum(1 for result in warm.results if result.cached)
+    cold = _sweep(experiments, tmp_path / "j3", jobs=JOBS, cache=cache)
+    before = len(_ran(directory))
+    warm = _sweep(experiments, tmp_path / "j4", jobs=JOBS, cache=cache)
+    assert cold.exit_code() == warm.exit_code() == 0
+    cached = N_TASKS - (len(_ran(directory)) - before)
 
     speedup = sequential.wall_s / parallel.wall_s
     show(f"BENCH-RUN — sweep of {N_TASKS} synthetic experiments",
@@ -86,6 +96,7 @@ def test_parallel_speedup_and_warm_cache(show, tmp_path):
         f"jobs={JOBS} took {parallel.wall_s:.2f}s vs sequential "
         f"{sequential.wall_s:.2f}s — speedup {speedup:.2f}x < 2x")
     assert cached == N_TASKS, f"warm sweep re-ran {N_TASKS - cached} task(s)"
+    assert warm.to_json_dict() == cold.to_json_dict()
     assert warm.wall_s <= 0.25 * sequential.wall_s, (
         f"warm cache cost {warm.wall_s:.2f}s, expected near-zero")
 
@@ -97,14 +108,16 @@ def test_cache_invalidates_on_workload_change(show, tmp_path):
     experiments = _make_synthetic(directory, 3)
     cache = ResultCache(tmp_path / "cache")
 
-    _sweep(experiments, directory, jobs=2, cache=cache)
+    _sweep(experiments, tmp_path / "j1", jobs=2, cache=cache)
+    before = len(_ran(directory))
     (directory / "syn_1.py").write_text(
         _SCRIPT.format(i=1, sleep=0.01) + "# edited\n")
-    report = _sweep(experiments, directory, jobs=2, cache=cache)
+    report = _sweep(experiments, tmp_path / "j2", jobs=2, cache=cache)
 
-    by_id = {result.exp_id: result for result in report.results}
+    rerun = _ran(directory)[before:]
     show("BENCH-RUN — cache invalidation after editing syn_1.py",
-         [(exp_id, result.status) for exp_id, result in sorted(by_id.items())],
+         [(e.exp_id, "re-run" if e.exp_id in rerun else "cached")
+          for e in experiments],
          header=("experiment", "status"))
-    assert by_id["SYN0"].cached and by_id["SYN2"].cached
-    assert not by_id["SYN1"].cached and by_id["SYN1"].status == "passed"
+    assert report.exit_code() == 0
+    assert rerun == ["SYN1"]

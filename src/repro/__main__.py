@@ -526,41 +526,43 @@ def _list(tool: Tool, args: argparse.Namespace) -> int:
 
 
 def _run(tool: Tool, args: argparse.Namespace) -> int:
-    from repro.campaign.supervisor import stop_on_signals
-    from repro.runner import ResultCache, SweepRunner
+    """The experiments as a campaign of experiment shards, journaled into a
+    temporary directory; the result cache is what a re-run resumes from."""
+    import tempfile
+
+    from repro.campaign import (CampaignEngine, ResultCache, experiment_executor,
+                                experiment_spec, validate_campaign_dict)
+    from repro.obs.timeline import render_timeline
 
     if any(exp_id.lower() == "all" for exp_id in args.exp_ids):
         experiments = list(EXPERIMENTS)
     else:
         with _usage(KeyError):
             experiments = list(dict.fromkeys(find(exp_id) for exp_id in args.exp_ids))
-
-    def _stream(result) -> None:
-        if args.json:
-            return
-        print(f"--- {result.exp_id}: {result.status} ({result.duration_s:.2f}s"
-              f"{', cached' if result.cached else ''}) ---")
-        body = "\n\n".join("\n".join([f"=== {artifact['title']} ==="] + list(artifact["rows"]))
-                           for artifact in result.artifacts)
-        if body:
-            print(body)
-        if result.error:
-            print(f"error: {result.error}", file=sys.stderr)
-
     cache = None if args.no_cache else ResultCache(
         args.cache_dir, max_entries=args.cache_max_entries or None)
-    runner = SweepRunner(experiments, jobs=args.jobs, cache=cache, base_seed=args.base_seed,
-                         timeout_s=args.timeout, on_result=_stream)
-    with stop_on_signals(runner.request_stop):
-        report = runner.run()
+    spec = experiment_spec(experiments, args.base_seed)
+    with tempfile.TemporaryDirectory(prefix="repro-run-") as journal_root:
+        engine = CampaignEngine(spec, jobs=args.jobs, journal_root=journal_root,
+                                shard_timeout_s=args.timeout, fsync=False,
+                                install_signal_handlers=True,
+                                execute=experiment_executor(experiments, cache))
+        report = engine.run()
+    document = report.to_json_dict()
+    validate_campaign_dict(document)
     if args.json:
-        _print_json(report.to_json_dict(), "repro.runner:validate_sweep_dict")
-    else:
+        print(json.dumps(document, indent=2))
+        return report.exit_code()
+    entries = {entry["scenario"]: entry for entry in document["shards"]}
+    for experiment in experiments:
+        entry = entries[experiment.exp_id]
+        print(f"--- {experiment.exp_id}: {entry['status']} ---")
+        for artifact in (entry["result"] or {}).get("artifacts", []):
+            print("\n".join([f"=== {artifact['title']} ===", *artifact["rows"]]) + "\n")
+    print(report.to_table())
+    if args.timeline:
         print()
-        print(report.to_table())
-        if args.timeline:
-            print()
-            print(report.render_timeline())
+        print(render_timeline(list(engine.events)))
     return report.exit_code()
 
 
@@ -628,17 +630,16 @@ def _campaign_spec(args: argparse.Namespace):
 def _campaign(tool: Tool, args: argparse.Namespace) -> int:
     """``campaign run``/``resume``/``status`` over one journal."""
     from repro.campaign import (CampaignEngine, CampaignError, JournalCorrupt, load_campaign,
-                                replay, validate_campaign_dict)
+                                validate_campaign_dict)
 
     with _usage(CampaignError, JournalCorrupt, ValueError):
-        spec = (_campaign_spec(args) if tool.name == "run"
-                else load_campaign(args.campaign_id, args.journal_root))
+        spec, state = ((_campaign_spec(args), None) if tool.name == "run"
+                       else load_campaign(args.campaign_id, args.journal_root))
     engine = CampaignEngine(spec, jobs=args.jobs, journal_root=args.journal_root,
                             shard_timeout_s=args.timeout,
                             install_signal_handlers=tool.name != "status")
 
-    if tool.name == "status":
-        state = replay(engine.journal_file)
+    if state is not None and tool.name == "status":
         settled = sum(1 for shard in spec.shards if state.settled(shard.shard_id))
         status = ("complete" if state.ended
                   else "interrupted" if state.interrupts else "incomplete")

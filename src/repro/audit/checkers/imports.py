@@ -4,7 +4,7 @@ The repo's package graph mirrors the paper's Fig. 1 stack: ``core``
 and ``crypto`` are foundations, the simulation packages (``ivn``,
 ``phy``, ``collab``, ``datalayer``, ``ssi``, ``sos``) model the system
 under test, and the analyzers (``lint``, ``flow``, ``redteam``,
-``runner``, ``faults``, ``sentinel``, ``audit``) observe it.  The
+``faults``, ``sentinel``, ``audit``, ``campaign``) observe it.  The
 arrows point one way — an analyzer importing another analyzer's
 internals or a simulation importing its own watchdog creates the
 exact coupling the threat-model layering exists to prevent, and it
@@ -35,8 +35,8 @@ from repro.audit.context import AuditContext
 from repro.audit.engine import AuditFinding, Checker, register
 
 _SIM_PACKAGES = ("ivn", "phy", "collab", "datalayer", "ssi", "sos")
-_ANALYZERS = ("lint", "flow", "redteam", "runner", "faults", "sentinel",
-              "audit", "campaign")
+_ANALYZERS = ("lint", "flow", "redteam", "faults", "sentinel", "audit",
+              "campaign")
 _ALL_PACKAGES = ("core", "crypto", "obs") + _SIM_PACKAGES + _ANALYZERS
 
 #: importer package -> packages it may NOT import at module scope.

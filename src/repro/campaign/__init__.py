@@ -2,7 +2,8 @@
 
 ``repro.campaign`` runs ``(tool, scenario, plan, seed)`` shard
 matrices across ``chaos``, ``sentinel``, ``redteam``, ``flow`` and
-``lint`` — and applies the paper's graceful-degradation discipline to
+``lint``, and the paper experiments behind ``python -m repro run`` —
+and applies the paper's graceful-degradation discipline to
 the harness itself:
 
 * :mod:`repro.campaign.spec` — shard/campaign matrices with stable,
@@ -11,16 +12,19 @@ the harness itself:
   journal every scheduling decision hits before the engine acts on it;
 * :mod:`repro.campaign.supervisor` — heartbeat-supervised workers with
   hang detection, remaining-budget restarts and poison-shard
-  quarantine; the repo's one worker pool, which
-  :class:`repro.runner.SweepRunner` runs the paper experiments on too;
+  quarantine; the repo's one worker pool;
 * :mod:`repro.campaign.shard` — worker-side tool execution and the
   canonical result digest;
+* :mod:`repro.campaign.experiment` — worker-side execution of one
+  paper experiment (``CampaignEngine(execute=experiment_executor(...))``),
+  memoized by the content-addressed :mod:`repro.campaign.cache`;
 * :mod:`repro.campaign.engine` — the journal-driven scheduler and the
   resume path (``python -m repro campaign resume <id>``);
 * :mod:`repro.campaign.report` — the deterministic report whose bytes
   a resumed campaign must reproduce exactly.
 """
 
+from repro.campaign.cache import ResultCache
 from repro.campaign.engine import (
     CampaignEngine,
     CampaignError,
@@ -44,6 +48,7 @@ from repro.campaign.report import (
     ShardEntry,
     validate_campaign_dict,
 )
+from repro.campaign.experiment import experiment_executor, experiment_spec
 from repro.campaign.shard import execute_shard, result_digest
 from repro.campaign.spec import CampaignSpec, CampaignTool, ShardSpec
 from repro.campaign.supervisor import ShardOutcome, Supervisor
@@ -59,6 +64,7 @@ __all__ = [
     "Journal",
     "JournalCorrupt",
     "JournalState",
+    "ResultCache",
     "SchemaError",
     "ShardEntry",
     "ShardOutcome",
@@ -66,6 +72,8 @@ __all__ = [
     "Supervisor",
     "default_journal_root",
     "execute_shard",
+    "experiment_executor",
+    "experiment_spec",
     "list_campaigns",
     "load_campaign",
     "plan_worker_faults",

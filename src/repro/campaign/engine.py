@@ -38,6 +38,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 from repro.campaign.journal import Journal, JournalCorrupt, JournalState, replay
 from repro.campaign.report import CampaignReport, ShardEntry, check_outcome
@@ -100,15 +101,16 @@ def _replay_campaign(path: Path) -> tuple[JournalState, CampaignSpec | None]:
     return state, spec
 
 
-def load_campaign(campaign_id: str,
-                  journal_root: str | Path | None = None) -> CampaignSpec:
-    """Rebuild a campaign's spec from its journal (the resume entry)."""
+def load_campaign(campaign_id: str, journal_root: str | Path | None = None,
+                  ) -> tuple[CampaignSpec, JournalState]:
+    """Rebuild a campaign's spec from its journal (the resume entry), with
+    the replayed state it came from, so a caller never replays twice."""
     path = journal_path(campaign_id, journal_root)
     state, spec = _replay_campaign(path)
     if spec is None:
         raise CampaignError(f"no journal for campaign {campaign_id!r} "
                             f"under {path.parent.parent}")
-    return spec
+    return spec, state
 
 
 def list_campaigns(journal_root: str | Path | None = None) -> list[dict]:
@@ -191,7 +193,8 @@ class CampaignEngine:
                  quarantine_after: int = DEFAULT_QUARANTINE_AFTER,
                  worker_faults: dict[str, dict[int, str]] | None = None,
                  fsync: bool = True,
-                 install_signal_handlers: bool = False) -> None:
+                 install_signal_handlers: bool = False,
+                 execute: Callable[[dict], dict] = execute_shard) -> None:
         self.spec = spec
         self.jobs = jobs
         self.journal_root = journal_root
@@ -202,6 +205,8 @@ class CampaignEngine:
         self.worker_faults = worker_faults or {}
         self.fsync = fsync
         self.install_signal_handlers = install_signal_handlers
+        #: What every worker runs on a shard dict (``Supervisor(execute)``).
+        self.execute = execute
         self.events = EventLog()
         self._stop_requested = False
         self._t0 = 0.0
@@ -340,7 +345,8 @@ class CampaignEngine:
             journal.append({"type": "shard-start", "shardId": shard_id,
                             "attempt": attempt})
             self._emit(EventKind.SHARD_START, shard_id,
-                       f"attempt {attempt}", attempt=attempt)
+                       f"attempt {attempt}", attempt=attempt,
+                       budgetS=round(budget_s, 3))
             if OBS.enabled:
                 OBS.count("campaign.shards.scheduled")
 
@@ -365,7 +371,7 @@ class CampaignEngine:
                     OBS.count("campaign.shards.retried")
 
         supervisor = Supervisor(
-            execute_shard, jobs=self.jobs,
+            self.execute, jobs=self.jobs,
             heartbeat_interval_s=self.heartbeat_interval_s,
             hang_timeout_s=self.hang_timeout_s,
             shard_timeout_s=self.shard_timeout_s,

@@ -30,7 +30,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 __all__ = ["CampaignTool", "ShardSpec", "CampaignSpec", "PLAN_TOOLS",
-           "DEFAULT_DURATION", "STATIC_PLAN"]
+           "DEFAULT_DURATION", "STATIC_PLAN", "EXPERIMENT_TOOL"]
 
 #: Campaign length in virtual-clock ticks for plan-driven tools.
 DEFAULT_DURATION = 30
@@ -48,12 +48,18 @@ class CampaignTool(str, Enum):
     FLOW = "flow"
     LINT = "lint"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         return self.value
 
 
 #: Tools whose shards consume a fault plan + virtual-clock duration.
 PLAN_TOOLS = frozenset({CampaignTool.CHAOS, CampaignTool.SENTINEL})
+
+#: The tool label of a paper-experiment shard (``scenario`` is the
+#: experiment id, ``seed`` the base seed).  It is static, and it stays
+#: outside :class:`CampaignTool`, so ``campaign run --tools all`` and
+#: every matrix built from ``list(CampaignTool)`` leave it out.
+EXPERIMENT_TOOL = "experiment"
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,8 @@ class ShardSpec:
     """One campaign matrix cell: what to run, against what, how seeded.
 
     Attributes:
-        tool: which analyzer/campaign tool the shard runs.
+        tool: which analyzer/campaign tool the shard runs, or
+            :data:`EXPERIMENT_TOOL`.
         scenario: the shipped scenario name the tool targets.
         plan: fault-plan name for plan-driven tools (:data:`PLAN_TOOLS`);
             pinned to :data:`STATIC_PLAN` for the static analyzers.
@@ -71,13 +78,16 @@ class ShardSpec:
             tools; pinned to 0 for the static analyzers.
     """
 
-    tool: CampaignTool
+    tool: CampaignTool | str
     scenario: str
     plan: str = STATIC_PLAN
     seed: int = 0
     duration: int = 0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.tool, CampaignTool) \
+                and self.tool != EXPERIMENT_TOOL:
+            raise ValueError(f"unknown shard tool {self.tool!r}")
         if not self.scenario:
             raise ValueError("a shard needs a scenario name")
         if self.seed < 0:
@@ -85,30 +95,36 @@ class ShardSpec:
         if self.tool in PLAN_TOOLS:
             if self.plan == STATIC_PLAN or not self.plan:
                 raise ValueError(
-                    f"{self.tool.value} shards need a fault plan name")
+                    f"{self.tool_name} shards need a fault plan name")
             if self.duration < 1:
                 raise ValueError(
-                    f"{self.tool.value} shards need a duration >= 1 tick")
+                    f"{self.tool_name} shards need a duration >= 1 tick")
         else:
             if self.plan != STATIC_PLAN:
                 raise ValueError(
-                    f"{self.tool.value} is static; plan must be "
+                    f"{self.tool_name} is static; plan must be "
                     f"{STATIC_PLAN!r}")
             if self.duration != 0:
                 raise ValueError(
-                    f"{self.tool.value} is static; duration must be 0")
+                    f"{self.tool_name} is static; duration must be 0")
+
+    @property
+    def tool_name(self) -> str:
+        """The tool's label: a :class:`CampaignTool` value, or
+        :data:`EXPERIMENT_TOOL`."""
+        return str(self.tool)
 
     @property
     def shard_id(self) -> str:
         """The total-ordered, human-readable shard identity."""
-        return (f"{self.tool.value}/{self.scenario}/{self.plan}"
+        return (f"{self.tool_name}/{self.scenario}/{self.plan}"
                 f"/s{self.seed}")
 
     def to_dict(self) -> dict:
         """JSON-ready representation (stable key order)."""
         return {
             "id": self.shard_id,
-            "tool": self.tool.value,
+            "tool": self.tool_name,
             "scenario": self.scenario,
             "plan": self.plan,
             "seed": self.seed,
@@ -119,7 +135,8 @@ class ShardSpec:
     def from_dict(cls, entry: dict) -> "ShardSpec":
         """Rebuild a spec from :meth:`to_dict` output (journal replay)."""
         try:
-            tool = CampaignTool(entry["tool"])
+            tool = entry["tool"] if entry["tool"] == EXPERIMENT_TOOL \
+                else CampaignTool(entry["tool"])
         except (KeyError, ValueError):
             raise ValueError(f"bad shard tool in {entry!r}") from None
         spec = cls(tool=tool, scenario=str(entry["scenario"]),

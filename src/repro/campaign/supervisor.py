@@ -1,13 +1,15 @@
 """Supervised worker pool: heartbeats, hang detection, poison quarantine.
 
-The repo's one worker pool.  Its callers cannot trust their workers: a
-shard can crash its process outright, wedge it without exiting (the
-failure mode a timeout alone never distinguishes from "slow"), or poison
-every worker that touches it.  This supervisor owns that distrust so
-its callers stay simple schedulers.  A shard is any dict with an
-``"id"``; the caller passes the function its workers run on it —
-:func:`~repro.campaign.shard.execute_shard` for the campaign engine,
-:func:`repro.runner.worker.execute` for the experiment sweep:
+The repo's one worker pool, driven by the campaign engine.  Its caller
+cannot trust its workers: a shard can crash its process outright, wedge
+it without exiting (the failure mode a timeout alone never
+distinguishes from "slow"), or poison every worker that touches it.
+This supervisor owns that distrust so the engine stays a simple
+scheduler.  A shard is any dict with an ``"id"``; the caller passes the
+function its workers run on it —
+:func:`~repro.campaign.shard.execute_shard` for the tool fleet, an
+:func:`~repro.campaign.experiment.experiment_executor` for the paper
+experiments:
 
 * every worker runs a **heartbeat thread** beating over its pipe at a
   fixed interval; a worker whose beats stop for ``hang_timeout_s`` is

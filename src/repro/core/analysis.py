@@ -49,10 +49,6 @@ class SecurityAssessment:
     weakest_layer: Layer
     residual_attacks: tuple[str, ...]
 
-    @property
-    def min_layer_coverage(self) -> float:
-        return min(a.coverage for a in self.per_layer.values())
-
 
 class LayeredSecurityAnalyzer:
     """Evaluates defense configurations against a threat catalog."""

@@ -137,7 +137,3 @@ class SystemModel:
         """Number of entry points from which ``target`` is reachable."""
         return sum(1 for entry in self.entry_points()
                    if target in self.reachable_from(entry.name))
-
-    def to_networkx(self) -> nx.DiGraph:
-        """A copy of the underlying graph for custom analysis."""
-        return self._graph.copy()

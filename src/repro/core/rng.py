@@ -19,10 +19,11 @@ __all__ = ["derive_seed", "numpy_rng", "python_rng"]
 
 
 def _default_base_seed() -> int:
-    """The sweep-wide base seed (``REPRO_BASE_SEED``, default 0).
+    """The run-wide base seed (``REPRO_BASE_SEED``, default 0).
 
-    The experiment runner exports this per worker, so a sweep can
-    re-shard every derived stream without touching any call site.
+    ``python -m repro run --base-seed N`` exports this around each
+    experiment, so a run can re-shard every derived stream without
+    touching any call site.
     """
     try:
         return int(os.environ.get("REPRO_BASE_SEED", "0"))
@@ -34,7 +35,7 @@ def derive_seed(label: str, base_seed: int | None = None) -> int:
     """Derive a stable 63-bit seed from a label and a base seed.
 
     With ``base_seed=None`` the ambient :func:`_default_base_seed` is
-    used — identical to the historical default of 0 unless a sweep set
+    used — identical to the historical default of 0 unless a run set
     ``REPRO_BASE_SEED``.
     """
     if base_seed is None:

@@ -79,7 +79,7 @@ EXPERIMENTS: tuple[Experiment, ...] = (
                "bench_ext_attackgraph.py"),
     Experiment("BENCH-OBS", "§VIII", "observability-layer overhead on the hot paths",
                "bench_obs_overhead.py"),
-    Experiment("BENCH-RUN", "§VIII", "sweep-runner parallel speedup + warm-cache cost",
+    Experiment("BENCH-RUN", "§VIII", "experiment-shard parallel speedup + warm-cache cost",
                "bench_runner.py"),
     Experiment("BENCH-FLOW", "§V-C", "whole-system taint analysis cost per scenario",
                "bench_flow.py"),

@@ -46,7 +46,7 @@ class FaultKind(str, Enum):
     CLOUD_OUTAGE = "cloud-outage-5xx"
     # identity plane (repro.ssi)
     SSI_REGISTRY_DOWN = "ssi-registry-unavailable"
-    # experiment sweeps / campaigns (repro.runner, repro.campaign)
+    # campaign workers, experiment shards included (repro.campaign)
     RUNNER_WORKER_CRASH = "runner-worker-crash"
     RUNNER_WORKER_HANG = "runner-worker-hang"
 

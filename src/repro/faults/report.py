@@ -1,7 +1,7 @@
 """Chaos report JSON: schema documentation and validation.
 
 The chaos document (version ``1.0``) mirrors the ``repro.lint`` /
-``repro.obs`` / ``repro.runner`` report conventions — small, flat,
+``repro.obs`` / ``repro.campaign`` report conventions — small, flat,
 stable::
 
     {

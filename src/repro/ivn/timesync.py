@@ -81,11 +81,6 @@ class DelayAttack:
             raise ValueError("attack delay must be positive")
         network.add_asymmetry(self.src, self.dst, self.extra_delay_s)
 
-    @property
-    def induced_offset_error_s(self) -> float:
-        """PTP's resulting clock error: half the injected asymmetry."""
-        return self.extra_delay_s / 2.0
-
 
 @dataclass(frozen=True)
 class PtpResult:

@@ -49,9 +49,6 @@ class VirtualCanNetwork:
         self._zones[vcid] = zone
         return zone
 
-    def zone_for(self, vcid: int) -> CansecZone | None:
-        return self._zones.get(vcid)
-
     def send(self, sender: str, frame: CanXlFrame | CansecSecuredFrame) -> None:
         """Broadcast on the physical segment; VCID filters delivery."""
         if sender not in self._subscriptions:

@@ -46,9 +46,6 @@ class EventKind(str, Enum):
     TRUST_UPDATE = "trust-update"
     DETECTION = "detection"
     RESPONSE_ACTION = "response-action"
-    # experiment sweeps (repro.runner)
-    EXPERIMENT_START = "experiment-start"
-    EXPERIMENT_DONE = "experiment-done"
     # fault injection / resilience (repro.faults)
     FAULT_INJECTED = "fault-injected"
     BREAKER_STATE = "breaker-state"

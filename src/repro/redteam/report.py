@@ -33,7 +33,7 @@ seed never perturbs the output — BENCH-REDTEAM pins exactly that
 
 :func:`validate_redteam_dict` checks a parsed document against the
 schema and raises :class:`~repro.core.schema.SchemaError` on any
-violation, the same contract the CI gates rely on for lint and runner
+violation, the same contract the CI gates rely on for lint and campaign
 reports.
 """
 

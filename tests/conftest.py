@@ -1,8 +1,12 @@
 """Shared fixtures for the test suite."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
+from repro.campaign import CampaignEngine, experiment_executor, experiment_spec
+from repro.experiments import Experiment
 
 
 @pytest.fixture
@@ -16,3 +20,47 @@ def run_cli(capsys):
         return code, captured.out, captured.err
 
     return run
+
+
+class SyntheticExperiments:
+    """Synthetic bench files run as experiment shards, as ``repro run`` does.
+
+    ``write({exp_id: source})`` writes ``<exp_id lower>.py`` under
+    ``bench_dir`` and returns the experiments; ``engine(experiments,
+    ...)`` builds a :class:`~repro.campaign.CampaignEngine` over them
+    with a fresh journal root per call.
+    """
+
+    def __init__(self, root: Path) -> None:
+        self.root = root
+        self.bench_dir = root / "benches"
+        self.bench_dir.mkdir()
+        self.engines = 0
+
+    def write(self, scripts: dict[str, str]) -> list[Experiment]:
+        experiments = []
+        for exp_id, source in scripts.items():
+            name = f"{exp_id.lower()}.py"
+            (self.bench_dir / name).write_text(source)
+            experiments.append(Experiment(exp_id, "-", "synthetic",
+                                          str(self.bench_dir / name)))
+        return experiments
+
+    def engine(self, experiments: list[Experiment], *, cache=None, base_seed=0,
+               timeout_s=30.0, **kwargs) -> CampaignEngine:
+        self.engines += 1
+        return CampaignEngine(
+            experiment_spec(experiments, base_seed),
+            journal_root=self.root / f"journals-{self.engines}", shard_timeout_s=timeout_s,
+            execute=experiment_executor(experiments, cache),
+            **kwargs)
+
+
+def by_id(report) -> dict:
+    """A campaign report's settled entries, keyed by experiment id."""
+    return {entry.shard["scenario"]: entry for entry in report.entries.values()}
+
+
+@pytest.fixture
+def synthetic(tmp_path):
+    return SyntheticExperiments(tmp_path)

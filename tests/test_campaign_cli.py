@@ -2,8 +2,8 @@
 
 import json
 
-from repro.campaign import (CampaignSpec, CampaignTool, Journal,
-                            validate_campaign_dict)
+from repro.campaign import (CampaignSpec, CampaignTool, Journal, journal,
+                            read_records, validate_campaign_dict)
 
 
 def run_args(root, *extra):
@@ -72,6 +72,21 @@ class TestResumeStatusList:
                                "--journal-root", str(tmp_path))
         assert code == 0
         assert "complete" in out and "4/4 shard(s) settled" in out
+
+    def test_status_replays_the_journal_once(self, run_cli, tmp_path,
+                                             monkeypatch):
+        run_cli(*run_args(tmp_path))
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return read_records(path)
+
+        monkeypatch.setattr(journal, "read_records", counted)
+        code, out, _ = run_cli("campaign", "status", "clitest",
+                               "--journal-root", str(tmp_path))
+        assert code == 0 and "4/4 shard(s) settled" in out
+        assert len(reads) == 1
 
     def test_list_enumerates_journaled_campaigns(self, run_cli, tmp_path):
         run_cli(*run_args(tmp_path))

@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from repro.__main__ import main
+from repro.campaign import experiment as experiment_module
+from repro.campaign import validate_campaign_dict
 from repro.experiments import EXPERIMENTS, benchmarks_dir, find
-from repro.runner import validate_sweep_dict
 
 
 class TestRegistry:
@@ -59,7 +60,7 @@ class TestCli:
         result = self._run("run", "FIG1", "--cache-dir", str(tmp_path))
         assert result.returncode == 0
         assert "Fig. 1" in result.stdout
-        assert "1 passed" in result.stdout
+        assert "1 ok, 0 error" in result.stdout
 
     def test_run_lowercase_id_matches(self, tmp_path):
         result = self._run("run", "fig2", "--cache-dir", str(tmp_path))
@@ -87,41 +88,49 @@ class TestRunnerCli:
         assert code == 2
         assert "--jobs" in err
 
-    def test_json_sweep_validates_then_warm_cache_hits(self, capsys,
-                                                       tmp_path):
-        code, out, _ = self._run(capsys, "FIG1", "--jobs", "2", "--json",
-                                 "--cache-dir", str(tmp_path))
-        assert code == 0
-        document = json.loads(out)
-        validate_sweep_dict(document)
-        assert document["sweep"]["jobs"] == 2
-        entry = document["experiments"][0]
-        assert entry["id"] == "FIG1" and entry["status"] == "passed"
-        assert any(a["title"].startswith("Fig. 1")
-                   for a in entry["artifacts"])
+    def test_json_sweep_validates_then_warm_cache_hits(self, capsys, tmp_path,
+                                                       monkeypatch):
+        # Every bench run (in a forked worker) leaves a line in RUNS.
+        runs = tmp_path / "RUNS"
 
-        code, out, _ = self._run(capsys, "FIG1", "--json",
-                                 "--cache-dir", str(tmp_path))
+        def logged_run_bench(bench, *args):
+            with open(runs, "a") as log:
+                log.write(f"{bench}\n")
+            return run_bench(bench, *args)
+
+        run_bench = experiment_module.run_bench
+        monkeypatch.setattr(experiment_module, "run_bench", logged_run_bench)
+        cache = str(tmp_path / "cache")
+        code, cold, _ = self._run(capsys, "FIG1", "--jobs", "2", "--json",
+                                  "--cache-dir", cache)
         assert code == 0
-        warm = json.loads(out)
-        validate_sweep_dict(warm)
-        assert warm["experiments"][0]["status"] == "cached"
-        assert warm["summary"]["cached"] == 1
+        document = json.loads(cold)
+        validate_campaign_dict(document)
+        (entry,) = document["shards"]
+        assert entry["id"] == "experiment/FIG1/-/s0" and entry["status"] == "ok"
+        assert any(a["title"].startswith("Fig. 1")
+                   for a in entry["result"]["artifacts"])
+        assert len(runs.read_text().splitlines()) == 1
+
+        # the warm run executes no bench and prints the same bytes
+        code, warm, _ = self._run(capsys, "FIG1", "--json", "--cache-dir", cache)
+        assert code == 0
+        assert warm == cold
+        assert len(runs.read_text().splitlines()) == 1
 
         # --no-cache forces a re-run despite the warm cache
-        code, out, _ = self._run(capsys, "FIG1", "--json", "--no-cache",
-                                 "--cache-dir", str(tmp_path))
+        code, fresh, _ = self._run(capsys, "FIG1", "--json", "--no-cache",
+                                   "--cache-dir", cache)
         assert code == 0
-        fresh = json.loads(out)
-        assert fresh["experiments"][0]["status"] == "passed"
-        assert fresh["sweep"]["cache"] is False
+        assert fresh == cold
+        assert len(runs.read_text().splitlines()) == 2
 
     def test_multiple_ids_deduplicated(self, capsys, tmp_path):
         code, out, _ = self._run(capsys, "FIG1", "fig1", "--json",
                                  "--cache-dir", str(tmp_path))
         assert code == 0
         document = json.loads(out)
-        assert [e["id"] for e in document["experiments"]] == ["FIG1"]
+        assert [s["id"] for s in document["shards"]] == ["experiment/FIG1/-/s0"]
 
     def test_artifacts_repeat_across_runs_and_jobs(self, capsys):
         # Each bench kernel runs exactly once, so FIG9's cascade table and
@@ -132,6 +141,7 @@ class TestRunnerCli:
             code, out, _ = self._run(capsys, "FIG9", "EXP-C2", "--json",
                                      "--no-cache", "--jobs", jobs)
             assert code == 0
-            runs.append([e["artifacts"] for e in json.loads(out)["experiments"]])
+            runs.append(out)
         assert runs[0] == runs[1] == runs[2]
-        assert all(len(artifacts) == 3 for artifacts in runs[0])
+        shards = json.loads(runs[0])["shards"]
+        assert [len(s["result"]["artifacts"]) for s in shards] == [3, 3]

@@ -12,11 +12,8 @@ Only values that cannot repeat from run to run are masked (``MASKS``):
 
 * trace span timings: JSON ``wallMs``/``cpuMs`` and the table's
   ``wall=``/``cpu=`` columns;
-* sweep timings: JSON ``durationS`` and ``wallS``;
 * campaign timings: the table's per-shard ``<seconds>s x<attempts>``
-  column and the summary's ``in <seconds>s``;
-* the sweep's ``treeDigest`` and ``cacheKey``: both hash the source tree
-  of ``src/repro``, so they change with any edit to the package.
+  column and the summary's ``in <seconds>s``.
 
 Regenerate both data files (only when an output change is intended)::
 
@@ -51,10 +48,6 @@ MASKS = [
      r"\1<ms>"),
     ("trace table wall=/cpu=",
      re.compile(rf"\b(wall|cpu)= *{_NUMBER}ms"), r"\1=<ms>"),
-    ("sweep durationS/wallS", re.compile(rf'("(?:durationS|wallS)": ){_NUMBER}'),
-     r"\1<s>"),
-    ("sweep treeDigest/cacheKey",
-     re.compile(r'("(?:treeDigest|cacheKey)": )"[0-9a-f]+"'), r'\1"<digest>"'),
     ("campaign shard seconds", re.compile(r"\b[0-9]+\.[0-9]{3}s x([0-9]+)"),
      r"<s> x\1"),
     ("campaign wall seconds", re.compile(r"\bin [0-9]+\.[0-9]{2}s\b"),

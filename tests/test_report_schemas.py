@@ -18,17 +18,16 @@ import pytest
 from repro.audit import AuditContext, AuditEngine, validate_audit_dict
 from repro.audit.report import to_sarif_dict as audit_to_sarif
 from repro.campaign import (CampaignReport, CampaignSpec, CampaignTool,
-                            ShardEntry, execute_shard, validate_campaign_dict)
+                            ShardEntry, execute_shard, experiment_spec,
+                            result_digest, validate_campaign_dict)
 from repro.core.schema import SchemaError
+from repro.experiments import find
 from repro.faults import run_chaos_campaign, validate_chaos_dict
 from repro.lint import Baseline, Linter, build_scenario, validate_report_dict
 from repro.lint.sarif import to_sarif_dict, validate_sarif_dict
 from repro.obs import (TraceReport, instrumented, run_trace_scenario,
                        validate_metrics_dict, validate_trace_dict)
 from repro.redteam import run_redteam_campaign, validate_redteam_dict
-from repro.runner import validate_sweep_dict
-from repro.runner.engine import ExperimentResult
-from repro.runner.report import SweepReport
 from repro.sentinel import run_sentinel_campaign, validate_sentinel_dict
 
 REPLACEMENTS = (None, 7, "x", [], {}, True, -1.5)
@@ -105,17 +104,24 @@ def campaign_document():
 
 
 def sweep_document():
-    results = [
-        ExperimentResult("FIG1", "passed", 0, 1.25, 11, cache_key="a" * 64,
-                         artifacts=[{"title": "Fig. 1", "rows": ["r1", "r2"]}]),
-        ExperimentResult("FIG2", "cached", 0, 2.5, 22, cached=True,
-                         cache_key="b" * 64),
-        ExperimentResult("TAB1", "failed", 1, 0.5, 33, error="assert failed"),
-        ExperimentResult("EXT-1", "timeout", -1, 0.3, 44, retries=1,
-                         error="timed out after 0.3s"),
-    ]
-    return SweepReport(results, jobs=2, cache_enabled=True, base_seed=0,
-                       wall_s=3.75, tree="t" * 64).to_json_dict()
+    """What ``repro run --json`` prints: experiment shards, interrupted
+    with one still pending."""
+    spec = experiment_spec([find(exp_id) for exp_id in
+                            ("FIG1", "FIG2", "TAB1", "EXT-1", "EXT-2")])
+    outcomes = {"FIG1": ("ok", {"artifacts": [{"title": "Fig. 1",
+                                               "rows": ["r1", "r2"]}]}, ""),
+                "FIG2": ("ok", {"artifacts": []}, ""),
+                "TAB1": ("error", None, "test_table: AssertionError: failed"),
+                "EXT-1": ("timeout", None, "timed out after 0.3s budget")}
+    report = CampaignReport(spec=spec, interrupted=True)
+    for shard in spec.shards:
+        if shard.scenario in outcomes:
+            status, result, error = outcomes[shard.scenario]
+            report.entries[shard.shard_id] = ShardEntry(
+                shard=shard.to_dict(), status=status, result=result,
+                digest=result_digest(result) if result is not None else "",
+                error=error)
+    return report.to_json_dict()
 
 
 CASES = {
@@ -135,7 +141,7 @@ CASES = {
                  lambda: run_sentinel_campaign(["onboard-insecure"], "severe",
                                                duration=60)),
     "campaign": (validate_campaign_dict, campaign_document),
-    "sweep": (validate_sweep_dict, sweep_document),
+    "sweep": (validate_campaign_dict, sweep_document),
 }
 
 

@@ -1,8 +1,8 @@
-"""The sweep runner's content-addressed result cache."""
+"""The experiment shards' content-addressed result cache."""
 
-from repro.runner import (CACHE_VERSION, ResultCache, experiment_key,
-                          tree_digest)
-from repro.runner import cache as cache_module
+from repro.campaign import cache as cache_module
+from repro.campaign.cache import (CACHE_VERSION, ResultCache, experiment_key,
+                                  tree_digest)
 
 
 class TestTreeDigest:

@@ -1,11 +1,10 @@
-"""LRU pruning of the sweep result cache (``--cache-max-entries``)."""
+"""LRU pruning of the experiment result cache (``--cache-max-entries``)."""
 
 import os
 
 import pytest
 
-from repro.experiments import Experiment
-from repro.runner import ResultCache, SweepRunner
+from repro.campaign import ResultCache
 
 
 def fill(cache, n, *, t0=1_000_000):
@@ -73,20 +72,13 @@ class TestPrune:
 
 
 class TestRunnerWiring:
-    def test_sweep_runner_caps_its_cache(self, tmp_path):
-        bench = tmp_path / "bench"
-        bench.mkdir()
-        experiments = []
-        for i in range(3):
-            (bench / f"syn{i}.py").write_text(
-                f"def test_table(show):\n    show('SYN{i} table', [])\n")
-            experiments.append(Experiment(f"SYN{i}", "-", "synthetic",
-                                          f"syn{i}.py"))
+    def test_sweep_runner_caps_its_cache(self, synthetic, tmp_path):
+        experiments = synthetic.write({
+            f"SYN{i}": f"def test_table(show):\n    show('SYN{i} table', [])\n"
+            for i in range(3)})
         cache_dir = tmp_path / "cache"
-        runner = SweepRunner(experiments, bench_dir=bench, digest_paths=[],
-                             cache=ResultCache(cache_dir, max_entries=2),
-                             timeout_s=30.0, jobs=1)
-        report = runner.run()
-        assert all(r.status == "passed" for r in report.results)
+        report = synthetic.engine(
+            experiments, cache=ResultCache(cache_dir, max_entries=2)).run()
+        assert report.counts()["ok"] == 3
         # three passed results flowed through a cache capped at two
         assert len(ResultCache(cache_dir)) == 2

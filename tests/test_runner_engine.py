@@ -1,21 +1,30 @@
-"""The sweep scheduler: parallelism, restarts, caching, seeds, and obs."""
+"""Experiments as campaign shards: parallelism, restarts, caching, seeds,
+and obs, on the engine and the experiment executor ``repro run`` uses."""
 
+import json
 import os
 import time
 
 import pytest
 
+from repro.campaign import ResultCache, experiment_executor
 from repro.core.rng import derive_seed
 from repro.experiments import Experiment
 from repro.obs.events import EventKind
 from repro.obs.runtime import OBS, instrumented
-from repro.runner import ResultCache, SweepRunner, execute
+from repro.obs.timeline import render_timeline
+from tests.conftest import by_id
 
+#: Shows the seeds it ran with; appends its id to ``RUN_LOG`` (next to
+#: the bench files) each time it runs, so a cache hit is visible.
 SCRIPT_OK = """\
 import os, time
+from pathlib import Path
 
 
 def test_table(show):
+    with open(Path(__file__).with_name("RUN_LOG"), "a") as log:
+        log.write("{exp_id}\\n")
     time.sleep(0.02)
     show("{exp_id} table",
          [("seed " + str(os.environ.get("REPRO_EXP_SEED")),),
@@ -87,81 +96,82 @@ def test_tables(show):
 SCRIPT_SEPARATOR = "def test_separator():\n    print(\"======\\nrow\")\n"
 
 
-def make_experiments(directory, scripts):
-    """scripts: {exp_id: source}; writes files and returns Experiments."""
-    experiments = []
-    for exp_id, source in scripts.items():
-        name = f"{exp_id.lower()}.py"
-        (directory / name).write_text(source)
-        experiments.append(Experiment(exp_id, "-", "synthetic", name))
-    return experiments
+def ran(synthetic):
+    """The experiment ids whose bench ran, in order (``SCRIPT_OK`` only)."""
+    log = synthetic.bench_dir / "RUN_LOG"
+    return log.read_text().split() if log.exists() else []
 
 
-def make_runner(experiments, directory, **kwargs):
-    kwargs.setdefault("timeout_s", 30.0)
-    return SweepRunner(experiments, bench_dir=directory, digest_paths=[],
-                       **kwargs)
+def document(report):
+    return json.dumps(report.to_json_dict(), indent=2)
+
+
+def ok_scripts(*ids):
+    return {exp_id: SCRIPT_OK.format(exp_id=exp_id) for exp_id in ids}
 
 
 class TestScheduling:
-    def test_parallel_matches_sequential_results(self, tmp_path):
-        scripts = {f"SYN{i}": SCRIPT_OK.format(exp_id=f"SYN{i}")
-                   for i in range(4)}
-        experiments = make_experiments(tmp_path, scripts)
-        sequential = make_runner(experiments, tmp_path, jobs=1).run()
-        parallel = make_runner(experiments, tmp_path, jobs=3).run()
+    def test_parallel_matches_sequential_results(self, synthetic):
+        experiments = synthetic.write(ok_scripts("SYN0", "SYN1", "SYN2", "SYN3"))
+        sequential = synthetic.engine(experiments, jobs=1).run()
+        parallel = synthetic.engine(experiments, jobs=3).run()
 
-        assert [r.exp_id for r in sequential.results] == \
-               [r.exp_id for r in parallel.results]
-        assert [r.status for r in sequential.results] == \
-               [r.status for r in parallel.results] == ["passed"] * 4
-        assert [r.artifacts for r in sequential.results] == \
-               [r.artifacts for r in parallel.results]
+        assert sequential.counts()["ok"] == parallel.counts()["ok"] == 4
+        # jobs is bookkeeping: the documents are byte-identical
+        assert document(sequential) == document(parallel)
 
-    def test_results_keep_registry_order(self, tmp_path):
-        scripts = {exp_id: SCRIPT_OK.format(exp_id=exp_id)
-                   for exp_id in ("B", "A", "C")}
-        experiments = make_experiments(tmp_path, scripts)
-        report = make_runner(experiments, tmp_path, jobs=3).run()
-        assert [r.exp_id for r in report.results] == ["B", "A", "C"]
+    def test_results_keep_registry_order(self, synthetic):
+        # The document lists shards sorted by id, so the same experiments
+        # asked for in any order give the same bytes.
+        experiments = synthetic.write(ok_scripts("B", "A", "C"))
+        report = synthetic.engine(experiments, jobs=3).run()
+        ids = [shard["id"] for shard in report.to_json_dict()["shards"]]
+        assert ids == ["experiment/A/-/s0", "experiment/B/-/s0",
+                       "experiment/C/-/s0"]
+        reordered = synthetic.engine(experiments[::-1], jobs=3).run()
+        assert document(reordered) == document(report)
 
-    def test_failure_is_reported_not_raised(self, tmp_path):
-        experiments = make_experiments(tmp_path, {"BAD": SCRIPT_FAIL})
-        report = make_runner(experiments, tmp_path).run()
-        result = report.results[0]
-        assert result.status == "failed" and result.exit_code == 1
-        assert not result.ok and report.exit_code() == 1
-        assert result.retries == 0  # deterministic failures are not retried
-        assert result.error == "test_boom: AssertionError: boom"
+    def test_failure_is_reported_not_raised(self, synthetic):
+        experiments = synthetic.write({"BAD": SCRIPT_FAIL})
+        report = synthetic.engine(experiments).run()
+        entry = by_id(report)["BAD"]
+        assert entry.status == "error" and entry.result is None
+        assert report.exit_code() == 1
+        assert entry.attempts == 1  # deterministic failures are not retried
+        assert entry.error == "test_boom: AssertionError: boom"
 
-    def test_jobs_must_be_positive(self, tmp_path):
+    def test_jobs_must_be_positive(self, synthetic):
+        experiments = synthetic.write(ok_scripts("X"))
         with pytest.raises(ValueError, match="jobs"):
-            make_runner([], tmp_path, jobs=0)
+            synthetic.engine(experiments, jobs=0).run()
+
+
+def starts(engine):
+    return [e for e in engine.events if e.kind is EventKind.SHARD_START]
 
 
 class TestTimeoutAndRetry:
-    def test_timeout_that_consumed_the_budget_is_not_retried(self, tmp_path):
+    def test_timeout_that_consumed_the_budget_is_not_retried(self, synthetic):
         # A timeout spends the whole budget, so it is terminal: a restart
-        # with a fresh full budget would double the sweep's worst case.
-        experiments = make_experiments(tmp_path, {"SLOW": SCRIPT_HANG})
-        report = make_runner(experiments, tmp_path, timeout_s=0.3).run()
-        result = report.results[0]
-        assert result.status == "timeout"
-        assert result.retries == 0
-        assert "timed out" in result.error
+        # with a fresh full budget would double the run's worst case.
+        experiments = synthetic.write({"SLOW": SCRIPT_HANG})
+        engine = synthetic.engine(experiments, timeout_s=0.3)
+        report = engine.run()
+        entry = by_id(report)["SLOW"]
+        assert entry.status == "timeout"
+        assert entry.attempts == 1
+        assert "timed out" in entry.error
         assert report.exit_code() == 1
-        starts = [e for e in report.events
-                  if e.kind is EventKind.EXPERIMENT_START]
-        assert len(starts) == 1
+        assert len(starts(engine)) == 1
 
-    def test_timed_out_experiment_leaves_no_surviving_child(self, tmp_path):
+    def test_timed_out_experiment_leaves_no_surviving_child(self, synthetic, tmp_path):
         # The budget kills the worker's whole process group, so the
         # process the bench's test started dies with it.
         pidfile = tmp_path / "child.pid"
-        experiments = make_experiments(
-            tmp_path, {"SLOW": SCRIPT_PID_HANG.format(pidfile=str(pidfile))})
-        report = make_runner(experiments, tmp_path, timeout_s=1.0).run()
-        assert report.results[0].status == "timeout"
+        experiments = synthetic.write(
+            {"SLOW": SCRIPT_PID_HANG.format(pidfile=str(pidfile))})
+        report = synthetic.engine(experiments, timeout_s=1.0).run()
+        assert by_id(report)["SLOW"].status == "timeout"
         pid = int(pidfile.read_text())
         # the killed child is an orphan: it lingers as a zombie until
         # init reaps it, which some inits only do on a timer
@@ -171,150 +181,157 @@ class TestTimeoutAndRetry:
                 os.kill(pid, 0)
                 time.sleep(0.05)
 
-    def test_worker_death_restarts_with_remaining_budget(self, tmp_path):
+    def test_worker_death_restarts_with_remaining_budget(self, synthetic, tmp_path):
         # The bench kills its own worker on the first attempt; the
         # experiment restarts on a fresh worker with what is left of its
         # budget, not a fresh one, and then passes.
         marker = tmp_path / "attempted"
-        experiments = make_experiments(tmp_path, {
+        experiments = synthetic.write({
             "X": SCRIPT_KILL_WORKER_ONCE.format(marker=str(marker))})
-        report = make_runner(experiments, tmp_path, timeout_s=30.0).run()
-        result = report.results[0]
-        assert result.status == "passed" and result.retries == 1
-        assert result.artifacts == [{"title": "X table", "rows": []}]
-        starts = [e for e in report.events
-                  if e.kind is EventKind.EXPERIMENT_START]
-        assert [e.fields["attempt"] for e in starts] == [0, 1]
-        budget = float(starts[1].message.split("(")[1].split("s budget")[0])
-        assert budget <= 29.5
+        engine = synthetic.engine(experiments, timeout_s=30.0)
+        entry = by_id(engine.run())["X"]
+        assert entry.status == "ok" and entry.attempts == 2
+        assert entry.result == {"artifacts": [{"title": "X table", "rows": []}]}
+        assert [e.fields["attempt"] for e in starts(engine)] == [0, 1]
+        assert starts(engine)[1].fields["budgetS"] <= 29.5
 
-    def test_worker_killed_every_attempt_is_reported_error(self, tmp_path):
-        experiments = make_experiments(tmp_path, {"X": SCRIPT_KILL_WORKER})
-        report = make_runner(experiments, tmp_path, timeout_s=30.0).run()
-        result = report.results[0]
-        assert result.status == "error" and result.retries == 2
-        assert "quarantined after 3 worker failure(s)" in result.error
+    def test_worker_killed_every_attempt_is_reported_error(self, synthetic):
+        experiments = synthetic.write({"X": SCRIPT_KILL_WORKER})
+        report = synthetic.engine(experiments, timeout_s=30.0).run()
+        entry = by_id(report)["X"]
+        assert entry.status == "quarantined" and entry.attempts == 3
+        assert "quarantined after 3 worker failure(s)" in entry.error
         assert report.exit_code() == 1
 
-    def test_launch_error_is_not_retried(self, tmp_path):
+    def test_launch_error_is_not_retried(self, synthetic):
         # A bench file that cannot import fails the same way every time.
-        experiments = make_experiments(tmp_path, {"X": SCRIPT_IMPORT_ERROR})
-        result = make_runner(experiments, tmp_path, timeout_s=5.0).run() \
-            .results[0]
-        assert result.status == "error" and result.retries == 0
-        assert result.exit_code == 2
-        assert "could not import" in result.error
-        assert "repro_no_such_module" in result.error
+        experiments = synthetic.write({"X": SCRIPT_IMPORT_ERROR})
+        entry = by_id(synthetic.engine(experiments, timeout_s=5.0).run())["X"]
+        assert entry.status == "error" and entry.attempts == 1
+        assert "could not import" in entry.error
+        assert "repro_no_such_module" in entry.error
 
 
 class TestCaching:
-    def test_warm_run_reports_cached(self, tmp_path):
-        bench_dir = tmp_path / "benches"
-        bench_dir.mkdir()
-        scripts = {f"SYN{i}": SCRIPT_OK.format(exp_id=f"SYN{i}")
-                   for i in range(2)}
-        experiments = make_experiments(bench_dir, scripts)
+    def test_warm_run_reports_cached(self, synthetic, tmp_path):
+        experiments = synthetic.write(ok_scripts("SYN0", "SYN1"))
         cache = ResultCache(tmp_path / "cache")
 
-        cold = make_runner(experiments, bench_dir, cache=cache, jobs=2).run()
-        warm = make_runner(experiments, bench_dir, cache=cache, jobs=2).run()
-        assert [r.status for r in cold.results] == ["passed"] * 2
-        assert [r.status for r in warm.results] == ["cached"] * 2
-        assert all(r.ok for r in warm.results)
-        # the cached result replays the original artifacts
-        assert [r.artifacts for r in warm.results] == \
-               [r.artifacts for r in cold.results]
+        cold = synthetic.engine(experiments, cache=cache, jobs=2).run()
+        assert cold.counts()["ok"] == 2 and len(ran(synthetic)) == 2
+        warm = synthetic.engine(experiments, cache=cache, jobs=2).run()
+        # no bench ran again, and the hits replay the original document
+        assert len(ran(synthetic)) == 2
+        assert document(warm) == document(cold)
 
-    def test_editing_a_bench_invalidates_only_it(self, tmp_path):
-        bench_dir = tmp_path / "benches"
-        bench_dir.mkdir()
-        scripts = {f"SYN{i}": SCRIPT_OK.format(exp_id=f"SYN{i}")
-                   for i in range(3)}
-        experiments = make_experiments(bench_dir, scripts)
+    def test_editing_a_bench_invalidates_only_it(self, synthetic, tmp_path):
+        experiments = synthetic.write(ok_scripts("SYN0", "SYN1", "SYN2"))
         cache = ResultCache(tmp_path / "cache")
-        make_runner(experiments, bench_dir, cache=cache).run()
+        synthetic.engine(experiments, cache=cache).run()
 
-        (bench_dir / "syn1.py").write_text(
+        (synthetic.bench_dir / "syn1.py").write_text(
             SCRIPT_OK.format(exp_id="SYN1") + "# touched\n")
-        report = make_runner(experiments, bench_dir, cache=cache).run()
-        statuses = {r.exp_id: r.status for r in report.results}
-        assert statuses == {"SYN0": "cached", "SYN1": "passed",
-                            "SYN2": "cached"}
+        report = synthetic.engine(experiments, cache=cache).run()
+        assert report.counts()["ok"] == 3
+        assert sorted(ran(synthetic)) == ["SYN0", "SYN1", "SYN1", "SYN2"]
 
-    def test_failures_are_never_cached(self, tmp_path):
-        bench_dir = tmp_path / "benches"
-        bench_dir.mkdir()
-        experiments = make_experiments(bench_dir, {"BAD": SCRIPT_FAIL})
+    def test_failures_are_never_cached(self, synthetic, tmp_path):
+        experiments = synthetic.write({"BAD": SCRIPT_FAIL})
         cache = ResultCache(tmp_path / "cache")
-        make_runner(experiments, bench_dir, cache=cache).run()
+        synthetic.engine(experiments, cache=cache).run()
         assert len(cache) == 0
-        report = make_runner(experiments, bench_dir, cache=cache).run()
-        assert report.results[0].status == "failed"
+        report = synthetic.engine(experiments, cache=cache).run()
+        assert by_id(report)["BAD"].status == "error"
 
-    def test_no_cache_skips_lookup_and_store(self, tmp_path):
-        experiments = make_experiments(
-            tmp_path, {"X": SCRIPT_OK.format(exp_id="X")})
+    def test_no_cache_skips_lookup_and_store(self, synthetic, tmp_path):
+        experiments = synthetic.write(ok_scripts("X"))
         cache = ResultCache(tmp_path / "cache")
-        make_runner(experiments, tmp_path, cache=cache).run()
+        synthetic.engine(experiments, cache=cache).run()
         assert len(cache) == 1
-        report = make_runner(experiments, tmp_path, cache=None).run()
-        assert report.results[0].status == "passed"  # not a cache hit
-        assert report.to_json_dict()["sweep"]["cache"] is False
+        report = synthetic.engine(experiments, cache=None).run()
+        assert by_id(report)["X"].status == "ok"
+        assert ran(synthetic) == ["X", "X"]  # not a cache hit
+        assert len(cache) == 1
+
+    @pytest.mark.parametrize("entry", [
+        {}, [], {"artifacts": None}, {"artifacts": [{"title": "t"}]},
+        {"artifacts": [{"title": "t", "rows": [1]}]},
+        {"artifacts": [], "status": "passed"},
+    ], ids=["empty", "list", "null", "no-rows", "int-row", "extra-key"])
+    def test_malformed_entry_is_a_miss_and_overwritten(self, synthetic, tmp_path, entry):
+        experiments = synthetic.write(ok_scripts("X"))
+        cache = ResultCache(tmp_path / "cache")
+        cold = synthetic.engine(experiments, cache=cache).run()
+        (path,) = cache.directory.glob("*.json")
+        path.write_text(json.dumps(entry))
+        warm = synthetic.engine(experiments, cache=cache).run()
+        assert ran(synthetic) == ["X", "X"]  # re-run, not a hit
+        assert document(warm) == document(cold)
+        assert json.loads(path.read_text()) == by_id(cold)["X"].result
 
 
 class TestSeedSharding:
-    def test_seeds_are_deterministic_and_distinct(self, tmp_path):
-        runner = make_runner([], tmp_path)
-        assert runner.seed_for("FIG1") == derive_seed("sweep/FIG1", 0)
-        assert runner.seed_for("FIG1") != runner.seed_for("FIG2")
+    def test_seeds_are_deterministic_and_distinct(self, synthetic):
+        experiments = synthetic.write(ok_scripts("FIG1", "FIG2"))
+        entries = by_id(synthetic.engine(experiments).run())
+        rows = {exp_id: entry.result["artifacts"][0]["rows"][0]
+                for exp_id, entry in entries.items()}
+        assert rows["FIG1"] == f"seed {derive_seed('sweep/FIG1', 0)}"
+        assert rows["FIG1"] != rows["FIG2"]
 
-    def test_base_seed_reshards(self, tmp_path):
-        plain = make_runner([], tmp_path)
-        sharded = make_runner([], tmp_path, base_seed=7)
-        assert plain.seed_for("FIG1") != sharded.seed_for("FIG1")
-        assert sharded.seed_for("FIG1") == derive_seed("sweep/FIG1", 7)
+    def test_base_seed_reshards(self, synthetic):
+        experiments = synthetic.write(ok_scripts("FIG1"))
+        plain = by_id(synthetic.engine(experiments).run())["FIG1"]
+        sharded = by_id(synthetic.engine(experiments, base_seed=7).run())["FIG1"]
+        assert plain.shard["id"] == "experiment/FIG1/-/s0"
+        assert sharded.shard["id"] == "experiment/FIG1/-/s7"
+        assert sharded.result["artifacts"][0]["rows"][0] == \
+            f"seed {derive_seed('sweep/FIG1', 7)}"
+        assert plain.result != sharded.result
 
-    def test_worker_receives_seed_env(self, tmp_path):
-        experiments = make_experiments(
-            tmp_path, {"X": SCRIPT_OK.format(exp_id="X")})
-        report = make_runner(experiments, tmp_path, base_seed=5).run()
-        rows = report.results[0].artifacts[0]["rows"]
+    def test_worker_receives_seed_env(self, synthetic):
+        experiments = synthetic.write(ok_scripts("X"))
+        report = synthetic.engine(experiments, base_seed=5).run()
+        rows = by_id(report)["X"].result["artifacts"][0]["rows"]
         assert rows[0] == f"seed {derive_seed('sweep/X', 5)}"
         assert rows[1] == "base 5"
 
 
 class TestObservability:
-    def test_sweep_emits_events_and_metrics(self, tmp_path):
-        experiments = make_experiments(
-            tmp_path, {"X": SCRIPT_OK.format(exp_id="X")})
+    def test_sweep_emits_events_and_metrics(self, synthetic):
+        experiments = synthetic.write(ok_scripts("X"))
+        engine = synthetic.engine(experiments)
         with instrumented():
-            report = make_runner(experiments, tmp_path).run()
+            engine.run()
             counters = OBS.metrics.to_json_dict()["counters"]
             spans = list(OBS.tracer.roots)
-        assert counters["runner.scheduled"] == 1
-        assert counters["runner.completed"] == 1
-        assert counters["runner.passed"] == 1
-        assert spans[0].name == "runner.sweep"
-        assert [child.name for child in spans[0].children] == ["runner.exp.X"]
-        kinds = [event.kind for event in report.events]
-        assert kinds == [EventKind.EXPERIMENT_START,
-                         EventKind.EXPERIMENT_DONE]
-        assert report.events[0].t <= report.events[1].t
+        assert counters["campaign.shards.scheduled"] == 1
+        assert counters["campaign.runs"] == 1
+        assert counters["campaign.shards.ok"] == 1
+        assert spans[0].name == "campaign.run"
+        assert spans[0].tags["shards"] == 1
+        events = list(engine.events)
+        assert [event.kind for event in events] == [EventKind.SHARD_START,
+                                                    EventKind.SHARD_DONE]
+        assert events[0].t <= events[1].t
 
-    def test_sweep_timeline_renders_without_obs(self, tmp_path):
-        experiments = make_experiments(
-            tmp_path, {"X": SCRIPT_OK.format(exp_id="X")})
-        report = make_runner(experiments, tmp_path).run()
-        rendered = report.render_timeline()
-        assert "experiment-start" in rendered
-        assert "experiment-done" in rendered
+    def test_sweep_timeline_renders_without_obs(self, synthetic):
+        experiments = synthetic.write(ok_scripts("X"))
+        engine = synthetic.engine(experiments)
+        engine.run()
+        rendered = render_timeline(list(engine.events))
+        assert "shard-start" in rendered
+        assert "shard-done" in rendered
+        assert "experiment/X/-/s0" in rendered
 
 
-def run_bench(directory, source):
+def run_bench(directory, source, seed=1):
     """Execute one bench file in this process, as a worker would."""
-    path = directory / "bench_syn.py"
-    path.write_text(source)
-    return execute({"id": "SYN", "bench": str(path), "seed": 1})
+    bench = directory / "bench_syn.py"
+    bench.write_text(source)
+    execute = experiment_executor([Experiment("SYN", "-", "synthetic", str(bench))])
+    return execute({"id": f"experiment/SYN/-/s{seed}", "tool": "experiment",
+                    "scenario": "SYN", "plan": "-", "seed": seed, "duration": 0})
 
 
 class TestArtifactParsing:
@@ -323,8 +340,8 @@ class TestArtifactParsing:
     def test_tables_extracted_with_progress_noise_filtered(self, tmp_path,
                                                            capfd):
         result = run_bench(tmp_path, SCRIPT_SHOW)
-        assert result["status"] == "passed"
-        assert result["artifacts"] == [
+        assert result["status"] == "ok"
+        assert result["result"]["artifacts"] == [
             {"title": "Fig. X — demo", "rows": ["row a  1", "row b  2"]},
             {"title": "second", "rows": ["only row"]},
         ]
@@ -332,8 +349,8 @@ class TestArtifactParsing:
 
     def test_bare_separator_is_not_a_title(self, tmp_path):
         result = run_bench(tmp_path, SCRIPT_SEPARATOR)
-        assert result["status"] == "passed"
-        assert result["artifacts"] == []
+        assert result["status"] == "ok"
+        assert result["result"] == {"artifacts": []}
 
 
 class TestExecute:
@@ -343,25 +360,35 @@ class TestExecute:
             "from pathlib import Path\n\n\n"
             f"def test_first(show):\n    Path({str(marker)!r}).touch()\n\n\n"
             "def test_second(capsys):\n    pass\n"))
-        assert result["status"] == "error" and result["exitCode"] == 2
+        assert result["status"] == "error" and result["result"] is None
         assert result["error"] == "test_second: unknown fixture 'capsys'"
         assert not marker.exists()
 
-    def test_every_test_runs_in_definition_order(self, tmp_path):
+    def test_every_test_runs_in_definition_order(self, tmp_path, capfd):
+        log = tmp_path / "order"
         result = run_bench(tmp_path, (
-            "def test_b(show):\n    show('b', [])\n\n\n"
-            "def test_a(show):\n    assert False\n\n\n"
+            "from pathlib import Path\n\n\n"
+            f"def log(name):\n    with open({str(log)!r}, 'a') as f:\n"
+            "        f.write(name)\n\n\n"
+            "def test_b(show):\n    log('b')\n    show('b', [])\n\n\n"
+            "def test_a(show):\n    log('a')\n    assert False\n\n\n"
             "def test_c(show, tmp_path):\n"
-            "    assert not any(tmp_path.iterdir())\n    show('c', [])\n"))
-        assert result["status"] == "failed" and result["exitCode"] == 1
+            "    assert not any(tmp_path.iterdir())\n    log('c')\n    show('c', [])\n"))
+        assert result["status"] == "error" and result["result"] is None
         assert result["error"] == "test_a: AssertionError"
-        assert [a["title"] for a in result["artifacts"]] == ["b", "c"]
+        assert log.read_text() == "bac"
+        # an error shard has no result, so its tables go to stderr
+        err = capfd.readouterr().err
+        assert err.index("=== b ===") < err.index("=== c ===")
 
     def test_seed_environment_is_restored(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_EXP_SEED", raising=False)
         monkeypatch.setenv("REPRO_BASE_SEED", "3")
-        result = execute({"id": "X", "bench": str(tmp_path / "x.py"),
-                          "seed": 9, "base_seed": 5})
+        execute = experiment_executor(
+            [Experiment("X", "-", "synthetic", str(tmp_path / "x.py"))])
+        result = execute({"id": "experiment/X/-/s5", "tool": "experiment",
+                          "scenario": "X", "plan": "-", "seed": 5, "duration": 0})
         assert result["status"] == "error"  # no such file
         assert "REPRO_EXP_SEED" not in os.environ
         assert os.environ["REPRO_BASE_SEED"] == "3"
+
