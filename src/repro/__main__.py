@@ -4,8 +4,8 @@ Usage::
 
     python -m repro list                 # enumerate all experiments
     python -m repro run FIG2             # regenerate one figure/table
-    python -m repro run all --jobs 4     # the full sweep, parallel + cached
-    python -m repro run FIG1 TAB1 --json # a sub-sweep, machine-readable
+    python -m repro run all --jobs 4     # every experiment, parallel + cached
+    python -m repro run FIG1 TAB1 --json # two experiments, machine-readable
     python -m repro lint SCENARIO        # static security analysis
     python -m repro lint --rules         # the seclint rule catalog
     python -m repro flow SCENARIO        # taint/reachability analysis
@@ -653,7 +653,7 @@ def _campaign(tool: Tool, args: argparse.Namespace) -> int:
         return 0
 
     with _usage(CampaignError, JournalCorrupt):
-        report = engine.run(resume=tool.name == "resume")
+        report = engine.run(resume=tool.name == "resume", state=state)
     document = report.to_json_dict()
     validate_campaign_dict(document)
     _publish(document, args, "campaign", report.to_table)
@@ -692,14 +692,14 @@ _CAMPAIGN_COMMON = (
 
 TOOLS: tuple[Tool, ...] = (
     Tool("list", "enumerate experiments", _list),
-    Tool("run", "run experiments (parallel, cached sweep)", _run, (
+    Tool("run", "run experiments as campaign shards (parallel, cached)", _run, (
         arg("exp_ids", nargs="+", metavar="EXP_ID", help="experiment id(s) from `list`, or 'all'"),
-        _jobs_arg("worker processes for the sweep (default 1)"),
+        _jobs_arg("supervised worker processes (default 1)"),
         _flag("--no-cache", "ignore and don't update the result cache"),
-        _flag("--json", "emit the schema-validated sweep document"),
-        _flag("--timeline", "append the sweep dispatch/completion timeline"),
+        _flag("--json", "emit the schema-validated campaign document"),
+        _flag("--timeline", "append the campaign's shard event timeline"),
         _timeout_arg(900.0, "per-experiment timeout in seconds (default 900)"),
-        _seed_arg("sweep base seed; re-shards every experiment's rng streams (default 0)"),
+        _seed_arg("base seed; re-shards every experiment's rng streams (default 0)"),
         arg("--cache-dir", metavar="DIR", directory=True,
             help="result-cache directory (default .repro-cache/runner)"),
         arg("--cache-max-entries", type=int, default=512, metavar="N", low=0,

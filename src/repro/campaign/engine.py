@@ -272,17 +272,21 @@ class CampaignEngine:
 
     # -- the run -------------------------------------------------------------
 
-    def run(self, *, resume: bool = False) -> CampaignReport:
+    def run(self, *, resume: bool = False,
+            state: JournalState | None = None) -> CampaignReport:
         """Execute the campaign; returns the (possibly partial) report.
 
         Fresh runs refuse to clobber an existing journal — resuming is
         an explicit decision (``resume=True``), not a side effect of
-        retyping the run command after a crash.
+        retyping the run command after a crash.  ``state`` is the
+        journal as the caller already replayed it (:func:`load_campaign`);
+        without it the journal is replayed here.
         """
         self._t0 = time.perf_counter()
         self._stop_requested = False
         path = self.journal_file
-        state = replay(path)
+        if state is None:
+            state = replay(path)
         if state.records and not resume:
             raise CampaignError(
                 f"campaign {self.campaign_id} already has a journal; "

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -159,17 +159,20 @@ class CampaignSpec:
 
     shards: tuple[ShardSpec, ...]
     name: str = ""
+    _by_id: dict[str, ShardSpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.shards:
             raise ValueError("a campaign needs at least one shard")
         ids = [shard.shard_id for shard in self.shards]
-        if len(set(ids)) != len(ids):
+        by_id = dict(zip(ids, self.shards))
+        if len(by_id) != len(ids):
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate shard id(s): {', '.join(dupes)}")
         if ids != sorted(ids):
             raise ValueError("shards must be sorted by shard id "
                              "(use CampaignSpec.matrix)")
+        object.__setattr__(self, "_by_id", by_id)
 
     @property
     def campaign_id(self) -> str:
@@ -184,10 +187,10 @@ class CampaignSpec:
 
     def shard(self, shard_id: str) -> ShardSpec:
         """Look up a shard by id; raises ``KeyError`` when unknown."""
-        for shard in self.shards:
-            if shard.shard_id == shard_id:
-                return shard
-        raise KeyError(f"unknown shard {shard_id!r}")
+        try:
+            return self._by_id[shard_id]
+        except KeyError:
+            raise KeyError(f"unknown shard {shard_id!r}") from None
 
     def to_dict(self) -> dict:
         return {

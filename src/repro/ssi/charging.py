@@ -193,22 +193,11 @@ class SsiChargingFlow:
                     return ChargeAuthorization(False, str(vehicle.did),
                                                contract.issuer, offline,
                                                f"{did} not cached for offline use")
-            result = presentation.verify(self.registry, now=now,
-                                         expected_challenge=challenge,
-                                         check_revocation=False)
-        else:
-            result = presentation.verify(self.registry, now=now,
-                                         expected_challenge=challenge)
-        if not result:
-            return ChargeAuthorization(False, str(vehicle.did), contract.issuer,
-                                       offline, result.reason)
-        trust = self.policy.verify_credential(contract, now=now,
-                                              check_revocation=not offline)
-        if not trust:
-            return ChargeAuthorization(False, str(vehicle.did), contract.issuer,
-                                       offline, trust.reason)
-        return ChargeAuthorization(True, str(vehicle.did), contract.issuer,
-                                   offline, "ok")
+        result = self.policy.verify_presentation(presentation, now=now,
+                                                 expected_challenge=challenge,
+                                                 check_revocation=not offline)
+        return ChargeAuthorization(result.valid, str(vehicle.did), contract.issuer,
+                                   offline, result.reason)
 
     def message_count(self) -> int:
         """Messages in the SSI exchange (challenge + presentation + result)."""

@@ -77,19 +77,27 @@ class VerificationMethod:
         return {"id": self.key_id, "publicKeyHex": self.public_key.hex()}
 
 
-@dataclass
+@dataclass(frozen=True)
 class DidDocument:
-    """The resolvable public document for a DID."""
+    """The resolvable public document for a DID.
+
+    Immutable: a registered version never changes, so the registry can
+    remember a signature verdict per version (a rotation registers a new
+    document rather than editing this one).
+    """
 
     did: Did
-    verification_methods: list[VerificationMethod] = field(default_factory=list)
+    verification_methods: tuple[VerificationMethod, ...] = ()
     services: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "verification_methods", tuple(self.verification_methods))
 
     @classmethod
     def for_keypair(cls, did: Did, keypair: KeyPair,
                     services: dict[str, str] | None = None) -> "DidDocument":
         method = VerificationMethod(f"{did}#key-1", keypair.public)
-        return cls(did, [method], dict(services or {}))
+        return cls(did, (method,), dict(services or {}))
 
     def primary_key(self) -> bytes:
         if not self.verification_methods:

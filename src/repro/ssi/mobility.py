@@ -77,11 +77,8 @@ class MobilityServiceDirectory:
             presentation = vehicle.present([ctype], challenge)
         except KeyError:
             return False
-        if not presentation.verify(self.registry, now=now,
-                                   expected_challenge=challenge):
-            return False
-        return bool(self.policy.verify_credential(presentation.credentials[0],
-                                                  now=now))
+        return bool(self.policy.verify_presentation(presentation, now=now,
+                                                    expected_challenge=challenge))
 
     def services_per_identity(self, vehicle: Wallet) -> int:
         """How many mobility services this single DID can use."""

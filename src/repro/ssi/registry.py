@@ -12,6 +12,15 @@ that storage:
   (the *offline* verification path in :mod:`repro.ssi.charging` skips
   this lookup and accepts the staleness trade-off, as the paper's [34]
   offline scenario discussion does).
+
+Documents are immutable and a DID's versions only grow, so whether a
+signature verifies under a DID's latest document is fixed by the DID,
+its version count, the message and the signature.
+:meth:`VerifiableDataRegistry.verify_signed` remembers that verdict
+under exactly those four values, so a credential signature is checked
+once per issuer document version; a rotation adds a version and the old
+verdicts stop matching.  Validity windows, revocation and trust anchors
+are not part of the verdict and are checked by every caller every time.
 """
 
 from __future__ import annotations
@@ -24,6 +33,9 @@ from repro.ssi.did import Did, DidDocument
 
 __all__ = ["RegistryEntry", "VerifiableDataRegistry",
            "RegistryUnavailable", "CachingResolver"]
+
+#: Signature verdicts a registry keeps before it empties its cache.
+VERDICT_CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -49,6 +61,8 @@ class VerifiableDataRegistry:
         self._documents: dict[str, list[DidDocument]] = {}
         self._ledger: list[RegistryEntry] = []
         self._revoked: dict[str, str] = {}  # credential id -> revoking DID
+        # (did, version count, message, signature) -> verdict
+        self._verdicts: dict[tuple[str, int, bytes, bytes], bool] = {}
 
     # -- DID documents -------------------------------------------------------
 
@@ -72,6 +86,22 @@ class VerifiableDataRegistry:
         if not versions:
             raise KeyError(f"unresolvable DID {did}")
         return versions[-1]
+
+    def verify_signed(self, did: Did | str, message: bytes, signature: bytes) -> bool:
+        """``resolve(did).verify(message, signature)``, checked once per
+        document version; raises KeyError when ``did`` is unknown."""
+        key = str(did)
+        versions = self._documents.get(key)
+        if not versions:
+            raise KeyError(f"unresolvable DID {did}")
+        entry = (key, len(versions), message, signature)
+        verdict = self._verdicts.get(entry)
+        if verdict is None:
+            verdict = versions[-1].verify(message, signature)
+            if len(self._verdicts) >= VERDICT_CACHE_SIZE:
+                self._verdicts.clear()
+            self._verdicts[entry] = verdict
+        return verdict
 
     def history(self, did: Did | str) -> list[DidDocument]:
         return list(self._documents.get(str(did), []))

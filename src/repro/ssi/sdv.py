@@ -79,27 +79,27 @@ class ReconfigurationController:
         if not hw_creds:
             return deny("hardware has no platform credential")
 
-        sw_cred = max(sw_creds, key=lambda c: c.issued_at)
-        hw_cred = max(hw_creds, key=lambda c: c.issued_at)
-
         # Holder binding: each side proves key possession over a fresh
-        # challenge (the mutual-authentication half of zero trust).
+        # challenge (the mutual-authentication half of zero trust), and
+        # its credential is checked against the anchor policy.  A failed
+        # presentation denies at once; an untrusted issuer only after
+        # both presentations held.
+        trust = []
         for wallet, ctype in ((software, SW_CREDENTIAL), (hardware, HW_CREDENTIAL)):
             challenge = wallet.new_challenge(f"placement:{now}")
             presentation = wallet.present([ctype], challenge)
             steps += 1
-            result = presentation.verify(self.policy.registry, now=now,
-                                         expected_challenge=challenge)
-            if not result:
+            result = self.policy.verify_presentation(presentation, now=now,
+                                                     expected_challenge=challenge)
+            if not result and not result.untrusted:
                 return deny(f"{wallet.did} presentation failed: {result.reason}")
+            trust.append((presentation.credentials[0], result))
+        (sw_cred, sw_trust), (hw_cred, hw_trust) = trust
 
-        # Anchor policy on both credentials.
         steps += 1
-        sw_trust = self.policy.verify_credential(sw_cred, now=now)
         if not sw_trust:
             return deny(f"software credential untrusted: {sw_trust.reason}")
         steps += 1
-        hw_trust = self.policy.verify_credential(hw_cred, now=now)
         if not hw_trust:
             return deny(f"hardware credential untrusted: {hw_trust.reason}")
 

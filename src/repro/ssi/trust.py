@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.ssi.registry import VerifiableDataRegistry
-from repro.ssi.vc import VerifiableCredential, VerificationResult
+from repro.ssi.vc import VerifiableCredential, VerifiablePresentation, VerificationResult
 
 __all__ = ["TrustPolicy", "ACCREDITATION_TYPE"]
 
@@ -74,6 +74,15 @@ class TrustPolicy:
                 return True
         return False
 
+    def _anchored(self, credential: VerifiableCredential, *,
+                  now: float) -> VerificationResult:
+        if self._issuer_trusted(credential.issuer, credential.credential_type,
+                                now=now, depth=0):
+            return VerificationResult(True)
+        return VerificationResult(
+            False, f"issuer {credential.issuer} not reachable from any anchor",
+            untrusted=True)
+
     def verify_credential(self, credential: VerifiableCredential, *,
                           now: float,
                           check_revocation: bool = True) -> VerificationResult:
@@ -85,13 +94,23 @@ class TrustPolicy:
         """
         result = credential.verify(self.registry, now=now,
                                    check_revocation=check_revocation)
-        if not result:
-            return result
-        if not self._issuer_trusted(credential.issuer, credential.credential_type,
-                                    now=now, depth=0):
-            return VerificationResult(
-                False, f"issuer {credential.issuer} not reachable from any anchor")
-        return VerificationResult(True)
+        return self._anchored(credential, now=now) if result else result
+
+    def verify_presentation(self, presentation: VerifiablePresentation, *,
+                            now: float, expected_challenge: bytes,
+                            check_revocation: bool = True) -> VerificationResult:
+        """One transaction's check: challenge and holder binding, each
+        credential once, then the anchor policy on each credential.  The
+        first failure wins, so an untrusted issuer (``result.untrusted``)
+        is reported only when the presentation itself verified."""
+        result = presentation.verify(self.registry, now=now,
+                                     expected_challenge=expected_challenge,
+                                     check_revocation=check_revocation)
+        for credential in presentation.credentials:
+            if not result:
+                break
+            result = self._anchored(credential, now=now)
+        return result
 
     def chain_length_to_anchor(self, issuer: str, credential_type: str, *,
                                now: float) -> int | None:

@@ -25,10 +25,16 @@ __all__ = ["VerifiableCredential", "VerifiablePresentation", "VerificationResult
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """Outcome of credential/presentation verification."""
+    """Outcome of credential/presentation verification.
+
+    ``untrusted`` marks the one failure a trust policy adds on top of the
+    cryptographic checks: every signature, window and revocation check
+    held, but no anchor reaches the issuer.
+    """
 
     valid: bool
     reason: str = "ok"
+    untrusted: bool = False
 
     def __bool__(self) -> bool:
         return self.valid
@@ -91,7 +97,8 @@ class VerifiableCredential:
 
     def verify(self, registry: VerifiableDataRegistry, *, now: float,
                check_revocation: bool = True) -> VerificationResult:
-        """Full verification: signature, validity window, revocation."""
+        """Full verification: signature (the registry's verdict, checked
+        once per issuer document version), validity window, revocation."""
         if not self.proof:
             return VerificationResult(False, "unsigned credential")
         if now < self.issued_at:
@@ -99,10 +106,10 @@ class VerifiableCredential:
         if now > self.expires_at:
             return VerificationResult(False, "expired")
         try:
-            issuer_doc = registry.resolve(self.issuer)
+            signed = registry.verify_signed(self.issuer, self.signing_input(), self.proof)
         except KeyError:
             return VerificationResult(False, f"issuer {self.issuer} unresolvable")
-        if not issuer_doc.verify(self.signing_input(), self.proof):
+        if not signed:
             return VerificationResult(False, "bad signature")
         if check_revocation and registry.is_revoked(self.credential_id):
             return VerificationResult(False, "revoked")

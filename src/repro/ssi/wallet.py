@@ -48,10 +48,9 @@ class Wallet:
 
         new_keypair = KeyPair.from_seed_label(
             f"{self.did.name}:rotation:{len(registry.history(self.did)) + 1}")
-        methods = [VerificationMethod(f"{self.did}#key-new", new_keypair.public)]
+        methods = (VerificationMethod(f"{self.did}#key-new", new_keypair.public),)
         if keep_old_key:
-            methods.append(VerificationMethod(f"{self.did}#key-old",
-                                              self.keypair.public))
+            methods += (VerificationMethod(f"{self.did}#key-old", self.keypair.public),)
         registry.register(DidDocument(self.did, methods))
         self.keypair = new_keypair
         return new_keypair

@@ -88,6 +88,30 @@ class TestResumeStatusList:
         assert code == 0 and "4/4 shard(s) settled" in out
         assert len(reads) == 1
 
+    def test_resume_replays_the_journal_once(self, run_cli, tmp_path,
+                                             monkeypatch):
+        reference = tmp_path / "reference.json"
+        resumed = tmp_path / "resumed.json"
+        run_cli(*run_args(tmp_path / "j", "--report", str(reference)))
+        # cut the journal after its second settled shard: a crashed run
+        path = tmp_path / "j" / "clitest" / "journal.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        done = [i for i, line in enumerate(lines) if '"type":"shard-done"' in line]
+        path.write_text("".join(lines[:done[1] + 1]))
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return read_records(path)
+
+        monkeypatch.setattr(journal, "read_records", counted)
+        code, _, _ = run_cli("campaign", "resume", "clitest",
+                             "--journal-root", str(tmp_path / "j"),
+                             "--report", str(resumed))
+        assert code == 0
+        assert len(reads) == 1
+        assert resumed.read_bytes() == reference.read_bytes()
+
     def test_list_enumerates_journaled_campaigns(self, run_cli, tmp_path):
         run_cli(*run_args(tmp_path))
         code, out, _ = run_cli("campaign", "list",

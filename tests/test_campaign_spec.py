@@ -92,6 +92,19 @@ class TestCampaignSpec:
         with pytest.raises(KeyError):
             spec.shard("lint/nope/-/s0")
 
+    def test_shard_lookup_agrees_with_a_scan(self):
+        spec = self.matrix(tools=[tool.value for tool in CampaignTool],
+                           scenarios=["pkes-legacy", "onboard-insecure", "maas-platform"],
+                           seeds=[0, 1, 2])
+        for shard_id in (shard.shard_id for shard in spec.shards):
+            scanned = next(s for s in spec.shards if s.shard_id == shard_id)
+            assert spec.shard(shard_id) is scanned
+        assert spec == self.matrix(tools=[tool.value for tool in CampaignTool],
+                                   scenarios=["pkes-legacy", "onboard-insecure",
+                                              "maas-platform"], seeds=[0, 1, 2])
+        with pytest.raises(KeyError, match="unknown shard"):
+            spec.shard("experiment/FIG1/-/s0")
+
     def test_rejects_duplicates_and_unsorted(self):
         a = ShardSpec(tool=CampaignTool.LINT, scenario="a")
         b = ShardSpec(tool=CampaignTool.LINT, scenario="b")
