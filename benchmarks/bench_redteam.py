@@ -22,8 +22,9 @@ from __future__ import annotations
 import json
 
 from repro.experiments import best_of
+from repro.flow import analyze
 from repro.lint.scenarios import SCENARIOS, build_scenario
-from repro.redteam import plan, run_redteam_campaign
+from repro.redteam import plan, plan_scenario, run_redteam_campaign
 
 #: The fleet must plan end to end within this budget (seconds) —
 #: generous on CI hardware, tight enough to catch a super-linear
@@ -36,16 +37,17 @@ def test_fleet_planning_cost(show, benchmark):
     total_s = 0.0
     for name in SCENARIOS:
         target = build_scenario(name)
-        seconds = best_of(lambda t=target: plan(t))
+        flow = analyze(target)
+        seconds = best_of(lambda t=target, f=flow: plan(t, f))
         total_s += seconds
-        result = plan(target)
+        result = plan(target, flow)
         rows.append((name, len(result.library), len(result.campaigns),
                      len(result.disruptions), f"{seconds * 1e3:7.2f}"))
     rows.append(("fleet total", "-", "-", "-", f"{total_s * 1e3:7.2f}"))
 
     show("BENCH-REDTEAM — campaign planning per scenario",
          rows, header=("scenario", "attacks", "campaigns", "disrupt", "ms"))
-    benchmark(lambda: plan(build_scenario("onboard-insecure")))
+    benchmark(lambda: plan_scenario("onboard-insecure"))
     assert total_s < FLEET_BUDGET_S, f"fleet took {total_s:.2f}s"
 
 
@@ -64,7 +66,6 @@ def test_output_byte_identical_per_scenario_and_seed(show):
 
 
 def test_library_build_alone_is_cheap(benchmark):
-    from repro.flow import analyze
     from repro.redteam import build_attack_library
 
     target = build_scenario("onboard-insecure")

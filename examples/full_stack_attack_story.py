@@ -194,7 +194,7 @@ def act8_the_playbook() -> None:
     # attack library it searches capability states for the cheapest
     # multi-stage campaign against every safety-critical sink, naming
     # the defense that would have broken each hop.
-    from repro.redteam import differential_violations, plan_scenario, render_campaigns
+    from repro.redteam import plan_scenario, render_campaigns, run_differential
 
     result = plan_scenario("cariad-breach")
     print(f"  cariad-breach: {len(result.campaigns)} ranked campaign(s) "
@@ -209,8 +209,8 @@ def act8_the_playbook() -> None:
 
     # The differential gate: the planner's campaigns, the flow
     # analyzer's witnesses, and the lint findings must tell one story.
-    disagreements = [v for name in ("cariad-breach", "onboard-hardened")
-                     for v in differential_violations(build_scenario(name))]
+    verdicts = run_differential(("cariad-breach", "onboard-hardened"))
+    disagreements = [v for found in verdicts.values() for v in found]
     print(f"  differential gate: {len(disagreements)} analyzer "
           f"disagreement(s) — lint, flow, and redteam agree")
 

@@ -352,9 +352,10 @@ def _redteam_document(tool: Tool, args: argparse.Namespace) -> dict:
 
 
 def _render_redteam(target: Any, report: Any, args: argparse.Namespace) -> str:
+    from repro.flow import analyze
     from repro.redteam import plan, render_campaigns, render_summary
 
-    result = plan(target)
+    result = plan(target, analyze(target))
     blocks = [render_summary(result)]
     if args.campaigns:
         blocks.append(render_campaigns(result, top=args.top))

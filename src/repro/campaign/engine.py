@@ -35,7 +35,7 @@ not just the systems it tests.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable
@@ -301,7 +301,7 @@ class CampaignEngine:
         with OBS.span("campaign.run", campaign=self.campaign_id,
                       jobs=self.jobs, shards=len(self.spec),
                       resume=resume):
-            with Journal(path, fsync=self.fsync) as journal:
+            with closing(Journal(path, fsync=self.fsync).open(state)) as journal:
                 self._run_journaled(journal, state, report,
                                     resumed=resume and state.records > 0)
                 report.journal_write_s = journal.write_s

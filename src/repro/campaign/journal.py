@@ -103,20 +103,21 @@ class Journal:
         self._fh: IO[str] | None = None
         self._next_seq = 0
 
-    def open(self) -> "Journal":
-        """Open for append, continuing the sequence of prior records.
+    def open(self, state: JournalState) -> "Journal":
+        """Open for append after the records ``state`` replayed, so the
+        file is read once.
 
         A torn tail is cut off first, so the next record starts on a
         line of its own.
         """
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        existing, end = _read(self.path)
-        self._next_seq = existing[-1]["seq"] + 1 if existing else 0
+        self._next_seq = state.records
         self._fh = open(self.path, "a", encoding="utf-8")
-        intact = end + 1 if existing else 0  # the last record and its newline
+        # the last record and its newline
+        intact = state.end + 1 if state.records else 0
         if self._fh.tell() != intact:
-            self._fh.truncate(end)
-            if existing:
+            self._fh.truncate(state.end)
+            if state.records:
                 self._fh.write("\n")
         return self
 
@@ -126,7 +127,7 @@ class Journal:
             self._fh = None
 
     def __enter__(self) -> "Journal":
-        return self.open()
+        return self.open(replay(self.path))
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
@@ -224,8 +225,11 @@ class JournalState:
     interrupts: int = 0
     #: a ``campaign-end`` record was written.
     ended: bool = False
-    #: total records replayed.
+    #: total records replayed, which is also the next sequence number.
     records: int = 0
+    #: byte offset where the last intact record ends (a torn tail, if
+    #: any, starts after it).
+    end: int = 0
 
     @property
     def in_flight(self) -> list[str]:
@@ -241,8 +245,9 @@ class JournalState:
 
 def replay(path: str | Path) -> JournalState:
     """Fold a journal file into a :class:`JournalState`."""
-    state = JournalState()
-    for record in read_records(path):
+    records, end = _read(path)
+    state = JournalState(end=end)
+    for record in records:
         state.records += 1
         kind = record["type"]
         try:

@@ -154,6 +154,13 @@ class AttackGraph:
         then max-flow/min-cut.  ``sources`` restricts the entry set (the
         flow analyzer passes only the *tainted* sources that actually
         reach the sink); the default is every exposed component.
+
+        Ties between equally small cuts go to the cut nearest the sink:
+        the source side is every node that *cannot reach the sink* in
+        the residual graph (networkx's partition), so on a chain
+        ``entry -> a -> b -> target`` the cut is ``{("b", "target")}``.
+        Reports print the cut, so a replacement kernel must keep this
+        rule.
         """
         known = {c.name for c in self.model.components()}
         if target not in known:

@@ -1,46 +1,35 @@
 """The FLOW rule family: taint-analysis findings as lint rules.
 
-Each rule runs the whole-system taint analysis
-(:func:`repro.flow.taint.analyze`) and reports its findings through the
-ordinary lint machinery, so FLOW findings baseline, fingerprint, gate,
-and serialize exactly like every other rule family.  Subjects are
-stable ``source=>sink`` (or edge) labels; messages carry the full path
-witness and the hardening cut inline, because a flow finding without
-its path is unactionable.
+Each rule is a function of the run's one
+:class:`~repro.flow.taint.FlowResult`: :class:`~repro.lint.engine.Linter`
+analyzes the target (:func:`repro.flow.taint.analyze`) once per run and
+hands the result to every FLOW rule, which reports through the ordinary
+lint machinery, so FLOW findings baseline, fingerprint, gate, and
+serialize exactly like every other rule family.  Subjects are stable
+``source=>sink`` (or edge) labels; messages carry the full path witness
+and the hardening cut inline, because a flow finding without its path
+is unactionable.
 
-``repro.lint.rules`` extends these into the shared ``CATALOG`` at
-import time; this module must therefore never import ``repro.lint.rules``
-(only the engine and target adapters) or the catalog would cycle.
+``repro.lint.rules`` extends these into the shared ``CATALOG`` through
+the lazy ``full_catalog()``; this module must therefore never import
+``repro.lint.rules`` (only the engine) or the catalog would cycle.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from functools import partial
+from typing import Iterator
 
 from repro.core.layers import Layer
-from repro.lint.engine import Rule, Severity
-from repro.lint.target import AnalysisTarget
+from repro.lint.engine import Rule, Severity, rule
 
 from repro.flow.graph import SINK_CRITICALITY, FlowEdge
-from repro.flow.taint import FlowResult, PathWitness, analyze
+from repro.flow.taint import FlowResult, PathWitness
 
 __all__ = ["FLOW_RULES"]
 
 FLOW_RULES: list[Rule] = []
-
-
-def _rule(rule_id: str, title: str, *, layer: Layer, severity: Severity,
-          paper_ref: str, remediation: str) -> Callable[
-        [Callable[[AnalysisTarget], Iterable[tuple[str, str]]]],
-        Callable[[AnalysisTarget], Iterable[tuple[str, str]]]]:
-    def decorator(
-            check: Callable[[AnalysisTarget], Iterable[tuple[str, str]]]
-    ) -> Callable[[AnalysisTarget], Iterable[tuple[str, str]]]:
-        FLOW_RULES.append(Rule(rule_id, title, layer, severity,
-                               paper_ref, remediation, check))
-        return check
-
-    return decorator
+_rule = partial(rule, FLOW_RULES, reads="flow")
 
 
 def _witness_message(result: FlowResult, witness: PathWitness) -> str:
@@ -60,9 +49,7 @@ def _witness_message(result: FlowResult, witness: PathWitness) -> str:
        remediation="break the witnessed path: deploy an authenticated "
                    "boundary on one of the listed hops (the hardening cut "
                    "names the cheapest set)")
-def flow_taint_reaches_critical(
-        target: AnalysisTarget) -> Iterator[tuple[str, str]]:
-    result = analyze(target)
+def flow_taint_reaches_critical(result: FlowResult) -> Iterator[tuple[str, str]]:
     for witness in result.witnesses:
         sink = result.graph.node(witness.sink)
         if sink.kind != "component" or sink.criticality < SINK_CRITICALITY:
@@ -76,9 +63,7 @@ def flow_taint_reaches_critical(
        paper_ref="§V / Fig. 8",
        remediation="require authentication on the public endpoint and move "
                    "bucket-unlocking secrets out of process memory")
-def flow_taint_reaches_datastore(
-        target: AnalysisTarget) -> Iterator[tuple[str, str]]:
-    result = analyze(target)
+def flow_taint_reaches_datastore(result: FlowResult) -> Iterator[tuple[str, str]]:
     for witness in result.witnesses:
         sink = result.graph.node(witness.sink)
         if sink.kind != "datastore":
@@ -92,9 +77,7 @@ def flow_taint_reaches_datastore(
        paper_ref="§III / Fig. 3",
        remediation="narrow the gateway whitelist so externally tainted "
                    "ports cannot emit toward safety-critical ECUs")
-def flow_gateway_carries_taint(
-        target: AnalysisTarget) -> Iterator[tuple[str, str]]:
-    result = analyze(target)
+def flow_gateway_carries_taint(result: FlowResult) -> Iterator[tuple[str, str]]:
     seen: set[str] = set()
     for edge in result.graph.edges():
         if edge.kind != "gateway" or edge.src not in result.tainted:
@@ -123,9 +106,7 @@ def _credential_edges(result: FlowResult) -> Iterator[FlowEdge]:
        paper_ref="§IV",
        remediation="anchor issuer and subject in the verifiable data "
                    "registry and re-issue within a valid window")
-def flow_weak_credential_edge(
-        target: AnalysisTarget) -> Iterator[tuple[str, str]]:
-    result = analyze(target)
+def flow_weak_credential_edge(result: FlowResult) -> Iterator[tuple[str, str]]:
     seen: set[str] = set()
     for edge in _credential_edges(result):
         subject = f"{edge.src}->{edge.dst}"

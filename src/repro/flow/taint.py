@@ -8,8 +8,8 @@ The fixpoint is a multi-source BFS, so each tainted node remembers its
 hop naming the boundary that is missing or void.
 
 For every reached sink the analyzer also computes where to spend the
-hardening budget: the open subgraph is exported as a derived
-:class:`~repro.core.entities.SystemModel` and
+hardening budget: the open subgraph is exported once per analysis as a
+derived :class:`~repro.core.entities.SystemModel` and
 :meth:`~repro.core.attackgraph.AttackGraph.minimal_hardening_cut` finds
 the smallest edge set whose securing disconnects the tainted sources
 from that sink.
@@ -125,28 +125,21 @@ def _witness(graph: FlowGraph, tainted: dict[str, FlowEdge | None],
     return PathWitness(source=hops[0].src, sink=sink, hops=tuple(hops))
 
 
-def _hardening_cut(graph: FlowGraph, tainted: dict[str, FlowEdge | None],
-                   sink: str) -> set[tuple[str, str]]:
-    """Min-cut between the tainted sources and ``sink`` on open edges."""
-    sources = sorted(
-        name for name, parent in tainted.items()
-        if parent is None and name != sink)
-    if not sources:
-        return set()
-    derived = graph.to_system_model()
-    attack = AttackGraph(derived)
-    return attack.minimal_hardening_cut(sink, sources=sources)
-
-
 def analyze(target: AnalysisTarget) -> FlowResult:
-    """Full pipeline: build the graph, taint it, witness every sink."""
+    """Full pipeline: build the graph, taint it, witness every sink, and
+    cut each witnessed sink off the tainted sources."""
     graph = build_flow_graph(target)
     tainted = propagate_taint(graph)
     result = FlowResult(target.name, graph, tainted)
     for sink in sorted(graph.sinks(), key=lambda n: n.name):
         witness = _witness(graph, tainted, sink.name)
-        if witness is None:
-            continue
-        result.witnesses.append(witness)
-        result.cuts[sink.name] = _hardening_cut(graph, tainted, sink.name)
+        if witness is not None:
+            result.witnesses.append(witness)
+    if result.witnesses:
+        attack = AttackGraph(graph.to_system_model())
+        sources = sorted(name for name, parent in tainted.items()
+                         if parent is None)
+        for witness in result.witnesses:
+            result.cuts[witness.sink] = attack.minimal_hardening_cut(
+                witness.sink, sources=sources)
     return result

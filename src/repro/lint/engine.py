@@ -23,16 +23,21 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import TYPE_CHECKING, Callable, Iterable
+from functools import cached_property
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Literal
 
 from repro.core.layers import Layer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
+    from repro.flow.taint import FlowResult
     from repro.lint.baseline import Baseline
     from repro.lint.report import Report
     from repro.lint.target import AnalysisTarget
+    from repro.redteam.planner import PlanResult
 
-__all__ = ["Severity", "Rule", "Finding", "Linter"]
+__all__ = ["Severity", "Rule", "Finding", "Analysis", "Linter", "rule"]
+
+CheckFn = Callable[[Any], Iterable[tuple[str, str]]]
 
 
 class Severity(IntEnum):
@@ -57,9 +62,10 @@ class Severity(IntEnum):
 class Rule:
     """One static check.
 
-    ``check`` receives the :class:`AnalysisTarget` and returns
-    ``(subject, message)`` pairs — one per violation; the engine wraps
-    them into :class:`Finding` objects carrying the rule's metadata.
+    ``check`` receives the :class:`Analysis` attribute named by
+    ``reads`` and returns ``(subject, message)`` pairs — one per
+    violation; the engine wraps them into :class:`Finding` objects
+    carrying the rule's metadata.
     """
 
     rule_id: str
@@ -68,13 +74,14 @@ class Rule:
     severity: Severity
     paper_ref: str
     remediation: str
-    check: Callable[["AnalysisTarget"], Iterable[tuple[str, str]]]
+    check: CheckFn
+    reads: Literal["target", "flow", "plan"] = "target"
 
     def __post_init__(self) -> None:
         if not self.rule_id or not self.rule_id[:1].isalpha():
             raise ValueError(f"rule id must start with a letter: {self.rule_id!r}")
 
-    def run(self, target: "AnalysisTarget") -> list["Finding"]:
+    def run(self, analysis: "Analysis") -> list["Finding"]:
         return [
             Finding(
                 rule_id=self.rule_id,
@@ -85,8 +92,22 @@ class Rule:
                 paper_ref=self.paper_ref,
                 remediation=self.remediation,
             )
-            for subject, message in self.check(target)
+            for subject, message in self.check(getattr(analysis, self.reads))
         ]
+
+
+def rule(catalog: list[Rule], rule_id: str, title: str, *, layer: Layer,
+         severity: Severity, paper_ref: str, remediation: str,
+         reads: Literal["target", "flow", "plan"] = "target",
+         ) -> Callable[[CheckFn], CheckFn]:
+    """Register the decorated check into ``catalog`` as a :class:`Rule`."""
+
+    def decorator(check: CheckFn) -> CheckFn:
+        catalog.append(Rule(rule_id, title, layer, severity, paper_ref,
+                            remediation, check, reads))
+        return check
+
+    return decorator
 
 
 @dataclass(frozen=True)
@@ -122,6 +143,30 @@ class Finding:
             "remediation": self.remediation,
             "fingerprint": self.fingerprint,
         }
+
+
+class Analysis:
+    """What the rules of one :meth:`Linter.run` read: the ``target``,
+    its taint analysis (``flow``) and its attack ``plan``.
+
+    The last two are computed on first read and shared by every rule of
+    the run.  Targets are mutable, so an ``Analysis`` lives for one run.
+    """
+
+    def __init__(self, target: "AnalysisTarget") -> None:
+        self.target = target
+
+    @cached_property
+    def flow(self) -> "FlowResult":
+        from repro.flow.taint import analyze
+
+        return analyze(self.target)
+
+    @cached_property
+    def plan(self) -> "PlanResult":
+        from repro.redteam.planner import plan
+
+        return plan(self.target, self.flow)
 
 
 class Linter:
@@ -171,12 +216,12 @@ class Linter:
         ``report.suppressed`` instead of dropping them silently."""
         from repro.lint.report import Report
 
+        analysis = Analysis(target)
         findings: list[Finding] = []
         suppressed: list[Finding] = []
-        rules_run = []
-        for rule in self.enabled_rules():
-            rules_run.append(rule)
-            for finding in rule.run(target):
+        rules_run = self.enabled_rules()
+        for enabled in rules_run:
+            for finding in enabled.run(analysis):
                 if baseline is not None and baseline.suppresses(finding):
                     suppressed.append(finding)
                 else:

@@ -22,16 +22,18 @@ ids) so baseline fingerprints survive message-wording changes.
 from __future__ import annotations
 
 import copy
-from typing import Callable, Iterable, Iterator
+from functools import partial
+from typing import Iterator
 
 from repro.core.attackgraph import AttackGraph
 from repro.core.layers import Layer
-from repro.lint.engine import Rule, Severity
+from repro.lint.engine import Rule, Severity, rule
 from repro.lint.target import AnalysisTarget
 
 __all__ = ["CATALOG", "full_catalog", "rules_by_id"]
 
 CATALOG: list[Rule] = []
+_rule = partial(rule, CATALOG)
 
 #: SEC004 flags any safety-relevant component whose estimated compromise
 #: probability (noisy-OR over the top attack paths) exceeds this bound.
@@ -54,23 +56,8 @@ MAX_GATEWAY_RULE_SPAN = 256
 MAX_REKEY_FRACTION = 0.95
 
 
-_CheckFn = Callable[[AnalysisTarget], Iterable[tuple[str, str]]]
-
-
-def _rule(rule_id: str, title: str, *, layer: Layer, severity: Severity,
-          paper_ref: str, remediation: str) -> Callable[[_CheckFn], _CheckFn]:
-    """Register a check function into the catalog."""
-
-    def decorator(check: _CheckFn) -> _CheckFn:
-        CATALOG.append(Rule(rule_id, title, layer, severity,
-                            paper_ref, remediation, check))
-        return check
-
-    return decorator
-
-
 def rules_by_id() -> dict[str, Rule]:
-    return {rule.rule_id: rule for rule in full_catalog()}
+    return {r.rule_id: r for r in full_catalog()}
 
 
 # --------------------------------------------------------------------------
@@ -252,11 +239,11 @@ def check_gateway_segmentation(target: AnalysisTarget) -> Iterator[tuple[str, st
                    "whitelisting broad ranges")
 def check_gateway_broad_rule(target: AnalysisTarget) -> Iterator[tuple[str, str]]:
     for binding in target.gateways:
-        for rule in binding.gateway.rules:
-            span = rule.id_max - rule.id_min + 1
+        for allow in binding.gateway.rules:
+            span = allow.id_max - allow.id_min + 1
             if span > MAX_GATEWAY_RULE_SPAN:
-                yield (f"{binding.gateway.name}:{rule.source_port}->"
-                       f"{rule.dest_port}:{rule.id_min:#x}-{rule.id_max:#x}",
+                yield (f"{binding.gateway.name}:{allow.source_port}->"
+                       f"{allow.dest_port}:{allow.id_min:#x}-{allow.id_max:#x}",
                        f"allow rule spans {span} ids "
                        f"(> {MAX_GATEWAY_RULE_SPAN})")
 
@@ -547,16 +534,14 @@ def check_missing_stakeholder(target: AnalysisTarget) -> Iterator[tuple[str, str
             yield (system.name, "no stakeholder/operator recorded")
 
 
-# --------------------------------------------------------------------------
-# FLOW: whole-system taint/reachability rules (repro.flow, §V-C / §VIII)
-# --------------------------------------------------------------------------
-
 def full_catalog() -> list[Rule]:
     """Every rule: this module's CATALOG plus the FLOW and RT families.
 
-    The FLOW rules live in :mod:`repro.flow.rules` (they need the whole
-    taint analyzer) and the RT rules in :mod:`repro.redteam.rules`
-    (they need the whole campaign planner); importing them lazily here
+    The FLOW rules live in :mod:`repro.flow.rules` (they read the run's
+    taint analysis) and the RT rules in :mod:`repro.redteam.rules`
+    (they read the run's attack plan); each run's
+    :class:`~repro.lint.engine.Analysis` computes those two once and
+    shares them across the family.  Importing the families lazily here
     — instead of at module import — keeps ``repro.lint``,
     ``repro.flow``, and ``repro.redteam`` free of a circular import in
     any load order.  :class:`~repro.lint.engine.Linter` defaults to

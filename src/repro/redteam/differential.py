@@ -40,14 +40,6 @@ from repro.redteam.planner import PlanResult, plan
 __all__ = ["differential_violations", "run_differential"]
 
 
-def _non_rt_linter() -> Linter:
-    """The lint view *without* the RT family (no self-satisfaction)."""
-    from repro.flow.rules import FLOW_RULES
-    from repro.lint.rules import CATALOG
-
-    return Linter(list(CATALOG) + list(FLOW_RULES))
-
-
 def _witness_implies_campaign(flow: FlowResult,
                               planned: PlanResult) -> list[str]:
     violations = []
@@ -81,10 +73,14 @@ def _clean_iff_defeated(flow: FlowResult, planned: PlanResult) -> list[str]:
 
 def _first_hop_flagged(target: AnalysisTarget, flow: FlowResult,
                        planned: PlanResult) -> list[str]:
+    from repro.flow.rules import FLOW_RULES
+    from repro.lint.rules import CATALOG
+
     if not planned.campaigns:
         return []
     source_names = {n.name for n in flow.graph.sources()}
-    report = _non_rt_linter().run(target)
+    # the lint view without the RT family, which would satisfy itself
+    report = Linter(CATALOG + FLOW_RULES).run(target)
     flagged_text = [f"{f.subject} {f.message}" for f in report.findings]
     violations = []
     for campaign in planned.campaigns:
@@ -100,13 +96,10 @@ def _first_hop_flagged(target: AnalysisTarget, flow: FlowResult,
     return violations
 
 
-def differential_violations(target: AnalysisTarget, *,
-                            flow_result: FlowResult | None = None,
-                            plan_result: PlanResult | None = None,
-                            ) -> list[str]:
-    """All analyzer disagreements for one target (empty == agreement)."""
-    flow = analyze(target) if flow_result is None else flow_result
-    planned = plan(target, result=flow) if plan_result is None else plan_result
+def differential_violations(target: AnalysisTarget, flow: FlowResult,
+                            planned: PlanResult) -> list[str]:
+    """All analyzer disagreements for one target (empty == agreement),
+    given its taint analysis and the plan seeded with it."""
     violations = _witness_implies_campaign(flow, planned)
     violations += _clean_iff_defeated(flow, planned)
     violations += _first_hop_flagged(target, flow, planned)
@@ -117,5 +110,10 @@ def run_differential(names: Sequence[str]) -> dict[str, list[str]]:
     """Scenario name -> violations, for the CLI/CI differential gate."""
     from repro.lint.scenarios import build_scenario
 
-    return {name: differential_violations(build_scenario(name))
-            for name in names}
+    violations: dict[str, list[str]] = {}
+    for name in names:
+        target = build_scenario(name)
+        flow = analyze(target)
+        violations[name] = differential_violations(target, flow,
+                                                   plan(target, flow))
+    return violations

@@ -194,10 +194,9 @@ def _reconstruct(scenario: str, goal: Capability,
     return Campaign(scenario=scenario, goal=goal, steps=steps)
 
 
-def plan(target: AnalysisTarget, *,
-         result: FlowResult | None = None) -> PlanResult:
-    """Full pipeline: flow-seed, library, search, ranked campaigns."""
-    flow_result = analyze(target) if result is None else result
+def plan(target: AnalysisTarget, flow_result: FlowResult) -> PlanResult:
+    """Full pipeline from the target's taint analysis: library, search,
+    ranked campaigns."""
     library = build_attack_library(target, flow_result)
     acquired, parents = _search(library)
     plan_result = PlanResult(scenario=target.name, flow=flow_result,
@@ -228,4 +227,5 @@ def plan_scenario(name: str) -> PlanResult:
     """Plan one of the shipped lint scenarios by name."""
     from repro.lint.scenarios import build_scenario
 
-    return plan(build_scenario(name))
+    target = build_scenario(name)
+    return plan(target, analyze(target))

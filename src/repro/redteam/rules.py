@@ -1,45 +1,36 @@
 """The RT rule family: planner findings surfaced through the linter.
 
-Each rule plans the whole attack campaign for the target
-(:func:`repro.redteam.planner.plan`) and reports through the ordinary
-lint machinery, so RT findings baseline, fingerprint, gate, and
-serialize exactly like every other rule family.  Subjects are stable
-``entry=>sink`` labels; messages carry the ranked hop-by-hop campaign
-with the defense that would break each step, because a campaign finding
-without its chain is unactionable.
+Each rule is a function of the run's one
+:class:`~repro.redteam.planner.PlanResult`:
+:class:`~repro.lint.engine.Linter` plans the attack campaign for the
+target (:func:`repro.redteam.planner.plan`, seeded with the run's one
+taint analysis) once per run and hands the plan to every RT rule, which
+reports through the ordinary lint machinery, so RT findings baseline,
+fingerprint, gate, and serialize exactly like every other rule family.
+Subjects are stable ``entry=>sink`` labels; messages carry the ranked
+hop-by-hop campaign with the defense that would break each step,
+because a campaign finding without its chain is unactionable.
 
 ``repro.lint.rules`` extends these into the shared ``CATALOG`` through
 the lazy ``full_catalog()``; this module must therefore never import
-``repro.lint.rules`` (only the engine and target adapters) or the
-catalog would cycle.
+``repro.lint.rules`` (only the engine) or the catalog would cycle.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from functools import partial
+from typing import Iterator
 
 from repro.core.layers import Layer
 from repro.flow.graph import SINK_CRITICALITY
-from repro.lint.engine import Rule, Severity
-from repro.lint.target import AnalysisTarget
+from repro.lint.engine import Rule, Severity, rule
 
-from repro.redteam.planner import Campaign, plan
+from repro.redteam.planner import Campaign, PlanResult
 
 __all__ = ["RT_RULES"]
 
 RT_RULES: list[Rule] = []
-
-_CheckFn = Callable[[AnalysisTarget], Iterable[tuple[str, str]]]
-
-
-def _rule(rule_id: str, title: str, *, layer: Layer, severity: Severity,
-          paper_ref: str, remediation: str) -> Callable[[_CheckFn], _CheckFn]:
-    def decorator(check: _CheckFn) -> _CheckFn:
-        RT_RULES.append(Rule(rule_id, title, layer, severity,
-                             paper_ref, remediation, check))
-        return check
-
-    return decorator
+_rule = partial(rule, RT_RULES, reads="plan")
 
 
 def _campaign_message(campaign: Campaign, *, verb: str) -> str:
@@ -59,9 +50,7 @@ def _subject(campaign: Campaign) -> str:
        paper_ref="§III / §VIII",
        remediation="break the cheapest step: every hop lists the defense "
                    "that defeats it; deploying any one severs the chain")
-def rt_campaign_reaches_critical(
-        target: AnalysisTarget) -> Iterator[tuple[str, str]]:
-    result = plan(target)
+def rt_campaign_reaches_critical(result: PlanResult) -> Iterator[tuple[str, str]]:
     for campaign in result.campaigns:
         node = result.graph.node(campaign.sink)
         if node.kind != "component" or node.criticality < SINK_CRITICALITY:
@@ -75,9 +64,7 @@ def rt_campaign_reaches_critical(
        paper_ref="§V / Fig. 8",
        remediation="require authentication on the entry endpoint and move "
                    "bucket-unlocking secrets out of process memory")
-def rt_campaign_reaches_datastore(
-        target: AnalysisTarget) -> Iterator[tuple[str, str]]:
-    result = plan(target)
+def rt_campaign_reaches_datastore(result: PlanResult) -> Iterator[tuple[str, str]]:
     for campaign in result.campaigns:
         node = result.graph.node(campaign.sink)
         if node.kind != "datastore":
@@ -91,9 +78,7 @@ def rt_campaign_reaches_datastore(
        paper_ref="§III",
        remediation="authenticate the shared segment and deploy a bus "
                    "guardian / IDS isolation response for error-frame abuse")
-def rt_sink_disruptable(
-        target: AnalysisTarget) -> Iterator[tuple[str, str]]:
-    result = plan(target)
+def rt_sink_disruptable(result: PlanResult) -> Iterator[tuple[str, str]]:
     for campaign in result.disruptions:
         yield _subject(campaign), _campaign_message(campaign, verb="disrupts")
 
@@ -104,9 +89,7 @@ def rt_sink_disruptable(
        remediation="defend in depth: a single-layer defense cannot break a "
                    "chain that hops layers; harden one step at each layer "
                    "the campaign crosses")
-def rt_cross_layer_campaign(
-        target: AnalysisTarget) -> Iterator[tuple[str, str]]:
-    result = plan(target)
+def rt_cross_layer_campaign(result: PlanResult) -> Iterator[tuple[str, str]]:
     for campaign in result.campaigns:
         if not campaign.multi_stage or len(campaign.layers) < 2:
             continue

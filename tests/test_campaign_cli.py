@@ -3,7 +3,7 @@
 import json
 
 from repro.campaign import (CampaignSpec, CampaignTool, Journal, journal,
-                            read_records, validate_campaign_dict)
+                            validate_campaign_dict)
 
 
 def run_args(root, *extra):
@@ -77,12 +77,13 @@ class TestResumeStatusList:
                                              monkeypatch):
         run_cli(*run_args(tmp_path))
         reads = []
+        read = journal._read
 
         def counted(path):
             reads.append(path)
-            return read_records(path)
+            return read(path)
 
-        monkeypatch.setattr(journal, "read_records", counted)
+        monkeypatch.setattr(journal, "_read", counted)
         code, out, _ = run_cli("campaign", "status", "clitest",
                                "--journal-root", str(tmp_path))
         assert code == 0 and "4/4 shard(s) settled" in out
@@ -99,12 +100,14 @@ class TestResumeStatusList:
         done = [i for i, line in enumerate(lines) if '"type":"shard-done"' in line]
         path.write_text("".join(lines[:done[1] + 1]))
         reads = []
+        read = journal._read
 
         def counted(path):
             reads.append(path)
-            return read_records(path)
+            return read(path)
 
-        monkeypatch.setattr(journal, "read_records", counted)
+        # every read of the file, Journal.open's included, goes through _read
+        monkeypatch.setattr(journal, "_read", counted)
         code, _, _ = run_cli("campaign", "resume", "clitest",
                              "--journal-root", str(tmp_path / "j"),
                              "--report", str(resumed))

@@ -119,6 +119,21 @@ class TestHardeningCut:
         cut = AttackGraph(model).minimal_hardening_cut("target")
         assert cut == {("entry", "hub")}
 
+    def test_tie_between_equal_cuts_goes_to_the_edge_nearest_the_sink(self):
+        # entry -> a -> b -> target has three unit min cuts; the rule is
+        # networkx's: the source side is every node that cannot reach the
+        # sink in the residual graph, so the cut sits next to the sink.
+        # Any replacement min-cut kernel must keep this choice, or every
+        # report that prints a hardening cut changes.
+        model = SystemModel("chain")
+        for name, exposed in (("entry", True), ("a", False), ("b", False),
+                              ("target", False)):
+            model.add_component(Component(name, Layer.NETWORK, exposed=exposed))
+        for src, dst in (("entry", "a"), ("a", "b"), ("b", "target")):
+            model.connect(Interface(src, dst, "eth"))
+        cut = AttackGraph(model).minimal_hardening_cut("target")
+        assert cut == {("b", "target")}
+
     def test_no_entry_points_empty_cut(self):
         model = SystemModel("no-entry")
         model.add_component(Component("a", Layer.NETWORK))

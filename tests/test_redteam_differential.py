@@ -19,14 +19,16 @@ ALL_SCENARIOS = ["pkes-legacy", "onboard-insecure", "onboard-hardened",
 class TestAnalyzersAgree:
     @pytest.mark.parametrize("name", ALL_SCENARIOS)
     def test_no_violations_on_shipped_scenario(self, name):
-        assert differential_violations(build_scenario(name)) == []
+        target = build_scenario(name)
+        flow = analyze(target)
+        assert differential_violations(target, flow, plan(target, flow)) == []
 
     @pytest.mark.parametrize("name", ALL_SCENARIOS)
     def test_witness_implies_campaign(self, name):
         """Every FLOW witness sink is planner-reachable."""
         target = build_scenario(name)
         flow = analyze(target)
-        planned = plan(target, result=flow)
+        planned = plan(target, flow)
         reachable = planned.campaign_sinks()
         for sink in flow.witnesses_by_sink():
             assert sink in reachable, f"{name}: witnessed {sink} unreachable"
@@ -35,7 +37,7 @@ class TestAnalyzersAgree:
     def test_clean_iff_defeated(self, name):
         target = build_scenario(name)
         flow = analyze(target)
-        planned = plan(target, result=flow)
+        planned = plan(target, flow)
         if flow.path_clean:
             assert planned.defeated
         else:
@@ -50,7 +52,7 @@ class TestAnalyzersAgree:
 
         target = build_scenario(name)
         flow = analyze(target)
-        planned = plan(target, result=flow)
+        planned = plan(target, flow)
         sources = {n.name for n in flow.graph.sources()}
         report = Linter(list(CATALOG) + list(FLOW_RULES)).run(target)
         texts = [f"{f.subject} {f.message}" for f in report.findings]
@@ -71,22 +73,20 @@ class TestGatesCanFire:
     def test_missing_campaign_trips_witness_gate(self):
         target = build_scenario("onboard-insecure")
         flow = analyze(target)
-        planned = plan(target, result=flow)
+        planned = plan(target, flow)
         planned.campaigns.clear()
-        violations = differential_violations(target, flow_result=flow,
-                                             plan_result=planned)
+        violations = differential_violations(target, flow, planned)
         assert any(v.startswith("witness=>campaign") for v in violations)
 
     def test_phantom_campaign_trips_clean_gate(self):
         hardened = build_scenario("onboard-hardened")
         hardened_flow = analyze(hardened)
-        hardened_plan = plan(hardened, result=hardened_flow)
+        hardened_plan = plan(hardened, hardened_flow)
         # graft a campaign from an insecure scenario onto the clean one
         stolen = plan_scenario("pkes-legacy").campaigns[0]
         hardened_plan.campaigns.append(stolen)
-        violations = differential_violations(hardened,
-                                             flow_result=hardened_flow,
-                                             plan_result=hardened_plan)
+        violations = differential_violations(hardened, hardened_flow,
+                                             hardened_plan)
         assert any(v.startswith("clean<=>defeated") for v in violations)
 
     def test_source_sink_needs_no_witness(self):
@@ -94,7 +94,7 @@ class TestGatesCanFire:
         a 1-step campaign with no flow witness — by design, not a bug."""
         target = build_scenario("maas-platform")
         flow = analyze(target)
-        planned = plan(target, result=flow)
+        planned = plan(target, flow)
         witnessed = set(flow.witnesses_by_sink())
         sources = {n.name for n in flow.graph.sources()}
         unwitnessed = [c for c in planned.campaigns
@@ -102,5 +102,4 @@ class TestGatesCanFire:
         assert unwitnessed  # the allowance is actually exercised
         for campaign in unwitnessed:
             assert campaign.sink in sources
-        assert differential_violations(target, flow_result=flow,
-                                       plan_result=planned) == []
+        assert differential_violations(target, flow, planned) == []

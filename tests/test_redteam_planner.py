@@ -114,7 +114,7 @@ class TestSearchInvariants:
     def test_plan_accepts_precomputed_flow_result(self):
         target = build_scenario("pkes-legacy")
         flow = analyze(target)
-        result = plan(target, result=flow)
+        result = plan(target, flow)
         assert result.flow is flow
         assert not result.defeated
 
