@@ -23,8 +23,9 @@ import json
 
 from repro.experiments import best_of
 from repro.flow import analyze
+from repro.lint import Analysis
 from repro.lint.scenarios import SCENARIOS, build_scenario
-from repro.redteam import plan, plan_scenario, run_redteam_campaign
+from repro.redteam import plan, redteam_document
 
 #: The fleet must plan end to end within this budget (seconds) —
 #: generous on CI hardware, tight enough to catch a super-linear
@@ -47,18 +48,23 @@ def test_fleet_planning_cost(show, benchmark):
 
     show("BENCH-REDTEAM — campaign planning per scenario",
          rows, header=("scenario", "attacks", "campaigns", "disrupt", "ms"))
-    benchmark(lambda: plan_scenario("onboard-insecure"))
+    target = build_scenario("onboard-insecure")
+    flow = analyze(target)
+    benchmark(lambda: plan(target, flow))
     assert total_s < FLEET_BUDGET_S, f"fleet took {total_s:.2f}s"
 
 
 def test_output_byte_identical_per_scenario_and_seed(show):
     names = sorted(SCENARIOS)
+
+    def document(base_seed: int) -> str:
+        results = [Analysis(build_scenario(name)).plan for name in names]
+        return json.dumps(redteam_document(results, base_seed=base_seed),
+                          sort_keys=True)
+
     rows = []
     for base_seed in (0, 7):
-        first = json.dumps(run_redteam_campaign(names, base_seed=base_seed),
-                           sort_keys=True)
-        second = json.dumps(run_redteam_campaign(names, base_seed=base_seed),
-                            sort_keys=True)
+        first, second = document(base_seed), document(base_seed)
         assert first == second, f"seed {base_seed}: output not stable"
         rows.append((base_seed, len(first), "identical"))
     show("BENCH-REDTEAM — document stability per (fleet, seed)",

@@ -194,23 +194,26 @@ def act8_the_playbook() -> None:
     # attack library it searches capability states for the cheapest
     # multi-stage campaign against every safety-critical sink, naming
     # the defense that would have broken each hop.
-    from repro.redteam import plan_scenario, render_campaigns, run_differential
+    from repro.lint import Analysis, build_scenario
+    from repro.redteam import differential_violations, render_campaigns
 
-    result = plan_scenario("cariad-breach")
+    breach = Analysis(build_scenario("cariad-breach"))
+    result = breach.plan
     print(f"  cariad-breach: {len(result.campaigns)} ranked campaign(s) "
           f"over {len(result.library)} library attacks")
     for line in render_campaigns(result, top=1).splitlines():
         print(f"  {line}")
 
-    hardened = plan_scenario("onboard-hardened")
+    hardened_analysis = Analysis(build_scenario("onboard-hardened"))
+    hardened = hardened_analysis.plan
     print(f"  onboard-hardened: {len(hardened.library)} attacks in the "
           f"library, {len(hardened.campaigns)} viable campaign(s) — "
           f"{'DEFEATED' if hardened.defeated else 'exposed'}")
 
     # The differential gate: the planner's campaigns, the flow
     # analyzer's witnesses, and the lint findings must tell one story.
-    verdicts = run_differential(("cariad-breach", "onboard-hardened"))
-    disagreements = [v for found in verdicts.values() for v in found]
+    disagreements = [v for analysis in (breach, hardened_analysis)
+                     for v in differential_violations(analysis)]
     print(f"  differential gate: {len(disagreements)} analyzer "
           f"disagreement(s) — lint, flow, and redteam agree")
 

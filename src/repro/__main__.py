@@ -106,7 +106,7 @@ def arg(*flags: str, low: int | None = None, strict: bool = False, directory: bo
     return Arg(flags, options, low, strict, directory, output)
 
 
-def _report_table(target: Any, report: Any, args: argparse.Namespace) -> str:
+def _report_table(report: Any, args: argparse.Namespace) -> str:
     return report.to_table()
 
 
@@ -119,10 +119,11 @@ class Tool:
     ``"module:attr"`` references, imported only when the tool runs.  A
     static analyzer's ``targets(tool, args)`` defaults to the named
     scenarios, its ``engine(args)`` returns ``(engine, rules)``, its
-    ``render(target, report, args)`` defaults to the report's table, and
-    its ``document(tool, args)``, when set, replaces the per-target
-    ``--json``.  A fault campaign's ``render(document, args)`` draws the
-    whole campaign.
+    ``render(report, args)`` defaults to the report's table, and its
+    ``document(reports, args)``, when set, replaces the per-target
+    ``--json``; both read a scenario's taint analysis and attack plan
+    from ``report.analysis``, the one its run computed.  A fault
+    campaign's ``render(document, args)`` draws the whole campaign.
     """
 
     name: str
@@ -133,7 +134,7 @@ class Tool:
     targets: Callable[[Tool, argparse.Namespace], list] | None = None
     engine: Any = None
     catalog: Callable[[], str] | None = None
-    document: Callable[[Tool, argparse.Namespace], dict] | None = None
+    document: Callable[[list, argparse.Namespace], dict] | None = None
     sarif: str = "repro.lint.sarif:to_sarif_dict"
     render: Callable[..., str] = _report_table
     validate: str = ""
@@ -262,16 +263,16 @@ def _analyze(tool: Tool, args: argparse.Namespace) -> int:
         return 0
 
     if args.json and tool.document is not None:
-        _print_json(tool.document(tool, args), tool.validate)
+        _print_json(tool.document(reports, args), tool.validate)
     else:
-        for target, report in zip(targets, reports):
+        for report in reports:
             if args.sarif:
                 _print_json(_ref(tool.sarif)(report, rules),
                             "repro.lint.sarif:validate_sarif_dict")
             elif args.json:
                 _print_json(report.to_json_dict(rules), tool.validate)
             else:
-                print(tool.render(target, report, args))
+                print(tool.render(report, args))
     gate = None if args.gate == "none" else Severity.from_name(args.gate)
     return max(report.exit_code(gate) for report in reports)
 
@@ -309,10 +310,10 @@ def _flow_engine(args: argparse.Namespace) -> tuple:
     return linter, linter.enabled_rules()
 
 
-def _render_flow(target: Any, report: Any, args: argparse.Namespace) -> str:
-    from repro.flow import analyze, render_cut, render_summary, render_witnesses
+def _render_flow(report: Any, args: argparse.Namespace) -> str:
+    from repro.flow import render_cut, render_summary, render_witnesses
 
-    result = analyze(target)
+    result = report.analysis.flow
     blocks = [render_summary(result)]
     if args.paths:
         blocks.append(render_witnesses(result))
@@ -324,11 +325,13 @@ def _render_flow(target: Any, report: Any, args: argparse.Namespace) -> str:
 def _redteam(tool: Tool, args: argparse.Namespace) -> int:
     """The static analyzer pipeline, or ``--differential``: do lint, flow
     and redteam agree on every scenario?"""
-    from repro.redteam import run_differential
+    from repro.lint import Analysis, build_scenario
+    from repro.redteam import differential_violations
 
     if not args.differential:
         return _analyze(tool, args)
-    violations = run_differential(_scenarios(args))
+    violations = {name: differential_violations(Analysis(build_scenario(name)))
+                  for name in _scenarios(args)}
     for name, found in violations.items():
         if found:
             print(f"{name}: {len(found)} analyzer disagreement(s)")
@@ -345,17 +348,17 @@ def _redteam_engine(args: argparse.Namespace) -> tuple:
     return Linter(RT_RULES), RT_RULES
 
 
-def _redteam_document(tool: Tool, args: argparse.Namespace) -> dict:
-    from repro.redteam import run_redteam_campaign
+def _redteam_document(reports: list, args: argparse.Namespace) -> dict:
+    from repro.redteam import redteam_document
 
-    return run_redteam_campaign(_scenarios(args), base_seed=args.base_seed)
+    return redteam_document([report.analysis.plan for report in reports],
+                            base_seed=args.base_seed)
 
 
-def _render_redteam(target: Any, report: Any, args: argparse.Namespace) -> str:
-    from repro.flow import analyze
-    from repro.redteam import plan, render_campaigns, render_summary
+def _render_redteam(report: Any, args: argparse.Namespace) -> str:
+    from repro.redteam import render_campaigns, render_summary
 
-    result = plan(target, analyze(target))
+    result = report.analysis.plan
     blocks = [render_summary(result)]
     if args.campaigns:
         blocks.append(render_campaigns(result, top=args.top))

@@ -180,6 +180,7 @@ def to_sarif_dict(report: AuditReport, checkers: list[Checker]) -> dict:
         suppressed=tuple(_as_lint_finding(f, by_id[f.rule_id])
                          for f in report.suppressed),
         rules_run=report.rules_run,
+        analysis=None,
     )
     return lint_to_sarif(lint_report, [_as_lint_rule(c) for c in checkers],
                          tool_name=TOOL_NAME)

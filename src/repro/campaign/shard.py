@@ -49,10 +49,10 @@ def _run_sentinel(spec: ShardSpec) -> dict:
 
 
 def _run_redteam(spec: ShardSpec) -> dict:
-    from repro.redteam import run_redteam_campaign
+    from repro.lint import Analysis, build_scenario
+    from repro.redteam import scenario_to_dict
 
-    document = run_redteam_campaign([spec.scenario], base_seed=spec.seed)
-    return document["scenarios"][0]
+    return scenario_to_dict(Analysis(build_scenario(spec.scenario)).plan)
 
 
 def _run_flow(spec: ShardSpec) -> dict:

@@ -22,7 +22,7 @@ CLI::
 """
 
 from repro.lint.baseline import Baseline, BaselineEntry
-from repro.lint.engine import Finding, Linter, Rule, Severity
+from repro.lint.engine import Analysis, Finding, Linter, Rule, Severity
 from repro.lint.report import Report, SchemaError, validate_report_dict
 from repro.lint.rules import CATALOG, full_catalog, rules_by_id
 from repro.lint.scenarios import (SCENARIOS, Scenario, build_scenario,
@@ -31,6 +31,7 @@ from repro.lint.target import (AnalysisTarget, GatewayBinding,
                                V2xChannelBinding)
 
 __all__ = [
+    "Analysis",
     "AnalysisTarget",
     "Baseline",
     "BaselineEntry",

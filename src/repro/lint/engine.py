@@ -149,8 +149,11 @@ class Analysis:
     """What the rules of one :meth:`Linter.run` read: the ``target``,
     its taint analysis (``flow``) and its attack ``plan``.
 
-    The last two are computed on first read and shared by every rule of
-    the run.  Targets are mutable, so an ``Analysis`` lives for one run.
+    The last two are computed on first read and shared by every reader:
+    the run's rules, then the CLI renderers, the red-team document and
+    the differential gate through ``Report.analysis``.  Targets are
+    mutable and a first read sees the target as it is then, so an
+    ``Analysis`` belongs to one run and lives as long as its report.
     """
 
     def __init__(self, target: "AnalysisTarget") -> None:
@@ -233,4 +236,5 @@ class Linter:
             findings=tuple(findings),
             suppressed=tuple(suppressed),
             rules_run=tuple(r.rule_id for r in rules_run),
+            analysis=analysis,
         )

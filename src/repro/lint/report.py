@@ -25,13 +25,13 @@ and the golden-report test both call it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.layers import Layer
 from repro.core.schema import (COUNT, STRING, TEXT, SchemaError, header, leaf,
                                list_of, map_of, obj, one_of, require, validate)
-from repro.lint.engine import Finding, Rule, Severity
+from repro.lint.engine import Analysis, Finding, Rule, Severity
 
 __all__ = ["Report", "SchemaError", "validate_report_dict"]
 
@@ -41,12 +41,20 @@ TOOL_NAME = "repro-seclint"
 
 @dataclass(frozen=True)
 class Report:
-    """The outcome of one linter run over one target."""
+    """The outcome of one linter run over one target.
+
+    ``analysis`` is the run's :class:`~repro.lint.engine.Analysis`, so a
+    renderer or document reads the taint analysis and attack plan the
+    rules read instead of computing them again.  It lives as long as the
+    report, is neither compared, printed nor serialised, and is ``None``
+    on a report no linter run made (the audit's SARIF view).
+    """
 
     target_name: str
     findings: tuple[Finding, ...]
     suppressed: tuple[Finding, ...] = ()
     rules_run: tuple[str, ...] = ()
+    analysis: Analysis | None = field(kw_only=True, compare=False, repr=False)
 
     # -- summaries -----------------------------------------------------------
 

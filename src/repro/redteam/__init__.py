@@ -18,18 +18,21 @@ schema-validated JSON/SARIF report (:mod:`repro.redteam.report`), and
 (:mod:`repro.redteam.differential`) then asserts the three analyzers
 agree — flow witnesses imply campaigns, path-clean targets are
 defeated, first hops are independently flagged — turning analyzer
-disagreement into a CI-failing bug class.
+disagreement into a CI-failing bug class.  Every entry point (RT rules,
+CLI renderers, the JSON document, the differential gate) reads a
+scenario's plan from its one :class:`~repro.lint.engine.Analysis`.
 """
 
 from repro.redteam.attacks import TECHNIQUES, Attack, build_attack_library
 from repro.redteam.capability import Capability, control, disrupt
-from repro.redteam.differential import differential_violations, run_differential
-from repro.redteam.planner import Campaign, PlanResult, plan, plan_scenario
+from repro.redteam.differential import differential_violations
+from repro.redteam.planner import Campaign, PlanResult, plan
 from repro.redteam.report import (
     campaign_to_dict,
+    redteam_document,
     render_campaigns,
     render_summary,
-    run_redteam_campaign,
+    scenario_to_dict,
     validate_redteam_dict,
 )
 from repro.redteam.rules import RT_RULES
@@ -47,10 +50,9 @@ __all__ = [
     "differential_violations",
     "disrupt",
     "plan",
-    "plan_scenario",
+    "redteam_document",
     "render_campaigns",
     "render_summary",
-    "run_differential",
-    "run_redteam_campaign",
+    "scenario_to_dict",
     "validate_redteam_dict",
 ]

@@ -22,22 +22,21 @@ properties:
    deliberately excluded: including them would make the check
    self-satisfying.)
 
-:func:`differential_violations` evaluates all three for one target and
-returns human-readable violation strings (empty == analyzers agree);
-:func:`run_differential` sweeps scenarios for the CLI/CI gate.
+:func:`differential_violations` evaluates all three over one target's
+:class:`~repro.lint.engine.Analysis` — its one taint analysis and one
+attack plan — and returns human-readable violation strings (empty ==
+analyzers agree); ``python -m repro redteam --differential`` runs it
+per scenario as the CLI/CI gate.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from repro.flow.taint import FlowResult
+from repro.lint.engine import Analysis
 
-from repro.flow.taint import FlowResult, analyze
-from repro.lint.engine import Linter
-from repro.lint.target import AnalysisTarget
+from repro.redteam.planner import PlanResult
 
-from repro.redteam.planner import PlanResult, plan
-
-__all__ = ["differential_violations", "run_differential"]
+__all__ = ["differential_violations"]
 
 
 def _witness_implies_campaign(flow: FlowResult,
@@ -71,17 +70,18 @@ def _clean_iff_defeated(flow: FlowResult, planned: PlanResult) -> list[str]:
     return violations
 
 
-def _first_hop_flagged(target: AnalysisTarget, flow: FlowResult,
-                       planned: PlanResult) -> list[str]:
+def _first_hop_flagged(analysis: Analysis) -> list[str]:
     from repro.flow.rules import FLOW_RULES
     from repro.lint.rules import CATALOG
 
+    planned = analysis.plan
     if not planned.campaigns:
         return []
-    source_names = {n.name for n in flow.graph.sources()}
+    source_names = {n.name for n in analysis.flow.graph.sources()}
     # the lint view without the RT family, which would satisfy itself
-    report = Linter(CATALOG + FLOW_RULES).run(target)
-    flagged_text = [f"{f.subject} {f.message}" for f in report.findings]
+    flagged_text = [f"{f.subject} {f.message}"
+                    for rule in CATALOG + FLOW_RULES
+                    for f in rule.run(analysis)]
     violations = []
     for campaign in planned.campaigns:
         entry = campaign.entry_node
@@ -96,24 +96,10 @@ def _first_hop_flagged(target: AnalysisTarget, flow: FlowResult,
     return violations
 
 
-def differential_violations(target: AnalysisTarget, flow: FlowResult,
-                            planned: PlanResult) -> list[str]:
+def differential_violations(analysis: Analysis) -> list[str]:
     """All analyzer disagreements for one target (empty == agreement),
-    given its taint analysis and the plan seeded with it."""
-    violations = _witness_implies_campaign(flow, planned)
-    violations += _clean_iff_defeated(flow, planned)
-    violations += _first_hop_flagged(target, flow, planned)
-    return violations
-
-
-def run_differential(names: Sequence[str]) -> dict[str, list[str]]:
-    """Scenario name -> violations, for the CLI/CI differential gate."""
-    from repro.lint.scenarios import build_scenario
-
-    violations: dict[str, list[str]] = {}
-    for name in names:
-        target = build_scenario(name)
-        flow = analyze(target)
-        violations[name] = differential_violations(target, flow,
-                                                   plan(target, flow))
+    read from its analysis's ``flow`` and ``plan``."""
+    violations = _witness_implies_campaign(analysis.flow, analysis.plan)
+    violations += _clean_iff_defeated(analysis.flow, analysis.plan)
+    violations += _first_hop_flagged(analysis)
     return violations

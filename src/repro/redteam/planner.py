@@ -28,13 +28,13 @@ import heapq
 from dataclasses import dataclass, field
 
 from repro.flow.graph import SINK_CRITICALITY, FlowGraph
-from repro.flow.taint import FlowResult, analyze
+from repro.flow.taint import FlowResult
 from repro.lint.target import AnalysisTarget
 
 from repro.redteam.attacks import Attack, build_attack_library
 from repro.redteam.capability import Capability, control, disrupt
 
-__all__ = ["Campaign", "PlanResult", "plan", "plan_scenario"]
+__all__ = ["Campaign", "PlanResult", "plan"]
 
 
 @dataclass(frozen=True)
@@ -221,11 +221,3 @@ def plan(target: AnalysisTarget, flow_result: FlowResult) -> PlanResult:
             plan_result.disruptions.append(disruption)
     plan_result.disruptions.sort(key=lambda c: (c.total_cost, c.sink))
     return plan_result
-
-
-def plan_scenario(name: str) -> PlanResult:
-    """Plan one of the shipped lint scenarios by name."""
-    from repro.lint.scenarios import build_scenario
-
-    target = build_scenario(name)
-    return plan(target, analyze(target))

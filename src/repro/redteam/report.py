@@ -46,10 +46,10 @@ from repro.core.schema import (BOOL, COUNT, INT, NUMBER, STRING, TEXT, header,
                                integer, join, leaf, list_of, number, nullable,
                                obj, one_of, require, validate)
 
-from repro.redteam.planner import Campaign, PlanResult, plan_scenario
+from repro.redteam.planner import Campaign, PlanResult
 
 __all__ = ["REDTEAM_SCHEMA_VERSION", "REDTEAM_TOOL_NAME",
-           "campaign_to_dict", "run_redteam_campaign",
+           "campaign_to_dict", "scenario_to_dict", "redteam_document",
            "validate_redteam_dict", "render_summary", "render_campaigns"]
 
 REDTEAM_SCHEMA_VERSION = "1.0"
@@ -88,7 +88,8 @@ def campaign_to_dict(campaign: Campaign, result: PlanResult,
     }
 
 
-def _scenario_to_dict(result: PlanResult) -> dict:
+def scenario_to_dict(result: PlanResult) -> dict:
+    """One planned scenario as a JSON-ready ``scenarios[]`` entry."""
     return {
         "scenario": result.scenario,
         "library": {
@@ -104,12 +105,11 @@ def _scenario_to_dict(result: PlanResult) -> dict:
     }
 
 
-def run_redteam_campaign(names: Sequence[str], *,
-                         base_seed: int = 0) -> dict:
-    """Plan every named scenario and build the full campaign document."""
+def redteam_document(results: Sequence[PlanResult], *,
+                     base_seed: int) -> dict:
+    """The full campaign document over already planned scenarios."""
     from repro import __version__
 
-    results = [plan_scenario(name) for name in names]
     campaign_count = sum(len(r.campaigns) for r in results)
     cheapest: dict | None = None
     for result in results:
@@ -126,7 +126,7 @@ def run_redteam_campaign(names: Sequence[str], *,
         "version": REDTEAM_SCHEMA_VERSION,
         "tool": {"name": REDTEAM_TOOL_NAME, "version": __version__},
         "baseSeed": base_seed,
-        "scenarios": [_scenario_to_dict(r) for r in results],
+        "scenarios": [scenario_to_dict(r) for r in results],
         "summary": {
             "scenarioCount": len(results),
             "campaignCount": campaign_count,

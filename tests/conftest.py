@@ -1,9 +1,12 @@
 """Shared fixtures for the test suite."""
 
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro.flow.taint as taint
+import repro.redteam.planner as planner
 from repro.__main__ import main
 from repro.campaign import CampaignEngine, experiment_executor, experiment_spec
 from repro.experiments import Experiment
@@ -20,6 +23,29 @@ def run_cli(capsys):
         return code, captured.out, captured.err
 
     return run
+
+
+@pytest.fixture
+def analysis_calls(monkeypatch):
+    """Count ``repro.flow.taint.analyze`` and ``repro.redteam.planner.plan``
+    calls: the fixture is a ``{"analyze": n, "plan": n}`` dict.
+
+    Importing ``taint`` and ``planner`` above imported their packages,
+    and with them every module that binds either function.
+    """
+    counts = {"analyze": 0, "plan": 0}
+    for name, fn in (("analyze", taint.analyze), ("plan", planner.plan)):
+        def wrapper(*args, _name=name, _fn=fn, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        # every module's binding, so an import-time alias is counted too
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("repro"):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapper)
+    return counts
 
 
 class SyntheticExperiments:

@@ -1,12 +1,8 @@
 """Rule-engine mechanics: severities, registration, enable/disable, gating,
 and one taint analysis and one attack plan per run."""
 
-import sys
-
 import pytest
 
-import repro.flow.taint as taint
-import repro.redteam.planner as planner
 from repro.core.entities import Component, SystemModel
 from repro.core.layers import Layer
 from repro.flow import flow_linter
@@ -151,46 +147,30 @@ class TestOneAnalysisPerRun:
     """Every FLOW and RT rule of one run reads the same taint analysis and
     the same attack plan; a run that needs neither computes neither."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        counts = {"analyze": 0, "plan": 0}
-        for name, fn in (("analyze", taint.analyze), ("plan", planner.plan)):
-            def wrapper(*args, _name=name, _fn=fn, **kwargs):
-                counts[_name] += 1
-                return _fn(*args, **kwargs)
-
-            # every module's binding, so an import-time alias is counted too
-            for module in list(sys.modules.values()):
-                if getattr(module, "__name__", "").startswith("repro"):
-                    for attr, value in list(vars(module).items()):
-                        if value is fn:
-                            monkeypatch.setattr(module, attr, wrapper)
-        return counts
-
     @pytest.mark.parametrize("name", scenario_names())
-    def test_full_catalog_analyzes_and_plans_once(self, calls, name):
+    def test_full_catalog_analyzes_and_plans_once(self, analysis_calls, name):
         Linter().run(build_scenario(name))
-        assert calls == {"analyze": 1, "plan": 1}
+        assert analysis_calls == {"analyze": 1, "plan": 1}
 
     @pytest.mark.parametrize("name", scenario_names())
-    def test_flow_linter_analyzes_once_and_never_plans(self, calls, name):
+    def test_flow_linter_analyzes_once_and_never_plans(self, analysis_calls, name):
         flow_linter().run(build_scenario(name))
-        assert calls == {"analyze": 1, "plan": 0}
+        assert analysis_calls == {"analyze": 1, "plan": 0}
 
     @pytest.mark.parametrize("name", scenario_names())
-    def test_no_flow_or_rt_rule_means_no_analysis(self, calls, name):
+    def test_no_flow_or_rt_rule_means_no_analysis(self, analysis_calls, name):
         linter = Linter()
         linter.disable(*[r.rule_id for r in linter.rules
                          if r.rule_id.startswith(("FLOW", "RT"))])
         linter.run(build_scenario(name))
-        assert calls == {"analyze": 0, "plan": 0}
+        assert analysis_calls == {"analyze": 0, "plan": 0}
 
-    def test_nothing_outlives_a_run(self, calls):
+    def test_nothing_outlives_a_run(self, analysis_calls):
         # targets are mutable, so each run analyzes afresh
         target = build_scenario("pkes-legacy")
         linter = Linter()
         first = linter.run(target)
         target.model = None
         second = linter.run(target)
-        assert calls == {"analyze": 2, "plan": 2}
+        assert analysis_calls == {"analyze": 2, "plan": 2}
         assert first.finding_rule_ids() != second.finding_rule_ids()

@@ -9,8 +9,8 @@ identical inputs give identical rankings.
 import pytest
 
 from repro.flow import analyze
-from repro.lint import build_scenario
-from repro.redteam import plan, plan_scenario
+from repro.lint import Analysis, build_scenario
+from repro.redteam import plan
 from repro.redteam.capability import control
 
 INSECURE = ["pkes-legacy", "onboard-insecure", "cariad-breach",
@@ -18,10 +18,14 @@ INSECURE = ["pkes-legacy", "onboard-insecure", "cariad-breach",
 ALL_SCENARIOS = INSECURE + ["onboard-hardened"]
 
 
+def plan_of(name):
+    return Analysis(build_scenario(name)).plan
+
+
 class TestAcceptanceCriteria:
     @pytest.mark.parametrize("name", INSECURE)
     def test_insecure_scenario_yields_multi_stage_campaign(self, name):
-        result = plan_scenario(name)
+        result = plan_of(name)
         assert not result.defeated
         multi = [c for c in result.campaigns if c.multi_stage]
         assert multi, f"{name}: no multi-stage campaign"
@@ -30,13 +34,13 @@ class TestAcceptanceCriteria:
                 assert step.defense  # per-step breaking defense
 
     def test_hardened_scenario_defeats_full_library(self):
-        result = plan_scenario("onboard-hardened")
+        result = plan_of("onboard-hardened")
         assert result.defeated
         assert result.campaigns == []
         assert result.disruptions == []
 
     def test_pkes_relay_chain_reaches_immobilizer(self):
-        result = plan_scenario("pkes-legacy")
+        result = plan_of("pkes-legacy")
         campaign = result.campaign_for("immobilizer")
         assert campaign is not None
         assert campaign.entry.technique == "pkes-relay"
@@ -44,7 +48,7 @@ class TestAcceptanceCriteria:
         assert campaign.layers == ("physical", "network")
 
     def test_cariad_campaign_reaches_the_bucket(self):
-        result = plan_scenario("cariad-breach")
+        result = plan_of("cariad-breach")
         sinks = result.campaign_sinks()
         assert any("bucket" in sink or "store" in sink for sink in sinks)
 
@@ -52,8 +56,8 @@ class TestAcceptanceCriteria:
 class TestDeterminism:
     @pytest.mark.parametrize("name", ALL_SCENARIOS)
     def test_plan_twice_is_identical(self, name):
-        first = plan_scenario(name)
-        second = plan_scenario(name)
+        first = plan_of(name)
+        second = plan_of(name)
         assert first.library == second.library
         assert first.campaigns == second.campaigns
         assert first.disruptions == second.disruptions
@@ -61,7 +65,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("name", INSECURE)
     def test_campaigns_ranked_cheapest_first(self, name):
-        result = plan_scenario(name)
+        result = plan_of(name)
         costs = [c.total_cost for c in result.campaigns]
         assert costs == sorted(costs)
 
@@ -69,13 +73,13 @@ class TestDeterminism:
 class TestSearchInvariants:
     @pytest.mark.parametrize("name", INSECURE)
     def test_first_step_is_always_an_entry_attack(self, name):
-        for campaign in plan_scenario(name).campaigns:
+        for campaign in plan_of(name).campaigns:
             assert campaign.entry.is_entry
 
     @pytest.mark.parametrize("name", INSECURE)
     def test_steps_form_a_closed_capability_chain(self, name):
         """Each step's requirements are granted by earlier steps."""
-        for campaign in plan_scenario(name).campaigns:
+        for campaign in plan_of(name).campaigns:
             held = set()
             for step in campaign.steps:
                 assert step.requires <= held, campaign.goal.label
@@ -83,7 +87,7 @@ class TestSearchInvariants:
 
     @pytest.mark.parametrize("name", INSECURE)
     def test_total_cost_sums_unique_steps(self, name):
-        for campaign in plan_scenario(name).campaigns:
+        for campaign in plan_of(name).campaigns:
             assert campaign.total_cost == pytest.approx(
                 sum(step.cost for step in campaign.steps))
             ids = [step.attack_id for step in campaign.steps]
@@ -92,7 +96,7 @@ class TestSearchInvariants:
     @pytest.mark.parametrize("name", INSECURE)
     def test_acquired_costs_are_cheapest(self, name):
         """No attack could deliver a capability cheaper than recorded."""
-        result = plan_scenario(name)
+        result = plan_of(name)
         acquired = result.acquired
         for attack in result.library:
             if not all(r in acquired for r in attack.requires):
@@ -104,12 +108,12 @@ class TestSearchInvariants:
                     f"{attack.attack_id} undercuts {capability.label}"
 
     def test_goal_of_each_campaign_is_its_sink(self):
-        result = plan_scenario("pkes-legacy")
+        result = plan_of("pkes-legacy")
         for campaign in result.campaigns:
             assert campaign.goal == control(campaign.sink)
 
     def test_campaign_for_unknown_sink_is_none(self):
-        assert plan_scenario("pkes-legacy").campaign_for("no-such") is None
+        assert plan_of("pkes-legacy").campaign_for("no-such") is None
 
     def test_plan_accepts_precomputed_flow_result(self):
         target = build_scenario("pkes-legacy")

@@ -5,17 +5,27 @@ import json
 
 import pytest
 
+from repro.lint import Analysis, build_scenario
 from repro.lint.report import SchemaError
-from repro.redteam import (plan_scenario, render_campaigns, render_summary,
-                           run_redteam_campaign, validate_redteam_dict)
+from repro.redteam import (redteam_document, render_campaigns, render_summary,
+                           validate_redteam_dict)
 
 ALL_SCENARIOS = ["pkes-legacy", "onboard-insecure", "onboard-hardened",
                  "cariad-breach", "maas-platform"]
 
 
+def plan_of(name):
+    return Analysis(build_scenario(name)).plan
+
+
+def fleet_document(base_seed):
+    return redteam_document([plan_of(name) for name in ALL_SCENARIOS],
+                            base_seed=base_seed)
+
+
 @pytest.fixture(scope="module")
 def document():
-    return run_redteam_campaign(ALL_SCENARIOS, base_seed=7)
+    return fleet_document(7)
 
 
 class TestDocument:
@@ -43,10 +53,8 @@ class TestDocument:
                     assert all(":" in grant for grant in step["grants"])
 
     def test_byte_identical_per_scenario_and_seed(self):
-        first = json.dumps(run_redteam_campaign(ALL_SCENARIOS, base_seed=7),
-                           sort_keys=True)
-        second = json.dumps(run_redteam_campaign(ALL_SCENARIOS, base_seed=7),
-                            sort_keys=True)
+        first = json.dumps(fleet_document(7), sort_keys=True)
+        second = json.dumps(fleet_document(7), sort_keys=True)
         assert first == second
 
 
@@ -104,22 +112,22 @@ class TestSchemaRejections:
 
 class TestRenderers:
     def test_summary_names_cheapest_campaign(self):
-        text = render_summary(plan_scenario("pkes-legacy"))
+        text = render_summary(plan_of("pkes-legacy"))
         assert "pkes-legacy" in text
         assert "cheapest: keyfob => immobilizer" in text
 
     def test_summary_marks_defeated_target(self):
-        text = render_summary(plan_scenario("onboard-hardened"))
+        text = render_summary(plan_of("onboard-hardened"))
         assert "DEFEATED" in text
 
     def test_campaigns_render_hops_and_defenses(self):
-        text = render_campaigns(plan_scenario("pkes-legacy"))
+        text = render_campaigns(plan_of("pkes-legacy"))
         assert "#1 keyfob => immobilizer" in text
         assert "defeated by:" in text
         assert "D1 " in text  # the availability disruption renders too
 
     def test_top_limits_rendered_campaigns(self):
-        result = plan_scenario("onboard-insecure")
+        result = plan_of("onboard-insecure")
         full = render_campaigns(result)
         top = render_campaigns(result, top=1)
         assert full.count("#") > top.count("#")

@@ -23,15 +23,21 @@ from repro.campaign import (CampaignReport, CampaignSpec, CampaignTool,
 from repro.core.schema import SchemaError
 from repro.experiments import find
 from repro.faults import run_chaos_campaign, validate_chaos_dict
-from repro.lint import Baseline, Linter, build_scenario, validate_report_dict
+from repro.lint import (Analysis, Baseline, Linter, build_scenario,
+                        validate_report_dict)
 from repro.lint.sarif import to_sarif_dict, validate_sarif_dict
 from repro.obs import (TraceReport, instrumented, run_trace_scenario,
                        validate_metrics_dict, validate_trace_dict)
-from repro.redteam import run_redteam_campaign, validate_redteam_dict
+from repro.redteam import redteam_document, validate_redteam_dict
 from repro.sentinel import run_sentinel_campaign, validate_sentinel_dict
 
 REPLACEMENTS = (None, 7, "x", [], {}, True, -1.5)
 LIST_PREFIX = 3
+
+
+def redteam_fleet_document(*names):
+    return redteam_document([Analysis(build_scenario(name)).plan
+                             for name in names], base_seed=0)
 
 
 def lint_document():
@@ -128,8 +134,8 @@ CASES = {
     "lint": (validate_report_dict, lint_document),
     "lint-sarif": (validate_sarif_dict, lint_sarif_document),
     "redteam": (validate_redteam_dict,
-                lambda: run_redteam_campaign(["pkes-legacy",
-                                              "onboard-hardened"])),
+                lambda: redteam_fleet_document("pkes-legacy",
+                                               "onboard-hardened")),
     "audit": (validate_audit_dict, audit_document),
     "audit-sarif": (validate_sarif_dict, audit_sarif_document),
     "trace": (validate_trace_dict, trace_document),
@@ -203,7 +209,7 @@ def test_every_mutant_is_accepted_or_typed(case):
     lambda d: d["scenarios"][0]["library"].update(attacks=True),
 ], ids=["baseSeed", "library.attacks"])
 def test_redteam_rejects_bool_in_int_fields(mutate):
-    document = run_redteam_campaign(["pkes-legacy"])
+    document = redteam_fleet_document("pkes-legacy")
     mutate(document)
     with pytest.raises(SchemaError, match="must be an int"):
         validate_redteam_dict(document)
