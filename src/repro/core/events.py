@@ -4,11 +4,14 @@ Shared substrate for the timed simulators in this reproduction: the CAN
 bus and Ethernet switch models (:mod:`repro.ivn`), the 10BASE-T1S PLCA
 round-robin, and the collaborative-perception world (:mod:`repro.collab`).
 
-The kernel is a plain priority queue of ``(time, seq, callback)`` entries.
-``seq`` makes ordering total and deterministic: two events scheduled for
-the same instant fire in scheduling order, so repeated runs of a seeded
-simulation are bit-identical — a prerequisite for reproducible security
-experiments.
+The kernel is a plain priority queue of ``(time, seq, event)`` tuples.
+``seq`` is unique, so it makes ordering total and deterministic: two
+events scheduled for the same instant fire in scheduling order, so
+repeated runs of a seeded simulation are bit-identical — a prerequisite
+for reproducible security experiments.  Because no two entries share a
+``seq``, the heap's tuple comparisons never reach the :class:`Event`
+itself: they stay in C, where comparing ordered dataclasses would run a
+Python-level ``__lt__`` per sift.
 
 Canceling an event only marks it; the kernel skips it when popped.  So
 that marks cannot pile up behind a far-off head (the batched CAN bus
@@ -26,15 +29,21 @@ from typing import Callable
 __all__ = ["Event", "Simulator"]
 
 
-@dataclass(order=True)
+@dataclass(eq=False)
 class Event:
-    """A scheduled callback. Ordered by ``(time, seq)``."""
+    """Handle to a scheduled callback, returned by :meth:`Simulator.schedule`.
+
+    The kernel orders its queue by the ``(time, seq)`` of the entry that
+    holds the event; the event itself defines no ordering and compares by
+    identity, so a caller can tell whether a live event is the one it
+    holds.
+    """
 
     time: float
     seq: int
-    action: Callable[[], None] = field(compare=False)
-    canceled: bool = field(default=False, compare=False)
-    simulator: Simulator | None = field(default=None, compare=False, repr=False)
+    action: Callable[[], None]
+    canceled: bool = False
+    simulator: Simulator | None = field(default=None, repr=False)
 
     def cancel(self) -> None:
         """Mark the event so the kernel skips it when popped."""
@@ -57,7 +66,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._processed = 0
         # Canceled entries still in the queue; an event canceled after it
@@ -78,9 +87,10 @@ class Simulator:
         """Schedule ``action`` to run ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        event = Event(self.now + delay, self._seq, action, simulator=self)
-        self._seq += 1
-        heapq.heappush(self._queue, event)
+        time, seq = self.now + delay, self._seq
+        event = Event(time, seq, action, simulator=self)
+        self._seq = seq + 1
+        heapq.heappush(self._queue, (time, seq, event))
         return event
 
     def schedule_at(self, time: float, action: Callable[[], None]) -> Event:
@@ -90,7 +100,7 @@ class Simulator:
     def _note_canceled(self) -> None:
         self._canceled += 1
         if 2 * self._canceled > len(self._queue):
-            self._queue = [event for event in self._queue if not event.canceled]
+            self._queue = [entry for entry in self._queue if not entry[2].canceled]
             heapq.heapify(self._queue)
             self._canceled = 0
 
@@ -102,13 +112,14 @@ class Simulator:
         ``run(until=...)`` relies on this to avoid executing a live
         event past ``until`` hiding behind a canceled head.
         """
-        while self._queue:
-            head = self._queue[0]
+        queue = self._queue
+        while queue:
+            time, _seq, head = queue[0]
             if head.canceled:
-                heapq.heappop(self._queue)
+                heapq.heappop(queue)
                 self._canceled -= 1
                 continue
-            return head.time
+            return time
         return None
 
     def live_events(self) -> list[Event]:
@@ -117,7 +128,7 @@ class Simulator:
         O(n) snapshot used by batch fast paths to prove no foreign
         event would interleave with an analytically-computed burst.
         """
-        return [event for event in self._queue if not event.canceled]
+        return [event for _time, _seq, event in self._queue if not event.canceled]
 
     def advance_to(self, time: float, *, processed: int = 0) -> None:
         """Jump the clock forward after a batch computed events analytically.
@@ -137,12 +148,13 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute the next event. Returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            time, _seq, event = heapq.heappop(queue)
             if event.canceled:
                 self._canceled -= 1
                 continue
-            self.now = event.time
+            self.now = time
             event.action()
             self._processed += 1
             return True

@@ -1,13 +1,16 @@
 """AES block cipher (FIPS 197) on the ``cryptography`` library.
 
 This module provides the raw 128-bit block transform for AES-128, AES-192,
-and AES-256; the cipher modes built on top of it (CTR, CMAC, GCM) live in
-:mod:`repro.crypto.modes`.
+and AES-256, and the CTR keystream on top of it; the other cipher modes
+(CMAC, GCM) live in :mod:`repro.crypto.modes`.
 
 An :class:`AES` object installs its key once: it builds one OpenSSL ECB
 encryption context when it is created, and every block it encrypts reuses
 that context.  The decryption context is built on the first decrypt, since
-nothing in the simulators decrypts single blocks.
+nothing in the simulators decrypts single blocks.  A caller that draws
+many keystreams under one key (an MTAC code, a ranging session) holds one
+:class:`AES` and calls :meth:`AES.ctr_keystream`, instead of keying a new
+cipher per message.
 
 Correctness is pinned to the FIPS 197 appendix vectors, and
 ``tests/test_crypto_oracle.py`` checks the cipher against the pure-Python
@@ -65,11 +68,21 @@ class AES:
             raise ValueError("AES block must be exactly 16 bytes")
         return self._encryptor.update(block)
 
-    def encrypt_blocks(self, blocks: bytes) -> bytes:
-        """Encrypt a whole number of 16-byte blocks, each on its own (ECB)."""
-        if len(blocks) % 16:
-            raise ValueError("AES input must be a whole number of 16-byte blocks")
-        return self._encryptor.update(blocks)
+    def ctr_keystream(self, initial_counter: bytes, length: int) -> bytes:
+        """Generate ``length`` bytes of AES-CTR keystream under this key.
+
+        ``initial_counter`` is a full 16-byte counter block; only its
+        rightmost 32 bits are incremented per block, wrapping modulo
+        2**32 (GCM's ``inc32``).  The library's CTR mode carries into all
+        128 bits instead, so the counter blocks are built here and
+        encrypted in one ECB call.
+        """
+        if len(initial_counter) != 16:
+            raise ValueError("initial counter must be 16 bytes")
+        prefix, ctr = initial_counter[:12], int.from_bytes(initial_counter[12:], "big")
+        counters = b"".join(prefix + ((ctr + i) & 0xFFFFFFFF).to_bytes(4, "big")
+                            for i in range((length + 15) // 16))
+        return self._encryptor.update(counters)[:length]
 
     def decrypt_block(self, block: bytes) -> bytes:
         """Decrypt a single 16-byte block."""

@@ -9,10 +9,11 @@ security protocols:
 * **GCM** — the AEAD mandated by IEEE 802.1AE MACsec (GCM-AES-128/256).
 
 CMAC and GCM are the ``cryptography`` library's, keyed once per
-:class:`Cmac` or :class:`Gcm` object.  The CTR keystream keeps this
-module's counter: only the low 32 bits of the counter block count (GCM's
-``inc32``), where the library's CTR mode carries into all 128.  So the
-counter blocks are built here and encrypted in one ECB call.
+:class:`Cmac` or :class:`Gcm` object.  The CTR keystream is
+:meth:`repro.crypto.aes.AES.ctr_keystream`, which keeps this project's
+counter: only the low 32 bits of the counter block count (GCM's
+``inc32``).  :func:`ctr_keystream` is its one-shot form, keying a cipher
+per call.
 
 All algorithms are validated against published test vectors in the test
 suite (SP 800-38A, RFC 4493 appendix, NIST GCM test cases) and against
@@ -38,18 +39,8 @@ class AuthenticationError(Exception):
 
 
 def ctr_keystream(key: bytes, initial_counter: bytes, length: int) -> bytes:
-    """Generate ``length`` bytes of AES-CTR keystream.
-
-    ``initial_counter`` is a full 16-byte counter block; the rightmost 32
-    bits are incremented per block (GCM-style), which is adequate for all
-    message sizes used in this project.
-    """
-    if len(initial_counter) != 16:
-        raise ValueError("initial counter must be 16 bytes")
-    prefix, ctr = initial_counter[:12], int.from_bytes(initial_counter[12:], "big")
-    counters = b"".join(prefix + ((ctr + i) & 0xFFFFFFFF).to_bytes(4, "big")
-                        for i in range((length + 15) // 16))
-    return AES(key).encrypt_blocks(counters)[:length]
+    """One-shot AES-CTR keystream: :meth:`AES.ctr_keystream` under ``key``."""
+    return AES(key).ctr_keystream(initial_counter, length)
 
 
 def ctr_xcrypt(key: bytes, initial_counter: bytes, data: bytes) -> bytes:

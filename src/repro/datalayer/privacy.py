@@ -111,7 +111,7 @@ def geo_indistinguishable(records: list[TelemetryRecord], *,
         noisy.append(TelemetryRecord(
             vin=record.vin, owner_name=record.owner_name,
             owner_email=record.owner_email, timestamp=record.timestamp,
-            lat=record.lat + dlat, lon=record.lon + dlon,
+            lat=float(record.lat + dlat), lon=float(record.lon + dlon),
         ))
     return noisy
 

@@ -33,7 +33,14 @@ class VehicleProfile:
 
 @dataclass(frozen=True)
 class TelemetryRecord:
-    """One geolocation sample as stored in the backend."""
+    """One geolocation sample as stored in the backend.
+
+    ``lat`` and ``lon`` are Python ``float``s, never ``numpy.float64``:
+    the privacy analysis rounds every coordinate at least once, and
+    ``round`` on a numpy scalar runs numpy's ``__round__`` at several
+    times the cost.  ``float`` of a ``numpy.float64`` is exact, so the
+    stored values are the same doubles either way.
+    """
 
     vin: str
     owner_name: str
@@ -116,7 +123,8 @@ class FleetTelemetryGenerator:
                         t = self._rng.uniform(0.2, 0.8)
                         lat = vehicle.home[0] * (1 - t) + vehicle.work[0] * t
                         lon = vehicle.home[1] * (1 - t) + vehicle.work[1] * t
-                    noise = self._rng.normal(0.0, 1e-4, size=2)  # GPS jitter ~10 m
+                    # GPS jitter ~10 m, as Python floats (see TelemetryRecord)
+                    noise = self._rng.normal(0.0, 1e-4, size=2).tolist()
                     records.append(TelemetryRecord(
                         vin=vehicle.vin,
                         owner_name=vehicle.owner_name,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.crypto.modes import ctr_keystream
+from repro.crypto.aes import AES
 from repro.phy.channel import Channel
 from repro.phy.pulses import HRP_CONFIG, PhyConfig, build_pulse_train
 from repro.phy.toa import ToaEstimate, cross_correlation, first_path_toa
@@ -44,10 +44,14 @@ def generate_sts(key: bytes, counter: int, length: int) -> np.ndarray:
     ``counter`` plays the role of the STS index / frame counter so each
     ranging round uses a fresh unpredictable sequence.
     """
+    return _sts(AES(key), counter, length)
+
+
+def _sts(cipher: AES, counter: int, length: int) -> np.ndarray:
+    """:func:`generate_sts` under a cipher already keyed with the STS key."""
     if length <= 0:
         raise ValueError("STS length must be positive")
-    counter_block = counter.to_bytes(16, "big")
-    stream = ctr_keystream(key, counter_block, (length + 7) // 8)
+    stream = cipher.ctr_keystream(counter.to_bytes(16, "big"), (length + 7) // 8)
     bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8))[:length]
     return bits.astype(float) * 2.0 - 1.0
 
@@ -139,6 +143,7 @@ class HrpRangingSession:
         if sts_length < 16:
             raise ValueError("STS too short for meaningful correlation")
         self.key = key
+        self._cipher = AES(key)
         self.sts_length = sts_length
         self.config = config
         self.receiver = receiver or HrpReceiver(config)
@@ -146,7 +151,7 @@ class HrpRangingSession:
 
     def next_sts(self) -> np.ndarray:
         """Fresh STS for the next round (never reused)."""
-        sts = generate_sts(self.key, self._counter, self.sts_length)
+        sts = _sts(self._cipher, self._counter, self.sts_length)
         self._counter += 1
         return sts
 

@@ -29,7 +29,7 @@ from math import comb
 import numpy as np
 
 from repro.core.rng import numpy_rng
-from repro.crypto.modes import ctr_keystream
+from repro.crypto.aes import AES
 
 __all__ = ["MtacCode", "MtacVerdict", "attack_acceptance_probability"]
 
@@ -66,14 +66,15 @@ class MtacCode:
         if not 0.0 < accept_fraction <= 1.0:
             raise ValueError("accept_fraction must be in (0, 1]")
         self.key = key
+        self._cipher = AES(key)
         self.n_pulses = n_pulses
         self.slots_per_symbol = slots_per_symbol
         self.accept_fraction = accept_fraction
 
     def slot_assignment(self, message_index: int) -> np.ndarray:
         """The secret slot per pulse for one message (AES-CTR derived)."""
-        stream = ctr_keystream(self.key, message_index.to_bytes(16, "big"),
-                               self.n_pulses)
+        stream = self._cipher.ctr_keystream(message_index.to_bytes(16, "big"),
+                                            self.n_pulses)
         return np.frombuffer(stream, dtype=np.uint8) % self.slots_per_symbol
 
     def transmit(self, message_index: int) -> np.ndarray:

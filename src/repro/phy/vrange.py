@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.rng import numpy_rng
-from repro.crypto.modes import ctr_keystream
+from repro.crypto.aes import AES
 from repro.phy.pulses import SPEED_OF_LIGHT
 
 __all__ = ["OfdmConfig", "VRangeSession", "VRangeOutcome", "CpInjectionAttack"]
@@ -61,9 +61,9 @@ class OfdmConfig:
         return self.n_subcarriers + self.cp_len
 
 
-def _prs_sequence(key: bytes, counter: int, n: int) -> np.ndarray:
+def _prs_sequence(cipher: AES, counter: int, n: int) -> np.ndarray:
     """QPSK PRS: pseudorandom unit-modulus subcarrier values."""
-    stream = ctr_keystream(key, counter.to_bytes(16, "big"), (2 * n + 7) // 8)
+    stream = cipher.ctr_keystream(counter.to_bytes(16, "big"), (2 * n + 7) // 8)
     bits = np.unpackbits(np.frombuffer(stream, dtype=np.uint8))[: 2 * n]
     symbols = (2.0 * bits[0::2] - 1.0) + 1j * (2.0 * bits[1::2] - 1.0)
     return symbols / np.sqrt(2.0)
@@ -130,6 +130,7 @@ class VRangeSession:
                  back_search: int = 48,
                  threshold_ratio: float = 0.35) -> None:
         self.key = key
+        self._cipher = AES(key)
         self.config = config or OfdmConfig()
         self.secure = secure
         self.min_normalized_corr = min_normalized_corr
@@ -139,7 +140,7 @@ class VRangeSession:
         self._counter = 0
 
     def _tx_symbol(self) -> np.ndarray:
-        prs = _prs_sequence(self.key, self._counter, self.config.n_subcarriers)
+        prs = _prs_sequence(self._cipher, self._counter, self.config.n_subcarriers)
         self._counter += 1
         time_domain = np.fft.ifft(prs) * np.sqrt(self.config.n_subcarriers)
         return np.concatenate([time_domain[-self.config.cp_len:], time_domain])
