@@ -369,7 +369,10 @@ def _audit_targets(tool: Tool, args: argparse.Namespace) -> list:
     from repro.audit import AuditContext
 
     with _usage(OSError, SyntaxError, template="cannot parse audit root: {}"):
-        return [AuditContext.parse(args.root)]
+        context = AuditContext.parse(args.root)
+    if not context.modules:
+        raise UsageError(f"no Python modules to audit under {str(context.root)!r}")
+    return [context]
 
 
 def _audit_engine(args: argparse.Namespace) -> tuple:

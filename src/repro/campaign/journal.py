@@ -77,12 +77,28 @@ class JournalCorrupt(ValueError):
     verified record is not one the engine writes."""
 
 
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+#: The canonical encoding: sorted keys, no whitespace (one encoder, built once).
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _checksum(payload: dict) -> str:
     return hashlib.sha256(_canonical(payload).encode()).hexdigest()[:16]
+
+
+def _stamp(stamped: dict) -> str:
+    """Set ``stamped["check"]`` and return the record's journal line.
+
+    The line is ``_canonical(stamped)`` with the checksum of the rest of
+    the record in it, but each top-level member is encoded only once:
+    the members are joined, sorted by key, once without ``check`` for
+    the checksum and once with it for the line.
+    """
+    members = {key: f"{_canonical(key)}:{_canonical(value)}"
+               for key, value in stamped.items()}
+    unchecked = "{" + ",".join(members[key] for key in sorted(members)) + "}"
+    stamped["check"] = hashlib.sha256(unchecked.encode()).hexdigest()[:16]
+    members["check"] = f'"check":"{stamped["check"]}"'
+    return "{" + ",".join(members[key] for key in sorted(members)) + "}"
 
 
 class Journal:
@@ -141,8 +157,7 @@ class Journal:
                              f"{record.get('type')!r}")
         t0 = time.perf_counter()
         stamped = {**record, "seq": self._next_seq}
-        stamped["check"] = _checksum(stamped)
-        self._fh.write(_canonical(stamped) + "\n")
+        self._fh.write(_stamp(stamped) + "\n")
         self._fh.flush()
         if self.fsync:
             os.fsync(self._fh.fileno())

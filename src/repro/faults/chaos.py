@@ -86,6 +86,18 @@ _SUBSYSTEM_KINDS = {
     "ssi": (FaultKind.SSI_REGISTRY_DOWN,),
 }
 
+# The members the tick loops use (here and in ``repro.sentinel.campaign``),
+# resolved once: an enum class attribute costs a slow lookup per use.
+_CORRUPTION = FaultKind.PHY_SAMPLE_CORRUPTION
+_NLOS = FaultKind.PHY_NLOS_BURST
+_BABBLING = FaultKind.IVN_BABBLING_IDIOT
+_FRAME_DROP = FaultKind.IVN_FRAME_DROP
+_BIT_FLIP = FaultKind.IVN_BIT_FLIP
+_OUTAGE = FaultKind.CLOUD_OUTAGE
+_TIMEOUT = FaultKind.CLOUD_TIMEOUT
+_LATENCY = FaultKind.CLOUD_LATENCY
+_REGISTRY_DOWN = FaultKind.SSI_REGISTRY_DOWN
+
 
 class _OpFailed(Exception):
     """A per-tick subsystem operation lost to an injected fault."""
@@ -181,7 +193,7 @@ def run_chaos_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
     if "ssi" in scenario.subsystems:
         registry, did = _build_registry()
         resolver = CachingResolver(registry, unavailable=lambda: injector.fires(
-            FaultKind.SSI_REGISTRY_DOWN, "did-registry", now["t"]))
+            _REGISTRY_DOWN, "did-registry", now["t"]))
 
     window_start, window_end = _scenario_window(plan, scenario.subsystems)
     tallies = {name_: _Tally() for name_ in scenario.subsystems}
@@ -191,31 +203,30 @@ def run_chaos_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
     # -- per-tick subsystem operations --------------------------------------
 
     def phy_op(t: float) -> None:
-        if injector.fires(FaultKind.PHY_SAMPLE_CORRUPTION, "uwb-anchor", t):
-            magnitude = injector.magnitude(
-                FaultKind.PHY_SAMPLE_CORRUPTION, "uwb-anchor", t)
-            burst = injector.corruption_noise(
-                FaultKind.PHY_SAMPLE_CORRUPTION, "uwb-anchor", 8, magnitude)
+        if injector.fires(_CORRUPTION, "uwb-anchor", t):
+            magnitude = injector.magnitude(_CORRUPTION, "uwb-anchor", t)
+            burst = injector.corruption_noise(_CORRUPTION, "uwb-anchor", 8,
+                                              magnitude)
             raise _OpFailed(
                 f"ranging samples corrupted ({float(np.abs(burst).mean()):.2f} m)")
-        if injector.fires(FaultKind.PHY_NLOS_BURST, "uwb-anchor", t):
+        if injector.fires(_NLOS, "uwb-anchor", t):
             raise _OpFailed("NLOS burst: first path buried")
 
     def ivn_op(t: float, babbling: bool) -> None:
         if babbling and not babbler_isolated:
             raise _OpFailed("bus saturated by babbling ECU")
-        if injector.fires(FaultKind.IVN_FRAME_DROP, "zonal-can", t):
+        if injector.fires(_FRAME_DROP, "zonal-can", t):
             raise _OpFailed("frame dropped")
-        if injector.fires(FaultKind.IVN_BIT_FLIP, "zonal-can", t):
+        if injector.fires(_BIT_FLIP, "zonal-can", t):
             raise _OpFailed("frame corrupted by bit flip")
 
     def cloud_op(t: float) -> str:
         assert cloud is not None
-        if injector.fires(FaultKind.CLOUD_OUTAGE, "telemetry-backend", t):
+        if injector.fires(_OUTAGE, "telemetry-backend", t):
             raise ServiceUnavailable("injected 5xx outage")
-        if injector.fires(FaultKind.CLOUD_TIMEOUT, "telemetry-backend", t):
+        if injector.fires(_TIMEOUT, "telemetry-backend", t):
             raise CloudTimeout("injected timeout")
-        if injector.fires(FaultKind.CLOUD_LATENCY, "telemetry-backend", t):
+        if injector.fires(_LATENCY, "telemetry-backend", t):
             raise CloudTimeout("latency spike past deadline")
         return cloud.fetch("/telemetry")
 
@@ -250,8 +261,7 @@ def run_chaos_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
             manager.report("phy", ok)
 
         if "ivn" in tallies:
-            babbling = injector.fires(FaultKind.IVN_BABBLING_IDIOT,
-                                      "ecu-babbler", t)
+            babbling = injector.fires(_BABBLING, "ecu-babbler", t)
             ok = attempt(lambda u: ivn_op(u, babbling), t, (_OpFailed,))
             tallies["ivn"].add(ok, in_window)
             manager.report("ivn", ok)

@@ -106,8 +106,13 @@ class FaultInjector:
         at the same instant re-rolls, which is exactly how a retransmit
         can slip through a probabilistic frame-drop window.
         """
-        spec = self.active_spec(kind, target, t)
-        if spec is None:
+        specs = self._specs.get((kind, target))
+        if specs is None:
+            return False  # the no-fault fast path: one dict probe
+        for spec in specs:
+            if spec.start <= t < spec.end:
+                break
+        else:
             return False
         if spec.probability < 1.0 and \
                 self._stream(kind, target).random() >= spec.probability:

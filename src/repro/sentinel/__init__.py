@@ -6,9 +6,9 @@ replays — wired into the degradation ladder so detection changes what
 the vehicle *does*.  This package provides:
 
 * :mod:`repro.sentinel.detectors` — per-layer threshold detectors over
-  :mod:`repro.obs` event streams (CAN frame-rate storms, SecOC auth
-  bursts, UWB ranging residuals, cloud error/latency budgets, DID
-  resolution failures);
+  typed telemetry records or :mod:`repro.obs` event streams (CAN
+  frame-rate storms, SecOC auth bursts, UWB ranging residuals, cloud
+  error/latency budgets, DID resolution failures);
 * :mod:`repro.sentinel.alarms` — hysteretic per-``(source, detector)``
   alarm state machines (IDLE → SUSPECT → ALARM → CLEARED) with hard
   physics gates that jump straight to ALARM;
@@ -19,8 +19,9 @@ the vehicle *does*.  This package provides:
   of co-occurring alarms along :mod:`repro.flow` graph edges into
   campaign-level incidents;
 * :mod:`repro.sentinel.engine` — :class:`SentinelEngine`, the
-  streaming core that subscribes to a live
-  :class:`~repro.obs.events.EventLog` and closes the loop into
+  streaming core that takes typed records from a scenario runner or
+  subscribes to a live :class:`~repro.obs.events.EventLog`, and closes
+  the loop into
   :class:`~repro.core.response.ResponseEngine` /
   :class:`~repro.faults.degradation.DegradationManager`;
 * :mod:`repro.sentinel.campaign` — the five scenarios streamed through

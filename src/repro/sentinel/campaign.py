@@ -2,10 +2,13 @@
 
 Each campaign replays a chaos workload (the same scenario postures,
 fault plans, and injector streams as :mod:`repro.faults.chaos`) but
-emits *operational telemetry* — ranging residuals, per-sender frame
-rates, SecOC rejects, request statuses, DID resolutions — into a live
-:class:`~repro.obs.events.EventLog` that a :class:`SentinelEngine`
-consumes online via the ``subscribe`` hook.  The scenario record
+produces *operational telemetry* — ranging residuals, per-sender frame
+rates, SecOC rejects, request statuses, DID resolutions — that a
+:class:`SentinelEngine` consumes online, tick by tick.  The runner hands
+each record to the engine as a typed call (``engine.observe`` plus the
+detector's intake method, e.g. ``add_frames``); a live
+:class:`~repro.obs.events.EventLog` attached with ``engine.attach``
+would carry the same records as events.  The scenario record
 (:class:`repro.lint.scenarios.Scenario`) names the legit CAN
 ``senders`` and the ``anchors`` that map each telemetry source onto a
 flow-graph node for the cascade correlator.  The engine never sees the
@@ -23,17 +26,31 @@ campaign document is byte-identical across runs.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.core.layers import Layer
 from repro.core.response import ResponseEngine
-from repro.faults.chaos import DEFAULT_DURATION, _scenario_window
+from repro.core.rng import python_rng
+from repro.faults.chaos import (
+    _BABBLING,
+    _BIT_FLIP,
+    _CORRUPTION,
+    _FRAME_DROP,
+    _LATENCY,
+    _NLOS,
+    _OUTAGE,
+    _REGISTRY_DOWN,
+    _TIMEOUT,
+    DEFAULT_DURATION,
+    _scenario_window,
+)
 from repro.faults.degradation import DegradationManager, ServiceLevel
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, get_plan
 from repro.faults.resilience import CircuitBreaker, VirtualClock
-from repro.core.rng import python_rng
-from repro.lint.scenarios import Scenario, get_scenario
-from repro.obs.events import EventKind, EventLog
+from repro.lint.scenarios import get_scenario
 from repro.sentinel.correlator import CascadeCorrelator
+from repro.sentinel.detectors import default_detectors
 from repro.sentinel.engine import SentinelEngine
 from repro.ssi.did import Did, DidDocument, KeyPair
 from repro.ssi.registry import (
@@ -44,12 +61,26 @@ from repro.ssi.registry import (
 
 __all__ = ["run_sentinel_scenario", "run_sentinel_campaign"]
 
+# The layers the tick loop books telemetry under, resolved once.
+_PHYSICAL = Layer.PHYSICAL
+_NETWORK = Layer.NETWORK
+_DATA = Layer.DATA
+_PLATFORM = Layer.SOFTWARE_PLATFORM
 
-def _build_correlator(scenario: Scenario) -> CascadeCorrelator:
+
+@lru_cache(maxsize=None)
+def _adjacency(name: str) -> dict[str, set[str]]:
+    """The correlator's source adjacency for one scenario.
+
+    A pure function of the scenario record, so it is built once per
+    process; :class:`CascadeCorrelator` copies it, and every run keeps
+    its own incident state.
+    """
     from repro.flow.graph import build_flow_graph
 
+    scenario = get_scenario(name)
     return CascadeCorrelator.from_flow_graph(
-        build_flow_graph(scenario.build()), scenario.anchors)
+        build_flow_graph(scenario.build()), scenario.anchors).adjacency
 
 
 def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
@@ -60,12 +91,12 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
         raise ValueError("duration must be >= 1 tick")
 
     injector = FaultInjector(plan, base_seed=base_seed)
+    fires = injector.fires
     clock = VirtualClock()
     residual_rng = python_rng(f"sentinel/{plan.name}/{name}/residual", base_seed)
     frames_rng = python_rng(f"sentinel/{plan.name}/{name}/frames", base_seed)
     latency_rng = python_rng(f"sentinel/{plan.name}/{name}/latency", base_seed)
 
-    log = EventLog(capacity=8192)
     response = ResponseEngine(escalation_threshold=8)
     manager = DegradationManager(
         degrade_threshold=scenario.degrade_threshold,
@@ -73,9 +104,12 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
         recovery_streak=scenario.recovery_streak,
         allow_recovery=scenario.allow_recovery)
     manager.attach(response)
-    engine = SentinelEngine(name, correlator=_build_correlator(scenario),
+    report = manager.report
+    can, secoc, ranging, budget, resolution = detectors = default_detectors()
+    engine = SentinelEngine(name, detectors=detectors,
+                            correlator=CascadeCorrelator(_adjacency(name)),
                             response=response)
-    detach = engine.attach(log)
+    observe = engine.observe
 
     breaker: CircuitBreaker | None = None
     if "cloud" in scenario.subsystems and scenario.resilient:
@@ -94,92 +128,81 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
                                    unavailable=lambda: registry_down["down"])
 
     window_start, window_end = _scenario_window(plan, scenario.subsystems)
-    attempts = 3 if scenario.resilient else 1
+    resilient = scenario.resilient
+    attempts = 3 if resilient else 1
     floor_cleared = False
+    has_phy, has_ivn, has_cloud, has_ssi = (
+        subsystem in scenario.subsystems
+        for subsystem in ("phy", "ivn", "cloud", "ssi"))
+    senders = scenario.senders
 
     def fires_after_retries(kind: FaultKind, target: str, t: float) -> bool:
         """A fault only *lands* if every (retried) attempt hits it."""
         for _ in range(attempts):
-            if not injector.fires(kind, target, t):
+            if not fires(kind, target, t):
                 return False
         return True
+
+    def attempt_once(now: float) -> str:
+        if fires(_OUTAGE, "telemetry-backend", now):
+            return "5xx"
+        if fires(_TIMEOUT, "telemetry-backend", now):
+            return "timeout"
+        if fires(_LATENCY, "telemetry-backend", now):
+            return "timeout"
+        return "ok"
 
     for tick in range(duration):
         t = float(tick)
         clock.now = t
 
-        if "phy" in scenario.subsystems:
-            corrupted = fires_after_retries(
-                FaultKind.PHY_SAMPLE_CORRUPTION, "uwb-anchor", t)
+        if has_phy:
+            corrupted = fires_after_retries(_CORRUPTION, "uwb-anchor", t)
             nlos = (not corrupted) and fires_after_retries(
-                FaultKind.PHY_NLOS_BURST, "uwb-anchor", t)
+                _NLOS, "uwb-anchor", t)
             residual = residual_rng.gauss(0.0, 0.05)
             rejected = False
             if corrupted:
-                if scenario.resilient:
+                if resilient:
                     rejected = True  # secure receiver discards the sample
                 else:
-                    magnitude = injector.magnitude(
-                        FaultKind.PHY_SAMPLE_CORRUPTION, "uwb-anchor", t)
+                    magnitude = injector.magnitude(_CORRUPTION, "uwb-anchor", t)
                     residual = float(injector.corruption_noise(
-                        FaultKind.PHY_SAMPLE_CORRUPTION, "uwb-anchor",
-                        1, magnitude)[0])
+                        _CORRUPTION, "uwb-anchor", 1, magnitude)[0])
             elif nlos:
-                if scenario.resilient:
+                if resilient:
                     rejected = True
                 else:
                     residual = 1.0 + abs(residual_rng.gauss(0.0, 1.0))
+            observe("uwb-anchor", _PHYSICAL)
             if rejected:
-                log.emit(EventKind.RANGING, Layer.PHYSICAL, "uwb-anchor",
-                         "secure ranging rejected implausible sample",
-                         t=t, rejected=True, residual_m=0.0)
+                ranging.add_reject("uwb-anchor")
             else:
-                log.emit(EventKind.RANGING, Layer.PHYSICAL, "uwb-anchor",
-                         f"residual {residual:.2f} m", t=t,
-                         rejected=False, residual_m=round(residual, 4))
-            manager.report("phy", not corrupted and not nlos)
+                ranging.add_residual("uwb-anchor", round(residual, 4))
+            report("phy", not corrupted and not nlos)
 
-        if "ivn" in scenario.subsystems:
-            babbling = injector.fires(FaultKind.IVN_BABBLING_IDIOT,
-                                      "ecu-babbler", t)
-            for sender in scenario.senders:
-                frames = frames_rng.randint(3, 5)
-                log.emit(EventKind.FRAME_SENT, Layer.NETWORK, "zonal-can",
-                         f"{sender}: {frames} frame(s)", t=t,
-                         sender=sender, frames=frames)
+        if has_ivn:
+            babbling = fires(_BABBLING, "ecu-babbler", t)
+            for sender in senders:
+                observe(sender, _NETWORK)
+                can.add_frames(sender, frames_rng.randint(3, 5))
             babbler_active = (babbling and "ecu-babbler"
                               not in response.isolated_components())
             if babbler_active:
                 # A hardened gateway rate-polices the port; a flat bus
                 # carries the full storm.
-                frames = 8 if scenario.resilient else 24
-                log.emit(EventKind.FRAME_SENT, Layer.NETWORK, "zonal-can",
-                         f"ecu-babbler: {frames} frame(s)", t=t,
-                         sender="ecu-babbler", frames=frames)
-            drop = fires_after_retries(FaultKind.IVN_FRAME_DROP,
-                                       "zonal-can", t)
-            flip = fires_after_retries(FaultKind.IVN_BIT_FLIP,
-                                       "zonal-can", t)
-            if flip and scenario.resilient:
-                log.emit(EventKind.MAC_REJECTED, Layer.NETWORK, "zonal-can",
-                         "SecOC MAC verification failed", t=t)
-            ok = (not (babbler_active and not scenario.resilient)
+                observe("ecu-babbler", _NETWORK)
+                can.add_frames("ecu-babbler", 8 if resilient else 24)
+            drop = fires_after_retries(_FRAME_DROP, "zonal-can", t)
+            flip = fires_after_retries(_BIT_FLIP, "zonal-can", t)
+            if flip and resilient:
+                observe("zonal-can", _NETWORK)
+                secoc.add_mac_reject("zonal-can", t)
+            ok = (not (babbler_active and not resilient)
                   and not drop and not flip)
-            manager.report("ivn", ok)
+            report("ivn", ok)
 
-        if "cloud" in scenario.subsystems:
-            def attempt_once(now: float) -> str:
-                if injector.fires(FaultKind.CLOUD_OUTAGE,
-                                  "telemetry-backend", now):
-                    return "5xx"
-                if injector.fires(FaultKind.CLOUD_TIMEOUT,
-                                  "telemetry-backend", now):
-                    return "timeout"
-                if injector.fires(FaultKind.CLOUD_LATENCY,
-                                  "telemetry-backend", now):
-                    return "timeout"
-                return "ok"
-
+        if has_cloud:
             latency_ms = latency_rng.uniform(40.0, 120.0)
             if breaker is not None:
                 if not breaker.allow():
@@ -198,14 +221,12 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
                 status = attempt_once(t)
             if status != "ok":
                 latency_ms = 400.0
-            log.emit(EventKind.CLOUD_REQUEST, Layer.DATA, "telemetry-backend",
-                     f"GET /telemetry -> {status}", t=t, status=status,
-                     latency_ms=round(latency_ms, 1))
-            manager.report("cloud", status == "ok")
+            observe("telemetry-backend", _DATA)
+            budget.add_status("telemetry-backend", status, round(latency_ms, 1))
+            report("cloud", status == "ok")
 
-        if "ssi" in scenario.subsystems:
-            down = injector.fires(FaultKind.SSI_REGISTRY_DOWN,
-                                  "did-registry", t)
+        if has_ssi:
+            down = fires(_REGISTRY_DOWN, "did-registry", t)
             registry_down["down"] = down
             if resolver is not None and did is not None:
                 try:
@@ -215,19 +236,17 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
                     status = "fail"
             else:
                 status = "fail" if down else "ok"
-            log.emit(EventKind.DID_RESOLUTION, Layer.SOFTWARE_PLATFORM,
-                     "did-registry", f"resolve vehicle-7 -> {status}",
-                     t=t, status=status)
-            manager.report("ssi", status != "fail")
+            observe("did-registry", _PLATFORM)
+            resolution.add_status("did-registry", status)
+            report("ssi", status != "fail")
 
         engine.tick(t)
         manager.tick(t)
 
-        if scenario.resilient and not floor_cleared and t >= window_end:
+        if resilient and not floor_cleared and t >= window_end:
             manager.clear_response_floor()
             floor_cleared = True
 
-    detach()
     sentinel = engine.to_dict()
     degradation = manager.to_dict()
     first_alarm = sentinel["firstAlarmT"]

@@ -64,6 +64,7 @@ class CascadeCorrelator:
         self.adjacency = {k: set(v) for k, v in (adjacency or {}).items()}
         self.join_window_s = join_window_s
         self.incidents: list[Incident] = []
+        self.open_count = 0
         self._last_alarm_t: dict[int, float] = {}
 
     @classmethod
@@ -126,6 +127,7 @@ class CascadeCorrelator:
                 return incident, "joined"
         incident = Incident(len(self.incidents) + 1, t, source, detector)
         self.incidents.append(incident)
+        self.open_count += 1
         self._last_alarm_t[incident.incident_id] = t
         return incident, "opened"
 
@@ -136,6 +138,7 @@ class CascadeCorrelator:
             if incident.open and incident.sources <= cleared:
                 incident.closed_t = t
                 closed.append(incident)
+        self.open_count -= len(closed)
         return closed
 
     def open_incidents(self) -> list[Incident]:

@@ -1,10 +1,14 @@
-"""Per-layer threshold detectors: typed events in, risk signals out.
+"""Per-layer threshold detectors: typed telemetry in, risk signals out.
 
-Each detector consumes the :class:`~repro.obs.events.SimEvent` kinds it
-understands (pushed by the :class:`~repro.sentinel.engine.SentinelEngine`
-via the ``EventLog.subscribe`` hook) and, at each virtual-clock tick
-boundary, flushes zero or more :class:`Signal` records — one per
-suspicious source.  A signal carries a probabilistic ``risk`` in
+Each detector takes its telemetry through typed intake methods
+(``add_frames``, ``add_residual``, ``add_status``, ...) — called
+directly by a scenario runner, or by :meth:`Detector.on_event`, which
+decodes a live :class:`~repro.obs.events.SimEvent` of a kind the
+detector understands into the same call — and, at each virtual-clock
+tick boundary, flushes zero or more :class:`Signal` records — one per
+suspicious source.  ``pending`` tells the engine whether a flush could
+say anything: a detector holding no input since its last flush is
+skipped.  A signal carries a probabilistic ``risk`` in
 ``[0, 1]`` and a ``hard`` flag for the non-negotiable physics gates
 (impossible early arrival, saturated bus, blown availability budget):
 hard signals bypass the alarm hysteresis entirely.
@@ -44,10 +48,16 @@ class Signal:
 
 
 class Detector:
-    """Base class: accumulate events, flush signals at tick boundaries."""
+    """Base class: accumulate telemetry, flush signals at tick boundaries.
+
+    ``pending`` is ``True`` while the detector holds input it has not
+    flushed.  The base class leaves it ``True`` for good, so a detector
+    that does not track its input is flushed on every tick.
+    """
 
     name: str = "detector"
     kinds: tuple[EventKind, ...] = ()
+    pending: bool = True
 
     def on_event(self, event: SimEvent) -> None:  # pragma: no cover
         raise NotImplementedError
@@ -79,16 +89,27 @@ class CanRateDetector(Detector):
         self.bus_off_hard = bus_off_hard
         self._frames: dict[str, int] = {}
         self._bus_off: dict[str, int] = {}
+        self.pending = False
+
+    def add_frames(self, sender: str, frames: int) -> None:
+        """``frames`` frames sent by ``sender`` this tick."""
+        self._frames[sender] = self._frames.get(sender, 0) + frames
+        self.pending = True
+
+    def add_bus_off(self, source: str) -> None:
+        """One bus-off event on ``source`` this tick."""
+        self._bus_off[source] = self._bus_off.get(source, 0) + 1
+        self.pending = True
 
     def on_event(self, event: SimEvent) -> None:
         if event.kind is EventKind.BUS_OFF:
-            self._bus_off[event.source] = self._bus_off.get(event.source, 0) + 1
+            self.add_bus_off(event.source)
             return
-        sender = event.fields.get("sender", event.source)
-        frames = event.fields.get("frames", 1)
-        self._frames[str(sender)] = self._frames.get(str(sender), 0) + int(frames)
+        self.add_frames(str(event.fields.get("sender", event.source)),
+                        int(event.fields.get("frames", 1)))
 
     def flush(self, t: float) -> list[Signal]:
+        self.pending = False
         signals = []
         for sender, rate in sorted(self._frames.items()):
             if rate >= self.suspect_rate:
@@ -126,12 +147,19 @@ class SecocAuthDetector(Detector):
         self.hard_burst = hard_burst
         self._rejects: dict[str, deque[float]] = {}
         self._this_tick: set[str] = set()
+        self.pending = False
+
+    def add_mac_reject(self, source: str, t: float) -> None:
+        """One MAC verification failure on ``source`` at ``t``."""
+        self._rejects.setdefault(source, deque()).append(t)
+        self._this_tick.add(source)
+        self.pending = True
 
     def on_event(self, event: SimEvent) -> None:
-        self._rejects.setdefault(event.source, deque()).append(event.t)
-        self._this_tick.add(event.source)
+        self.add_mac_reject(event.source, event.t)
 
     def flush(self, t: float) -> list[Signal]:
+        self.pending = False
         signals = []
         for source in sorted(self._this_tick):
             window = self._rejects[source]
@@ -173,11 +201,23 @@ class RangingResidualDetector(Detector):
         self._worst: dict[str, float] = {}     # max |residual| this tick
         self._earliest: dict[str, float] = {}  # most negative residual
         self._rejected: set[str] = set()
+        self.pending = False
+
+    def add_residual(self, source: str, residual_m: float) -> None:
+        """One accepted sample's residual (metres) from ``source``."""
+        self._worst[source] = max(self._worst.get(source, 0.0), abs(residual_m))
+        self._earliest[source] = min(self._earliest.get(source, 0.0),
+                                     residual_m)
+        self.pending = True
+
+    def add_reject(self, source: str) -> None:
+        """One sample from ``source`` that a secure receiver discarded."""
+        self._rejected.add(source)
+        self.pending = True
 
     def on_event(self, event: SimEvent) -> None:
-        source = event.source
         if event.fields.get("rejected"):
-            self._rejected.add(source)
+            self.add_reject(event.source)
             return
         residual = event.fields.get("residual_m")
         if residual is None:
@@ -186,11 +226,10 @@ class RangingResidualDetector(Detector):
             if measured is None or true is None:
                 return
             residual = float(measured) - float(true)
-        residual = float(residual)
-        self._worst[source] = max(self._worst.get(source, 0.0), abs(residual))
-        self._earliest[source] = min(self._earliest.get(source, 0.0), residual)
+        self.add_residual(event.source, float(residual))
 
     def flush(self, t: float) -> list[Signal]:
+        self.pending = False
         signals = []
         for source in sorted(set(self._worst) | self._rejected):
             worst = self._worst.get(source, 0.0)
@@ -228,8 +267,6 @@ class CloudBudgetDetector(Detector):
     name = "cloud-budget"
     kinds = (EventKind.CLOUD_REQUEST,)
 
-    _RAW_FAILURES = ("5xx", "timeout")
-
     def __init__(self, *, window_s: float = 6.0, alarm_fails: int = 4,
                  budget_ms: float = 250.0, hard_raw_streak: int = 4,
                  floor_risk: float = 0.3) -> None:
@@ -241,19 +278,25 @@ class CloudBudgetDetector(Detector):
         self._fail_window: dict[str, deque[float]] = {}
         self._raw_streak: dict[str, int] = {}
         self._tick_status: dict[str, list[str]] = {}
+        self.pending = False
+
+    def add_status(self, source: str, status: str, latency_ms: float) -> None:
+        """One request to ``source``: its status and latency."""
+        if status == "ok" and latency_ms > self.budget_ms:
+            status = "slow"
+        self._tick_status.setdefault(source, []).append(status)
+        self.pending = True
 
     def on_event(self, event: SimEvent) -> None:
-        status = str(event.fields.get("status", "ok"))
-        latency = float(event.fields.get("latency_ms", 0.0))
-        if status == "ok" and latency > self.budget_ms:
-            status = "slow"
-        self._tick_status.setdefault(event.source, []).append(status)
+        self.add_status(event.source, str(event.fields.get("status", "ok")),
+                        float(event.fields.get("latency_ms", 0.0)))
 
     def flush(self, t: float) -> list[Signal]:
+        self.pending = False
         signals = []
         for source, statuses in sorted(self._tick_status.items()):
-            raw = any(s in self._RAW_FAILURES for s in statuses)
-            unavailable = raw or any(s in ("shed", "slow") for s in statuses)
+            raw = "5xx" in statuses or "timeout" in statuses
+            unavailable = raw or "shed" in statuses or "slow" in statuses
             self._raw_streak[source] = (
                 self._raw_streak.get(source, 0) + 1 if raw else 0)
             window = self._fail_window.setdefault(source, deque())
@@ -295,12 +338,18 @@ class DidResolutionDetector(Detector):
         self.stale_risk = stale_risk
         self._fail_window: dict[str, deque[float]] = {}
         self._tick_status: dict[str, list[str]] = {}
+        self.pending = False
+
+    def add_status(self, source: str, status: str) -> None:
+        """One resolution against ``source``: ``ok``, ``stale`` or ``fail``."""
+        self._tick_status.setdefault(source, []).append(status)
+        self.pending = True
 
     def on_event(self, event: SimEvent) -> None:
-        status = str(event.fields.get("status", "ok"))
-        self._tick_status.setdefault(event.source, []).append(status)
+        self.add_status(event.source, str(event.fields.get("status", "ok")))
 
     def flush(self, t: float) -> list[Signal]:
+        self.pending = False
         signals = []
         for source, statuses in sorted(self._tick_status.items()):
             failed = "fail" in statuses

@@ -1,26 +1,37 @@
-"""The streaming sentinel: events in, alarms + trust + incidents out.
+"""The streaming sentinel: telemetry in, alarms + trust + incidents out.
 
-:class:`SentinelEngine` attaches to a live :class:`~repro.obs.events.EventLog`
-through its ``subscribe`` hook — emission *pushes* telemetry into the
-engine, nothing polls a buffer — and closes the paper's detect→respond
-loop:
+:class:`SentinelEngine` takes telemetry two ways, through one intake
+(:meth:`SentinelEngine.observe` books the source, the detector gets the
+record):
 
-1. each event is routed to the per-layer detectors (O(1) accumulation);
-2. at every virtual-clock tick the detectors flush risk signals, which
-   drive the per-``(source, detector)`` alarm state machines and the
-   per-source trust scores;
+* **typed records** — a scenario runner (:mod:`repro.sentinel.campaign`)
+  calls ``observe`` and the detectors' typed intake methods directly, so
+  a campaign builds no message and no event per record;
+* **a live log** — :meth:`SentinelEngine.attach` subscribes to an
+  :class:`~repro.obs.events.EventLog` through its ``subscribe`` hook, so
+  emission *pushes* each event into :meth:`SentinelEngine.on_event`,
+  which decodes it into the same calls; nothing polls a buffer.
+
+Either way the engine closes the paper's detect→respond loop:
+
+1. each record is routed to the per-layer detectors (O(1) accumulation);
+2. at every virtual-clock tick the detectors holding input flush risk
+   signals, which drive the per-``(source, detector)`` alarm state
+   machines and the per-source trust scores;
 3. machines entering ALARM raise :class:`~repro.core.response.SecurityAlert`s
    into the attached :class:`~repro.core.response.ResponseEngine` (hard
-   physics gates at CRITICAL, probabilistic alarms at WARNING) whose
-   decisions the PR-5 ``subscribe`` hook already forwards to the
+   physics gates at CRITICAL, probabilistic alarms at WARNING), whose
+   ``subscribe`` hook forwards each decision to the
    :class:`~repro.faults.degradation.DegradationManager`;
 4. a trust score first dropping below its collapse threshold raises a
    CRITICAL trust-collapse alert — sustained distrust is actionable
    even when no single detector crossed its alarm bar;
 5. the cascade correlator groups flow-adjacent alarms into incidents.
 
-The engine's own decisions land back on the same timeline as typed
-``ALARM_TRANSITION`` / ``TRUST_UPDATE`` / ``INCIDENT`` events; it
+The engine's own decisions are typed ``ALARM_TRANSITION`` /
+``TRUST_UPDATE`` / ``INCIDENT`` verdicts.  ``events_emitted`` counts
+every verdict; only with a log attached is each one formatted and
+written to that log, on the same timeline as the telemetry.  The engine
 ignores those kinds on input (no feedback loops) and it ignores
 ``FAULT_INJECTED`` — the injector's ground truth would be an oracle a
 deployed IDS does not have.
@@ -32,11 +43,11 @@ from typing import Callable
 
 from repro.core.layers import Layer
 from repro.core.response import ResponseEngine, SecurityAlert, Severity
-from repro.obs.events import EventKind, EventLog, SimEvent
+from repro.obs.events import EventKind, EventLog, FieldValue, SimEvent
 from repro.sentinel.alarms import AlarmMachine, AlarmState, AlarmTransition
 from repro.sentinel.correlator import CascadeCorrelator
 from repro.sentinel.detectors import Detector, Signal, default_detectors
-from repro.sentinel.trust import TrustRegistry
+from repro.sentinel.trust import TrustEvent, TrustRegistry, TrustScore
 
 __all__ = ["SentinelEngine", "MACHINE_PARAMS", "IGNORED_KINDS"]
 
@@ -48,6 +59,9 @@ IGNORED_KINDS = frozenset({
     EventKind.DEGRADATION_CHANGE, EventKind.BREAKER_STATE,
     EventKind.FAULT_INJECTED,
 })
+
+#: Machine states that a quiet tick leaves as they are (with no streak).
+_AT_REST = (AlarmState.IDLE, AlarmState.CLEARED)
 
 #: Per-detector alarm-machine hysteresis: (suspect_after, alarm_after,
 #: clear_after_s).  Cloud outages need a longer run than bus storms —
@@ -90,6 +104,11 @@ class SentinelEngine:
         self._layer_of: dict[str, Layer] = {}
         self._alerted_collapse: set[str] = set()
         self._log: EventLog | None = None
+        # The sorted trust-update order (with each source's score) for
+        # the last distinct set of sources seen in a tick; the set of
+        # telemetry sources rarely changes from one tick to the next.
+        self._update_set: set[str] = set()
+        self._update_order: list[tuple[str, TrustScore]] = []
 
     # -- wiring ---------------------------------------------------------------
 
@@ -105,17 +124,27 @@ class SentinelEngine:
 
     # -- streaming input ------------------------------------------------------
 
+    def observe(self, source: str, layer: Layer) -> None:
+        """Book one telemetry record from ``source`` on ``layer``.
+
+        Every record goes through here, whichever way it arrives: a
+        scenario runner calls it beside each typed detector call, and
+        :meth:`on_event` calls it for each pushed event a detector
+        consumes.
+        """
+        self.events_consumed += 1
+        self._seen.add(source)
+        self._layer_of[source] = layer
+
     def on_event(self, event: SimEvent) -> None:
         """Consume one pushed event (kept O(1): route + accumulate)."""
         if event.kind in IGNORED_KINDS:
             return
-        self.events_consumed += 1
         consumers = self._by_kind.get(event.kind)
         if not consumers:
+            self.events_consumed += 1
             return
-        source = str(event.fields.get("sender", event.source))
-        self._seen.add(source)
-        self._layer_of[source] = event.layer
+        self.observe(str(event.fields.get("sender", event.source)), event.layer)
         for detector in consumers:
             detector.on_event(event)
 
@@ -123,7 +152,7 @@ class SentinelEngine:
 
     def tick(self, t: float) -> list[AlarmTransition]:
         """Flush detectors, advance machines/trust/incidents for tick ``t``."""
-        signals = [signal for detector in self.detectors
+        signals = [signal for detector in self.detectors if detector.pending
                    for signal in detector.flush(t)]
 
         by_source: dict[str, dict[str, float]] = {}
@@ -154,24 +183,36 @@ class SentinelEngine:
                     self._on_alarm(transition, signal)
 
         for key, machine in self.machines.items():
-            if key not in triggered:
-                transition = machine.quiet(t)
-                if transition is not None:
-                    transitions.append(transition)
-                    self._emit_transition(transition)
+            # A machine at rest (IDLE or CLEARED, no streak) stays put.
+            if key in triggered or (machine.streak == 0
+                                    and machine.state in _AT_REST):
+                continue
+            transition = machine.quiet(t)
+            if transition is not None:
+                transitions.append(transition)
+                self._emit_transition(transition)
         self._close_clear_incidents(t)
 
         # Trust: evidence for signalled sources, reinforcement for quiet
         # ones that reported telemetry, decay for the silent.
-        for source in sorted(self._seen | set(by_source)):
-            risks = by_source.get(source, {})
-            trust_events = self.trust.update(t, source, risks,
-                                             source in hard_sources)
-            self._emit_trust(trust_events, source)
-        trust_events = self.trust.decay_except(t, self._seen | set(by_source))
-        for event in trust_events:
-            self._emit_trust([event], event.source)
-        self._seen.clear()
+        seen = self._seen
+        seen.update(by_source)
+        if seen != self._update_set:
+            self._update_set = set(seen)
+            self._update_order = [(source, self.trust.get(source))
+                                  for source in sorted(seen)]
+        weights = self.trust.weights
+        no_risks: dict[str, float] = {}
+        for source, score in self._update_order:
+            trust_events = score.update(t, by_source.get(source, no_risks),
+                                        source in hard_sources,
+                                        weights=weights)
+            if trust_events:
+                self._emit_trust(trust_events)
+        trust_events = self.trust.decay_except(t, seen)
+        if trust_events:
+            self._emit_trust(trust_events)
+        seen.clear()
         return transitions
 
     # -- alarm / incident / response plumbing ---------------------------------
@@ -181,11 +222,11 @@ class SentinelEngine:
             self.first_alarm_t = transition.t
         incident, action = self.correlator.on_alarm(
             transition.t, transition.source, transition.detector)
-        self._emit(EventKind.INCIDENT, transition.source,
-                   f"incident #{incident.incident_id} {action} "
-                   f"({len(incident.sources)} source(s))",
-                   t=transition.t, incident=incident.incident_id,
-                   action=action, sources=len(incident.sources))
+        self._emit(EventKind.INCIDENT, transition.source, transition.t,
+                   "incident #{} {} ({} source(s))",
+                   (incident.incident_id, action, len(incident.sources)),
+                   incident=incident.incident_id, action=action,
+                   sources=len(incident.sources))
         if self.response is not None:
             severity = Severity.CRITICAL if signal.hard else Severity.WARNING
             self.response.handle(SecurityAlert(
@@ -198,23 +239,25 @@ class SentinelEngine:
                 confidence=max(0.5, min(1.0, signal.risk))))
 
     def _close_clear_incidents(self, t: float) -> None:
+        if not self.correlator.open_count:
+            return
         alarmed = {source for (source, _), machine in self.machines.items()
                    if machine.state is AlarmState.ALARM}
         tracked = {source for (source, _) in self.machines}
         cleared = tracked - alarmed
         for incident in self.correlator.on_all_clear(t, cleared):
-            self._emit(EventKind.INCIDENT, "sentinel",
-                       f"incident #{incident.incident_id} closed",
-                       t=t, incident=incident.incident_id, action="closed",
+            self._emit(EventKind.INCIDENT, "sentinel", t,
+                       "incident #{} closed", (incident.incident_id,),
+                       incident=incident.incident_id, action="closed",
                        sources=len(incident.sources))
 
-    def _emit_trust(self, events: list, source: str) -> None:
+    def _emit_trust(self, events: list[TrustEvent]) -> None:
         for trust_event in events:
             self._emit(EventKind.TRUST_UPDATE, trust_event.source,
-                       f"trust {trust_event.kind}: "
-                       f"{trust_event.phase.value} "
-                       f"(score {trust_event.score:.2f})",
-                       t=trust_event.t, change=trust_event.kind,
+                       trust_event.t, "trust {}: {} (score {:.2f})",
+                       (trust_event.kind, trust_event.phase.value,
+                        trust_event.score),
+                       change=trust_event.kind,
                        phase=trust_event.phase.value,
                        score=round(trust_event.score, 4))
             if (trust_event.kind == "collapse" and self.response is not None
@@ -232,18 +275,21 @@ class SentinelEngine:
     def _emit_transition(self, transition: AlarmTransition) -> None:
         self.alarm_transitions += 1
         self._emit(EventKind.ALARM_TRANSITION, transition.source,
-                   f"{transition.detector} -> {transition.state.value} "
-                   f"({transition.reason})",
-                   t=transition.t, detector=transition.detector,
+                   transition.t, "{} -> {} ({})",
+                   (transition.detector, transition.state.value,
+                    transition.reason),
+                   detector=transition.detector,
                    state=transition.state.value,
                    risk=round(transition.risk, 4))
 
-    def _emit(self, kind: EventKind, source: str, message: str, *,
-              t: float, **fields) -> None:
+    def _emit(self, kind: EventKind, source: str, t: float, template: str,
+              args: tuple, **fields: FieldValue) -> None:
+        """Count one verdict; format and log it only if a log is attached."""
+        self.events_emitted += 1
         if self._log is not None:
-            self.events_emitted += 1
             layer = self._layer_of.get(source, Layer.SYSTEM_OF_SYSTEMS)
-            self._log.emit(kind, layer, source, message, t=t, **fields)
+            self._log.emit(kind, layer, source, template.format(*args),
+                           t=t, **fields)
 
     # -- reporting ------------------------------------------------------------
 

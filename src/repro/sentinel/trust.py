@@ -24,6 +24,7 @@ Each monitored source (ECU, bus, anchor, backend, registry) carries a
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 
@@ -110,7 +111,12 @@ class TrustScore:
                weights: dict[str, float] | None = None) -> list[TrustEvent]:
         """Apply one tick of evidence; returns reportable trust events."""
         self.observations += 1
-        fused = self.fuse(risks, hard, weights)
+        if hard:
+            fused = 1.0
+        elif risks:
+            fused = self.fuse(risks, False, weights)
+        else:
+            fused = 0.0  # a quiet tick: nothing to fuse
         if self.phase is TrustPhase.COLD_START:
             fused = min(1.0, fused * self.cold_start_gain)
         elif self.phase is TrustPhase.TRUSTED and fused <= self.noise_floor:
@@ -129,7 +135,8 @@ class TrustScore:
 
     def _after_move(self, t: float) -> list[TrustEvent]:
         events: list[TrustEvent] = []
-        self.min_score = min(self.min_score, self.score)
+        if self.score < self.min_score:
+            self.min_score = self.score
         if self.collapsed_t is None and self.score < self.collapse_threshold:
             self.collapsed_t = t
             events.append(TrustEvent(t, self.source, "collapse",
@@ -167,15 +174,17 @@ class TrustRegistry:
     def __init__(self, *, weights: dict[str, float] | None = None) -> None:
         self.weights = dict(weights) if weights is not None else dict(DEFAULT_WEIGHTS)
         self._scores: dict[str, TrustScore] = {}
+        self._names: list[str] = []  # the keys of ``_scores``, sorted
 
     def get(self, source: str) -> TrustScore:
         score = self._scores.get(source)
         if score is None:
             score = self._scores[source] = TrustScore(source)
+            insort(self._names, source)
         return score
 
     def sources(self) -> list[str]:
-        return sorted(self._scores)
+        return list(self._names)
 
     def update(self, t: float, source: str, risks: dict[str, float],
                hard: bool) -> list[TrustEvent]:
@@ -184,7 +193,7 @@ class TrustRegistry:
     def decay_except(self, t: float, seen: set[str]) -> list[TrustEvent]:
         """Decay every tracked source that produced no evidence this tick."""
         events: list[TrustEvent] = []
-        for name in sorted(self._scores):
+        for name in self._names:
             if name not in seen:
                 events.extend(self._scores[name].decay(t))
         return events
@@ -194,4 +203,4 @@ class TrustRegistry:
                       if score.collapsed_t is not None)
 
     def to_dict(self) -> list[dict]:
-        return [self._scores[name].to_dict() for name in sorted(self._scores)]
+        return [self._scores[name].to_dict() for name in self._names]

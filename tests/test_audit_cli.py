@@ -101,3 +101,16 @@ def test_syntax_error_in_root_is_a_usage_error(tmp_path, capsys):
     (root / "broken.py").write_text("def f(:\n")
     assert main(["audit", "--root", str(root)]) == 2
     assert "cannot parse" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make", [lambda tmp: tmp / "missing",
+                                  lambda tmp: tmp])
+def test_a_root_without_modules_is_a_usage_error(make, tmp_path, capsys):
+    # An audit of nothing must not pass the gate as "clean".
+    root = make(tmp_path)
+    (tmp_path / "notes.txt").write_text("no python here\n")
+    assert main(["audit", "--root", str(root), "--gate"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "no Python modules to audit" in captured.err

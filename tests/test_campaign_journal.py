@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaign import (
     CampaignEngine,
@@ -13,6 +15,7 @@ from repro.campaign import (
     read_records,
     replay,
 )
+from repro.campaign.journal import _canonical, _checksum, _stamp
 
 
 def spec():
@@ -67,6 +70,43 @@ class TestJournalAppend:
 
     def test_missing_file_is_empty(self, tmp_path):
         assert read_records(tmp_path / "nope.jsonl") == []
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+
+class TestEncodeOnce:
+    @settings(max_examples=200, deadline=None)
+    @given(record=st.dictionaries(st.text(), JSON_VALUES, max_size=6),
+           seq=st.integers(min_value=0, max_value=10**6))
+    def test_line_is_the_canonical_stamped_record(self, record, seq):
+        stamped = {**record, "seq": seq}
+        expected = _canonical({**stamped, "check": _checksum(stamped)})
+        line = _stamp(dict(stamped))
+        assert line == expected
+
+    def test_an_earlier_journal_resumes_to_the_same_report(self, tmp_path):
+        # Lines written before records were encoded once are the
+        # canonical record with its checksum: the same bytes.
+        campaign = CampaignSpec.matrix(
+            tools=[CampaignTool.LINT, CampaignTool.CHAOS],
+            scenarios=["pkes-legacy", "maas-platform"], name="earlier")
+        engine = CampaignEngine(campaign, journal_root=tmp_path, fsync=False)
+        reference = engine.run().to_json_dict()
+        path = engine.journal_file
+        earlier = [_canonical({**record, "check": _checksum(record)}) + "\n"
+                   for record in read_records(path)]
+        assert path.read_text() == "".join(earlier)
+
+        path.write_text("".join(earlier[:4]))
+        resumed = CampaignEngine(campaign, journal_root=tmp_path,
+                                 fsync=False).run(resume=True)
+        assert resumed.to_json_dict() == reference
 
 
 class TestCorruption:
