@@ -647,12 +647,9 @@ def _campaign(tool: Tool, args: argparse.Namespace) -> int:
                             install_signal_handlers=tool.name != "status")
 
     if state is not None and tool.name == "status":
-        settled = sum(1 for shard in spec.shards if state.settled(shard.shard_id))
-        status = ("complete" if state.ended
-                  else "interrupted" if state.interrupts else "incomplete")
-        print(f"campaign {engine.campaign_id}: {status}, {settled}/{len(spec)} shard(s) "
-              f"settled, {len(state.quarantined)} quarantined, "
-              f"{state.records} journal record(s)")
+        print(f"campaign {engine.campaign_id}: {state.status}, "
+              f"{state.settled_count}/{len(spec)} shard(s) settled, "
+              f"{len(state.quarantined)} quarantined, {state.records} journal record(s)")
         if state.in_flight:
             print("in flight at last crash/interrupt: " + ", ".join(state.in_flight))
         if not state.ended:

@@ -18,6 +18,8 @@ The JSON schema (version ``1.0``) follows the house lint conventions::
       "summary": {"total": <int>, "byRule": {"AUD001": <int>, ...}}
     }
 
+The producer fills ``summary`` with :func:`audit_summary` and the
+validator checks it against the same function.
 :func:`validate_audit_dict` checks a parsed document against that
 schema and raises :class:`SchemaError` on any violation; the SARIF
 export reuses :mod:`repro.lint.sarif` so audit findings load into the
@@ -26,18 +28,19 @@ same tooling as lint findings, with physical file/line locations.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.core.schema import (COUNT, STRING, TEXT, SchemaError, header,
-                               integer, leaf, list_of, map_of, obj, require,
-                               validate)
+from repro.core.schema import (COUNT, STRING, TEXT, SchemaError, derived,
+                               header, integer, leaf, list_of, map_of, obj,
+                               require, validate)
 from repro.lint.engine import Finding, Rule, Severity
 from repro.lint.report import FINGERPRINT, SEVERITY
 
 from repro.audit.engine import AuditFinding, Checker
 
 __all__ = ["AuditReport", "SchemaError", "validate_audit_dict",
-           "to_sarif_dict"]
+           "audit_summary", "to_sarif_dict"]
 
 SCHEMA_VERSION = "1.0"
 TOOL_NAME = "repro-audit"
@@ -106,12 +109,6 @@ class AuditReport:
 
     # -- summaries -----------------------------------------------------------
 
-    def counts_by_rule(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for finding in self.findings:
-            counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
-        return dict(sorted(counts.items()))
-
     def exit_code(self, gate: Severity | None = Severity.INFO) -> int:
         """0 when no unsuppressed finding reaches ``gate``; 1 otherwise."""
         if gate is None:
@@ -142,7 +139,7 @@ class AuditReport:
         """The audit document (see module docstring for the schema)."""
         from repro import __version__
 
-        return {
+        document = {
             "version": SCHEMA_VERSION,
             "tool": {"name": TOOL_NAME, "version": __version__},
             "target": self.root,
@@ -162,9 +159,16 @@ class AuditReport:
             ],
             "findings": [f.to_dict() for f in self.findings],
             "suppressed": [f.to_dict() for f in self.suppressed],
-            "summary": {"total": len(self.findings),
-                        "byRule": self.counts_by_rule()},
         }
+        document["summary"] = audit_summary(document)
+        return document
+
+
+def audit_summary(document: dict) -> dict:
+    """The ``summary`` block, from the findings (``byRule`` sorted)."""
+    findings = document["findings"]
+    return {"total": len(findings), "byRule": dict(sorted(
+        Counter(finding["ruleId"] for finding in findings).items()))}
 
 
 def to_sarif_dict(report: AuditReport, checkers: list[Checker]) -> dict:
@@ -199,14 +203,14 @@ _FINDING = obj({
 })
 
 
-def _check_counts(document: dict, where: str) -> None:
-    audited, summary = document["audited"], document["summary"]
+_SUMMARY = derived("summary", audit_summary)
+
+
+def _check_document(document: dict, where: str) -> None:
+    audited = document["audited"]
     require(sum(audited["packages"].values()) == audited["modules"], where,
             "audited.packages counts must sum to audited.modules")
-    require(summary["total"] == len(document["findings"]), where,
-            "summary.total must equal len(findings)")
-    require(sum(summary["byRule"].values()) == summary["total"], where,
-            "byRule counts must sum to summary.total")
+    _SUMMARY(document, where)
 
 
 _DOCUMENT = obj({
@@ -218,7 +222,7 @@ _DOCUMENT = obj({
     "findings": list_of(_FINDING),
     "suppressed": list_of(_FINDING),
     "summary": obj({"total": COUNT, "byRule": map_of(_AUD_ID, integer(1))}),
-}, check=_check_counts)
+}, check=_check_document)
 
 
 def validate_audit_dict(document: dict) -> None:

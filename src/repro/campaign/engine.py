@@ -132,12 +132,8 @@ def list_campaigns(journal_root: str | Path | None = None) -> list[dict]:
             continue
         if spec is None:
             continue
-        settled = sum(1 for shard in spec.shards
-                      if state.settled(shard.shard_id))
-        status = "complete" if state.ended else (
-            "interrupted" if state.interrupts else "incomplete")
-        summaries.append({"id": entry.name, "status": status,
-                          "shards": len(spec), "settled": settled})
+        summaries.append({"id": entry.name, "status": state.status,
+                          "shards": len(spec), "settled": state.settled_count})
     return summaries
 
 

@@ -257,6 +257,20 @@ class JournalState:
         """Is the shard terminal (done or quarantined) in the journal?"""
         return shard_id in self.done or shard_id in self.quarantined
 
+    @property
+    def settled_count(self) -> int:
+        """How many of the recorded spec's shards are terminal."""
+        shards = self.spec["shards"] if self.spec is not None else ()
+        return sum(1 for shard in shards if self.settled(shard["id"]))
+
+    @property
+    def status(self) -> str:
+        """``complete`` once ended, else ``interrupted`` after a graceful
+        checkpoint, else ``incomplete`` (the process died mid-run)."""
+        if self.ended:
+            return "complete"
+        return "interrupted" if self.interrupts else "incomplete"
+
 
 def replay(path: str | Path) -> JournalState:
     """Fold a journal file into a :class:`JournalState`."""

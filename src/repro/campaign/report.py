@@ -23,17 +23,18 @@ crashes and resumes.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.campaign.shard import result_digest
 from repro.campaign.spec import CampaignSpec
-from repro.core.schema import (BOOL, COUNT, STRING, TEXT, SchemaError, header,
-                               leaf, list_of, nullable, obj, one_of, require,
-                               validate)
+from repro.core.schema import (BOOL, COUNT, STRING, TEXT, SchemaError, derived,
+                               header, leaf, list_of, nullable, obj, one_of,
+                               require, validate)
 
 __all__ = ["CAMPAIGN_SCHEMA_VERSION", "CAMPAIGN_TOOL_NAME", "SHARD_STATUSES",
            "ShardEntry", "CampaignReport", "validate_campaign_dict",
-           "SchemaError"]
+           "campaign_summary", "SchemaError"]
 
 CAMPAIGN_SCHEMA_VERSION = "1.0"
 CAMPAIGN_TOOL_NAME = "repro-campaign"
@@ -101,8 +102,7 @@ class CampaignReport:
         return totals
 
     def to_json_dict(self) -> dict:
-        counts = self.counts()
-        return {
+        document = {
             "version": CAMPAIGN_SCHEMA_VERSION,
             "tool": {"name": CAMPAIGN_TOOL_NAME,
                      "version": CAMPAIGN_SCHEMA_VERSION},
@@ -112,17 +112,10 @@ class CampaignReport:
                 "shardCount": len(self.spec),
             },
             "shards": [entry.to_json_dict() for entry in self._ordered()],
-            "summary": {
-                "total": len(self.spec),
-                "ok": counts["ok"],
-                "errors": counts["error"],
-                "timeouts": counts["timeout"],
-                "quarantined": counts["quarantined"],
-                "pending": counts["pending"],
-                "complete": counts["pending"] == 0,
-                "interrupted": self.interrupted,
-            },
         }
+        document["summary"] = {**campaign_summary(document),
+                               "interrupted": self.interrupted}
+        return document
 
     def exit_code(self) -> int:
         """130 when interrupted (signal convention), 1 on any failure."""
@@ -173,22 +166,24 @@ def check_outcome(entry: dict, where: str) -> None:
         require(entry["digest"] == "", where, f"is {status} but carries a digest")
 
 
-def _check_summary(document: dict, where: str) -> None:
-    shards, summary = document["shards"], document["summary"]
-    require(document["campaign"]["shardCount"] == len(shards), where,
-            "campaign.shardCount does not match shards")
-    counts = {status: 0 for status in SHARD_STATUSES}
-    for entry in shards:
-        counts[entry["status"]] += 1
-    expected = {"total": len(shards), "ok": counts["ok"],
-                "errors": counts["error"], "timeouts": counts["timeout"],
-                "quarantined": counts["quarantined"],
-                "pending": counts["pending"],
-                "complete": counts["pending"] == 0,
-                "interrupted": summary["interrupted"]}
-    for key, value in expected.items():
-        require(summary[key] == value, where,
-                f"summary.{key} is {summary[key]!r}, expected {value!r}")
+def campaign_summary(document: dict) -> dict:
+    """The ``summary`` block but ``interrupted``, from the shards."""
+    shards = document["shards"]
+    counts = Counter(entry["status"] for entry in shards)
+    return {"total": len(shards), "ok": counts["ok"],
+            "errors": counts["error"], "timeouts": counts["timeout"],
+            "quarantined": counts["quarantined"], "pending": counts["pending"],
+            "complete": counts["pending"] == 0}
+
+
+_SUMMARY = derived("summary", campaign_summary)
+
+
+def _check_document(document: dict, where: str) -> None:
+    summary = document["summary"]
+    require(document["campaign"]["shardCount"] == len(document["shards"]),
+            where, "campaign.shardCount does not match shards")
+    _SUMMARY(document, where)
     require(not (summary["complete"] and summary["interrupted"]), where,
             "a complete campaign cannot be interrupted")
 
@@ -210,7 +205,7 @@ _DOCUMENT = obj({
                                               "timeouts", "quarantined",
                                               "pending")},
                     "complete": BOOL, "interrupted": BOOL}),
-}, check=_check_summary)
+}, check=_check_document)
 
 
 def validate_campaign_dict(document: dict) -> None:

@@ -8,8 +8,11 @@ type before it looks inside, so a malformed document raises only
 fault (the root is ``document``), e.g.
 ``scenarios[0].layers[1].availability: must be in [0, 1], got 1.2``.
 An :func:`obj` ``check`` hook runs once the node's fields have
-validated; it holds the cross-field recomputations (summary counts,
-digests, derived verdicts).
+validated.  A block the producer derives from the rest of the document
+(a ``summary``, a scenario's ``detection``) is compared by
+:func:`derived` against the very function the producer filled it with;
+other check hooks hold the checks that are not derivations (digests,
+orderings, cross-field bounds).
 """
 
 from __future__ import annotations
@@ -117,6 +120,17 @@ def obj(fields: Mapping[str, Spec], optional: Mapping[str, Spec] | None = None,
         if check is not None:
             check(node, where)
     return walk
+
+
+def derived(field: str, derive: Callable[[Any], Mapping[str, Any]]) -> Spec:
+    """A ``check`` hook: ``node[field]`` holds ``derive(node)``, key by key;
+    a key that differs raises at its path (``summary.total: is 3, expected 4``)."""
+    def check(node: Any, where: str) -> None:
+        block, where = node[field], join(where, field)
+        for key, value in derive(node).items():
+            require(block[key] == value, join(where, key),
+                    f"is {block[key]!r}, expected {value!r}")
+    return check
 
 
 def list_of(item: Spec, *, nonempty: bool = False, unique_by: str | Key | None = None,

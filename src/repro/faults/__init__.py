@@ -10,7 +10,7 @@ testable against injected faults.  This package provides:
 * :mod:`repro.faults.injector` — :class:`FaultInjector`, per-``(kind,
   target)`` seeded firing decisions with zero ambient randomness;
 * :mod:`repro.faults.resilience` — :func:`retry_with_backoff`,
-  :class:`CircuitBreaker`, :class:`Watchdog`, :class:`HealthMonitor`,
+  :class:`CircuitBreaker`, :class:`HealthMonitor`,
   all on a :class:`VirtualClock`;
 * :mod:`repro.faults.degradation` — the FULL → DEGRADED → MINIMAL_RISK
   → SAFE_STOP ladder with hysteresis, fed by health signals and
@@ -43,7 +43,6 @@ from repro.faults.resilience import (
     RetryPolicy,
     RetryStats,
     VirtualClock,
-    Watchdog,
     retry_with_backoff,
 )
 
@@ -66,7 +65,6 @@ __all__ = [
     "BreakerState",
     "BreakerOpen",
     "CircuitBreaker",
-    "Watchdog",
     "HealthMonitor",
     "ServiceLevel",
     "LevelChange",

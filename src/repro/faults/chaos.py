@@ -44,9 +44,10 @@ from repro.datalayer.cloud import (
     ServiceUnavailable,
     TransientCloudError,
 )
-from repro.faults.degradation import DegradationManager, ServiceLevel
+from repro.faults.degradation import DegradationManager
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, get_plan
+from repro.faults.report import chaos_summary
 from repro.faults.resilience import (
     BreakerOpen,
     CircuitBreaker,
@@ -339,25 +340,12 @@ def run_chaos_campaign(scenarios: list[str], plan_name: str, *,
                                   duration=duration)
                for name in scenarios]
 
-    sustained = sorted({
-        entry["layer"]
-        for result in results for entry in result["layers"]
-        if entry["windowAttempts"] > 0 and entry["windowAvailability"] > 0.0})
-    reached_floor = sorted(
-        result["scenario"] for result in results
-        if result["degradation"]["minLevel"] in
-        (ServiceLevel.MINIMAL_RISK.name.lower(),
-         ServiceLevel.SAFE_STOP.name.lower()))
-    return {
+    document = {
         "version": "1.0",
         "tool": {"name": "repro-chaos", "version": __version__},
         "plan": plan.to_dict(),
         "baseSeed": base_seed,
         "scenarios": results,
-        "summary": {
-            "scenarioCount": len(results),
-            "faultsInjected": sum(r["faults"]["injected"] for r in results),
-            "layersSustained": sustained,
-            "scenariosAtMinimalRiskOrBelow": reached_floor,
-        },
     }
+    document["summary"] = chaos_summary(document)
+    return document

@@ -30,6 +30,8 @@ stable::
                   "scenariosAtMinimalRiskOrBelow"}
     }
 
+The producer fills ``summary`` with :func:`chaos_summary` and the
+validator checks it against the same function.
 :func:`validate_chaos_dict` checks a parsed document against that
 schema and raises :class:`ChaosSchemaError` on any violation — the CI
 chaos gate and the round-trip tests both call it.
@@ -39,11 +41,12 @@ from __future__ import annotations
 
 from repro.core.layers import Layer
 from repro.core.schema import (BOOL, COUNT, INT, NUMBER, STRING, TEXT, UNIT,
-                               SchemaError, header, integer, list_of, map_of,
-                               nullable, number, obj, one_of, require, validate)
+                               SchemaError, derived, header, integer, list_of,
+                               map_of, nullable, number, obj, one_of, require,
+                               validate)
 from repro.faults.plan import FaultKind
 
-__all__ = ["ChaosSchemaError", "validate_chaos_dict",
+__all__ = ["ChaosSchemaError", "validate_chaos_dict", "chaos_summary",
            "SCHEMA_VERSION", "TOOL_NAME", "PLAN", "SCENARIO_HEADER",
            "FAULTS", "DEGRADATION"]
 
@@ -113,26 +116,23 @@ _SCENARIO = obj({
 })
 
 
-def _check_summary(document: dict, where: str) -> None:
-    scenarios, summary = document["scenarios"], document["summary"]
-    sustained = {layer["layer"] for scenario in scenarios
-                 for layer in scenario["layers"]
-                 if layer["windowAttempts"] > 0
-                 and layer["windowAvailability"] > 0.0}
-    at_floor = [scenario["scenario"] for scenario in scenarios
-                if scenario["degradation"]["minLevel"]
-                in ("minimal_risk", "safe_stop")]
-    require(summary["scenarioCount"] == len(scenarios), where,
-            "summary.scenarioCount must equal len(scenarios)")
-    require(summary["faultsInjected"]
-            == sum(scenario["faults"]["injected"] for scenario in scenarios),
-            where, "summary.faultsInjected must sum the per-scenario totals")
-    require(summary["layersSustained"] == sorted(sustained), where,
-            "summary.layersSustained must list layers with in-window "
-            "availability > 0, sorted")
-    require(summary["scenariosAtMinimalRiskOrBelow"] == sorted(at_floor),
-            where, "summary.scenariosAtMinimalRiskOrBelow must list scenarios "
-            "whose minLevel reached minimal_risk/safe_stop, sorted")
+def chaos_summary(document: dict) -> dict:
+    """The ``summary`` block, from the scenarios."""
+    scenarios = document["scenarios"]
+    return {
+        "scenarioCount": len(scenarios),
+        "faultsInjected": sum(scenario["faults"]["injected"]
+                              for scenario in scenarios),
+        "layersSustained": sorted({
+            layer["layer"] for scenario in scenarios
+            for layer in scenario["layers"]
+            if layer["windowAttempts"] > 0
+            and layer["windowAvailability"] > 0.0}),
+        "scenariosAtMinimalRiskOrBelow": sorted(
+            scenario["scenario"] for scenario in scenarios
+            if scenario["degradation"]["minLevel"]
+            in ("minimal_risk", "safe_stop")),
+    }
 
 
 _DOCUMENT = obj({
@@ -145,7 +145,7 @@ _DOCUMENT = obj({
         "layersSustained": list_of(STRING),
         "scenariosAtMinimalRiskOrBelow": list_of(STRING),
     }),
-}, check=_check_summary)
+}, check=derived("summary", chaos_summary))
 
 
 def validate_chaos_dict(document: dict) -> None:

@@ -1,4 +1,4 @@
-"""Resilience primitives: retry/backoff, circuit breakers, watchdogs.
+"""Resilience primitives: retry/backoff, circuit breakers, health windows.
 
 Everything here runs on an explicit :class:`VirtualClock` — delays are
 *modeled*, never slept — so a chaos campaign that retries thousands of
@@ -14,15 +14,15 @@ toolbox the paper's intrusion-response discussion presupposes:
 * :class:`CircuitBreaker` — the closed/open/half-open state machine
   that stops hammering a dead dependency, with recovery probing after a
   cool-down;
-* :class:`Watchdog` / :class:`HealthMonitor` — heartbeat expiry and
-  windowed failure-fraction tracking, the signals the degradation
-  manager subscribes to.
+* :class:`HealthMonitor` — windowed failure-fraction tracking, the
+  signal the degradation manager subscribes to.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, TypeVar
 
@@ -32,7 +32,7 @@ from repro.obs.runtime import OBS
 
 __all__ = ["VirtualClock", "RetryPolicy", "RetryStats", "RetryBudgetExceeded",
            "retry_with_backoff", "BreakerState", "BreakerOpen",
-           "CircuitBreaker", "Watchdog", "HealthMonitor"]
+           "CircuitBreaker", "HealthMonitor"]
 
 T = TypeVar("T")
 
@@ -293,26 +293,8 @@ class CircuitBreaker:
 
 
 # --------------------------------------------------------------------------
-# watchdog + health monitor
+# health monitor
 # --------------------------------------------------------------------------
-
-class Watchdog:
-    """Heartbeat expiry: components that go silent past a timeout."""
-
-    def __init__(self, timeout_s: float) -> None:
-        if timeout_s <= 0:
-            raise ValueError("timeout must be positive")
-        self.timeout_s = timeout_s
-        self._last_beat: dict[str, float] = {}
-
-    def beat(self, component: str, t: float) -> None:
-        self._last_beat[component] = t
-
-    def expired(self, t: float) -> list[str]:
-        """Components whose last heartbeat is older than the timeout."""
-        return sorted(name for name, last in self._last_beat.items()
-                      if t - last > self.timeout_s)
-
 
 class HealthMonitor:
     """Windowed pass/fail tracking per component."""
@@ -321,20 +303,20 @@ class HealthMonitor:
         if window < 1:
             raise ValueError("window must be >= 1")
         self.window = window
-        self._results: dict[str, list[bool]] = {}
+        self._results: dict[str, deque[bool]] = {}
 
     def report(self, component: str, ok: bool) -> None:
-        results = self._results.setdefault(component, [])
+        results = self._results.get(component)
+        if results is None:
+            results = self._results[component] = deque(maxlen=self.window)
         results.append(ok)
-        if len(results) > self.window:
-            del results[0]
 
     def failure_fraction(self, component: str) -> float:
         """Failures over the recent window (0.0 for unknown components)."""
         results = self._results.get(component)
         if not results:
             return 0.0
-        return sum(1 for ok in results if not ok) / len(results)
+        return results.count(False) / len(results)
 
     def latest(self, component: str) -> bool | None:
         """The most recent report (``None`` for unknown components)."""

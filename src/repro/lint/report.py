@@ -18,6 +18,8 @@ subset of SARIF's shape::
       "summary": {"total": <int>, "bySeverity": {"critical": <int>, ...}}
     }
 
+The producer fills ``summary`` with :func:`lint_summary` and the
+validator checks it against the same function.
 :func:`validate_report_dict` checks a parsed document against that
 schema and raises :class:`SchemaError` on any violation — the CI gate
 and the golden-report test both call it.
@@ -25,15 +27,17 @@ and the golden-report test both call it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.core.layers import Layer
-from repro.core.schema import (COUNT, STRING, TEXT, SchemaError, header, leaf,
-                               list_of, map_of, obj, one_of, require, validate)
+from repro.core.schema import (COUNT, STRING, TEXT, SchemaError, derived,
+                               header, leaf, list_of, map_of, obj, one_of,
+                               validate)
 from repro.lint.engine import Analysis, Finding, Rule, Severity
 
-__all__ = ["Report", "SchemaError", "validate_report_dict"]
+__all__ = ["Report", "SchemaError", "validate_report_dict", "lint_summary"]
 
 SCHEMA_VERSION = "1.0"
 TOOL_NAME = "repro-seclint"
@@ -110,10 +114,7 @@ class Report:
         """The SARIF-lite document (see module docstring for the schema)."""
         from repro import __version__
 
-        by_severity: dict[str, int] = {}
-        for severity, count in self.counts_by_severity().items():
-            by_severity[severity.name.lower()] = count
-        return {
+        document = {
             "version": SCHEMA_VERSION,
             "tool": {"name": TOOL_NAME, "version": __version__},
             "target": self.target_name,
@@ -130,8 +131,9 @@ class Report:
             ],
             "findings": [f.to_dict() for f in self.findings],
             "suppressed": [f.to_dict() for f in self.suppressed],
-            "summary": {"total": len(self.findings), "bySeverity": by_severity},
         }
+        document["summary"] = lint_summary(document)
+        return document
 
 
 # --------------------------------------------------------------------------
@@ -153,12 +155,11 @@ _RULE = obj({"id": TEXT, "title": STRING, "layer": _LAYER,
              "remediation": STRING})
 
 
-def _check_summary(document: dict, where: str) -> None:
-    summary = document["summary"]
-    require(summary["total"] == len(document["findings"]), where,
-            "summary.total must equal len(findings)")
-    require(sum(summary["bySeverity"].values()) == summary["total"], where,
-            "bySeverity counts must sum to summary.total")
+def lint_summary(document: dict) -> dict:
+    """The ``summary`` block, from the findings."""
+    findings = document["findings"]
+    return {"total": len(findings),
+            "bySeverity": dict(Counter(f["severity"] for f in findings))}
 
 
 _DOCUMENT = obj({
@@ -168,7 +169,7 @@ _DOCUMENT = obj({
     "findings": list_of(_FINDING),
     "suppressed": list_of(_FINDING),
     "summary": obj({"total": COUNT, "bySeverity": map_of(SEVERITY, COUNT)}),
-}, check=_check_summary)
+}, check=derived("summary", lint_summary))
 
 
 def validate_report_dict(document: dict) -> None:

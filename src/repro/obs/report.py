@@ -25,6 +25,8 @@ SARIF-lite conventions — small, flat, stable::
                   "byKind": {"<kind>": <int>}, "droppedEvents": <int>}
     }
 
+The producer fills ``summary`` with :func:`trace_summary` (plus
+``droppedEvents``) and the validator checks it against the same function.
 :func:`validate_trace_dict` checks a parsed document against that
 schema and raises :class:`SchemaError` on any violation — the CI gate
 and the round-trip tests both call it.
@@ -32,10 +34,12 @@ and the round-trip tests both call it.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.core.layers import Layer
-from repro.core.schema import (COUNT, NUMBER, STRING, TEXT, SchemaError, header,
-                               leaf, list_of, map_of, number, obj, one_of,
-                               require, validate)
+from repro.core.schema import (COUNT, NUMBER, STRING, TEXT, SchemaError,
+                               derived, header, leaf, list_of, map_of, number,
+                               obj, one_of, require, validate)
 from repro.obs.events import EventKind, SimEvent
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.runtime import OBS, Instrumentation
@@ -43,7 +47,7 @@ from repro.obs.timeline import render_timeline
 from repro.obs.trace import Span
 
 __all__ = ["TraceReport", "SchemaError", "validate_trace_dict",
-           "validate_metrics_dict", "render_span_tree",
+           "validate_metrics_dict", "trace_summary", "render_span_tree",
            "render_metrics_table"]
 
 SCHEMA_VERSION = "1.0"
@@ -124,26 +128,21 @@ class TraceReport:
                    events=list(obs.events), metrics=obs.metrics,
                    result=result, dropped_events=obs.events.dropped)
 
-    def layers(self) -> set[Layer]:
-        return {event.layer for event in self.events}
-
-    def span_count(self) -> int:
-        return sum(span.span_count() for span in self.spans)
-
     def to_table(self) -> str:
         """Human-readable report: span tree + event timeline + summary."""
-        by_kind = self._by_kind()
+        by_kind = Counter(event.kind.value for event in self.events)
         kinds = ", ".join(f"{count} {kind}" for kind, count
                           in sorted(by_kind.items()))
-        layer_names = ", ".join(sorted(layer.name.lower()
-                                       for layer in self.layers()))
+        layer_names = ", ".join(sorted({event.layer.name.lower()
+                                        for event in self.events}))
+        spans = sum(span.span_count() for span in self.spans)
         sections = [
             f"=== trace: {self.scenario} ===",
             render_span_tree(self.spans),
             "",
             render_timeline(self.events, limit=40),
             "",
-            f"{self.scenario}: {self.span_count()} span(s), "
+            f"{self.scenario}: {spans} span(s), "
             f"{len(self.events)} event(s) ({kinds or 'none'}) "
             f"across layers [{layer_names or 'none'}]",
         ]
@@ -155,17 +154,11 @@ class TraceReport:
                 f"{key}={value}" for key, value in sorted(self.result.items())))
         return "\n".join(sections)
 
-    def _by_kind(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for event in self.events:
-            counts[event.kind.value] = counts.get(event.kind.value, 0) + 1
-        return counts
-
     def to_json_dict(self) -> dict:
         """The trace document (see module docstring for the schema)."""
         from repro import __version__
 
-        return {
+        document = {
             "version": SCHEMA_VERSION,
             "tool": {"name": TOOL_NAME, "version": __version__},
             "scenario": self.scenario,
@@ -173,14 +166,11 @@ class TraceReport:
             "events": [event.to_dict() for event in self.events],
             "metrics": self.metrics.to_json_dict(),
             "result": dict(self.result),
-            "summary": {
-                "spans": self.span_count(),
-                "events": len(self.events),
-                "layers": sorted(layer.name.lower() for layer in self.layers()),
-                "byKind": self._by_kind(),
-                "droppedEvents": self.dropped_events,
-            },
         }
+        # Only the ring buffer knows how many events it dropped.
+        document["summary"] = {**trace_summary(document),
+                               "droppedEvents": self.dropped_events}
+        return document
 
 
 # --------------------------------------------------------------------------
@@ -223,19 +213,15 @@ _METRICS = obj({"counters": map_of(STRING, COUNT),
                 "histograms": map_of(STRING, _HISTOGRAM)})
 
 
-def _check_summary(document: dict, where: str) -> None:
-    summary, events = document["summary"], document["events"]
-    by_kind: dict[str, int] = {}
-    for event in events:
-        by_kind[event["kind"]] = by_kind.get(event["kind"], 0) + 1
-    require(summary["spans"] == sum(map(_span_count, document["spans"])),
-            where, "summary.spans must equal the span-tree node count")
-    require(summary["events"] == len(events), where,
-            "summary.events must equal len(events)")
-    require(summary["layers"] == sorted({event["layer"] for event in events}),
-            where, "summary.layers must list the event layers, sorted")
-    require(summary["byKind"] == by_kind, where,
-            "summary.byKind must count events by kind")
+def trace_summary(document: dict) -> dict:
+    """The ``summary`` block but ``droppedEvents``, from spans and events."""
+    events = document["events"]
+    return {
+        "spans": sum(map(_span_count, document["spans"])),
+        "events": len(events),
+        "layers": sorted({event["layer"] for event in events}),
+        "byKind": dict(Counter(event["kind"] for event in events)),
+    }
 
 
 _DOCUMENT = obj({
@@ -247,7 +233,7 @@ _DOCUMENT = obj({
     "result": _SCALARS,
     "summary": obj({"spans": COUNT, "events": COUNT, "layers": list_of(STRING),
                     "byKind": map_of(STRING, COUNT), "droppedEvents": COUNT}),
-}, check=_check_summary)
+}, check=derived("summary", trace_summary))
 
 
 def validate_metrics_dict(metrics: dict) -> None:

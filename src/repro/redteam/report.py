@@ -31,6 +31,8 @@ static analyzers (:mod:`repro.lint.report`, flow's SARIF-lite)::
 seed never perturbs the output — BENCH-REDTEAM pins exactly that
 (byte-identical documents per (scenario, base seed)).
 
+The producer fills ``summary`` with :func:`redteam_summary` and the
+validator checks it against the same function.
 :func:`validate_redteam_dict` checks a parsed document against the
 schema and raises :class:`~repro.core.schema.SchemaError` on any
 violation, the same contract the CI gates rely on for lint and campaign
@@ -42,15 +44,16 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.layers import Layer
-from repro.core.schema import (BOOL, COUNT, INT, NUMBER, STRING, TEXT, header,
-                               integer, join, leaf, list_of, number, nullable,
-                               obj, one_of, require, validate)
+from repro.core.schema import (BOOL, COUNT, INT, NUMBER, STRING, TEXT, derived,
+                               header, integer, join, leaf, list_of, number,
+                               nullable, obj, one_of, require, validate)
 
 from repro.redteam.planner import Campaign, PlanResult
 
 __all__ = ["REDTEAM_SCHEMA_VERSION", "REDTEAM_TOOL_NAME",
            "campaign_to_dict", "scenario_to_dict", "redteam_document",
-           "validate_redteam_dict", "render_summary", "render_campaigns"]
+           "redteam_summary", "validate_redteam_dict", "render_summary",
+           "render_campaigns"]
 
 REDTEAM_SCHEMA_VERSION = "1.0"
 REDTEAM_TOOL_NAME = "repro-redteam"
@@ -110,30 +113,34 @@ def redteam_document(results: Sequence[PlanResult], *,
     """The full campaign document over already planned scenarios."""
     from repro import __version__
 
-    campaign_count = sum(len(r.campaigns) for r in results)
-    cheapest: dict | None = None
-    for result in results:
-        for campaign in result.campaigns:
-            if cheapest is None or ((campaign.total_cost, result.scenario,
-                                     campaign.sink)
-                                    < (cheapest["totalCost"],
-                                       cheapest["scenario"],
-                                       cheapest["sink"])):
-                cheapest = {"scenario": result.scenario,
-                            "sink": campaign.sink,
-                            "totalCost": campaign.total_cost}
-    return {
+    document = {
         "version": REDTEAM_SCHEMA_VERSION,
         "tool": {"name": REDTEAM_TOOL_NAME, "version": __version__},
         "baseSeed": base_seed,
         "scenarios": [scenario_to_dict(r) for r in results],
-        "summary": {
-            "scenarioCount": len(results),
-            "campaignCount": campaign_count,
-            "defeatedScenarios": sorted(r.scenario for r in results
-                                        if r.defeated),
-            "cheapest": cheapest,
-        },
+    }
+    document["summary"] = redteam_summary(document)
+    return document
+
+
+def redteam_summary(document: dict) -> dict:
+    """The ``summary`` block, from the scenarios; ``cheapest`` breaks cost
+    ties by scenario, then sink, and is ``null`` without campaigns."""
+    scenarios = document["scenarios"]
+    cheapest = min(((campaign["totalCost"], scenario["scenario"],
+                     campaign["sink"])
+                    for scenario in scenarios
+                    for campaign in scenario["campaigns"]), default=None)
+    return {
+        "scenarioCount": len(scenarios),
+        "campaignCount": sum(len(scenario["campaigns"])
+                             for scenario in scenarios),
+        "defeatedScenarios": sorted(scenario["scenario"]
+                                    for scenario in scenarios
+                                    if scenario["defeated"]),
+        "cheapest": None if cheapest is None else {
+            "scenario": cheapest[1], "sink": cheapest[2],
+            "totalCost": cheapest[0]},
     }
 
 
@@ -237,20 +244,6 @@ _SCENARIO = obj({
 }, check=_check_scenario)
 
 
-def _check_summary(document: dict, where: str) -> None:
-    scenarios, summary = document["scenarios"], document["summary"]
-    require(summary["scenarioCount"] == len(scenarios), where,
-            "summary.scenarioCount must equal len(scenarios)")
-    campaign_count = sum(len(s["campaigns"]) for s in scenarios)
-    require(summary["campaignCount"] == campaign_count, where,
-            "summary.campaignCount must equal the total campaign count")
-    require(summary["defeatedScenarios"]
-            == sorted(s["scenario"] for s in scenarios if s["defeated"]),
-            where, "defeatedScenarios must list the defeated scenarios, sorted")
-    require((summary["cheapest"] is None) == (campaign_count == 0), where,
-            "cheapest must be null exactly when there are no campaigns")
-
-
 _DOCUMENT = obj({
     **header(REDTEAM_SCHEMA_VERSION, REDTEAM_TOOL_NAME),
     "baseSeed": INT,
@@ -261,7 +254,7 @@ _DOCUMENT = obj({
         "cheapest": nullable(obj({"scenario": TEXT, "sink": TEXT,
                                   "totalCost": NUMBER})),
     }),
-}, check=_check_summary)
+}, check=derived("summary", redteam_summary))
 
 
 def validate_redteam_dict(document: dict) -> None:

@@ -42,9 +42,10 @@ from repro.faults.chaos import (
     _REGISTRY_DOWN,
     _TIMEOUT,
     DEFAULT_DURATION,
+    _build_registry,
     _scenario_window,
 )
-from repro.faults.degradation import DegradationManager, ServiceLevel
+from repro.faults.degradation import DegradationManager
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, get_plan
 from repro.faults.resilience import CircuitBreaker, VirtualClock
@@ -52,12 +53,9 @@ from repro.lint.scenarios import get_scenario
 from repro.sentinel.correlator import CascadeCorrelator
 from repro.sentinel.detectors import default_detectors
 from repro.sentinel.engine import SentinelEngine
-from repro.ssi.did import Did, DidDocument, KeyPair
-from repro.ssi.registry import (
-    CachingResolver,
-    RegistryUnavailable,
-    VerifiableDataRegistry,
-)
+from repro.sentinel.report import detection, sentinel_summary
+from repro.ssi.did import Did
+from repro.ssi.registry import CachingResolver, RegistryUnavailable
 
 __all__ = ["run_sentinel_scenario", "run_sentinel_campaign"]
 
@@ -120,10 +118,7 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
     did: Did | None = None
     registry_down = {"down": False}
     if "ssi" in scenario.subsystems and scenario.resilient:
-        registry = VerifiableDataRegistry()
-        did = Did("vehicle-7")
-        registry.register(DidDocument.for_keypair(
-            did, KeyPair.from_seed_label("chaos/vehicle-7")))
+        registry, did = _build_registry()
         resolver = CachingResolver(registry,
                                    unavailable=lambda: registry_down["down"])
 
@@ -247,15 +242,7 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
             manager.clear_response_floor()
             floor_cleared = True
 
-    sentinel = engine.to_dict()
-    degradation = manager.to_dict()
-    first_alarm = sentinel["firstAlarmT"]
-    safe_stop_t = next(
-        (change["t"] for change in degradation["changes"]
-         if change["level"] == ServiceLevel.SAFE_STOP.name.lower()), None)
-    lead = (safe_stop_t - first_alarm
-            if safe_stop_t is not None and first_alarm is not None else None)
-    return {
+    result = {
         "scenario": scenario.name,
         "description": scenario.description,
         "resilient": scenario.resilient,
@@ -263,22 +250,13 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
         "window": {"start": window_start, "end": window_end},
         "faults": {"injected": injector.count,
                    "byKind": injector.count_by_kind()},
-        "sentinel": sentinel,
+        "sentinel": engine.to_dict(),
         "response": {"alerts": len(response.decisions),
                      "isolated": sorted(response.isolated_components())},
-        "degradation": degradation,
-        "detection": {
-            "alarmRaised": first_alarm is not None,
-            "firstAlarmT": first_alarm,
-            "alarmIncidents": len(sentinel["incidents"]),
-            "trustCollapsed": engine.trust.collapsed(),
-            "safeStopT": safe_stop_t,
-            "leadTicks": lead,
-            "detectedBeforeSafeStop": (
-                first_alarm is not None
-                and (safe_stop_t is None or first_alarm < safe_stop_t)),
-        },
+        "degradation": manager.to_dict(),
     }
+    result["detection"] = detection(result)
+    return result
 
 
 def run_sentinel_campaign(scenarios: list[str], plan_name: str, *,
@@ -291,24 +269,12 @@ def run_sentinel_campaign(scenarios: list[str], plan_name: str, *,
     results = [run_sentinel_scenario(name, plan, base_seed=base_seed,
                                      duration=duration)
                for name in scenarios]
-    detected = sorted(r["scenario"] for r in results
-                      if r["detection"]["alarmRaised"])
-    clean = sorted(r["scenario"] for r in results
-                   if not r["detection"]["alarmRaised"])
-    collapsed = sorted({source for r in results
-                        for source in r["detection"]["trustCollapsed"]})
-    return {
+    document = {
         "version": "1.0",
         "tool": {"name": "repro-sentinel", "version": __version__},
         "plan": plan.to_dict(),
         "baseSeed": base_seed,
         "scenarios": results,
-        "summary": {
-            "scenarioCount": len(results),
-            "alarmIncidents": sum(r["detection"]["alarmIncidents"]
-                                  for r in results),
-            "scenariosDetected": detected,
-            "scenariosClean": clean,
-            "trustCollapsed": collapsed,
-        },
     }
+    document["summary"] = sentinel_summary(document)
+    return document

@@ -35,22 +35,24 @@ chaos-report conventions — small, flat, stable::
                   "scenariosClean", "trustCollapsed"}
     }
 
-:func:`validate_sentinel_dict` checks a parsed document against that
-schema — including the recomputable cross-checks (detection fields
-derive from the sentinel block, summary fields from the scenarios) —
-and raises :class:`SentinelSchemaError` on any violation.  The CI
-sentinel gate and the round-trip tests both call it.
+The producer fills each ``detection`` with :func:`detection` and the
+``summary`` with :func:`sentinel_summary`; the validator checks both
+against the same functions.  :func:`validate_sentinel_dict` checks a
+parsed document against that schema and raises
+:class:`SentinelSchemaError` on any violation.  The CI sentinel gate
+and the round-trip tests both call it.
 """
 
 from __future__ import annotations
 
 from repro.core.schema import (BOOL, COUNT, INT, NUMBER, STRING, TEXT, UNIT,
-                               SchemaError, header, integer, join, list_of,
-                               nullable, obj, one_of, require, validate)
+                               SchemaError, derived, header, integer, join,
+                               list_of, nullable, obj, one_of, require,
+                               validate)
 from repro.faults.report import DEGRADATION, FAULTS, PLAN, SCENARIO_HEADER
 
-__all__ = ["SentinelSchemaError", "validate_sentinel_dict",
-           "SCHEMA_VERSION", "TOOL_NAME"]
+__all__ = ["SentinelSchemaError", "validate_sentinel_dict", "detection",
+           "sentinel_summary", "SCHEMA_VERSION", "TOOL_NAME"]
 
 SCHEMA_VERSION = "1.0"
 TOOL_NAME = "repro-sentinel"
@@ -115,35 +117,26 @@ _SENTINEL = obj({
 }, check=_check_sentinel)
 
 
-def _check_detection(scenario: dict, where: str) -> None:
-    entry, sentinel = scenario["detection"], scenario["sentinel"]
-    where = join(where, "detection")
-    require(entry["alarmRaised"] == (sentinel["firstAlarmT"] is not None),
-            where, "alarmRaised must mirror sentinel.firstAlarmT")
-    require(entry["firstAlarmT"] == sentinel["firstAlarmT"], where,
-            "firstAlarmT must equal sentinel.firstAlarmT")
-    require(entry["alarmIncidents"] == len(sentinel["incidents"]), where,
-            "alarmIncidents must count sentinel.incidents")
-    collapsed = sorted(trust["source"] for trust in sentinel["trust"]
-                       if trust["collapsedT"] is not None)
-    require(entry["trustCollapsed"] == collapsed, where,
-            "trustCollapsed must list collapsed trust sources")
+def detection(scenario: dict) -> dict:
+    """A scenario's ``detection`` block, from ``sentinel`` and ``degradation``."""
+    sentinel = scenario["sentinel"]
+    first_alarm = sentinel["firstAlarmT"]
     safe_stop = next((change["t"] for change
                       in scenario["degradation"]["changes"]
                       if change["level"] == "safe_stop"), None)
-    require(entry["safeStopT"] == safe_stop, where,
-            "safeStopT must be the first safe_stop change")
-    if entry["safeStopT"] is not None and entry["firstAlarmT"] is not None:
-        require(entry["leadTicks"] == entry["safeStopT"] - entry["firstAlarmT"],
-                where, "leadTicks must be safeStopT - firstAlarmT")
-    else:
-        require(entry["leadTicks"] is None, where,
-                "leadTicks must be null without both endpoints")
-    expected = (entry["alarmRaised"]
-                and (entry["safeStopT"] is None
-                     or entry["firstAlarmT"] < entry["safeStopT"]))
-    require(entry["detectedBeforeSafeStop"] == expected, where,
-            "detectedBeforeSafeStop is inconsistent")
+    both = first_alarm is not None and safe_stop is not None
+    return {
+        "alarmRaised": first_alarm is not None,
+        "firstAlarmT": first_alarm,
+        "alarmIncidents": len(sentinel["incidents"]),
+        "trustCollapsed": sorted(trust["source"] for trust in sentinel["trust"]
+                                 if trust["collapsedT"] is not None),
+        "safeStopT": safe_stop,
+        "leadTicks": safe_stop - first_alarm if both else None,
+        "detectedBeforeSafeStop": (first_alarm is not None
+                                   and (safe_stop is None
+                                        or first_alarm < safe_stop)),
+    }
 
 
 _SCENARIO = obj({
@@ -157,28 +150,24 @@ _SCENARIO = obj({
         "trustCollapsed": list_of(STRING), "safeStopT": _MAYBE_T,
         "leadTicks": _MAYBE_T, "detectedBeforeSafeStop": BOOL,
     }),
-}, check=_check_detection)
+}, check=derived("detection", detection))
 
 
-def _check_summary(document: dict, where: str) -> None:
-    scenarios, summary = document["scenarios"], document["summary"]
-    detections = [(s["scenario"], s["detection"]) for s in scenarios]
-    require(summary["scenarioCount"] == len(scenarios), where,
-            "summary.scenarioCount must equal len(scenarios)")
-    require(summary["alarmIncidents"]
-            == sum(detection["alarmIncidents"] for _, detection in detections),
-            where, "summary.alarmIncidents must sum the per-scenario totals")
-    require(summary["scenariosDetected"]
-            == sorted(name for name, d in detections if d["alarmRaised"]),
-            where, "summary.scenariosDetected must list alarmed scenarios, "
-            "sorted")
-    require(summary["scenariosClean"]
-            == sorted(name for name, d in detections if not d["alarmRaised"]),
-            where, "summary.scenariosClean must list alarm-free scenarios, "
-            "sorted")
-    collapsed = {source for _, d in detections for source in d["trustCollapsed"]}
-    require(summary["trustCollapsed"] == sorted(collapsed), where,
-            "summary.trustCollapsed must union the per-scenario lists, sorted")
+def sentinel_summary(document: dict) -> dict:
+    """The ``summary`` block, from each scenario's ``detection``."""
+    detections = [(scenario["scenario"], scenario["detection"])
+                  for scenario in document["scenarios"]]
+    return {
+        "scenarioCount": len(detections),
+        "alarmIncidents": sum(entry["alarmIncidents"]
+                              for _, entry in detections),
+        "scenariosDetected": sorted(name for name, entry in detections
+                                    if entry["alarmRaised"]),
+        "scenariosClean": sorted(name for name, entry in detections
+                                 if not entry["alarmRaised"]),
+        "trustCollapsed": sorted({source for _, entry in detections
+                                  for source in entry["trustCollapsed"]}),
+    }
 
 
 _DOCUMENT = obj({
@@ -191,7 +180,7 @@ _DOCUMENT = obj({
         "scenariosDetected": list_of(STRING), "scenariosClean": list_of(STRING),
         "trustCollapsed": list_of(STRING),
     }),
-}, check=_check_summary)
+}, check=derived("summary", sentinel_summary))
 
 
 def validate_sentinel_dict(document: dict) -> None:

@@ -1,4 +1,4 @@
-"""Retry/backoff, circuit breaker, watchdog, and health monitor."""
+"""Retry/backoff, circuit breaker, and health monitor."""
 
 import random
 
@@ -14,7 +14,6 @@ from repro.faults import (
     RetryPolicy,
     RetryStats,
     VirtualClock,
-    Watchdog,
     retry_with_backoff,
 )
 
@@ -212,16 +211,6 @@ class TestCircuitBreaker:
 
 
 class TestWatchdogAndHealth:
-    def test_watchdog_expires_silent_components(self):
-        dog = Watchdog(timeout_s=2.0)
-        dog.beat("ecu-a", 0.0)
-        dog.beat("ecu-b", 3.0)
-        assert dog.expired(1.5) == []
-        assert dog.expired(4.0) == ["ecu-a"]
-        assert dog.expired(6.0) == ["ecu-a", "ecu-b"]
-        with pytest.raises(ValueError, match="timeout"):
-            Watchdog(timeout_s=0.0)
-
     def test_health_monitor_windows_and_latest(self):
         monitor = HealthMonitor(window=4)
         assert monitor.latest("phy") is None

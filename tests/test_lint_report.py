@@ -111,6 +111,12 @@ class TestSchemaValidation:
         with pytest.raises(SchemaError, match="sum"):
             validate_report_dict(document)
 
+    def test_severity_counts_must_name_the_findings_severities(self):
+        document = self.make_valid()
+        document["summary"]["bySeverity"] = {"low": 1}  # sums to total
+        with pytest.raises(SchemaError, match="summary.bySeverity: "):
+            validate_report_dict(document)
+
 
 class TestTable:
     def test_clean_table_one_liner(self):

@@ -85,6 +85,16 @@ class TestSchemaRejections:
         self._broken(document,
                      lambda d: d["summary"].update(campaignCount=999))
 
+    def test_rejects_cheapest_naming_another_campaign(self, document):
+        dearest = max((campaign["totalCost"], scenario["scenario"],
+                       campaign["sink"])
+                      for scenario in document["scenarios"]
+                      for campaign in scenario["campaigns"])
+        assert dearest[0] > document["summary"]["cheapest"]["totalCost"]
+        self._broken(document, lambda d: d["summary"].update(cheapest={
+            "scenario": dearest[1], "sink": dearest[2],
+            "totalCost": dearest[0]}))
+
     def test_rejects_total_cost_mismatch(self, document):
         def mutate(d):
             for scenario in d["scenarios"]:

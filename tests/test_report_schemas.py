@@ -213,3 +213,62 @@ def test_redteam_rejects_bool_in_int_fields(mutate):
     mutate(document)
     with pytest.raises(SchemaError, match="must be an int"):
         validate_redteam_dict(document)
+
+
+#: The blocks each validator compares against the producer's derivation:
+#: case -> [(block path, the keys derived from the rest of the document)].
+DERIVED = {
+    "lint": [(("summary",), ("total", "bySeverity"))],
+    "redteam": [(("summary",), ("scenarioCount", "campaignCount",
+                                "defeatedScenarios", "cheapest"))],
+    "audit": [(("summary",), ("total", "byRule"))],
+    "trace": [(("summary",), ("spans", "events", "layers", "byKind"))],
+    "chaos": [(("summary",), ("scenarioCount", "faultsInjected",
+                              "layersSustained",
+                              "scenariosAtMinimalRiskOrBelow"))],
+    "sentinel": [(("scenarios", 0, "detection"),
+                  ("alarmRaised", "firstAlarmT", "alarmIncidents",
+                   "trustCollapsed", "safeStopT", "leadTicks",
+                   "detectedBeforeSafeStop")),
+                 (("summary",), ("scenarioCount", "alarmIncidents",
+                                 "scenariosDetected", "scenariosClean",
+                                 "trustCollapsed"))],
+    "campaign": [(("summary",), ("total", "ok", "errors", "timeouts",
+                                 "quarantined", "pending", "complete"))],
+}
+
+
+def perturbed(value):
+    """A value of the same JSON type as ``value`` that differs from it."""
+    if isinstance(value, bool):
+        return not value
+    if value is None or isinstance(value, (int, float)):
+        return 1.0 if value is None else value + 1
+    if isinstance(value, str):
+        return value + "-x"
+    if isinstance(value, list):
+        return value + ["zz-extra"]
+    assert value, "cannot perturb an empty map"
+    first = next(iter(value))
+    return {**value, first: perturbed(value[first])}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED))
+def test_derived_key_lies_raise_at_the_key(name):
+    validator, build = CASES[name]
+    document = build()
+    for path, keys in DERIVED[name]:
+        block = document
+        for step in path:
+            block = block[step]
+        where = "".join(f"[{step}]" if isinstance(step, int) else f".{step}"
+                        for step in path).lstrip(".")
+        for key in keys:
+            original = block[key]
+            block[key] = perturbed(original)
+            with pytest.raises(SchemaError) as excinfo:
+                validator(document)
+            assert str(excinfo.value).startswith(f"{where}.{key}: "), \
+                str(excinfo.value)
+            block[key] = original
+    validator(document)
