@@ -8,13 +8,14 @@ the harness itself:
 
 * :mod:`repro.campaign.spec` — shard/campaign matrices with stable,
   content-derived identities;
-* :mod:`repro.campaign.journal` — the fsynced append-only write-ahead
-  journal every scheduling decision hits before the engine acts on it;
+* :mod:`repro.campaign.journal` — the append-only write-ahead journal
+  every scheduling decision hits before the engine acts on it, fsynced
+  once per scheduler pass;
 * :mod:`repro.campaign.supervisor` — heartbeat-supervised workers with
-  hang detection, remaining-budget restarts and poison-shard
-  quarantine; the repo's one worker pool;
-* :mod:`repro.campaign.shard` — worker-side tool execution and the
-  canonical result digest;
+  a one-shard lookahead, hang detection, remaining-budget restarts and
+  poison-shard quarantine; the repo's one worker pool;
+* :mod:`repro.campaign.shard` — worker-side tool execution, the
+  per-worker memo of static shards, and the canonical result digest;
 * :mod:`repro.campaign.experiment` — worker-side execution of one
   paper experiment (``CampaignEngine(execute=experiment_executor(...))``),
   memoized by the content-addressed :mod:`repro.campaign.cache`;

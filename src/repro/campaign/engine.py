@@ -11,8 +11,11 @@ The crash-safety contract, end to end:
 
 * every scheduling decision hits the journal *before* the engine acts
   on it (``shard-start`` before dispatch, ``shard-done`` /
-  ``shard-quarantined`` the moment an outcome settles), each record
-  fsynced, so a SIGKILL at any instant loses at most in-flight work;
+  ``shard-quarantined`` the moment an outcome settles).  Each record is
+  flushed as it is written, so a SIGKILL at any instant loses at most
+  in-flight work; records are fsynced once per scheduler pass, before
+  it dispatches, and at campaign end and on interrupt, so a power cut
+  can cost only re-run shards, never a result the engine acted on;
 * ``run(resume=True)`` replays the journal, trusts every settled
   record (including quarantines — a poison shard must not get a fresh
   chance just because the engine restarted), and re-executes only the
@@ -23,6 +26,16 @@ The crash-safety contract, end to end:
 * a graceful SIGINT/SIGTERM checkpoints an ``interrupt`` record, emits
   a partial report marked ``interrupted: true``, and prints the exact
   resume command.
+
+Workers never wait on the engine: each busy worker holds one lookahead
+shard while the queue holds more than ``jobs`` shards (see
+:mod:`~repro.campaign.supervisor`).  With the default worker function,
+each worker process of one run also keeps a memo of the static shards
+(lint, flow, redteam) it has run, keyed by ``(tool, scenario)``: a
+static result does not depend on the seed, so every later seed of that
+cell reuses the result and its digest (see
+:mod:`~repro.campaign.shard`).  The memo lives only in that run's
+workers; the engine process never holds a result in it.
 
 Self-chaos: :func:`plan_worker_faults` turns an ordinary
 :class:`~repro.faults.plan.FaultPlan` into worker crash/hang
@@ -37,6 +50,7 @@ from __future__ import annotations
 import time
 from contextlib import closing, nullcontext
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -190,7 +204,7 @@ class CampaignEngine:
                  worker_faults: dict[str, dict[int, str]] | None = None,
                  fsync: bool = True,
                  install_signal_handlers: bool = False,
-                 execute: Callable[[dict], dict] = execute_shard) -> None:
+                 execute: Callable[[dict], dict] | None = None) -> None:
         self.spec = spec
         self.jobs = jobs
         self.journal_root = journal_root
@@ -201,7 +215,8 @@ class CampaignEngine:
         self.worker_faults = worker_faults or {}
         self.fsync = fsync
         self.install_signal_handlers = install_signal_handlers
-        #: What every worker runs on a shard dict (``Supervisor(execute)``).
+        #: What every worker runs on a shard dict (``Supervisor(execute)``);
+        #: ``None`` runs :func:`execute_shard` with a fresh memo per run.
         self.execute = execute
         self.events = EventLog()
         self._stop_requested = False
@@ -297,11 +312,13 @@ class CampaignEngine:
         with OBS.span("campaign.run", campaign=self.campaign_id,
                       jobs=self.jobs, shards=len(self.spec),
                       resume=resume):
-            with closing(Journal(path, fsync=self.fsync).open(state)) as journal:
+            journal = Journal(path, fsync=self.fsync).open(state)
+            # closing commits the campaign-end or interrupt record
+            with closing(journal):
                 self._run_journaled(journal, state, report,
                                     resumed=resume and state.records > 0)
-                report.journal_write_s = journal.write_s
-                report.journal_records = journal.records_written
+            report.journal_write_s = journal.write_s
+            report.journal_records = journal.records_written
             if OBS.enabled:
                 OBS.count("campaign.runs")
                 if report.interrupted:
@@ -341,14 +358,18 @@ class CampaignEngine:
                                 "settled": len(report.entries)})
             return
 
-        def on_start(shard_id: str, attempt: int, budget_s: float) -> None:
-            journal.append({"type": "shard-start", "shardId": shard_id,
-                            "attempt": attempt})
-            self._emit(EventKind.SHARD_START, shard_id,
-                       f"attempt {attempt}", attempt=attempt,
-                       budgetS=round(budget_s, 3))
-            if OBS.enabled:
-                OBS.count("campaign.shards.scheduled")
+        def on_dispatch(starts: list[tuple[str, int, float]]) -> None:
+            for shard_id, attempt, budget_s in starts:
+                journal.append({"type": "shard-start", "shardId": shard_id,
+                                "attempt": attempt})
+                self._emit(EventKind.SHARD_START, shard_id,
+                           f"attempt {attempt}", attempt=attempt,
+                           budgetS=round(budget_s, 3))
+                if OBS.enabled:
+                    OBS.count("campaign.shards.scheduled")
+            # one fsync makes these starts, and every outcome settled
+            # since the last pass, durable before anything is sent
+            journal.commit()
 
         def on_outcome(outcome: ShardOutcome) -> None:
             journal.append(self._outcome_record(outcome))
@@ -370,14 +391,17 @@ class CampaignEngine:
                 if outcome.attempts > 1:
                     OBS.count("campaign.shards.retried")
 
+        # each worker process fills its own copy of the memo
+        execute = self.execute if self.execute is not None \
+            else partial(execute_shard, memo={})
         supervisor = Supervisor(
-            self.execute, jobs=self.jobs,
+            execute, jobs=self.jobs,
             heartbeat_interval_s=self.heartbeat_interval_s,
             hang_timeout_s=self.hang_timeout_s,
             shard_timeout_s=self.shard_timeout_s,
             quarantine_after=self.quarantine_after,
             worker_faults=self.worker_faults,
-            on_start=on_start, on_outcome=on_outcome,
+            on_dispatch=on_dispatch, on_outcome=on_outcome,
             should_stop=lambda: self._stop_requested)
         with (stop_on_signals(self.request_stop)
               if self.install_signal_handlers else nullcontext()):

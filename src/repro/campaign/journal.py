@@ -2,7 +2,12 @@
 
 The journal is the campaign engine's single source of durable truth:
 one JSONL file per campaign (``<journal-root>/<id>/journal.jsonl``)
-holding typed records, each flushed *and fsynced* before the engine
+holding typed records.  :meth:`Journal.append` writes and flushes a
+record, which then survives a kill of the writing process;
+:meth:`Journal.commit` fsyncs every record appended since the last
+commit, which then survives a power cut.  The engine commits once per
+scheduler pass, before that pass dispatches anything, and again at
+campaign end and on interrupt, so a record is durable before the engine
 acts on it.  The protocol is the classic WAL discipline:
 
 * ``campaign-start`` — the full :class:`~repro.campaign.spec.CampaignSpec`,
@@ -10,7 +15,12 @@ acts on it.  The protocol is the classic WAL discipline:
   matrix from this record alone);
 * ``shard-start`` — intent to execute an attempt (a start without a
   matching ``shard-done`` means the crash landed mid-shard; resume
-  simply re-executes it);
+  simply re-executes it).  A lookahead shard is journaled when it is
+  sent, before its worker starts it; if that worker dies first, the
+  shard goes back to the queue uncharged and is journaled again when it
+  is resent, so after a worker death :attr:`JournalState.starts` can
+  exceed the attempts actually made by one.  Start counts never reach
+  the report;
 * ``shard-done`` — the shard's terminal outcome, embedding the result
   document and its digest (resume replays these instead of re-running);
 * ``shard-quarantined`` — a poison shard retired after repeated worker
@@ -102,9 +112,9 @@ def _stamp(stamped: dict) -> str:
 
 
 class Journal:
-    """Append-side handle: fsync-per-record writes plus cost accounting.
+    """Append-side handle: flushed writes, grouped fsyncs, cost accounting.
 
-    ``fsync=False`` drops the per-record fsync (tests and benchmarks
+    ``fsync=False`` makes :meth:`commit` a no-op (tests and benchmarks
     that measure everything *but* durability); production keeps it on —
     a record the engine acted on must survive a power cut.
     """
@@ -118,6 +128,7 @@ class Journal:
         self.write_s = 0.0
         self._fh: IO[str] | None = None
         self._next_seq = 0
+        self._unsynced = False
 
     def open(self, state: JournalState) -> "Journal":
         """Open for append after the records ``state`` replayed, so the
@@ -135,10 +146,13 @@ class Journal:
             self._fh.truncate(state.end)
             if state.records:
                 self._fh.write("\n")
+            self._unsynced = True
         return self
 
     def close(self) -> None:
+        """Commit what is still unsynced, then close."""
         if self._fh is not None:
+            self.commit()
             self._fh.close()
             self._fh = None
 
@@ -149,7 +163,11 @@ class Journal:
         self.close()
 
     def append(self, record: dict) -> dict:
-        """Durably append one record; returns it with seq + checksum."""
+        """Write and flush one record; returns it with seq + checksum.
+
+        The record survives a kill of this process at once, and a power
+        cut after the next :meth:`commit`.
+        """
         if self._fh is None:
             raise ValueError("journal is not open")
         if record.get("type") not in RECORD_TYPES:
@@ -159,12 +177,22 @@ class Journal:
         stamped = {**record, "seq": self._next_seq}
         self._fh.write(_stamp(stamped) + "\n")
         self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
+        self._unsynced = True
         self._next_seq += 1
         self.records_written += 1
         self.write_s += time.perf_counter() - t0
         return stamped
+
+    def commit(self) -> None:
+        """Fsync every record appended since the last commit (one fsync)."""
+        if self._fh is None or not self._unsynced:
+            return
+        if self.fsync:
+            t0 = time.perf_counter()
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+            self.write_s += time.perf_counter() - t0
+        self._unsynced = False
 
 
 def read_records(path: str | Path) -> list[dict]:

@@ -13,6 +13,15 @@ would emit for that ``(scenario, plan, seed)`` cell, which is already
 byte-deterministic per the repo's core invariant; :func:`result_digest`
 fixes the canonical encoding so the journal, the resume path, and the
 report validator all agree on what "the same result" means.
+
+The static analyzers (lint, flow, redteam) read only the shard's
+scenario, so their result is the same for every seed.  A worker may
+therefore pass a ``memo``: the first ``ok`` result of each static
+``(tool, scenario)`` it runs is kept there with its digest, and every
+later shard of that cell reuses both.  The engine gives each run's
+workers an empty memo, which each worker process fills on its own and
+which dies with it; a direct call without one runs the analyzer every
+time.
 """
 
 from __future__ import annotations
@@ -22,9 +31,12 @@ import json
 import time
 from typing import Callable
 
-from repro.campaign.spec import CampaignTool, ShardSpec
+from repro.campaign.spec import PLAN_TOOLS, CampaignTool, ShardSpec
 
 __all__ = ["execute_shard", "result_digest", "TOOL_EXECUTORS"]
+
+#: A worker's memo: static ``(tool, scenario)`` -> ``(result, digest)``.
+ShardMemo = dict[tuple[str, str], tuple[dict, str]]
 
 
 def result_digest(result: dict) -> str:
@@ -81,20 +93,30 @@ TOOL_EXECUTORS: dict[CampaignTool, Callable[[ShardSpec], dict]] = {
 }
 
 
-def execute_shard(spec_dict: dict) -> dict:
+def execute_shard(spec_dict: dict, memo: ShardMemo | None = None) -> dict:
     """Run one shard to completion; always returns a payload dict.
 
     The payload's deterministic core is ``shard``/``status``/``result``/
     ``digest``/``error`` — exactly what the journal persists and the
     final report embeds.  ``durationS`` is wall-clock bookkeeping for
     tables and benches only and never reaches the byte-compared report.
+    With a ``memo``, a static shard whose cell already ran returns that
+    run's result and digest (see the module docstring).
     """
     t0 = time.perf_counter()
     status, result, digest, error = "ok", None, "", ""
     try:
         spec = ShardSpec.from_dict(spec_dict)
-        result = TOOL_EXECUTORS[spec.tool](spec)
-        digest = result_digest(result)
+        if spec.tool in PLAN_TOOLS:
+            memo = None  # a plan-driven result depends on plan and seed
+        key = (spec.tool_name, spec.scenario)
+        if memo is not None and key in memo:
+            result, digest = memo[key]
+        else:
+            result = TOOL_EXECUTORS[spec.tool](spec)
+            digest = result_digest(result)
+            if memo is not None:
+                memo[key] = (result, digest)
     except Exception as exc:
         status, result, digest = "error", None, ""
         error = f"{type(exc).__name__}: {exc}"

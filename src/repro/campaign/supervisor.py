@@ -30,6 +30,17 @@ experiments:
   while the pool runs) ends the run early with only settled outcomes;
   :func:`stop_on_signals` turns SIGINT/SIGTERM into such a request.
 
+Workers never wait on the scheduler between shards.  While the queue
+holds more than ``jobs`` shards, each busy worker is sent one
+*lookahead* shard, which sits in its pipe and starts the moment the
+current one finishes; the last ``jobs`` shards of a run are never held
+behind a busy worker.  Each scheduler pass first
+decides every shard it will send, hands them all to ``on_dispatch`` in
+one call (the engine journals them and fsyncs once there), and only
+then sends.  A lookahead is not an attempt: when its worker crashes,
+hangs or times out, or a send finds the worker already dead, the shard
+goes back to the front of the queue without being charged.
+
 Worker deaths are infrastructure verdicts; failures the worker function
 reports come back as ordinary payloads and are never retried (they are
 deterministic, so a retry would only burn budget).
@@ -167,7 +178,8 @@ class _WorkItem:
 
 
 class _Worker:
-    """One supervised child process and its scheduling state."""
+    """One supervised child process and its scheduling state: the shard
+    it runs (``item``) and the lookahead waiting in its pipe (``queued``)."""
 
     def __init__(self, context: multiprocessing.context.BaseContext,
                  execute: Callable[[dict], dict]) -> None:
@@ -180,6 +192,7 @@ class _Worker:
         self.process.start()
         child_conn.close()
         self.item: _WorkItem | None = None
+        self.queued: _WorkItem | None = None
         self.started_at = 0.0
         self.last_beat = 0.0
 
@@ -187,14 +200,22 @@ class _Worker:
     def busy(self) -> bool:
         return self.item is not None
 
-    def assign(self, item: _WorkItem, *, fault: str | None,
-               heartbeat_interval_s: float) -> None:
-        now = time.monotonic()
+    def start(self, item: _WorkItem | None) -> None:
+        """``item`` is the shard the worker runs from now (``None``: idle)."""
         self.item = item
-        self.started_at = now
-        self.last_beat = now
+        self.started_at = self.last_beat = time.monotonic()
+
+    def send(self, item: _WorkItem, *, fault: str | None,
+             heartbeat_interval_s: float) -> None:
         self.conn.send({"type": "run", "shard": item.shard, "fault": fault,
                         "heartbeatIntervalS": heartbeat_interval_s})
+
+    def take_back(self, item: _WorkItem) -> None:
+        """Forget a shard whose send failed."""
+        if item is self.queued:
+            self.queued = None
+        else:
+            self.item = None
 
     def kill(self) -> None:
         """Kill the worker's process group: the worker and its children."""
@@ -229,6 +250,9 @@ class Supervisor:
     self-chaos injection point: the fault ships to the worker with the
     envelope and fires *inside* it, so the supervision machinery under
     test is exactly the machinery in production.
+    ``on_dispatch`` gets the ``(shard_id, attempt, budget_s)`` of every
+    shard a scheduler pass is about to send, once per pass, before any
+    of them is sent.
     """
 
     def __init__(self, execute: Callable[[dict], dict], *, jobs: int = 1,
@@ -237,7 +261,8 @@ class Supervisor:
                  shard_timeout_s: float = DEFAULT_SHARD_TIMEOUT_S,
                  quarantine_after: int = DEFAULT_QUARANTINE_AFTER,
                  worker_faults: dict[str, dict[int, str]] | None = None,
-                 on_start: Callable[[str, int, float], None] | None = None,
+                 on_dispatch: Callable[[list[tuple[str, int, float]]], None]
+                 | None = None,
                  on_outcome: Callable[[ShardOutcome], None] | None = None,
                  should_stop: Callable[[], bool] | None = None) -> None:
         if jobs < 1:
@@ -256,7 +281,7 @@ class Supervisor:
         self.shard_timeout_s = shard_timeout_s
         self.quarantine_after = quarantine_after
         self.worker_faults = worker_faults or {}
-        self.on_start = on_start
+        self.on_dispatch = on_dispatch
         self.on_outcome = on_outcome
         self.should_stop = should_stop
 
@@ -271,15 +296,30 @@ class Supervisor:
         if self.on_outcome is not None:
             self.on_outcome(outcome)
 
-    def _worker_failed(self, worker: _Worker, reason: str,
-                       queue: deque[_WorkItem],
-                       outcomes: dict[str, ShardOutcome]) -> None:
-        """A busy worker died or hung: kill, account, requeue or retire."""
+    def _stopping(self) -> bool:
+        return self.should_stop is not None and self.should_stop()
+
+    @staticmethod
+    def _retire(worker: _Worker, queue: deque[_WorkItem]) -> tuple[_WorkItem, float]:
+        """Kill a busy worker; returns its shard and the time it ran.
+
+        The worker's lookahead never started, so it goes back to the
+        front of the queue uncharged.
+        """
         item = worker.item
         assert item is not None
         consumed = time.monotonic() - worker.started_at
         worker.kill()
-        worker.item = None
+        if worker.queued is not None:
+            queue.appendleft(worker.queued)
+        worker.item = worker.queued = None
+        return item, consumed
+
+    def _worker_failed(self, worker: _Worker, reason: str,
+                       queue: deque[_WorkItem],
+                       outcomes: dict[str, ShardOutcome]) -> None:
+        """A busy worker died or hung: kill, account, requeue or retire."""
+        item, consumed = self._retire(worker, queue)
         item.failures.append(reason)
         item.attempt += 1
         remaining = item.budget_s - consumed
@@ -326,18 +366,10 @@ class Supervisor:
             workers.extend(_Worker(context, self.execute)
                            for _ in range(min(self.jobs, len(queue))))
             while queue or any(w.busy for w in workers):
-                if self.should_stop is not None and self.should_stop():
+                if self._stopping():
                     interrupted = True
                     break
-                for worker in workers:
-                    if not worker.busy and queue:
-                        item = queue.popleft()
-                        if self.on_start is not None:
-                            self.on_start(item.shard_id, item.attempt,
-                                          item.budget_s)
-                        worker.assign(
-                            item, fault=self._fault_for(item),
-                            heartbeat_interval_s=self.heartbeat_interval_s)
+                self._dispatch(workers, queue)
                 busy = [w for w in workers if w.busy]
                 if not busy:
                     continue
@@ -349,28 +381,8 @@ class Supervisor:
                         self._drain(worker, queue, outcomes)
                 now = time.monotonic()
                 for worker in workers:
-                    item = worker.item
-                    if item is None:
-                        continue
-                    if not worker.process.is_alive():
-                        code = worker.process.exitcode
-                        self._worker_failed(
-                            worker, f"worker crashed (exit {code})",
-                            queue, outcomes)
-                    elif now - worker.started_at > item.budget_s:
-                        worker.kill()
-                        worker.item = None
-                        self._settle(outcomes, ShardOutcome(
-                            shard_id=item.shard_id, status="timeout",
-                            attempts=item.attempt + 1,
-                            duration_s=now - worker.started_at,
-                            error=(f"timed out after "
-                                   f"{item.budget_s:g}s budget"),
-                            failures=list(item.failures)))
-                    elif now - worker.last_beat > self.hang_timeout_s:
-                        self._worker_failed(
-                            worker, "worker hung (heartbeats stopped)",
-                            queue, outcomes)
+                    if worker.busy:
+                        self._check(worker, now, queue, outcomes)
                 # replace killed workers while work remains
                 workers = [w for w in workers
                            if w.busy or w.process.is_alive()]
@@ -388,9 +400,77 @@ class Supervisor:
                     worker.stop()
         return outcomes, interrupted
 
+    def _check(self, worker: _Worker, now: float, queue: deque[_WorkItem],
+               outcomes: dict[str, ShardOutcome]) -> None:
+        """Settle a busy worker that died, overran its shard's budget or
+        stopped beating."""
+        item = worker.item
+        assert item is not None
+        if not worker.process.is_alive():
+            # a result sent just before the death settles its shard; the
+            # death is charged to the lookahead that ran next
+            self._drain(worker, queue, outcomes)
+            if worker.busy:
+                code = worker.process.exitcode
+                self._worker_failed(worker, f"worker crashed (exit {code})",
+                                    queue, outcomes)
+        elif now - worker.started_at > item.budget_s:
+            item, consumed = self._retire(worker, queue)
+            self._settle(outcomes, ShardOutcome(
+                shard_id=item.shard_id, status="timeout",
+                attempts=item.attempt + 1, duration_s=consumed,
+                error=f"timed out after {item.budget_s:g}s budget",
+                failures=list(item.failures)))
+        elif now - worker.last_beat > self.hang_timeout_s:
+            self._worker_failed(worker, "worker hung (heartbeats stopped)",
+                                queue, outcomes)
+
+    def _dispatch(self, workers: list[_Worker], queue: deque[_WorkItem]) -> None:
+        """Give each idle worker a shard and, while the queue holds more
+        than ``jobs`` shards, each busy one a lookahead.
+
+        Every chosen shard goes to ``on_dispatch`` before any is sent.
+        A send that finds its worker dead puts the shard back at the
+        front of the queue, uncharged; :meth:`_check` then buries the
+        worker.
+        """
+        sends: list[tuple[_Worker, _WorkItem]] = []
+        for worker in workers:
+            if not worker.busy and queue:
+                item = queue.popleft()
+                worker.start(item)
+                sends.append((worker, item))
+            if worker.busy and worker.queued is None and len(queue) > self.jobs:
+                worker.queued = queue.popleft()
+                sends.append((worker, worker.queued))
+        if not sends:
+            return
+        if self.on_dispatch is not None:
+            self.on_dispatch([(item.shard_id, item.attempt, item.budget_s)
+                              for _, item in sends])
+        dead: list[_Worker] = []
+        unsent: list[_WorkItem] = []
+        for worker, item in sends:
+            # once a send fails, nothing more goes to that worker: a later
+            # lookahead must never reach a worker whose shard came back
+            if worker not in dead:
+                try:
+                    worker.send(item, fault=self._fault_for(item),
+                                heartbeat_interval_s=self.heartbeat_interval_s)
+                    continue
+                except OSError:
+                    dead.append(worker)
+            worker.take_back(item)
+            unsent.append(item)
+        queue.extendleft(reversed(unsent))
+
     def _drain(self, worker: _Worker, queue: deque[_WorkItem],
                outcomes: dict[str, ShardOutcome]) -> None:
-        """Consume every pending message from one worker's pipe."""
+        """Consume every pending message from one worker's pipe.
+
+        A result settles the worker's shard and starts its lookahead.
+        After a stop request, the rest is left unread.
+        """
         while True:
             try:
                 if not worker.conn.poll(0):
@@ -404,7 +484,8 @@ class Supervisor:
                 worker.last_beat = time.monotonic()
             elif message.get("type") == "result" and worker.item is not None:
                 item = worker.item
-                worker.item = None
+                worker.start(worker.queued)
+                worker.queued = None
                 payload = message["payload"]
                 self._settle(outcomes, ShardOutcome(
                     shard_id=item.shard_id,
@@ -414,3 +495,5 @@ class Supervisor:
                     duration_s=float(payload.get("durationS", 0.0)),
                     error=str(payload.get("error", "")),
                     failures=list(item.failures)))
+                if self._stopping():
+                    return

@@ -47,7 +47,7 @@ from repro.datalayer.cloud import (
 from repro.faults.degradation import DegradationManager
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, get_plan
-from repro.faults.report import chaos_summary
+from repro.faults.report import SCHEMA_VERSION, TOOL_NAME, chaos_summary
 from repro.faults.resilience import (
     BreakerOpen,
     CircuitBreaker,
@@ -341,8 +341,8 @@ def run_chaos_campaign(scenarios: list[str], plan_name: str, *,
                for name in scenarios]
 
     document = {
-        "version": "1.0",
-        "tool": {"name": "repro-chaos", "version": __version__},
+        "version": SCHEMA_VERSION,
+        "tool": {"name": TOOL_NAME, "version": __version__},
         "plan": plan.to_dict(),
         "baseSeed": base_seed,
         "scenarios": results,

@@ -53,7 +53,7 @@ from repro.lint.scenarios import get_scenario
 from repro.sentinel.correlator import CascadeCorrelator
 from repro.sentinel.detectors import default_detectors
 from repro.sentinel.engine import SentinelEngine
-from repro.sentinel.report import detection, sentinel_summary
+from repro.sentinel.report import SCHEMA_VERSION, TOOL_NAME, detection, sentinel_summary
 from repro.ssi.did import Did
 from repro.ssi.registry import CachingResolver, RegistryUnavailable
 
@@ -270,8 +270,8 @@ def run_sentinel_campaign(scenarios: list[str], plan_name: str, *,
                                      duration=duration)
                for name in scenarios]
     document = {
-        "version": "1.0",
-        "tool": {"name": "repro-sentinel", "version": __version__},
+        "version": SCHEMA_VERSION,
+        "tool": {"name": TOOL_NAME, "version": __version__},
         "plan": plan.to_dict(),
         "baseSeed": base_seed,
         "scenarios": results,

@@ -9,6 +9,7 @@ untyped escape (a traceback instead of a verdict).
 """
 
 import copy
+import importlib
 import pathlib
 import tempfile
 import textwrap
@@ -272,3 +273,23 @@ def test_derived_key_lies_raise_at_the_key(name):
                 str(excinfo.value)
             block[key] = original
     validator(document)
+
+
+@pytest.mark.parametrize("name, producer, report", [
+    ("chaos", "repro.faults.chaos", "repro.faults.report"),
+    ("sentinel", "repro.sentinel.campaign", "repro.sentinel.report"),
+])
+def test_document_header_is_the_report_modules_constants(name, producer, report,
+                                                          monkeypatch):
+    producer, report = importlib.import_module(producer), importlib.import_module(report)
+    document = CASES[name][1]()
+    assert document["version"] == report.SCHEMA_VERSION
+    assert document["tool"]["name"] == report.TOOL_NAME
+    # the producer holds the report module's constants and builds the
+    # header from them, so a bump in the report module is the only one
+    assert vars(producer)["SCHEMA_VERSION"] is report.SCHEMA_VERSION
+    assert vars(producer)["TOOL_NAME"] is report.TOOL_NAME
+    monkeypatch.setattr(producer, "SCHEMA_VERSION", "9.9")
+    monkeypatch.setattr(producer, "TOOL_NAME", "renamed")
+    document = CASES[name][1]()
+    assert (document["version"], document["tool"]["name"]) == ("9.9", "renamed")
