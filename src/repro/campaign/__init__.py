@@ -14,13 +14,14 @@ the harness itself:
 * :mod:`repro.campaign.supervisor` — heartbeat-supervised workers with
   a one-shard lookahead, hang detection, remaining-budget restarts and
   poison-shard quarantine; the repo's one worker pool;
-* :mod:`repro.campaign.shard` — worker-side tool execution, the
-  per-worker memo of static shards, and the canonical result digest;
+* :mod:`repro.campaign.shard` — worker-side tool execution, which
+  ships each result as canonical JSON text with its digest;
 * :mod:`repro.campaign.experiment` — worker-side execution of one
   paper experiment (``CampaignEngine(execute=experiment_executor(...))``),
   memoized by the content-addressed :mod:`repro.campaign.cache`;
-* :mod:`repro.campaign.engine` — the journal-driven scheduler and the
-  resume path (``python -m repro campaign resume <id>``);
+* :mod:`repro.campaign.engine` — the journal-driven scheduler, which
+  settles repeated static shards from its own memo, and the resume path
+  (``python -m repro campaign resume <id>``);
 * :mod:`repro.campaign.report` — the deterministic report whose bytes
   a resumed campaign must reproduce exactly.
 """

@@ -29,13 +29,28 @@ The crash-safety contract, end to end:
 
 Workers never wait on the engine: each busy worker holds one lookahead
 shard while the queue holds more than ``jobs`` shards (see
-:mod:`~repro.campaign.supervisor`).  With the default worker function,
-each worker process of one run also keeps a memo of the static shards
-(lint, flow, redteam) it has run, keyed by ``(tool, scenario)``: a
-static result does not depend on the seed, so every later seed of that
-cell reuses the result and its digest (see
-:mod:`~repro.campaign.shard`).  The memo lives only in that run's
-workers; the engine process never holds a result in it.
+:mod:`~repro.campaign.supervisor`).
+
+The engine keeps the memo of static shards.  A static result (lint,
+flow, redteam under the default worker function,
+:func:`~repro.campaign.shard.execute_shard`) reads only the scenario,
+so of each static ``(tool, scenario)`` cell only the first pending
+shard goes to the supervisor.  When it settles ``ok``, the engine
+settles every other shard of the cell itself, from that result and its
+digest: one ``shard-done`` each, with ``attempts`` 1 and the time the
+engine took to settle it, but no ``shard-start`` and no dispatch.  If
+the first shard ends ``error``, ``timeout`` or ``quarantined``, the rest
+of its cell runs on the workers in one further supervisor run.  The memo
+lives for one :meth:`CampaignEngine.run` and is seeded from the ``ok``
+``shard-done`` records already in the journal, so a resume settles a
+cell's remaining shards the same way; a crash before a cell's first
+shard settles leaves the rest of the cell pending, and the resume sends
+its first pending shard.  A custom ``execute=`` and plan-driven shards
+are never settled from the memo.
+
+Each result is decoded once, from the canonical JSON text its worker
+built, and the same text is spliced into the journal record, so the
+engine process encodes no result document.
 
 Self-chaos: :func:`plan_worker_faults` turns an ordinary
 :class:`~repro.faults.plan.FaultPlan` into worker crash/hang
@@ -47,17 +62,17 @@ not just the systems it tests.
 
 from __future__ import annotations
 
+import json
 import time
 from contextlib import closing, nullcontext
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
 from repro.campaign.journal import Journal, JournalCorrupt, JournalState, replay
 from repro.campaign.report import CampaignReport, ShardEntry, check_outcome
-from repro.campaign.shard import execute_shard
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.shard import canonical_json, execute_shard
+from repro.campaign.spec import PLAN_TOOLS, CampaignSpec, CampaignTool
 from repro.campaign.supervisor import (
     DEFAULT_HANG_TIMEOUT_S,
     DEFAULT_HEARTBEAT_INTERVAL_S,
@@ -79,6 +94,26 @@ __all__ = ["CampaignEngine", "CampaignError", "default_journal_root",
 
 class CampaignError(ValueError):
     """A campaign cannot run as requested (bad state, spec mismatch)."""
+
+
+#: The tools whose result reads only the scenario: the memo's cells.
+STATIC_TOOLS = frozenset(tool.value for tool in CampaignTool
+                         if tool not in PLAN_TOOLS)
+
+
+def _decode(payload: dict | None) -> tuple[dict | None, str | None]:
+    """A worker payload's result document and its canonical JSON text.
+
+    The worker functions ship the text; a custom worker function may
+    return the document itself, which is encoded here, once.  Either
+    way the document is loaded from canonical text, so its keys are in
+    canonical order.
+    """
+    result = (payload or {}).get("result")
+    if result is None:
+        return None, None
+    text = result if isinstance(result, str) else canonical_json(result)
+    return json.loads(text), text
 
 
 def default_journal_root() -> Path:
@@ -216,8 +251,9 @@ class CampaignEngine:
         self.fsync = fsync
         self.install_signal_handlers = install_signal_handlers
         #: What every worker runs on a shard dict (``Supervisor(execute)``);
-        #: ``None`` runs :func:`execute_shard` with a fresh memo per run.
-        self.execute = execute
+        #: ``None`` runs :func:`execute_shard`, whose static cells the
+        #: engine memoizes.
+        self.execute = execute if execute is not None else execute_shard
         self.events = EventLog()
         self._stop_requested = False
         self._t0 = 0.0
@@ -267,19 +303,13 @@ class CampaignEngine:
             error=record["error"], attempts=record["attempts"],
             duration_s=record["durationS"])
 
-    def _outcome_record(self, outcome: ShardOutcome) -> dict:
-        if outcome.status == "quarantined":
-            return {"type": "shard-quarantined", "shardId": outcome.shard_id,
-                    "error": outcome.error, "attempts": outcome.attempts,
-                    "durationS": round(outcome.duration_s, 6),
-                    "failures": list(outcome.failures)}
-        payload = outcome.payload or {}
-        return {"type": "shard-done", "shardId": outcome.shard_id,
-                "status": outcome.status,
-                "result": payload.get("result"),
-                "digest": str(payload.get("digest", "")),
-                "error": outcome.error, "attempts": outcome.attempts,
-                "durationS": round(outcome.duration_s, 6)}
+    def _cell(self, shard_id: str) -> tuple[str, str] | None:
+        """The shard's static ``(tool, scenario)`` memo cell, if it has one."""
+        if self.execute is not execute_shard:
+            return None
+        shard = self.spec.shard(shard_id)
+        return (shard.tool_name, shard.scenario) \
+            if shard.tool_name in STATIC_TOOLS else None
 
     # -- the run -------------------------------------------------------------
 
@@ -331,13 +361,20 @@ class CampaignEngine:
         if state.spec is None:
             journal.append({"type": "campaign-start",
                             "campaign": self.spec.to_dict()})
+        # static cell -> (result, its canonical text or None, digest)
+        memo: dict[tuple[str, str], tuple[dict, str | None, str]] = {}
         replayed = 0
         for shard in self.spec.shards:
             shard_id = shard.shard_id
             if shard_id in state.done:
+                record = state.done[shard_id]
                 report.entries[shard_id] = self._entry_from_done(
-                    shard.to_dict(), state.done[shard_id])
+                    shard.to_dict(), record)
                 replayed += 1
+                cell = self._cell(shard_id)
+                if cell is not None and record["status"] == "ok":
+                    memo.setdefault(cell, (record["result"], None,
+                                           record["digest"]))
             elif shard_id in state.quarantined:
                 report.entries[shard_id] = self._entry_from_quarantine(
                     shard.to_dict(), state.quarantined[shard_id])
@@ -350,8 +387,64 @@ class CampaignEngine:
             if OBS.enabled:
                 OBS.count("campaign.resumes")
                 OBS.count("campaign.shards.replayed", replayed)
-        pending = [shard.to_dict() for shard in self.spec.shards
-                   if shard.shard_id not in report.entries]
+
+        def settle(outcome: ShardOutcome, result: dict | None,
+                   text: str | None, digest: str) -> None:
+            if outcome.status == "quarantined":
+                journal.append({
+                    "type": "shard-quarantined", "shardId": outcome.shard_id,
+                    "error": outcome.error, "attempts": outcome.attempts,
+                    "durationS": round(outcome.duration_s, 6),
+                    "failures": list(outcome.failures)})
+            else:
+                journal.append({
+                    "type": "shard-done", "shardId": outcome.shard_id,
+                    "status": outcome.status, "result": result,
+                    "digest": digest, "error": outcome.error,
+                    "attempts": outcome.attempts,
+                    "durationS": round(outcome.duration_s, 6)},
+                    result_json=text)
+            report.entries[outcome.shard_id] = ShardEntry(
+                shard=self.spec.shard(outcome.shard_id).to_dict(),
+                status=outcome.status, result=result, digest=digest,
+                error=outcome.error, attempts=outcome.attempts,
+                duration_s=outcome.duration_s)
+            self._emit(EventKind.SHARD_DONE, outcome.shard_id,
+                       f"{outcome.status} after {outcome.attempts} "
+                       f"attempt(s)", status=outcome.status,
+                       attempts=outcome.attempts)
+            if OBS.enabled:
+                OBS.count(f"campaign.shards.{outcome.status}")
+                OBS.observe("campaign.shard_s", outcome.duration_s)
+                if outcome.attempts > 1:
+                    OBS.count("campaign.shards.retried")
+
+        def settle_from_memo(shard_id: str, cell: tuple[str, str]) -> None:
+            t0 = time.perf_counter()
+            result, text, digest = memo[cell]
+            if text is None:  # seeded from the journal: encode it once
+                text = canonical_json(result)
+                memo[cell] = (result, text, digest)
+            settle(ShardOutcome(shard_id=shard_id, status="ok",
+                                duration_s=time.perf_counter() - t0),
+                   result, text, digest)
+
+        # the shards each static cell holds back behind its first one
+        held: dict[tuple[str, str], list[str]] = {}
+        pending: list[dict] = []
+        for shard in self.spec.shards:
+            shard_id = shard.shard_id
+            if shard_id in report.entries:
+                continue
+            cell = self._cell(shard_id)
+            if cell in memo:
+                settle_from_memo(shard_id, cell)
+            elif cell in held:
+                held[cell].append(shard_id)
+            else:
+                if cell is not None:
+                    held[cell] = []
+                pending.append(shard.to_dict())
         if not pending:
             if not state.ended:
                 journal.append({"type": "campaign-end",
@@ -371,31 +464,27 @@ class CampaignEngine:
             # since the last pass, durable before anything is sent
             journal.commit()
 
-        def on_outcome(outcome: ShardOutcome) -> None:
-            journal.append(self._outcome_record(outcome))
-            shard = self.spec.shard(outcome.shard_id)
-            payload = outcome.payload or {}
-            report.entries[outcome.shard_id] = ShardEntry(
-                shard=shard.to_dict(), status=outcome.status,
-                result=payload.get("result"),
-                digest=str(payload.get("digest", "")),
-                error=outcome.error, attempts=outcome.attempts,
-                duration_s=outcome.duration_s)
-            self._emit(EventKind.SHARD_DONE, outcome.shard_id,
-                       f"{outcome.status} after {outcome.attempts} "
-                       f"attempt(s)", status=outcome.status,
-                       attempts=outcome.attempts)
-            if OBS.enabled:
-                OBS.count(f"campaign.shards.{outcome.status}")
-                OBS.observe("campaign.shard_s", outcome.duration_s)
-                if outcome.attempts > 1:
-                    OBS.count("campaign.shards.retried")
+        # the rest of every cell whose first shard did not end ok
+        released: list[dict] = []
 
-        # each worker process fills its own copy of the memo
-        execute = self.execute if self.execute is not None \
-            else partial(execute_shard, memo={})
+        def on_outcome(outcome: ShardOutcome) -> None:
+            result, text = _decode(outcome.payload)
+            digest = str((outcome.payload or {}).get("digest", ""))
+            settle(outcome, result, text, digest)
+            cell = self._cell(outcome.shard_id)
+            waiting = held.pop(cell, None)
+            if not waiting:
+                return
+            if outcome.status == "ok":
+                memo[cell] = (result, text, digest)
+                for shard_id in waiting:
+                    settle_from_memo(shard_id, cell)
+            else:
+                released.extend(self.spec.shard(shard_id).to_dict()
+                                for shard_id in waiting)
+
         supervisor = Supervisor(
-            execute, jobs=self.jobs,
+            self.execute, jobs=self.jobs,
             heartbeat_interval_s=self.heartbeat_interval_s,
             hang_timeout_s=self.hang_timeout_s,
             shard_timeout_s=self.shard_timeout_s,
@@ -406,6 +495,8 @@ class CampaignEngine:
         with (stop_on_signals(self.request_stop)
               if self.install_signal_handlers else nullcontext()):
             _, interrupted = supervisor.run(pending)
+            if released and not interrupted:
+                _, interrupted = supervisor.run(released)
         if interrupted:
             journal.append({"type": "interrupt",
                             "settled": len(report.entries),

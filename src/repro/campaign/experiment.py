@@ -15,7 +15,9 @@ Prints are captured at the file-descriptor level and dropped; a raising
 test's traceback goes to stderr.  There is no timeout here: the
 supervisor's budget kills the worker's process group.
 
-The shard's result document is ``{"artifacts": [{"title", "rows"}]}``.
+The shard's result document is ``{"artifacts": [{"title", "rows"}]}``;
+like :func:`~repro.campaign.shard.execute_shard`, the payload carries it
+as canonical JSON text, encoded once here.
 Before running a bench the executor looks its key up in the
 :class:`~repro.campaign.cache.ResultCache`; only an entry of exactly
 that shape is a hit, and anything else is re-run and overwritten.  Only
@@ -41,7 +43,7 @@ from types import ModuleType
 from typing import Callable, Iterable, Mapping
 
 from repro.campaign.cache import ResultCache, experiment_key, tree_digest
-from repro.campaign.shard import result_digest
+from repro.campaign.shard import canonical_json, text_digest
 from repro.campaign.spec import EXPERIMENT_TOOL, CampaignSpec, ShardSpec
 from repro.core.rng import derive_seed
 from repro.core.schema import STRING, SchemaError, list_of, obj, validate
@@ -167,11 +169,12 @@ def execute_experiment(shard: dict, *, benches: Mapping[str, str],
             result = {"artifacts": artifacts}
             if cache is not None:
                 cache.put(key, result)
+    text = None if result is None else canonical_json(result)
     return {
         "shard": dict(shard),
         "status": "error" if error else "ok",
-        "result": result,
-        "digest": "" if result is None else result_digest(result),
+        "result": text,
+        "digest": "" if text is None else text_digest(text),
         "error": error,
         "durationS": time.perf_counter() - t0,
     }

@@ -22,7 +22,9 @@ acts on it.  The protocol is the classic WAL discipline:
   exceed the attempts actually made by one.  Start counts never reach
   the report;
 * ``shard-done`` — the shard's terminal outcome, embedding the result
-  document and its digest (resume replays these instead of re-running);
+  document and its digest (resume replays these instead of re-running).
+  A shard the engine settled from its static-shard memo has a
+  ``shard-done`` and no ``shard-start``: it was never dispatched;
 * ``shard-quarantined`` — a poison shard retired after repeated worker
   deaths (terminal: resume must *not* retry it, or a resumed report
   would diverge from the uninterrupted one);
@@ -37,6 +39,13 @@ a corrupt record anywhere else means the file was tampered with or the
 disk is lying, and replay refuses with :class:`JournalCorrupt` rather
 than resuming from fiction.  So does a checksum-valid record whose
 fields do not have the shape the engine writes.
+
+A ``shard-done`` record's result is not encoded here: :meth:`Journal.append`
+splices the canonical JSON text the worker already built into the line
+as is, so the line and its checksum are byte-identical to encoding the
+parsed result.  Text that is not canonical yields a line whose checksum
+no replay can verify, so it ends in :class:`JournalCorrupt`, never in a
+resumed report.
 """
 
 from __future__ import annotations
@@ -50,6 +59,7 @@ from pathlib import Path
 from typing import IO
 
 from repro.campaign.report import RESULT, SHARD_FIELDS
+from repro.campaign.shard import canonical_json as _canonical
 from repro.core.schema import (COUNT, NUMBER, STRING, TEXT, SchemaError, list_of,
                                obj, one_of)
 
@@ -87,24 +97,24 @@ class JournalCorrupt(ValueError):
     verified record is not one the engine writes."""
 
 
-#: The canonical encoding: sorted keys, no whitespace (one encoder, built once).
-_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
 def _checksum(payload: dict) -> str:
     return hashlib.sha256(_canonical(payload).encode()).hexdigest()[:16]
 
 
-def _stamp(stamped: dict) -> str:
+def _stamp(stamped: dict, result_json: str | None = None) -> str:
     """Set ``stamped["check"]`` and return the record's journal line.
 
     The line is ``_canonical(stamped)`` with the checksum of the rest of
     the record in it, but each top-level member is encoded only once:
     the members are joined, sorted by key, once without ``check`` for
-    the checksum and once with it for the line.
+    the checksum and once with it for the line.  ``result_json`` is the
+    ``result`` member already encoded, and is spliced in as is.
     """
     members = {key: f"{_canonical(key)}:{_canonical(value)}"
-               for key, value in stamped.items()}
+               for key, value in stamped.items()
+               if key != "result" or result_json is None}
+    if result_json is not None:
+        members["result"] = f'"result":{result_json}'
     unchecked = "{" + ",".join(members[key] for key in sorted(members)) + "}"
     stamped["check"] = hashlib.sha256(unchecked.encode()).hexdigest()[:16]
     members["check"] = f'"check":"{stamped["check"]}"'
@@ -162,11 +172,13 @@ class Journal:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def append(self, record: dict) -> dict:
+    def append(self, record: dict, *, result_json: str | None = None) -> dict:
         """Write and flush one record; returns it with seq + checksum.
 
         The record survives a kill of this process at once, and a power
-        cut after the next :meth:`commit`.
+        cut after the next :meth:`commit`.  ``result_json`` is the
+        record's ``result`` as canonical JSON text (a worker payload's
+        ``result``); it goes into the line unencoded.
         """
         if self._fh is None:
             raise ValueError("journal is not open")
@@ -175,7 +187,7 @@ class Journal:
                              f"{record.get('type')!r}")
         t0 = time.perf_counter()
         stamped = {**record, "seq": self._next_seq}
-        self._fh.write(_stamp(stamped) + "\n")
+        self._fh.write(_stamp(stamped, result_json) + "\n")
         self._fh.flush()
         self._unsynced = True
         self._next_seq += 1

@@ -22,7 +22,6 @@ crashes and resumes.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -49,6 +48,9 @@ class ShardEntry:
 
     ``attempts``/``duration_s`` are wall-clock bookkeeping for tables
     only — see the module docstring for why they stay out of the JSON.
+    ``result`` is in canonical key order, because the engine loads it
+    from canonical JSON text (a worker's, or a journal line), so a fresh
+    and a replayed result serialize to the same bytes as they are.
     """
 
     shard: dict
@@ -70,11 +72,7 @@ class ShardEntry:
             "status": self.status,
             "digest": self.digest,
             "error": self.error,
-            # Canonical key order: a result replayed from the journal
-            # (written sorted) and one fresh from an executor must
-            # serialize to the same bytes, not just the same values.
-            "result": (json.loads(json.dumps(self.result, sort_keys=True))
-                       if self.result is not None else None),
+            "result": self.result,
         }
 
 

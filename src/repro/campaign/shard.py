@@ -14,14 +14,17 @@ byte-deterministic per the repo's core invariant; :func:`result_digest`
 fixes the canonical encoding so the journal, the resume path, and the
 report validator all agree on what "the same result" means.
 
+Each result is encoded exactly once, here, in the process that made
+it: the payload carries the result's canonical JSON text
+(:data:`canonical_json`) and its digest.  The engine decodes that text
+once and splices the same text into the journal record, so neither the
+engine nor the journal encodes a result again.
+
 The static analyzers (lint, flow, redteam) read only the shard's
-scenario, so their result is the same for every seed.  A worker may
-therefore pass a ``memo``: the first ``ok`` result of each static
-``(tool, scenario)`` it runs is kept there with its digest, and every
-later shard of that cell reuses both.  The engine gives each run's
-workers an empty memo, which each worker process fills on its own and
-which dies with it; a direct call without one runs the analyzer every
-time.
+scenario, so their result is the same for every seed.  The worker runs
+every shard it is sent; it is the engine that sends only the first
+shard of each static ``(tool, scenario)`` cell and settles the rest of
+the cell itself (see :mod:`~repro.campaign.engine`).
 """
 
 from __future__ import annotations
@@ -31,18 +34,23 @@ import json
 import time
 from typing import Callable
 
-from repro.campaign.spec import PLAN_TOOLS, CampaignTool, ShardSpec
+from repro.campaign.spec import CampaignTool, ShardSpec
 
-__all__ = ["execute_shard", "result_digest", "TOOL_EXECUTORS"]
+__all__ = ["canonical_json", "execute_shard", "result_digest", "text_digest",
+           "TOOL_EXECUTORS"]
 
-#: A worker's memo: static ``(tool, scenario)`` -> ``(result, digest)``.
-ShardMemo = dict[tuple[str, str], tuple[dict, str]]
+#: The canonical encoding: sorted keys, no whitespace (one encoder, built once).
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def text_digest(text: str) -> str:
+    """SHA-256 over a result's canonical JSON text."""
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def result_digest(result: dict) -> str:
     """SHA-256 over the canonical JSON encoding of a result document."""
-    material = json.dumps(result, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(material.encode()).hexdigest()
+    return text_digest(canonical_json(result))
 
 
 def _run_chaos(spec: ShardSpec) -> dict:
@@ -93,37 +101,29 @@ TOOL_EXECUTORS: dict[CampaignTool, Callable[[ShardSpec], dict]] = {
 }
 
 
-def execute_shard(spec_dict: dict, memo: ShardMemo | None = None) -> dict:
+def execute_shard(spec_dict: dict) -> dict:
     """Run one shard to completion; always returns a payload dict.
 
     The payload's deterministic core is ``shard``/``status``/``result``/
     ``digest``/``error`` — exactly what the journal persists and the
-    final report embeds.  ``durationS`` is wall-clock bookkeeping for
-    tables and benches only and never reaches the byte-compared report.
-    With a ``memo``, a static shard whose cell already ran returns that
-    run's result and digest (see the module docstring).
+    final report embeds; ``result`` is the result document's canonical
+    JSON text (``None`` on an error), and ``digest`` its SHA-256.
+    ``durationS`` is wall-clock bookkeeping for tables and benches only
+    and never reaches the byte-compared report.
     """
     t0 = time.perf_counter()
-    status, result, digest, error = "ok", None, "", ""
+    status, text, digest, error = "ok", None, "", ""
     try:
         spec = ShardSpec.from_dict(spec_dict)
-        if spec.tool in PLAN_TOOLS:
-            memo = None  # a plan-driven result depends on plan and seed
-        key = (spec.tool_name, spec.scenario)
-        if memo is not None and key in memo:
-            result, digest = memo[key]
-        else:
-            result = TOOL_EXECUTORS[spec.tool](spec)
-            digest = result_digest(result)
-            if memo is not None:
-                memo[key] = (result, digest)
+        text = canonical_json(TOOL_EXECUTORS[spec.tool](spec))
+        digest = text_digest(text)
     except Exception as exc:
-        status, result, digest = "error", None, ""
+        status, text, digest = "error", None, ""
         error = f"{type(exc).__name__}: {exc}"
     return {
         "shard": dict(spec_dict),
         "status": status,
-        "result": result,
+        "result": text,
         "digest": digest,
         "error": error,
         "durationS": time.perf_counter() - t0,

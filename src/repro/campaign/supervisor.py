@@ -43,7 +43,12 @@ goes back to the front of the queue without being charged.
 
 Worker deaths are infrastructure verdicts; failures the worker function
 reports come back as ordinary payloads and are never retried (they are
-deterministic, so a retry would only burn budget).
+deterministic, so a retry would only burn budget).  The supervisor
+never looks inside a payload's result: the campaign worker functions
+ship it as canonical JSON text, which the engine decodes once.  Every
+shard it is given runs; which shards to give it (the engine holds
+repeated static shards back and settles them itself) is the caller's
+decision.
 """
 
 from __future__ import annotations

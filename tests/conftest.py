@@ -1,5 +1,6 @@
 """Shared fixtures for the test suite."""
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -10,6 +11,41 @@ import repro.redteam.planner as planner
 from repro.__main__ import main
 from repro.campaign import CampaignEngine, experiment_executor, experiment_spec
 from repro.experiments import Experiment
+
+
+def _first_difference(actual: bytes, expected: bytes) -> int:
+    """The length of the longest common prefix (a binary search over slices)."""
+    low, high = 0, min(len(actual), len(expected))
+    while low < high:
+        middle = (low + high + 1) // 2
+        if actual[:middle] == expected[:middle]:
+            low = middle
+        else:
+            high = middle - 1
+    return low
+
+
+def assert_same_bytes(actual: str | bytes, expected: str | bytes, label: str = "",
+                      window: int = 60) -> None:
+    """Fail unless two documents are byte-identical, in well under a second.
+
+    Compares the lengths and SHA-256 digests, and on a mismatch reports
+    the first differing offset with ``window`` bytes either side of it.
+    A plain ``assert actual == expected`` on two long one-line documents
+    has pytest diff them, which can run for minutes.
+    """
+    __tracebackhide__ = True
+    left = actual.encode() if isinstance(actual, str) else actual
+    right = expected.encode() if isinstance(expected, str) else expected
+    if len(left) == len(right) and \
+            hashlib.sha256(left).digest() == hashlib.sha256(right).digest():
+        return
+    offset = _first_difference(left, right)
+    span = slice(max(0, offset - window), offset + window)
+    pytest.fail(f"{label + ': ' if label else ''}documents differ at byte {offset} "
+                f"(lengths {len(left)} and {len(right)})\n"
+                f"  actual:   ...{left[span]!r}...\n"
+                f"  expected: ...{right[span]!r}...", pytrace=False)
 
 
 @pytest.fixture

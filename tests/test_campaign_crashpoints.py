@@ -21,6 +21,7 @@ from repro.campaign import (CampaignEngine, CampaignSpec, CampaignTool,
                             ResultCache, execute_shard, replay)
 from repro.campaign.experiment import _cached
 from repro.campaign.shard import result_digest
+from tests.conftest import assert_same_bytes
 
 STATIC_TOOLS = [CampaignTool.LINT, CampaignTool.FLOW, CampaignTool.REDTEAM]
 
@@ -89,7 +90,7 @@ def test_every_cut_resumes_to_the_uninterrupted_bytes(uninterrupted, tmp_path):
         resumed = engine(spec, execute, root)
         resumed.journal_file.parent.mkdir(parents=True)
         resumed.journal_file.write_bytes(journal[:offset])
-        assert report_bytes(resumed.run(resume=True)) == reference, label
+        assert_same_bytes(report_bytes(resumed.run(resume=True)), reference, label)
         state = replay(resumed.journal_file)
         assert state.ended, label
         text = resumed.journal_file.read_text()

@@ -1,6 +1,7 @@
 """The write-ahead journal: durability protocol, torn tails, replay."""
 
 import json
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,17 @@ from repro.campaign import (
     CampaignTool,
     Journal,
     JournalCorrupt,
+    execute_shard,
+    experiment_executor,
+    experiment_spec,
     read_records,
     replay,
 )
 from repro.campaign.journal import _canonical, _checksum, _stamp
+from repro.campaign.shard import result_digest
+from repro.experiments import Experiment
+from repro.lint import scenario_names
+from tests.conftest import assert_same_bytes
 
 
 def spec():
@@ -107,6 +115,88 @@ class TestEncodeOnce:
         resumed = CampaignEngine(campaign, journal_root=tmp_path,
                                  fsync=False).run(resume=True)
         assert resumed.to_json_dict() == reference
+
+
+SYNTHETIC_BENCH = """\
+def test_table(show):
+    show("Fig. S \u2014 spliced \u00b5s", [("row \u00e9", 1.5), ("row b", None)])
+"""
+
+
+def _noncanonical_shard(shard, *, encode):
+    """A worker function whose result text is not canonical JSON."""
+    result = {"seed": shard["seed"], "b": [1, 2.5], "a": "\u00e9"}
+    return {"status": "ok", "result": encode(result), "digest": result_digest(result),
+            "error": "", "durationS": 0.0}
+
+
+NONCANONICAL = {
+    "whitespace": partial(_noncanonical_shard,
+                          encode=lambda r: json.dumps(r, sort_keys=True)),
+    "key-order": partial(_noncanonical_shard,
+                         encode=lambda r: json.dumps(r, separators=(",", ":"))),
+}
+
+
+@pytest.fixture(scope="module")
+def payloads(tmp_path_factory):
+    """Every payload of a one-seed ``--tools all --scenarios all`` campaign,
+    and one experiment payload."""
+    campaign = CampaignSpec.matrix(tools=list(CampaignTool),
+                                   scenarios=sorted(scenario_names()), seeds=[0])
+    found = [execute_shard(shard.to_dict()) for shard in campaign.shards]
+    bench = tmp_path_factory.mktemp("bench") / "bench_spliced.py"
+    bench.write_text(SYNTHETIC_BENCH)
+    execute = experiment_executor([Experiment("SPLICE", "-", "synthetic", str(bench))])
+    found.append(execute(experiment_spec(
+        [Experiment("SPLICE", "-", "synthetic", str(bench))]).shards[0].to_dict()))
+    assert [payload["status"] for payload in found] == ["ok"] * (len(campaign) + 1)
+    return found
+
+
+class TestSplicedResults:
+    def test_a_spliced_line_is_the_encoded_line(self, tmp_path, payloads):
+        for index, payload in enumerate(payloads):
+            record = {"type": "shard-done", "shardId": payload["shard"]["id"],
+                      "status": "ok", "result": json.loads(payload["result"]),
+                      "digest": payload["digest"], "error": "", "attempts": 1,
+                      "durationS": 0.012345}
+            encoded, spliced = (tmp_path / f"{kind}.{index}" for kind in ("e", "s"))
+            with Journal(encoded, fsync=False) as journal:
+                journal.append(dict(record))
+            with Journal(spliced, fsync=False) as journal:
+                journal.append(dict(record), result_json=payload["result"])
+            assert_same_bytes(spliced.read_bytes(), encoded.read_bytes(),
+                              payload["shard"]["id"])
+            assert read_records(spliced)[0]["result"] == record["result"]
+
+    def test_every_engine_line_is_the_canonical_stamped_record(self, tmp_path):
+        campaign = CampaignSpec.matrix(tools=list(CampaignTool),
+                                       scenarios=sorted(scenario_names()),
+                                       seeds=[0, 1], name="spliced")
+        engine = CampaignEngine(campaign, jobs=2, journal_root=tmp_path, fsync=False)
+        engine.run()
+        text = engine.journal_file.read_text()
+        lines = [_canonical({**record, "check": _checksum(record)}) + "\n"
+                 for record in read_records(engine.journal_file)]
+        assert_same_bytes(text, "".join(lines))
+        assert text.count('"type":"shard-done"') == len(campaign)
+
+    @pytest.mark.parametrize("kind", sorted(NONCANONICAL))
+    def test_a_noncanonical_text_is_a_corrupt_journal(self, tmp_path, run_cli, kind):
+        campaign = CampaignSpec.matrix(tools=[CampaignTool.LINT],
+                                       scenarios=["pkes-legacy"], seeds=[0, 1],
+                                       name=f"noncanonical-{kind}")
+        engine = CampaignEngine(campaign, journal_root=tmp_path, fsync=False,
+                                execute=NONCANONICAL[kind])
+        engine.run()
+        with pytest.raises(JournalCorrupt, match="checksum mismatch"):
+            CampaignEngine(campaign, journal_root=tmp_path, fsync=False,
+                           execute=NONCANONICAL[kind]).run(resume=True)
+        code, out, err = run_cli("campaign", "resume", campaign.campaign_id,
+                                 "--journal-root", str(tmp_path), "--json")
+        assert (code, out) == (2, "")
+        assert "checksum mismatch" in err and "Traceback" not in err
 
 
 class TestCorruption:

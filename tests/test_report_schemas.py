@@ -11,6 +11,7 @@ untyped escape (a traceback instead of a verdict).
 import copy
 import importlib
 import pathlib
+import json
 import tempfile
 import textwrap
 
@@ -105,7 +106,7 @@ def campaign_document():
         payload = execute_shard(shard.to_dict())
         report.entries[shard.shard_id] = ShardEntry(
             shard=payload["shard"], status=payload["status"],
-            result=payload["result"], digest=payload["digest"],
+            result=json.loads(payload["result"]), digest=payload["digest"],
             error=payload["error"])
     return report.to_json_dict()
 

@@ -341,7 +341,8 @@ class TestArtifactParsing:
                                                            capfd):
         result = run_bench(tmp_path, SCRIPT_SHOW)
         assert result["status"] == "ok"
-        assert result["result"]["artifacts"] == [
+        # the payload carries the result as canonical JSON text
+        assert json.loads(result["result"])["artifacts"] == [
             {"title": "Fig. X — demo", "rows": ["row a  1", "row b  2"]},
             {"title": "second", "rows": ["only row"]},
         ]
@@ -350,7 +351,7 @@ class TestArtifactParsing:
     def test_bare_separator_is_not_a_title(self, tmp_path):
         result = run_bench(tmp_path, SCRIPT_SEPARATOR)
         assert result["status"] == "ok"
-        assert result["result"] == {"artifacts": []}
+        assert result["result"] == '{"artifacts":[]}'
 
 
 class TestExecute:
