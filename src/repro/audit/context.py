@@ -113,12 +113,6 @@ class AuditContext:
 
     # -- lookups -------------------------------------------------------------
 
-    def by_relpath(self, relpath: str) -> ModuleInfo:
-        for module in self.modules:
-            if module.relpath == relpath:
-                return module
-        raise KeyError(f"no module {relpath!r} in audit context")
-
     def in_package(self, *packages: str) -> tuple[ModuleInfo, ...]:
         wanted = set(packages)
         return tuple(m for m in self.modules if m.package in wanted)

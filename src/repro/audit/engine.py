@@ -32,33 +32,36 @@ __all__ = ["AuditFinding", "Checker", "register", "all_checkers",
 
 @dataclass(frozen=True)
 class AuditFinding:
-    """One violation of one audit rule at one source location."""
+    """One violation of one audit rule at one source location; it has
+    every attribute :mod:`repro.lint.sarif` reads of a finding."""
 
     rule_id: str
     severity: Severity
-    relpath: str
+    layer: Layer
+    path: str
     line: int
     message: str
+    paper_ref: str
     remediation: str
 
     @property
     def subject(self) -> str:
         """``path:line`` — the display/SARIF location."""
-        return f"{self.relpath}:{self.line}"
+        return f"{self.path}:{self.line}"
 
     @property
     def fingerprint(self) -> str:
         """Stable id for baselining: rule + file + message, *not* the
         line number — refactors that move code must keep suppressing
         the same logical finding."""
-        material = f"{self.rule_id}|{self.relpath}|{self.message}"
+        material = f"{self.rule_id}|{self.path}|{self.message}"
         return hashlib.sha256(material.encode()).hexdigest()[:16]
 
     def to_dict(self) -> dict:
         return {
             "ruleId": self.rule_id,
             "severity": self.severity.name.lower(),
-            "path": self.relpath,
+            "path": self.path,
             "line": self.line,
             "message": self.message,
             "remediation": self.remediation,
@@ -72,13 +75,15 @@ class Checker:
     Subclasses set the class attributes and implement :meth:`check`.
     ``layer`` positions the rule in the paper's Fig. 1 stack for the
     SARIF export (defaults to the cross-cutting system-of-systems
-    layer, which is where "the repo's own promises" live).
+    layer, which is where "the repo's own promises" live); every rule
+    cites the paper's §VIII.
     """
 
     rule_id: str = ""
     title: str = ""
     severity: Severity = Severity.HIGH
     layer: Layer = Layer.SYSTEM_OF_SYSTEMS
+    paper_ref: str = "§VIII"
     remediation: str = ""
 
     def check(self, context: AuditContext) -> Iterator[AuditFinding]:
@@ -92,9 +97,11 @@ class Checker:
         return AuditFinding(
             rule_id=self.rule_id,
             severity=self.severity,
-            relpath=module.relpath,
+            layer=self.layer,
+            path=module.relpath,
             line=line,
             message=message,
+            paper_ref=self.paper_ref,
             remediation=self.remediation,
         )
 
@@ -154,7 +161,7 @@ class AuditEngine:
         suppressed: list[AuditFinding] = []
         for checker in self.checkers:
             for finding in checker.check(context):
-                module = by_relpath.get(finding.relpath)
+                module = by_relpath.get(finding.path)
                 inline = (module is not None and
                           finding.rule_id in module.allowed_on(finding.line))
                 if inline or (baseline is not None
@@ -162,9 +169,9 @@ class AuditEngine:
                     suppressed.append(finding)
                 else:
                     findings.append(finding)
-        key = lambda f: (f.rule_id, f.relpath, f.line, f.message)  # noqa: E731
+        key = lambda f: (f.rule_id, f.path, f.line, f.message)  # noqa: E731
         return AuditReport(
-            root=str(context.root),
+            target_name=str(context.root),
             findings=tuple(sorted(findings, key=key)),
             suppressed=tuple(sorted(suppressed, key=key)),
             rules_run=tuple(c.rule_id for c in self.checkers),

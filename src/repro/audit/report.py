@@ -21,9 +21,10 @@ The JSON schema (version ``1.0``) follows the house lint conventions::
 The producer fills ``summary`` with :func:`audit_summary` and the
 validator checks it against the same function.
 :func:`validate_audit_dict` checks a parsed document against that
-schema and raises :class:`SchemaError` on any violation; the SARIF
-export reuses :mod:`repro.lint.sarif` so audit findings load into the
-same tooling as lint findings, with physical file/line locations.
+schema and raises :class:`SchemaError` on any violation.
+:func:`to_sarif_dict` hands the report and its checkers as they are to
+:func:`repro.lint.sarif.to_sarif_dict`, the one SARIF writer of every
+static analyzer; each audit result also gets a file/line location.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from dataclasses import dataclass, field
 from repro.core.schema import (COUNT, STRING, TEXT, SchemaError, derived,
                                header, integer, leaf, list_of, map_of, obj,
                                require, validate)
-from repro.lint.engine import Finding, Rule, Severity
+from repro.lint.engine import Severity
 from repro.lint.report import FINGERPRINT, SEVERITY
+from repro.lint.sarif import to_sarif_dict as lint_to_sarif
 
 from repro.audit.engine import AuditFinding, Checker
 
@@ -47,65 +49,20 @@ TOOL_NAME = "repro-audit"
 
 
 @dataclass(frozen=True)
-class LocatedFinding(Finding):
-    """A lint-shaped finding that also carries a physical location.
+class AuditReport:
+    """The outcome of one audit run over one source tree.
 
-    :mod:`repro.lint.sarif` emits a ``physicalLocation`` for findings
-    exposing ``path``/``line``; the fingerprint is the audit one (no
-    line number) so SARIF ``partialFingerprints`` match the baseline.
+    ``target_name`` is the audited root; it and the findings are what
+    :class:`~repro.lint.baseline.Baseline` and :mod:`repro.lint.sarif`
+    read, the same as of a lint :class:`~repro.lint.report.Report`.
     """
 
-    path: str = ""
-    line: int = 0
-    stable_fingerprint: str = ""
-
-    @property
-    def fingerprint(self) -> str:
-        return self.stable_fingerprint
-
-
-def _as_lint_rule(checker: Checker) -> Rule:
-    return Rule(
-        rule_id=checker.rule_id,
-        title=checker.title,
-        layer=checker.layer,
-        severity=checker.severity,
-        paper_ref="§VIII",
-        remediation=checker.remediation,
-        check=lambda target: (),
-    )
-
-
-def _as_lint_finding(finding: AuditFinding, checker: Checker) -> Finding:
-    return LocatedFinding(
-        rule_id=finding.rule_id,
-        severity=finding.severity,
-        layer=checker.layer,
-        subject=finding.subject,
-        message=finding.message,
-        paper_ref="§VIII",
-        remediation=finding.remediation,
-        path=finding.relpath,
-        line=finding.line,
-        stable_fingerprint=finding.fingerprint,
-    )
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    """The outcome of one audit run over one source tree."""
-
-    root: str
+    target_name: str
     findings: tuple[AuditFinding, ...]
     suppressed: tuple[AuditFinding, ...] = ()
     rules_run: tuple[str, ...] = ()
     modules_audited: int = 0
     packages: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def target_name(self) -> str:
-        """Alias for :class:`repro.lint.baseline.Baseline` compatibility."""
-        return self.root
 
     # -- summaries -----------------------------------------------------------
 
@@ -122,7 +79,7 @@ class AuditReport:
         audited = (f"{self.modules_audited} modules, "
                    f"{len(self.rules_run)} rules")
         if not self.findings and not self.suppressed:
-            return f"{self.root}: clean ({audited}, 0 findings)"
+            return f"{self.target_name}: clean ({audited}, 0 findings)"
         lines = [
             f"{'rule':8s} {'severity':9s} location: message",
             f"{'-' * 8} {'-' * 9} {'-' * 50}",
@@ -131,7 +88,7 @@ class AuditReport:
             lines.append(f"{finding.rule_id:8s} "
                          f"{finding.severity.name.lower():9s} "
                          f"{finding.subject}: {finding.message}")
-        lines.append(f"{self.root}: {len(self.findings)} finding(s), "
+        lines.append(f"{self.target_name}: {len(self.findings)} finding(s), "
                      f"{len(self.suppressed)} suppressed ({audited})")
         return "\n".join(lines)
 
@@ -142,7 +99,7 @@ class AuditReport:
         document = {
             "version": SCHEMA_VERSION,
             "tool": {"name": TOOL_NAME, "version": __version__},
-            "target": self.root,
+            "target": self.target_name,
             "audited": {
                 "modules": self.modules_audited,
                 "packages": dict(self.packages),
@@ -173,21 +130,7 @@ def audit_summary(document: dict) -> dict:
 
 def to_sarif_dict(report: AuditReport, checkers: list[Checker]) -> dict:
     """Render ``report`` as a SARIF 2.1.0 log via :mod:`repro.lint.sarif`."""
-    from repro.lint.report import Report
-    from repro.lint.sarif import to_sarif_dict as lint_to_sarif
-
-    by_id = {checker.rule_id: checker for checker in checkers}
-    lint_report = Report(
-        target_name=report.root,
-        findings=tuple(_as_lint_finding(f, by_id[f.rule_id])
-                       for f in report.findings),
-        suppressed=tuple(_as_lint_finding(f, by_id[f.rule_id])
-                         for f in report.suppressed),
-        rules_run=report.rules_run,
-        analysis=None,
-    )
-    return lint_to_sarif(lint_report, [_as_lint_rule(c) for c in checkers],
-                         tool_name=TOOL_NAME)
+    return lint_to_sarif(report, checkers, tool_name=TOOL_NAME)
 
 
 # --------------------------------------------------------------------------

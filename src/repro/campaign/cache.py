@@ -111,7 +111,7 @@ class ResultCache:
             return None
         try:
             os.utime(path)  # refresh LRU recency on hit
-        except OSError:  # pragma: no cover - raced with prune/clear
+        except OSError:  # pragma: no cover - raced with a prune
             pass
         return document
 
@@ -138,7 +138,7 @@ class ResultCache:
         for file in self.directory.glob("*.json"):
             try:
                 mtime = file.stat().st_mtime
-            except OSError:  # pragma: no cover - raced with clear
+            except OSError:  # pragma: no cover - raced with another prune
                 continue
             entries.append((mtime, str(file), file))
         if len(entries) <= max_entries:
@@ -153,15 +153,6 @@ class ResultCache:
                 continue
             file.unlink(missing_ok=True)
             removed += 1
-        return removed
-
-    def clear(self) -> int:
-        """Delete every cached entry; returns the number removed."""
-        removed = 0
-        if self.directory.is_dir():
-            for file in self.directory.glob("*.json"):
-                file.unlink(missing_ok=True)
-                removed += 1
         return removed
 
     def __len__(self) -> int:

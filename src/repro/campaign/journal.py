@@ -59,7 +59,7 @@ from pathlib import Path
 from typing import IO
 
 from repro.campaign.report import RESULT, SHARD_FIELDS
-from repro.campaign.shard import canonical_json as _canonical
+from repro.campaign.spec import canonical_json as _canonical
 from repro.core.schema import (COUNT, NUMBER, STRING, TEXT, SchemaError, list_of,
                                obj, one_of)
 

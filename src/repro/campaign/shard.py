@@ -30,18 +30,13 @@ the cell itself (see :mod:`~repro.campaign.engine`).
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from typing import Callable
 
-from repro.campaign.spec import CampaignTool, ShardSpec
+from repro.campaign.spec import CampaignTool, ShardSpec, canonical_json
 
 __all__ = ["canonical_json", "execute_shard", "result_digest", "text_digest",
            "TOOL_EXECUTORS"]
-
-#: The canonical encoding: sorted keys, no whitespace (one encoder, built once).
-canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
 
 def text_digest(text: str) -> str:
     """SHA-256 over a result's canonical JSON text."""

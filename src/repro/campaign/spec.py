@@ -30,7 +30,12 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 __all__ = ["CampaignTool", "ShardSpec", "CampaignSpec", "PLAN_TOOLS",
-           "DEFAULT_DURATION", "STATIC_PLAN", "EXPERIMENT_TOOL"]
+           "DEFAULT_DURATION", "STATIC_PLAN", "EXPERIMENT_TOOL",
+           "canonical_json"]
+
+#: The canonical encoding: sorted keys, no whitespace (one encoder, built
+#: once).  It fixes campaign ids, result digests and journal lines alike.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 #: Campaign length in virtual-clock ticks for plan-driven tools.
 DEFAULT_DURATION = 30
@@ -149,10 +154,6 @@ class ShardSpec:
         return spec
 
 
-def _canonical(payload: object) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 @dataclass(frozen=True)
 class CampaignSpec:
     """A named, ordered shard matrix with a content-derived identity."""
@@ -179,7 +180,7 @@ class CampaignSpec:
         """The explicit name, or a digest of the canonical shard list."""
         if self.name:
             return self.name
-        material = _canonical([shard.to_dict() for shard in self.shards])
+        material = canonical_json([shard.to_dict() for shard in self.shards])
         return hashlib.sha256(material.encode()).hexdigest()[:12]
 
     def __len__(self) -> int:

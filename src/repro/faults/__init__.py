@@ -8,7 +8,8 @@ testable against injected faults.  This package provides:
   (:class:`FaultKind`) and windowed, probabilistic campaign plans
   (``baseline`` and ``severe``);
 * :mod:`repro.faults.injector` — :class:`FaultInjector`, per-``(kind,
-  target)`` seeded firing decisions with zero ambient randomness;
+  target)`` seeded firing decisions with zero ambient randomness, and a
+  per-kind tally of the faults that fired;
 * :mod:`repro.faults.resilience` — :func:`retry_with_backoff`,
   :class:`CircuitBreaker`, :class:`HealthMonitor`,
   all on a :class:`VirtualClock`;
@@ -22,7 +23,7 @@ testable against injected faults.  This package provides:
 
 from repro.faults.chaos import DEFAULT_DURATION, run_chaos_campaign, run_chaos_scenario
 from repro.faults.degradation import DegradationManager, LevelChange, ServiceLevel
-from repro.faults.injector import FaultInjector, InjectionRecord
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     KIND_LAYER,
     FaultKind,
@@ -56,7 +57,6 @@ __all__ = [
     "get_plan",
     "plan_names",
     "FaultInjector",
-    "InjectionRecord",
     "VirtualClock",
     "RetryPolicy",
     "RetryStats",

@@ -17,7 +17,7 @@ budget.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import Counter
 
 import numpy as np
 
@@ -26,17 +26,7 @@ from repro.faults.plan import KIND_LAYER, FaultKind, FaultPlan, FaultSpec
 from repro.obs.events import EventKind
 from repro.obs.runtime import OBS
 
-__all__ = ["InjectionRecord", "FaultInjector"]
-
-
-@dataclass(frozen=True)
-class InjectionRecord:
-    """One fault that actually fired."""
-
-    t: float
-    kind: FaultKind
-    target: str
-    magnitude: float
+__all__ = ["FaultInjector"]
 
 
 class FaultInjector:
@@ -52,7 +42,7 @@ class FaultInjector:
     def __init__(self, plan: FaultPlan, *, base_seed: int | None = None) -> None:
         self.plan = plan
         self.base_seed = base_seed
-        self.records: list[InjectionRecord] = []
+        self._fired: Counter[FaultKind] = Counter()
         self._specs: dict[tuple[FaultKind, str], tuple[FaultSpec, ...]] = {}
         for spec in plan.specs:
             key = (spec.kind, spec.target)
@@ -73,34 +63,10 @@ class FaultInjector:
             self._streams[key] = stream
         return stream
 
-    def _noise_stream(self, kind: FaultKind, target: str) -> np.random.Generator:
-        key = (kind, target)
-        stream = self._noise.get(key)
-        if stream is None:
-            stream = numpy_rng(self._label(kind, target) + "/noise",
-                               self.base_seed)
-            self._noise[key] = stream
-        return stream
-
     # -- firing decisions ----------------------------------------------------
 
-    def scheduled(self, kind: FaultKind, target: str) -> bool:
-        """Does the plan schedule this fault at all (any window)?"""
-        return (kind, target) in self._specs
-
-    def active_spec(self, kind: FaultKind, target: str,
-                    t: float) -> FaultSpec | None:
-        """The first spec armed at ``t`` for ``(kind, target)``, if any."""
-        specs = self._specs.get((kind, target))
-        if not specs:
-            return None
-        for spec in specs:
-            if spec.active(t):
-                return spec
-        return None
-
     def fires(self, kind: FaultKind, target: str, t: float) -> bool:
-        """Decide (and record) whether the fault fires at instant ``t``.
+        """Decide (and count) whether the fault fires at instant ``t``.
 
         One stream draw per armed opportunity — retrying an operation
         at the same instant re-rolls, which is exactly how a retransmit
@@ -117,7 +83,7 @@ class FaultInjector:
         if spec.probability < 1.0 and \
                 self._stream(kind, target).random() >= spec.probability:
             return False
-        self.records.append(InjectionRecord(t, kind, target, spec.magnitude))
+        self._fired[kind] += 1
         if OBS.enabled:
             OBS.count("faults.injected")
             OBS.count(f"faults.injected.{kind.value}")
@@ -127,26 +93,31 @@ class FaultInjector:
         return True
 
     def magnitude(self, kind: FaultKind, target: str, t: float) -> float:
-        """The armed spec's magnitude at ``t`` (0.0 when disarmed)."""
-        spec = self.active_spec(kind, target, t)
-        return spec.magnitude if spec is not None else 0.0
+        """The first armed spec's magnitude at ``t`` (0.0 when disarmed)."""
+        for spec in self._specs.get((kind, target), ()):
+            if spec.active(t):
+                return spec.magnitude
+        return 0.0
 
     # -- fault payloads ------------------------------------------------------
 
     def corruption_noise(self, kind: FaultKind, target: str,
                          n: int, magnitude: float) -> np.ndarray:
         """A burst of Gaussian sample noise from the pair's noise stream."""
-        return self._noise_stream(kind, target).normal(0.0, magnitude, size=n)
+        key = (kind, target)
+        stream = self._noise.get(key)
+        if stream is None:
+            stream = numpy_rng(self._label(kind, target) + "/noise",
+                               self.base_seed)
+            self._noise[key] = stream
+        return stream.normal(0.0, magnitude, size=n)
 
     # -- bookkeeping ---------------------------------------------------------
 
     @property
     def count(self) -> int:
-        return len(self.records)
+        return self._fired.total()
 
     def count_by_kind(self) -> dict[str, int]:
         """Fired-fault totals keyed by kind value (sorted for stability)."""
-        counts: dict[str, int] = {}
-        for record in self.records:
-            counts[record.kind.value] = counts.get(record.kind.value, 0) + 1
-        return dict(sorted(counts.items()))
+        return dict(sorted((kind.value, n) for kind, n in self._fired.items()))

@@ -31,6 +31,8 @@ from typing import TYPE_CHECKING
 from repro.lint.engine import Finding
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.audit.engine import AuditFinding
+    from repro.audit.report import AuditReport
     from repro.lint.report import Report
 
 __all__ = ["BaselineEntry", "Baseline"]
@@ -66,7 +68,7 @@ class Baseline:
     def add(self, entry: BaselineEntry) -> None:
         self.entries[entry.fingerprint] = entry
 
-    def suppresses(self, finding: Finding) -> bool:
+    def suppresses(self, finding: Finding | AuditFinding) -> bool:
         return finding.fingerprint in self.entries
 
     def __len__(self) -> int:
@@ -75,7 +77,7 @@ class Baseline:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def from_report(cls, report: "Report",
+    def from_report(cls, report: Report | AuditReport,
                     comment: str = "accepted by baseline") -> "Baseline":
         """Capture every current finding as accepted."""
         baseline = cls(target=report.target_name)

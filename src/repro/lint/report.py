@@ -23,6 +23,10 @@ validator checks it against the same function.
 :func:`validate_report_dict` checks a parsed document against that
 schema and raises :class:`SchemaError` on any violation — the CI gate
 and the golden-report test both call it.
+
+A :class:`Report` is what one :meth:`~repro.lint.engine.Linter.run`
+returns, always with its analysis; the SARIF view of a lint, flow,
+redteam or audit report is :mod:`repro.lint.sarif`'s.
 """
 
 from __future__ import annotations
@@ -47,18 +51,18 @@ TOOL_NAME = "repro-seclint"
 class Report:
     """The outcome of one linter run over one target.
 
-    ``analysis`` is the run's :class:`~repro.lint.engine.Analysis`, so a
-    renderer or document reads the taint analysis and attack plan the
-    rules read instead of computing them again.  It lives as long as the
-    report, is neither compared, printed nor serialised, and is ``None``
-    on a report no linter run made (the audit's SARIF view).
+    Only :meth:`~repro.lint.engine.Linter.run` builds one.  ``analysis``
+    is that run's :class:`~repro.lint.engine.Analysis`, so a renderer or
+    document reads the taint analysis and attack plan the rules read
+    instead of computing them again.  It is always set, lives as long as
+    the report, and is neither compared, printed nor serialised.
     """
 
     target_name: str
     findings: tuple[Finding, ...]
     suppressed: tuple[Finding, ...] = ()
     rules_run: tuple[str, ...] = ()
-    analysis: Analysis | None = field(kw_only=True, compare=False, repr=False)
+    analysis: Analysis = field(kw_only=True, compare=False, repr=False)
 
     # -- summaries -----------------------------------------------------------
 

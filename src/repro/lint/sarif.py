@@ -1,16 +1,20 @@
-"""Real SARIF 2.1.0 export for lint and flow reports.
+"""Real SARIF 2.1.0 export for every static analyzer's report.
 
-The ``--json`` report (:mod:`repro.lint.report`) is a compact in-house
-schema; this module emits the actual OASIS `SARIF 2.1.0`_ shape so
-findings load into standard tooling (GitHub code scanning, VS Code
-SARIF viewers, ...).  The mapping:
+The ``--json`` reports (:mod:`repro.lint.report`,
+:mod:`repro.audit.report`) are compact in-house schemas; this module
+emits the actual OASIS `SARIF 2.1.0`_ shape so findings load into
+standard tooling (GitHub code scanning, VS Code SARIF viewers, ...).
+Lint, flow and redteam hand it their lint :class:`Report` and rules;
+the self-audit hands it its own ``AuditReport`` and checkers, which
+carry the same attributes.  The mapping:
 
 * one ``run`` per report, ``tool.driver`` carrying the rule catalog as
   ``reportingDescriptor`` objects (title, full remediation text, the
-  paper section as ``helpUri`` fragment);
+  paper section under ``properties.paperRef``);
 * one ``result`` per finding — ``ruleId``, SARIF ``level`` mapped from
-  the severity ladder, the subject as a ``logicalLocation`` (these are
-  system *components*, not files, so physical locations do not apply);
+  the severity ladder, the subject as a ``logicalLocation``; an audit
+  finding, which names a source file and line, also gets a
+  ``physicalLocation``;
 * the stable lint fingerprint under ``partialFingerprints`` — the same
   value the baseline machinery keys on;
 * baselined findings are still emitted, with a ``suppressions`` entry
@@ -25,12 +29,16 @@ JSON-schema engine.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.schema import (COUNT, STRING, TEXT, const, integer, join,
                                list_of, map_of, obj, one_of, require, validate)
 from repro.lint.engine import Finding, Rule, Severity
 from repro.lint.report import Report
+
+if TYPE_CHECKING:  # pragma: no cover - repro.audit imports this module
+    from repro.audit.engine import AuditFinding, Checker
+    from repro.audit.report import AuditReport
 
 __all__ = ["SARIF_VERSION", "SARIF_SCHEMA_URI", "to_sarif_dict",
            "validate_sarif_dict"]
@@ -56,7 +64,7 @@ _LEVELS: dict[Severity, str] = {
 }
 
 
-def _descriptor(rule: Rule) -> dict:
+def _descriptor(rule: Rule | Checker) -> dict:
     return {
         "id": rule.rule_id,
         "name": rule.title,
@@ -71,16 +79,17 @@ def _descriptor(rule: Rule) -> dict:
     }
 
 
-def _result(finding: Finding, rule_index: dict[str, int], *,
+def _result(finding: Finding | AuditFinding, rule_index: dict[str, int], *,
             suppressed: bool, fingerprint_key: str) -> dict:
     location: dict = {
         "logicalLocations": [
             {"name": finding.subject, "kind": "resource"}
         ]
     }
-    # Findings that carry a physical source location (the self-audit
-    # engine's file:line findings) also get a physicalLocation, which is
-    # what GitHub code scanning anchors annotations on.
+    # An AuditFinding names a source file and line, so it also gets a
+    # physicalLocation, which is what GitHub code scanning anchors
+    # annotations on; a lint Finding names a system component and has
+    # no path.
     path = getattr(finding, "path", "")
     if path:
         location["physicalLocation"] = {
@@ -108,7 +117,8 @@ def _result(finding: Finding, rule_index: dict[str, int], *,
     return result
 
 
-def to_sarif_dict(report: Report, rules: Iterable[Rule] = (), *,
+def to_sarif_dict(report: Report | AuditReport,
+                  rules: Iterable[Rule | Checker] = (), *,
                   tool_name: str = _TOOL_NAME) -> dict:
     """Render ``report`` as a SARIF 2.1.0 log with one run."""
     from repro import __version__

@@ -287,10 +287,10 @@ def test_catalog_has_at_least_eight_rules():
 def test_findings_carry_location_and_remediation(tmp_path):
     report = _run_rule(tmp_path, "AUD006", FIXTURES["AUD006"]["positive"])
     finding = report.findings[0]
-    assert finding.relpath == "repro/core/acc.py"
+    assert finding.path == "repro/core/acc.py"
     assert finding.line >= 1
     assert finding.remediation
-    assert finding.subject == f"{finding.relpath}:{finding.line}"
+    assert finding.subject == f"{finding.path}:{finding.line}"
 
 
 def test_aud001_flags_builtin_hash(tmp_path):

@@ -17,6 +17,7 @@ from repro.audit import (
     validate_audit_dict,
 )
 from repro.audit.engine import register
+from repro.core.layers import Layer
 from repro.lint import Baseline, Severity
 from repro.lint.sarif import validate_sarif_dict
 
@@ -136,7 +137,7 @@ def test_baseline_does_not_hide_new_findings(dirty_tree, tmp_path):
         "import random\nx = random.random()\n")
     _, gated = _report(dirty_tree, baseline=baseline)
     assert gated.findings  # the new file is not in the baseline
-    assert all(f.relpath.endswith("fresh.py") for f in gated.findings)
+    assert all(f.path.endswith("fresh.py") for f in gated.findings)
 
 
 def test_fingerprint_survives_line_moves(dirty_tree):
@@ -227,13 +228,14 @@ def test_register_rejects_bad_rule_ids():
 
 def test_findings_are_sorted_deterministically(dirty_tree):
     _, report = _report(dirty_tree)
-    key = [(f.rule_id, f.relpath, f.line, f.message) for f in report.findings]
+    key = [(f.rule_id, f.path, f.line, f.message) for f in report.findings]
     assert key == sorted(key)
 
 
 def test_audit_finding_to_dict_shape():
     finding = AuditFinding(rule_id="AUD001", severity=Severity.HIGH,
-                           relpath="repro/x.py", line=3, message="m",
+                           layer=Layer.SYSTEM_OF_SYSTEMS, path="repro/x.py",
+                           line=3, message="m", paper_ref="§VIII",
                            remediation="r")
     document = finding.to_dict()
     assert set(document) == {"ruleId", "severity", "path", "line",

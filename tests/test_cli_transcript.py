@@ -177,6 +177,11 @@ CASES: dict[str, list[tuple[str, ...]]] = {
          "<tmp>/audit-baseline.json"),
         ("audit", "--root", "<tmp>/tree/repro", "--gate", "--baseline",
          "<tmp>/audit-baseline.json")],
+    "audit-baseline-sarif": [
+        ("audit", "--root", "<tmp>/tree/repro", "--write-baseline",
+         "<tmp>/audit-baseline.json"),
+        ("audit", "--root", "<tmp>/tree/repro", "--baseline",
+         "<tmp>/audit-baseline.json", "--sarif")],
     "campaign-journal": [
         _CAMPAIGN,
         ("campaign", "status", "pinned", "--journal-root", "<tmp>/journals"),

@@ -88,12 +88,5 @@ class TestResultCache:
         cache.path_for("b" * 64).write_text("[1, 2]")
         assert cache.get("b" * 64) is None
 
-    def test_clear_removes_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put("a" * 64, {"id": "X"})
-        cache.put("b" * 64, {"id": "Y"})
-        assert cache.clear() == 2
-        assert len(cache) == 0
-
     def test_empty_directory_len_zero(self, tmp_path):
         assert len(ResultCache(tmp_path / "never-created")) == 0
