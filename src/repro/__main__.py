@@ -551,7 +551,7 @@ def _run(tool: Tool, args: argparse.Namespace) -> int:
     spec = experiment_spec(experiments, args.base_seed)
     with tempfile.TemporaryDirectory(prefix="repro-run-") as journal_root:
         engine = CampaignEngine(spec, jobs=args.jobs, journal_root=journal_root,
-                                shard_timeout_s=args.timeout, fsync=False,
+                                shard_timeout_s=args.timeout,
                                 install_signal_handlers=True,
                                 execute=experiment_executor(experiments, cache))
         report = engine.run()

@@ -9,19 +9,23 @@ the harness itself:
 * :mod:`repro.campaign.spec` — shard/campaign matrices with stable,
   content-derived identities;
 * :mod:`repro.campaign.journal` — the append-only write-ahead journal
-  every scheduling decision hits before the engine acts on it, fsynced
-  once per scheduler pass;
+  every scheduling decision hits before the engine acts on it, always
+  fsynced, once per scheduler pass;
 * :mod:`repro.campaign.supervisor` — heartbeat-supervised workers with
   a one-shard lookahead, hang detection, remaining-budget restarts and
-  poison-shard quarantine; the repo's one worker pool;
-* :mod:`repro.campaign.shard` — worker-side tool execution, which
-  ships each result as canonical JSON text with its digest;
+  poison-shard quarantine; the repo's one worker pool, which hands each
+  terminal outcome to its one ``on_outcome`` callback;
+* :mod:`repro.campaign.shard` — worker-side tool execution, and the one
+  :func:`~repro.campaign.shard.payload` builder every worker function
+  returns through, which ships each result as canonical JSON text with
+  its digest;
 * :mod:`repro.campaign.experiment` — worker-side execution of one
   paper experiment (``CampaignEngine(execute=experiment_executor(...))``),
   memoized by the content-addressed :mod:`repro.campaign.cache`;
 * :mod:`repro.campaign.engine` — the journal-driven scheduler, which
-  settles repeated static shards from its own memo, and the resume path
-  (``python -m repro campaign resume <id>``);
+  settles repeated static shards from its own memo and builds every
+  report entry from the journal record that settled its shard, live or
+  replayed, and the resume path (``python -m repro campaign resume <id>``);
 * :mod:`repro.campaign.report` — the deterministic report whose bytes
   a resumed campaign must reproduce exactly.
 """

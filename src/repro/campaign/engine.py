@@ -22,14 +22,21 @@ The crash-safety contract, end to end:
   rest;
 * the final report is a pure function of the spec and the settled
   outcomes, so a resumed campaign's report is **byte-identical** to an
-  uninterrupted one no matter where the crash landed;
+  uninterrupted one no matter where the crash landed.  Every report
+  entry is built by one function from the journal record that settled
+  its shard: the stamped record :meth:`~repro.campaign.journal.Journal.append`
+  returns for a live outcome, the replayed ``shard-done`` or
+  ``shard-quarantined`` record on resume, so a live entry and its
+  resumed copy agree field for field (``duration_s`` included, at the
+  journal's six decimals);
 * a graceful SIGINT/SIGTERM checkpoints an ``interrupt`` record, emits
   a partial report marked ``interrupted: true``, and prints the exact
   resume command.
 
 Workers never wait on the engine: each busy worker holds one lookahead
 shard while the queue holds more than ``jobs`` shards (see
-:mod:`~repro.campaign.supervisor`).
+:mod:`~repro.campaign.supervisor`).  Outcomes come back one way, through
+the supervisor's ``on_outcome`` callback.
 
 The engine keeps the memo of static shards.  A static result (lint,
 flow, redteam under the default worker function,
@@ -49,8 +56,10 @@ its first pending shard.  A custom ``execute=`` and plan-driven shards
 are never settled from the memo.
 
 Each result is decoded once, from the canonical JSON text its worker
-built, and the same text is spliced into the journal record, so the
-engine process encodes no result document.
+built (every worker function returns through
+:func:`~repro.campaign.shard.payload`), and the same text is spliced
+into the journal record, so the engine process encodes no result
+document.
 
 Self-chaos: :func:`plan_worker_faults` turns an ordinary
 :class:`~repro.faults.plan.FaultPlan` into worker crash/hang
@@ -104,16 +113,22 @@ STATIC_TOOLS = frozenset(tool.value for tool in CampaignTool
 def _decode(payload: dict | None) -> tuple[dict | None, str | None]:
     """A worker payload's result document and its canonical JSON text.
 
-    The worker functions ship the text; a custom worker function may
-    return the document itself, which is encoded here, once.  Either
-    way the document is loaded from canonical text, so its keys are in
-    canonical order.
+    The document is loaded from that text, so its keys are in canonical
+    order.
     """
-    result = (payload or {}).get("result")
-    if result is None:
-        return None, None
-    text = result if isinstance(result, str) else canonical_json(result)
-    return json.loads(text), text
+    text = (payload or {}).get("result")
+    return (None, None) if text is None else (json.loads(text), text)
+
+
+def _entry(shard: dict, record: dict) -> ShardEntry:
+    """A shard's report entry, from the ``shard-done`` or
+    ``shard-quarantined`` journal record that settled it (the latter
+    carries no status, result or digest)."""
+    return ShardEntry(
+        shard=shard, status=record.get("status", "quarantined"),
+        result=record.get("result"), digest=record.get("digest", ""),
+        error=record["error"], attempts=record["attempts"],
+        duration_s=record["durationS"])
 
 
 def default_journal_root() -> Path:
@@ -237,7 +252,6 @@ class CampaignEngine:
                  heartbeat_interval_s: float = DEFAULT_HEARTBEAT_INTERVAL_S,
                  quarantine_after: int = DEFAULT_QUARANTINE_AFTER,
                  worker_faults: dict[str, dict[int, str]] | None = None,
-                 fsync: bool = True,
                  install_signal_handlers: bool = False,
                  execute: Callable[[dict], dict] | None = None) -> None:
         self.spec = spec
@@ -248,11 +262,11 @@ class CampaignEngine:
         self.heartbeat_interval_s = heartbeat_interval_s
         self.quarantine_after = quarantine_after
         self.worker_faults = worker_faults or {}
-        self.fsync = fsync
         self.install_signal_handlers = install_signal_handlers
-        #: What every worker runs on a shard dict (``Supervisor(execute)``);
-        #: ``None`` runs :func:`execute_shard`, whose static cells the
-        #: engine memoizes.
+        #: What every worker runs on a shard dict (``Supervisor(execute)``),
+        #: a payload whose ``result`` is canonical JSON text or ``None``
+        #: (see :func:`~repro.campaign.shard.payload`); ``None`` runs
+        #: :func:`execute_shard`, whose static cells the engine memoizes.
         self.execute = execute if execute is not None else execute_shard
         self.events = EventLog()
         self._stop_requested = False
@@ -287,21 +301,7 @@ class CampaignEngine:
             OBS.emit(kind, Layer.SYSTEM_OF_SYSTEMS, shard_id, message,
                      t=t, **fields)
 
-    # -- journal bridging ----------------------------------------------------
-
-    @staticmethod
-    def _entry_from_done(shard: dict, record: dict) -> ShardEntry:
-        return ShardEntry(
-            shard=shard, status=record["status"], result=record["result"],
-            digest=record["digest"], error=record["error"],
-            attempts=record["attempts"], duration_s=record["durationS"])
-
-    @staticmethod
-    def _entry_from_quarantine(shard: dict, record: dict) -> ShardEntry:
-        return ShardEntry(
-            shard=shard, status="quarantined", result=None, digest="",
-            error=record["error"], attempts=record["attempts"],
-            duration_s=record["durationS"])
+    # -- the static-shard memo ----------------------------------------------
 
     def _cell(self, shard_id: str) -> tuple[str, str] | None:
         """The shard's static ``(tool, scenario)`` memo cell, if it has one."""
@@ -342,7 +342,7 @@ class CampaignEngine:
         with OBS.span("campaign.run", campaign=self.campaign_id,
                       jobs=self.jobs, shards=len(self.spec),
                       resume=resume):
-            journal = Journal(path, fsync=self.fsync).open(state)
+            journal = Journal(path).open(state)
             # closing commits the campaign-end or interrupt record
             with closing(journal):
                 self._run_journaled(journal, state, report,
@@ -366,19 +366,14 @@ class CampaignEngine:
         replayed = 0
         for shard in self.spec.shards:
             shard_id = shard.shard_id
-            if shard_id in state.done:
-                record = state.done[shard_id]
-                report.entries[shard_id] = self._entry_from_done(
-                    shard.to_dict(), record)
-                replayed += 1
-                cell = self._cell(shard_id)
-                if cell is not None and record["status"] == "ok":
-                    memo.setdefault(cell, (record["result"], None,
-                                           record["digest"]))
-            elif shard_id in state.quarantined:
-                report.entries[shard_id] = self._entry_from_quarantine(
-                    shard.to_dict(), state.quarantined[shard_id])
-                replayed += 1
+            record = state.done.get(shard_id) or state.quarantined.get(shard_id)
+            if record is None:
+                continue
+            report.entries[shard_id] = _entry(shard.to_dict(), record)
+            replayed += 1
+            cell = self._cell(shard_id)
+            if cell is not None and record.get("status") == "ok":
+                memo.setdefault(cell, (record["result"], None, record["digest"]))
         report.resumed_shards = replayed if resumed else 0
         if resumed:
             self._emit(EventKind.CAMPAIGN_RESUMED, self.campaign_id,
@@ -390,25 +385,18 @@ class CampaignEngine:
 
         def settle(outcome: ShardOutcome, result: dict | None,
                    text: str | None, digest: str) -> None:
+            record = {"shardId": outcome.shard_id, "error": outcome.error,
+                      "attempts": outcome.attempts,
+                      "durationS": round(outcome.duration_s, 6)}
             if outcome.status == "quarantined":
-                journal.append({
-                    "type": "shard-quarantined", "shardId": outcome.shard_id,
-                    "error": outcome.error, "attempts": outcome.attempts,
-                    "durationS": round(outcome.duration_s, 6),
-                    "failures": list(outcome.failures)})
+                record.update(type="shard-quarantined",
+                              failures=list(outcome.failures))
             else:
-                journal.append({
-                    "type": "shard-done", "shardId": outcome.shard_id,
-                    "status": outcome.status, "result": result,
-                    "digest": digest, "error": outcome.error,
-                    "attempts": outcome.attempts,
-                    "durationS": round(outcome.duration_s, 6)},
-                    result_json=text)
-            report.entries[outcome.shard_id] = ShardEntry(
-                shard=self.spec.shard(outcome.shard_id).to_dict(),
-                status=outcome.status, result=result, digest=digest,
-                error=outcome.error, attempts=outcome.attempts,
-                duration_s=outcome.duration_s)
+                record.update(type="shard-done", status=outcome.status,
+                              result=result, digest=digest)
+            report.entries[outcome.shard_id] = _entry(
+                self.spec.shard(outcome.shard_id).to_dict(),
+                journal.append(record, result_json=text))
             self._emit(EventKind.SHARD_DONE, outcome.shard_id,
                        f"{outcome.status} after {outcome.attempts} "
                        f"attempt(s)", status=outcome.status,
@@ -494,9 +482,9 @@ class CampaignEngine:
             should_stop=lambda: self._stop_requested)
         with (stop_on_signals(self.request_stop)
               if self.install_signal_handlers else nullcontext()):
-            _, interrupted = supervisor.run(pending)
+            interrupted = supervisor.run(pending)
             if released and not interrupted:
-                _, interrupted = supervisor.run(released)
+                interrupted = supervisor.run(released)
         if interrupted:
             journal.append({"type": "interrupt",
                             "settled": len(report.entries),

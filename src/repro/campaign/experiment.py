@@ -16,7 +16,8 @@ test's traceback goes to stderr.  There is no timeout here: the
 supervisor's budget kills the worker's process group.
 
 The shard's result document is ``{"artifacts": [{"title", "rows"}]}``;
-like :func:`~repro.campaign.shard.execute_shard`, the payload carries it
+like :func:`~repro.campaign.shard.execute_shard`, the executor returns
+through :func:`~repro.campaign.shard.payload`, so the payload carries it
 as canonical JSON text, encoded once here.
 Before running a bench the executor looks its key up in the
 :class:`~repro.campaign.cache.ResultCache`; only an entry of exactly
@@ -43,7 +44,7 @@ from types import ModuleType
 from typing import Callable, Iterable, Mapping
 
 from repro.campaign.cache import ResultCache, experiment_key, tree_digest
-from repro.campaign.shard import canonical_json, text_digest
+from repro.campaign.shard import canonical_json, payload
 from repro.campaign.spec import EXPERIMENT_TOOL, CampaignSpec, ShardSpec
 from repro.core.rng import derive_seed
 from repro.core.schema import STRING, SchemaError, list_of, obj, validate
@@ -145,7 +146,7 @@ def _cached(cache: ResultCache, key: str) -> dict | None:
 
 def execute_experiment(shard: dict, *, benches: Mapping[str, str],
                        cache: ResultCache | None = None, tree: str = "") -> dict:
-    """Run one experiment shard; returns the payload ``execute_shard`` would.
+    """Run one experiment shard; returns its :func:`~repro.campaign.shard.payload`.
 
     ``benches`` maps experiment ids to bench file paths; ``tree`` is the
     digest of the source tree every result depends on, part of each
@@ -169,15 +170,7 @@ def execute_experiment(shard: dict, *, benches: Mapping[str, str],
             result = {"artifacts": artifacts}
             if cache is not None:
                 cache.put(key, result)
-    text = None if result is None else canonical_json(result)
-    return {
-        "shard": dict(shard),
-        "status": "error" if error else "ok",
-        "result": text,
-        "digest": "" if text is None else text_digest(text),
-        "error": error,
-        "durationS": time.perf_counter() - t0,
-    }
+    return payload(shard, None if result is None else canonical_json(result), error, t0)
 
 
 def experiment_executor(experiments: Iterable[Experiment],

@@ -3,12 +3,15 @@
 The journal is the campaign engine's single source of durable truth:
 one JSONL file per campaign (``<journal-root>/<id>/journal.jsonl``)
 holding typed records.  :meth:`Journal.append` writes and flushes a
-record, which then survives a kill of the writing process;
-:meth:`Journal.commit` fsyncs every record appended since the last
-commit, which then survives a power cut.  The engine commits once per
-scheduler pass, before that pass dispatches anything, and again at
-campaign end and on interrupt, so a record is durable before the engine
-acts on it.  The protocol is the classic WAL discipline:
+record, which then survives a kill of the writing process, and returns
+it stamped: the engine builds a settled shard's report entry from that
+record, as a resume does from the replayed one.  :meth:`Journal.commit`
+always fsyncs every record appended since the last commit, which then
+survives a power cut; no journal, not even ``repro run``'s throwaway
+one, skips it.  The engine commits once per scheduler pass, before that
+pass dispatches anything, and again at campaign end and on interrupt,
+so a record is durable before the engine acts on it.  The protocol is
+the classic WAL discipline:
 
 * ``campaign-start`` — the full :class:`~repro.campaign.spec.CampaignSpec`,
   written once before any shard is dispatched (resume rebuilds the
@@ -124,14 +127,12 @@ def _stamp(stamped: dict, result_json: str | None = None) -> str:
 class Journal:
     """Append-side handle: flushed writes, grouped fsyncs, cost accounting.
 
-    ``fsync=False`` makes :meth:`commit` a no-op (tests and benchmarks
-    that measure everything *but* durability); production keeps it on —
-    a record the engine acted on must survive a power cut.
+    Every :meth:`commit` fsyncs: a record the engine acted on must
+    survive a power cut.
     """
 
-    def __init__(self, path: str | Path, *, fsync: bool = True) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.fsync = fsync
         self.records_written = 0
         #: Cumulative seconds spent writing + syncing (BENCH-CAMPAIGN
         #: pins this under 5% of shard execution time).
@@ -199,11 +200,10 @@ class Journal:
         """Fsync every record appended since the last commit (one fsync)."""
         if self._fh is None or not self._unsynced:
             return
-        if self.fsync:
-            t0 = time.perf_counter()
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            self.write_s += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
+        self.write_s += time.perf_counter() - t0
         self._unsynced = False
 
 

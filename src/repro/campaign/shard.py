@@ -14,11 +14,14 @@ byte-deterministic per the repo's core invariant; :func:`result_digest`
 fixes the canonical encoding so the journal, the resume path, and the
 report validator all agree on what "the same result" means.
 
-Each result is encoded exactly once, here, in the process that made
-it: the payload carries the result's canonical JSON text
-(:data:`canonical_json`) and its digest.  The engine decodes that text
-once and splices the same text into the journal record, so neither the
-engine nor the journal encodes a result again.
+Each result is encoded exactly once, in the process that made it.
+Every worker function (this module's and
+:func:`~repro.campaign.experiment.execute_experiment`) returns through
+:func:`payload`, so a payload's ``result`` is always the result's
+canonical JSON text (:data:`canonical_json`), or ``None``, and its
+``digest`` that text's SHA-256.  The engine decodes the text once and
+splices the same text into the journal record, so neither the engine
+nor the journal encodes a result again.
 
 The static analyzers (lint, flow, redteam) read only the shard's
 scenario, so their result is the same for every seed.  The worker runs
@@ -35,8 +38,8 @@ from typing import Callable
 
 from repro.campaign.spec import CampaignTool, ShardSpec, canonical_json
 
-__all__ = ["canonical_json", "execute_shard", "result_digest", "text_digest",
-           "TOOL_EXECUTORS"]
+__all__ = ["canonical_json", "execute_shard", "payload", "result_digest",
+           "text_digest", "TOOL_EXECUTORS"]
 
 def text_digest(text: str) -> str:
     """SHA-256 over a result's canonical JSON text."""
@@ -96,30 +99,33 @@ TOOL_EXECUTORS: dict[CampaignTool, Callable[[ShardSpec], dict]] = {
 }
 
 
-def execute_shard(spec_dict: dict) -> dict:
-    """Run one shard to completion; always returns a payload dict.
+def payload(shard: dict, text: str | None, error: str, t0: float) -> dict:
+    """The payload a worker function returns for ``shard``.
 
-    The payload's deterministic core is ``shard``/``status``/``result``/
-    ``digest``/``error`` — exactly what the journal persists and the
-    final report embeds; ``result`` is the result document's canonical
-    JSON text (``None`` on an error), and ``digest`` its SHA-256.
-    ``durationS`` is wall-clock bookkeeping for tables and benches only
-    and never reaches the byte-compared report.
+    ``text`` is the result document's canonical JSON text, ``None`` when
+    the shard failed with ``error``.  The deterministic core is
+    ``shard``/``status``/``result``/``digest``/``error`` — exactly what
+    the journal persists and the final report embeds; ``durationS``
+    (seconds since ``t0``) is wall-clock bookkeeping for tables and
+    benches only and never reaches the byte-compared report.
     """
-    t0 = time.perf_counter()
-    status, text, digest, error = "ok", None, "", ""
-    try:
-        spec = ShardSpec.from_dict(spec_dict)
-        text = canonical_json(TOOL_EXECUTORS[spec.tool](spec))
-        digest = text_digest(text)
-    except Exception as exc:
-        status, text, digest = "error", None, ""
-        error = f"{type(exc).__name__}: {exc}"
     return {
-        "shard": dict(spec_dict),
-        "status": status,
+        "shard": dict(shard),
+        "status": "error" if error else "ok",
         "result": text,
-        "digest": digest,
+        "digest": "" if text is None else text_digest(text),
         "error": error,
         "durationS": time.perf_counter() - t0,
     }
+
+
+def execute_shard(spec_dict: dict) -> dict:
+    """Run one shard to completion; always returns a :func:`payload`."""
+    t0 = time.perf_counter()
+    text, error = None, ""
+    try:
+        spec = ShardSpec.from_dict(spec_dict)
+        text = canonical_json(TOOL_EXECUTORS[spec.tool](spec))
+    except Exception as exc:
+        error = f"{type(exc).__name__}: {exc}"
+    return payload(spec_dict, text, error, t0)

@@ -30,6 +30,10 @@ experiments:
   while the pool runs) ends the run early with only settled outcomes;
   :func:`stop_on_signals` turns SIGINT/SIGTERM into such a request.
 
+Every terminal outcome reaches the caller one way: the required
+``on_outcome`` callback, called once per shard the moment it settles.
+:meth:`Supervisor.run` itself returns only whether it was interrupted.
+
 Workers never wait on the scheduler between shards.  While the queue
 holds more than ``jobs`` shards, each busy worker is sent one
 *lookahead* shard, which sits in its pipe and starts the moment the
@@ -250,6 +254,8 @@ class Supervisor:
     ``execute`` is the function every worker runs on a shard dict; it
     must be a module-level function returning a dict payload with a
     ``status`` (and optionally ``durationS``/``error``).
+    ``on_outcome`` gets each shard's terminal :class:`ShardOutcome`, once,
+    the moment it settles; it is the only way outcomes leave the pool.
     ``worker_faults`` maps ``shard_id -> {attempt_index: fault_kind}``
     (:data:`FAULT_WORKER_CRASH` / :data:`FAULT_WORKER_HANG`) and is the
     self-chaos injection point: the fault ships to the worker with the
@@ -268,7 +274,7 @@ class Supervisor:
                  worker_faults: dict[str, dict[int, str]] | None = None,
                  on_dispatch: Callable[[list[tuple[str, int, float]]], None]
                  | None = None,
-                 on_outcome: Callable[[ShardOutcome], None] | None = None,
+                 on_outcome: Callable[[ShardOutcome], None],
                  should_stop: Callable[[], bool] | None = None) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -295,12 +301,6 @@ class Supervisor:
     def _fault_for(self, item: _WorkItem) -> str | None:
         return self.worker_faults.get(item.shard_id, {}).get(item.attempt)
 
-    def _settle(self, outcomes: dict[str, ShardOutcome],
-                outcome: ShardOutcome) -> None:
-        outcomes[outcome.shard_id] = outcome
-        if self.on_outcome is not None:
-            self.on_outcome(outcome)
-
     def _stopping(self) -> bool:
         return self.should_stop is not None and self.should_stop()
 
@@ -320,23 +320,21 @@ class Supervisor:
         worker.item = worker.queued = None
         return item, consumed
 
-    def _worker_failed(self, worker: _Worker, reason: str,
-                       queue: deque[_WorkItem],
-                       outcomes: dict[str, ShardOutcome]) -> None:
+    def _worker_failed(self, worker: _Worker, reason: str, queue: deque[_WorkItem]) -> None:
         """A busy worker died or hung: kill, account, requeue or retire."""
         item, consumed = self._retire(worker, queue)
         item.failures.append(reason)
         item.attempt += 1
         remaining = item.budget_s - consumed
         if len(item.failures) >= self.quarantine_after:
-            self._settle(outcomes, ShardOutcome(
+            self.on_outcome(ShardOutcome(
                 shard_id=item.shard_id, status="quarantined",
                 attempts=item.attempt, duration_s=consumed,
                 error=(f"quarantined after {len(item.failures)} worker "
                        f"failure(s): {item.failures[-1]}"),
                 failures=list(item.failures)))
         elif remaining <= RESTART_BUDGET_FLOOR_S:
-            self._settle(outcomes, ShardOutcome(
+            self.on_outcome(ShardOutcome(
                 shard_id=item.shard_id, status="timeout",
                 attempts=item.attempt, duration_s=consumed,
                 error=f"budget exhausted after {reason}",
@@ -347,23 +345,21 @@ class Supervisor:
 
     # -- the scheduling loop -------------------------------------------------
 
-    def run(self, shards: list[dict]) -> tuple[dict[str, ShardOutcome], bool]:
-        """Execute every shard dict; returns ``(outcomes, interrupted)``.
+    def run(self, shards: list[dict]) -> bool:
+        """Execute every shard dict; returns whether the run was interrupted.
 
-        ``outcomes`` maps shard id to its terminal verdict; on interrupt
-        the map holds only the shards that settled before the stop
-        request — in-flight and queued shards are simply absent (for a
-        campaign, their journal trail is a ``shard-start`` without a
-        ``shard-done``, which is exactly what the resume path
-        re-executes).
+        Each terminal verdict goes to ``on_outcome``; on interrupt only
+        the shards that settled before the stop request got one —
+        in-flight and queued shards get none (for a campaign, their
+        journal trail is a ``shard-start`` without a ``shard-done``,
+        which is exactly what the resume path re-executes).
         """
         queue: deque[_WorkItem] = deque(
             _WorkItem(shard_id=str(shard["id"]), shard=dict(shard),
                       budget_s=self.shard_timeout_s)
             for shard in shards)
-        outcomes: dict[str, ShardOutcome] = {}
         if not queue:
-            return outcomes, False
+            return False
         context = multiprocessing.get_context()
         workers: list[_Worker] = []
         interrupted = False
@@ -383,11 +379,11 @@ class Supervisor:
                     timeout=min(self.heartbeat_interval_s, 0.05))
                 for worker in busy:
                     if worker.conn in ready:
-                        self._drain(worker, queue, outcomes)
+                        self._drain(worker, queue)
                 now = time.monotonic()
                 for worker in workers:
                     if worker.busy:
-                        self._check(worker, now, queue, outcomes)
+                        self._check(worker, now, queue)
                 # replace killed workers while work remains
                 workers = [w for w in workers
                            if w.busy or w.process.is_alive()]
@@ -403,10 +399,9 @@ class Supervisor:
                     worker.kill()
                 else:
                     worker.stop()
-        return outcomes, interrupted
+        return interrupted
 
-    def _check(self, worker: _Worker, now: float, queue: deque[_WorkItem],
-               outcomes: dict[str, ShardOutcome]) -> None:
+    def _check(self, worker: _Worker, now: float, queue: deque[_WorkItem]) -> None:
         """Settle a busy worker that died, overran its shard's budget or
         stopped beating."""
         item = worker.item
@@ -414,21 +409,19 @@ class Supervisor:
         if not worker.process.is_alive():
             # a result sent just before the death settles its shard; the
             # death is charged to the lookahead that ran next
-            self._drain(worker, queue, outcomes)
+            self._drain(worker, queue)
             if worker.busy:
                 code = worker.process.exitcode
-                self._worker_failed(worker, f"worker crashed (exit {code})",
-                                    queue, outcomes)
+                self._worker_failed(worker, f"worker crashed (exit {code})", queue)
         elif now - worker.started_at > item.budget_s:
             item, consumed = self._retire(worker, queue)
-            self._settle(outcomes, ShardOutcome(
+            self.on_outcome(ShardOutcome(
                 shard_id=item.shard_id, status="timeout",
                 attempts=item.attempt + 1, duration_s=consumed,
                 error=f"timed out after {item.budget_s:g}s budget",
                 failures=list(item.failures)))
         elif now - worker.last_beat > self.hang_timeout_s:
-            self._worker_failed(worker, "worker hung (heartbeats stopped)",
-                                queue, outcomes)
+            self._worker_failed(worker, "worker hung (heartbeats stopped)", queue)
 
     def _dispatch(self, workers: list[_Worker], queue: deque[_WorkItem]) -> None:
         """Give each idle worker a shard and, while the queue holds more
@@ -469,8 +462,7 @@ class Supervisor:
             unsent.append(item)
         queue.extendleft(reversed(unsent))
 
-    def _drain(self, worker: _Worker, queue: deque[_WorkItem],
-               outcomes: dict[str, ShardOutcome]) -> None:
+    def _drain(self, worker: _Worker, queue: deque[_WorkItem]) -> None:
         """Consume every pending message from one worker's pipe.
 
         A result settles the worker's shard and starts its lookahead.
@@ -492,7 +484,7 @@ class Supervisor:
                 worker.start(worker.queued)
                 worker.queued = None
                 payload = message["payload"]
-                self._settle(outcomes, ShardOutcome(
+                self.on_outcome(ShardOutcome(
                     shard_id=item.shard_id,
                     status=str(payload.get("status", "error")),
                     payload=payload,

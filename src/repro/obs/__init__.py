@@ -35,8 +35,7 @@ from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.report import (SchemaError, TraceReport, render_metrics_table,
                               render_span_tree, validate_metrics_dict,
                               validate_trace_dict)
-from repro.obs.runtime import (OBS, Instrumentation, disable, enable,
-                               instrumented, is_enabled)
+from repro.obs.runtime import OBS, Instrumentation, disable, enable, instrumented
 from repro.obs.scenarios import run_trace_scenario
 from repro.obs.timeline import Timeline, merge_events, render_timeline
 from repro.obs.trace import Span, Tracer
@@ -59,7 +58,6 @@ __all__ = [
     "disable",
     "enable",
     "instrumented",
-    "is_enabled",
     "merge_events",
     "render_metrics_table",
     "render_span_tree",

@@ -27,8 +27,7 @@ from repro.obs.events import EventKind, EventLog, SimEvent
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NOOP_SPAN, Tracer
 
-__all__ = ["Instrumentation", "OBS", "enable", "disable", "is_enabled",
-           "instrumented"]
+__all__ = ["Instrumentation", "OBS", "enable", "disable", "instrumented"]
 
 FieldValue = Union[str, int, float, bool]
 
@@ -122,10 +121,6 @@ def enable() -> None:
 
 def disable() -> None:
     OBS.disable()
-
-
-def is_enabled() -> bool:
-    return OBS.enabled
 
 
 @contextmanager

@@ -145,7 +145,7 @@ class TestMalformedJournal:
                                    name="bad").to_dict()
 
     def assert_refused(self, run_cli, root, records, reason):
-        with Journal(root / "bad" / "journal.jsonl", fsync=False) as journal:
+        with Journal(root / "bad" / "journal.jsonl") as journal:
             for record in records:
                 journal.append(record)
         for command in ("resume", "status"):

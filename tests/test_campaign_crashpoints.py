@@ -20,7 +20,7 @@ import pytest
 from repro.campaign import (CampaignEngine, CampaignSpec, CampaignTool,
                             ResultCache, execute_shard, replay)
 from repro.campaign.experiment import _cached
-from repro.campaign.shard import result_digest
+from repro.campaign.shard import canonical_json, result_digest
 from tests.conftest import assert_same_bytes
 
 STATIC_TOOLS = [CampaignTool.LINT, CampaignTool.FLOW, CampaignTool.REDTEAM]
@@ -32,7 +32,7 @@ def _synthetic_shard(shard):
         return {"shard": dict(shard), "status": "error", "result": None,
                 "digest": "", "error": "ValueError: seed 2", "durationS": 0.0}
     result = {"id": shard["id"], "value": shard["seed"] * 7 + len(shard["scenario"])}
-    return {"shard": dict(shard), "status": "ok", "result": result,
+    return {"shard": dict(shard), "status": "ok", "result": canonical_json(result),
             "digest": result_digest(result), "error": "", "durationS": 0.0}
 
 
@@ -52,7 +52,7 @@ def report_bytes(report):
 
 
 def engine(spec, execute, root):
-    return CampaignEngine(spec, jobs=2, journal_root=root, fsync=False, execute=execute)
+    return CampaignEngine(spec, jobs=2, journal_root=root, execute=execute)
 
 
 def cut_points(journal):

@@ -40,9 +40,22 @@ def _echo_shard(shard):
     return {"status": "ok", "pid": shard["id"]}
 
 
+def collecting():
+    """An ``on_outcome`` callback, and the outcomes it collects by shard id;
+    a second outcome for one shard fails the assertion."""
+    outcomes = {}
+
+    def on_outcome(outcome):
+        assert outcome.shard_id not in outcomes, outcome.shard_id
+        outcomes[outcome.shard_id] = outcome
+
+    return outcomes, on_outcome
+
+
 def _nested_pool_shard(shard):
     """A shard that runs a supervised pool of its own (BENCH-RUN does)."""
-    outcomes, _ = Supervisor(_echo_shard, jobs=2).run(
+    outcomes, on_outcome = collecting()
+    Supervisor(_echo_shard, jobs=2, on_outcome=on_outcome).run(
         [{"id": f"{shard['id']}/{i}"} for i in range(3)])
     return {"status": "ok",
             "inner": sorted(o.payload["pid"] for o in outcomes.values())}
@@ -57,7 +70,6 @@ def small_spec(name="eng"):
 
 def make_engine(root, spec=None, **kwargs):
     kwargs.setdefault("jobs", 2)
-    kwargs.setdefault("fsync", False)
     return CampaignEngine(spec or small_spec(), journal_root=root, **kwargs)
 
 
@@ -95,13 +107,29 @@ class TestDeterminism:
         with pytest.raises(CampaignError, match="different"):
             make_engine(tmp_path, spec=other).run(resume=True)
 
+    #: Worker faults that end the first three shards retried (ok on the
+    #: second attempt), timed out and quarantined.
+    FAULTED = {"quarantine_after": 2, "shard_timeout_s": 2.0, "hang_timeout_s": 10.0,
+               "worker_faults": {shard.shard_id: faults for shard, faults in zip(
+                   small_spec().shards, ({0: CRASH}, {0: HANG}, {0: CRASH, 1: CRASH}))}}
+
+    @pytest.mark.parametrize("kwargs", [{}, FAULTED], ids=["clean", "faulted"])
     def test_resume_of_complete_campaign_is_pure_replay(self, tmp_path,
-                                                        reference):
-        make_engine(tmp_path).run()
-        resumed = make_engine(tmp_path)
+                                                        reference, kwargs):
+        live = make_engine(tmp_path, **kwargs).run()
+        resumed = make_engine(tmp_path, **kwargs)
         report = resumed.run(resume=True)
-        assert_same_bytes(doc_bytes(report), reference)
+        assert_same_bytes(doc_bytes(report), reference if not kwargs else doc_bytes(live))
         assert report.resumed_shards == len(small_spec())
+        # a resume rebuilds every live entry, bookkeeping included
+        fields = ("status", "result", "digest", "error", "attempts", "duration_s")
+        assert {sid: {f: getattr(entry, f) for f in fields}
+                for sid, entry in report.entries.items()} \
+            == {sid: {f: getattr(entry, f) for f in fields}
+                for sid, entry in live.entries.items()}
+        if kwargs:
+            assert sorted((e.status, e.attempts) for e in report.entries.values()) \
+                == [("ok", 1), ("ok", 2), ("quarantined", 2), ("timeout", 1)]
         # replay executed nothing: only the original journal records
         state = replay(resumed.journal_file)
         assert state.ended and len(state.starts) == len(small_spec())
@@ -170,7 +198,8 @@ class TestNestedPools:
     def test_a_shard_can_start_its_own_supervisor(self):
         # Daemonic workers may not have children: the inner pool failed
         # in every worker and the shard was quarantined.
-        outcomes, interrupted = Supervisor(_nested_pool_shard, jobs=2).run(
+        outcomes, on_outcome = collecting()
+        interrupted = Supervisor(_nested_pool_shard, jobs=2, on_outcome=on_outcome).run(
             [{"id": "a"}, {"id": "b"}])
         assert not interrupted
         assert {sid: (o.status, o.attempts) for sid, o in outcomes.items()} \
@@ -293,10 +322,10 @@ def _slow_echo_shard(shard):
 
 
 def _synthetic_static_shard(shard):
-    """A custom worker function over static shards; it returns the result dict."""
+    """A custom worker function over static shards."""
     result = {"seed": shard["seed"], "scenario": shard["scenario"]}
-    return {"status": "ok", "result": result, "digest": result_digest(result),
-            "error": "", "durationS": 0.0}
+    return {"status": "ok", "result": canonical_json(result),
+            "digest": result_digest(result), "error": "", "durationS": 0.0}
 
 
 def dispatched(engine):
@@ -525,14 +554,18 @@ class TestLookahead:
     def run_logged(self, shards, **kwargs):
         """Run a supervisor; returns its outcomes and the start/settle log."""
         log = []
+        outcomes, collect = collecting()
+
+        def on_outcome(outcome):
+            log.append(("done", outcome.shard_id))
+            collect(outcome)
+
         supervisor = Supervisor(
             kwargs.pop("execute", _echo_shard),
             on_dispatch=lambda starts: log.extend(("start", sid, attempt)
                                                   for sid, attempt, _ in starts),
-            on_outcome=lambda outcome: log.append(("done", outcome.shard_id)),
-            **kwargs)
-        outcomes, interrupted = supervisor.run([{"id": sid} for sid in shards])
-        assert not interrupted
+            on_outcome=on_outcome, **kwargs)
+        assert not supervisor.run([{"id": sid} for sid in shards])
         return outcomes, log
 
     @staticmethod
@@ -565,7 +598,9 @@ class TestLookahead:
     def test_a_death_after_a_result_is_charged_to_the_lookahead(self):
         # the worker sends a's result, starts its lookahead b and dies
         # before the scheduler reads the result: a settles, b is charged
-        supervisor = Supervisor(_echo_shard, jobs=1, worker_faults={"b": {0: CRASH}})
+        outcomes, on_outcome = collecting()
+        supervisor = Supervisor(_echo_shard, jobs=1, worker_faults={"b": {0: CRASH}},
+                                on_outcome=on_outcome)
         worker = _Worker(multiprocessing.get_context(), _echo_shard)
         a, b = (_WorkItem(shard_id=sid, shard={"id": sid}, budget_s=5.0) for sid in "ab")
         worker.start(a)
@@ -574,8 +609,8 @@ class TestLookahead:
             worker.send(item, fault=supervisor._fault_for(item), heartbeat_interval_s=0.05)
         worker.process.join(timeout=10.0)
         assert not worker.process.is_alive()
-        queue, outcomes = deque(), {}
-        supervisor._check(worker, time.monotonic(), queue, outcomes)
+        queue = deque()
+        supervisor._check(worker, time.monotonic(), queue)
         assert (outcomes["a"].status, outcomes["a"].attempts) == ("ok", 1)
         assert [(item.shard_id, item.attempt) for item in queue] == [("b", 1)]
         assert b.failures == [f"worker crashed (exit {WORKER_CRASH_EXIT})"]
@@ -598,8 +633,10 @@ class TestLookahead:
 
     def test_a_send_to_a_dead_worker_requeues_without_charge(self):
         started = []
+        outcomes, on_outcome = collecting()
         supervisor = Supervisor(_echo_shard, jobs=1,
-                                on_dispatch=lambda starts: started.extend(s[0] for s in starts))
+                                on_dispatch=lambda starts: started.extend(s[0] for s in starts),
+                                on_outcome=on_outcome)
         worker = _Worker(multiprocessing.get_context(), _echo_shard)
         worker.process.kill()
         worker.process.join()
@@ -611,6 +648,7 @@ class TestLookahead:
         assert [item.shard_id for item in queue] == ["a", "b", "c"]
         assert all(item.attempt == 0 and not item.failures for item in queue)
         assert worker.item is None and worker.queued is None
+        assert not outcomes  # a failed send settles nothing
 
     def test_failed_send_costs_only_a_journaled_start(self, tmp_path, monkeypatch,
                                                       reference):

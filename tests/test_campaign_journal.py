@@ -32,8 +32,8 @@ def spec():
                                name="j")
 
 
-def write_records(path, records, *, fsync=False):
-    with Journal(path, fsync=fsync) as journal:
+def write_records(path, records):
+    with Journal(path) as journal:
         for record in records:
             journal.append(record)
 
@@ -59,7 +59,7 @@ class TestJournalAppend:
         assert [r["seq"] for r in read_records(path)] == [0, 1]
 
     def test_unknown_record_type_rejected_at_write(self, tmp_path):
-        with Journal(tmp_path / "j.jsonl", fsync=False) as journal:
+        with Journal(tmp_path / "j.jsonl") as journal:
             with pytest.raises(ValueError, match="unknown journal record"):
                 journal.append({"type": "mystery"})
 
@@ -69,7 +69,7 @@ class TestJournalAppend:
             journal.append({"type": "interrupt"})
 
     def test_write_accounting(self, tmp_path):
-        with Journal(tmp_path / "j.jsonl", fsync=False) as journal:
+        with Journal(tmp_path / "j.jsonl") as journal:
             journal.append({"type": "campaign-start",
                             "campaign": spec().to_dict()})
             journal.append({"type": "interrupt", "settled": 0})
@@ -104,7 +104,7 @@ class TestEncodeOnce:
         campaign = CampaignSpec.matrix(
             tools=[CampaignTool.LINT, CampaignTool.CHAOS],
             scenarios=["pkes-legacy", "maas-platform"], name="earlier")
-        engine = CampaignEngine(campaign, journal_root=tmp_path, fsync=False)
+        engine = CampaignEngine(campaign, journal_root=tmp_path)
         reference = engine.run().to_json_dict()
         path = engine.journal_file
         earlier = [_canonical({**record, "check": _checksum(record)}) + "\n"
@@ -112,8 +112,7 @@ class TestEncodeOnce:
         assert path.read_text() == "".join(earlier)
 
         path.write_text("".join(earlier[:4]))
-        resumed = CampaignEngine(campaign, journal_root=tmp_path,
-                                 fsync=False).run(resume=True)
+        resumed = CampaignEngine(campaign, journal_root=tmp_path).run(resume=True)
         assert resumed.to_json_dict() == reference
 
 
@@ -162,9 +161,9 @@ class TestSplicedResults:
                       "digest": payload["digest"], "error": "", "attempts": 1,
                       "durationS": 0.012345}
             encoded, spliced = (tmp_path / f"{kind}.{index}" for kind in ("e", "s"))
-            with Journal(encoded, fsync=False) as journal:
+            with Journal(encoded) as journal:
                 journal.append(dict(record))
-            with Journal(spliced, fsync=False) as journal:
+            with Journal(spliced) as journal:
                 journal.append(dict(record), result_json=payload["result"])
             assert_same_bytes(spliced.read_bytes(), encoded.read_bytes(),
                               payload["shard"]["id"])
@@ -174,7 +173,7 @@ class TestSplicedResults:
         campaign = CampaignSpec.matrix(tools=list(CampaignTool),
                                        scenarios=sorted(scenario_names()),
                                        seeds=[0, 1], name="spliced")
-        engine = CampaignEngine(campaign, jobs=2, journal_root=tmp_path, fsync=False)
+        engine = CampaignEngine(campaign, jobs=2, journal_root=tmp_path)
         engine.run()
         text = engine.journal_file.read_text()
         lines = [_canonical({**record, "check": _checksum(record)}) + "\n"
@@ -187,11 +186,11 @@ class TestSplicedResults:
         campaign = CampaignSpec.matrix(tools=[CampaignTool.LINT],
                                        scenarios=["pkes-legacy"], seeds=[0, 1],
                                        name=f"noncanonical-{kind}")
-        engine = CampaignEngine(campaign, journal_root=tmp_path, fsync=False,
+        engine = CampaignEngine(campaign, journal_root=tmp_path,
                                 execute=NONCANONICAL[kind])
         engine.run()
         with pytest.raises(JournalCorrupt, match="checksum mismatch"):
-            CampaignEngine(campaign, journal_root=tmp_path, fsync=False,
+            CampaignEngine(campaign, journal_root=tmp_path,
                            execute=NONCANONICAL[kind]).run(resume=True)
         code, out, err = run_cli("campaign", "resume", campaign.campaign_id,
                                  "--journal-root", str(tmp_path), "--json")
@@ -311,15 +310,14 @@ class TestTornTailResume:
         campaign = CampaignSpec.matrix(
             tools=[CampaignTool.LINT, CampaignTool.FLOW],
             scenarios=["pkes-legacy", "maas-platform"], name="torn")
-        engine = CampaignEngine(campaign, journal_root=tmp_path, fsync=False)
+        engine = CampaignEngine(campaign, journal_root=tmp_path)
         reference = engine.run().to_json_dict()
         path = engine.journal_file
         lines = path.read_text().splitlines(keepends=True)
         # the crash tore the record after the first settled shard
         path.write_text("".join(lines[:3]) + '{"attempts":1,"digest":"ab')
 
-        resumed = CampaignEngine(campaign, journal_root=tmp_path,
-                                 fsync=False).run(resume=True)
+        resumed = CampaignEngine(campaign, journal_root=tmp_path).run(resume=True)
         state = replay(path)
         assert state.ended
         assert path.read_text().endswith("\n")
