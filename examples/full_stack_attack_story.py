@@ -31,15 +31,11 @@ one incident across four layers of the reproduction:
     python examples/full_stack_attack_story.py
 """
 
-from repro.core import (
-    LayeredSecurityAnalyzer,
-    Layer,
-    ResponseEngine,
-    SecurityAlert,
-    Severity,
-    default_catalog,
-)
+from repro.core.analysis import LayeredSecurityAnalyzer
 from repro.core.attackgraph import AttackGraph
+from repro.core.layers import Layer
+from repro.core.response import ResponseEngine, SecurityAlert, Severity
+from repro.core.threats import default_catalog
 from repro.datalayer import run_breach
 from repro.flow import analyze
 from repro.lint.scenarios import build_scenario

@@ -8,7 +8,8 @@ in under a minute:
     python examples/quickstart.py
 """
 
-from repro.core import LayeredSecurityAnalyzer, default_catalog
+from repro.core.analysis import LayeredSecurityAnalyzer
+from repro.core.threats import default_catalog
 from repro.datalayer import run_breach
 from repro.ivn import run_all_scenarios
 from repro.phy import PkesSystem, RelayAttack

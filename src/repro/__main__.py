@@ -635,7 +635,7 @@ def _campaign_spec(args: argparse.Namespace):
 
 
 def _campaign(tool: Tool, args: argparse.Namespace) -> int:
-    """``campaign run``/``resume``/``status`` over one journal."""
+    """``campaign run``/``resume`` over one journal."""
     from repro.campaign import (CampaignEngine, CampaignError, JournalCorrupt, load_campaign,
                                 validate_campaign_dict)
 
@@ -643,19 +643,7 @@ def _campaign(tool: Tool, args: argparse.Namespace) -> int:
         spec, state = ((_campaign_spec(args), None) if tool.name == "run"
                        else load_campaign(args.campaign_id, args.journal_root))
     engine = CampaignEngine(spec, jobs=args.jobs, journal_root=args.journal_root,
-                            shard_timeout_s=args.timeout,
-                            install_signal_handlers=tool.name != "status")
-
-    if state is not None and tool.name == "status":
-        print(f"campaign {engine.campaign_id}: {state.status}, "
-              f"{state.settled_count}/{len(spec)} shard(s) settled, "
-              f"{len(state.quarantined)} quarantined, {state.records} journal record(s)")
-        if state.in_flight:
-            print("in flight at last crash/interrupt: " + ", ".join(state.in_flight))
-        if not state.ended:
-            print(f"resume with: {engine.resume_command}")
-        return 0
-
+                            shard_timeout_s=args.timeout, install_signal_handlers=True)
     with _usage(CampaignError, JournalCorrupt):
         report = engine.run(resume=tool.name == "resume", state=state)
     document = report.to_json_dict()
@@ -664,6 +652,22 @@ def _campaign(tool: Tool, args: argparse.Namespace) -> int:
     if report.interrupted:
         print(f"interrupted; resume with: {engine.resume_command}", file=sys.stderr)
     return report.exit_code()
+
+
+def _campaign_status(tool: Tool, args: argparse.Namespace) -> int:
+    """``campaign status``: summarise one journal without running it."""
+    from repro.campaign import CampaignEngine, CampaignError, JournalCorrupt, load_campaign
+
+    with _usage(CampaignError, JournalCorrupt, ValueError):
+        spec, state = load_campaign(args.campaign_id, args.journal_root)
+    print(f"campaign {spec.campaign_id}: {state.status}, "
+          f"{state.settled_count}/{len(spec)} shard(s) settled, "
+          f"{len(state.quarantined)} quarantined, {state.records} journal record(s)")
+    if state.in_flight:
+        print("in flight at last crash/interrupt: " + ", ".join(state.in_flight))
+    if not state.ended:
+        print(f"resume with: {CampaignEngine(spec).resume_command}")
+    return 0
 
 
 def _campaign_list(tool: Tool, args: argparse.Namespace) -> int:
@@ -809,8 +813,8 @@ TOOLS: tuple[Tool, ...] = (
             *_CAMPAIGN_COMMON)),
         Tool("resume", "replay a journal and run only unfinished shards", _campaign,
              (_CAMPAIGN_ID, *_CAMPAIGN_COMMON)),
-        Tool("status", "summarise one campaign's journal without running", _campaign,
-             (_CAMPAIGN_ID, *_CAMPAIGN_COMMON)),
+        Tool("status", "summarise one campaign's journal without running", _campaign_status,
+             (_CAMPAIGN_ID, _JOURNAL_ROOT)),
         Tool("list", "enumerate journaled campaigns", _campaign_list, (_JOURNAL_ROOT,)))),
 )
 

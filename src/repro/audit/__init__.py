@@ -23,19 +23,15 @@ or from the command line: ``python -m repro audit --gate``.
 
 from __future__ import annotations
 
-from repro.audit.context import AuditContext, ModuleInfo, default_root
+from repro.audit.context import AuditContext
 from repro.audit.engine import (
     REGISTRY,
     AuditEngine,
     AuditFinding,
     Checker,
     all_checkers,
-    register,
 )
 from repro.audit.report import (
-    SCHEMA_VERSION,
-    TOOL_NAME,
-    AuditReport,
     SchemaError,
     to_sarif_dict,
     validate_audit_dict,
@@ -43,17 +39,11 @@ from repro.audit.report import (
 
 __all__ = [
     "AuditContext",
-    "ModuleInfo",
-    "default_root",
     "AuditEngine",
     "AuditFinding",
-    "AuditReport",
     "Checker",
     "REGISTRY",
-    "register",
     "all_checkers",
-    "SCHEMA_VERSION",
-    "TOOL_NAME",
     "SchemaError",
     "to_sarif_dict",
     "validate_audit_dict",

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
-__all__ = ["dotted_name", "resolve_call_target", "import_aliases",
-           "iter_functions", "ends_in_jump"]
+__all__ = ["dotted_name", "resolve_call_target", "import_aliases", "ends_in_jump"]
 
 
 def dotted_name(node: ast.AST) -> str | None:
@@ -58,15 +56,6 @@ def resolve_call_target(func: ast.AST, aliases: dict[str, str]) -> str | None:
         resolved = aliases[head]
         return f"{resolved}.{rest}" if rest else resolved
     return name
-
-
-def iter_functions(
-    tree: ast.Module,
-) -> "Iterator[ast.FunctionDef | ast.AsyncFunctionDef]":
-    """Every function/method definition in the module, depth-first."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 def ends_in_jump(body: list[ast.stmt]) -> bool:

@@ -34,7 +34,6 @@ from repro.campaign.cache import ResultCache
 from repro.campaign.engine import (
     CampaignEngine,
     CampaignError,
-    default_journal_root,
     list_campaigns,
     load_campaign,
     plan_worker_faults,
@@ -42,13 +41,10 @@ from repro.campaign.engine import (
 from repro.campaign.journal import (
     Journal,
     JournalCorrupt,
-    JournalState,
     read_records,
     replay,
 )
 from repro.campaign.report import (
-    CAMPAIGN_SCHEMA_VERSION,
-    CAMPAIGN_TOOL_NAME,
     CampaignReport,
     SchemaError,
     ShardEntry,
@@ -57,11 +53,8 @@ from repro.campaign.report import (
 from repro.campaign.experiment import experiment_executor, experiment_spec
 from repro.campaign.shard import execute_shard, result_digest
 from repro.campaign.spec import CampaignSpec, CampaignTool, ShardSpec
-from repro.campaign.supervisor import ShardOutcome, Supervisor
 
 __all__ = [
-    "CAMPAIGN_SCHEMA_VERSION",
-    "CAMPAIGN_TOOL_NAME",
     "CampaignEngine",
     "CampaignError",
     "CampaignReport",
@@ -69,14 +62,10 @@ __all__ = [
     "CampaignTool",
     "Journal",
     "JournalCorrupt",
-    "JournalState",
     "ResultCache",
     "SchemaError",
     "ShardEntry",
-    "ShardOutcome",
     "ShardSpec",
-    "Supervisor",
-    "default_journal_root",
     "execute_shard",
     "experiment_executor",
     "experiment_spec",

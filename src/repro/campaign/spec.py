@@ -29,16 +29,14 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
-__all__ = ["CampaignTool", "ShardSpec", "CampaignSpec", "PLAN_TOOLS",
-           "DEFAULT_DURATION", "STATIC_PLAN", "EXPERIMENT_TOOL",
-           "canonical_json"]
+from repro.faults.plan import DEFAULT_DURATION
+
+__all__ = ["CampaignTool", "ShardSpec", "CampaignSpec", "PLAN_TOOLS", "STATIC_PLAN",
+           "EXPERIMENT_TOOL", "canonical_json"]
 
 #: The canonical encoding: sorted keys, no whitespace (one encoder, built
 #: once).  It fixes campaign ids, result digests and journal lines alike.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-#: Campaign length in virtual-clock ticks for plan-driven tools.
-DEFAULT_DURATION = 30
 
 #: The plan slot recorded for tools that do not consume a fault plan.
 STATIC_PLAN = "-"

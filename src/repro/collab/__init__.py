@@ -11,41 +11,21 @@ resource competition.
   with optional regulation (§VII-A).
 """
 
-from repro.collab.attacks import ExternalInjector, InternalFabricator, PositionOffsetAttacker
-from repro.collab.detection import (
-    CollabFusionReport,
-    member_bias_estimates,
-    FusedObject,
-    FusionConfig,
-    SecureCollabFusion,
-    TrustManager,
-)
-from repro.collab.intersection import Arrival, IntersectionResult, IntersectionSim
-from repro.collab.v2v import SignedShare, V2vChannel
+from repro.collab.attacks import ExternalInjector, InternalFabricator
+from repro.collab.detection import SecureCollabFusion
+from repro.collab.intersection import IntersectionSim
 from repro.collab.perception import (
     CollabVehicle,
     PerceptionWorld,
-    SharedDetection,
     WorldObject,
 )
 
 __all__ = [
     "WorldObject",
-    "SharedDetection",
     "CollabVehicle",
     "PerceptionWorld",
     "ExternalInjector",
     "InternalFabricator",
-    "FusionConfig",
-    "FusedObject",
-    "CollabFusionReport",
     "SecureCollabFusion",
-    "TrustManager",
-    "Arrival",
-    "IntersectionResult",
     "IntersectionSim",
-    "SignedShare",
-    "V2vChannel",
-    "PositionOffsetAttacker",
-    "member_bias_estimates",
 ]

@@ -6,82 +6,13 @@ paper's conceptual framework (Fig. 1 + §VIII) made executable. The
 per-layer simulators (:mod:`repro.phy`, :mod:`repro.ivn`, :mod:`repro.ssi`,
 :mod:`repro.datalayer`, :mod:`repro.sos`, :mod:`repro.collab`) plug their
 attacks and defenses into the catalog defined here.
+
+Import a name from the module that defines it: the package re-exports only
+:class:`~repro.core.events.Simulator`, so that importing any
+``repro.core.<module>`` does not also load the analyzer, networkx and
+numpy.
 """
 
-from repro.core.analysis import LayeredSecurityAnalyzer, SecurityAssessment, ablate_layers
-from repro.core.attackgraph import AttackGraph, AttackPath
-from repro.core.domains import (
-    DOMAIN_PROFILES,
-    DomainComponent,
-    DomainProfile,
-    build_domain_model,
-)
-from repro.core.entities import Component, Interface, SystemModel
-from repro.core.events import Event, Simulator
-from repro.core.layers import LAYER_INFO, Layer, LayerInfo, adjacent_layers
-from repro.core.metrics import (
-    AttackSurfaceReport,
-    attack_surface,
-    criticality_weighted_exposure,
-    defense_coverage,
-    layer_synergy,
-)
-from repro.core.response import (
-    ResponseAction,
-    ResponseDecision,
-    ResponseEngine,
-    SecurityAlert,
-    Severity,
-)
-from repro.core.rng import derive_seed, numpy_rng, python_rng
-from repro.core.stats import proportions_differ, wilson_interval
-from repro.core.threats import (
-    AccessLevel,
-    Attack,
-    Defense,
-    SecurityProperty,
-    ThreatCatalog,
-    default_catalog,
-)
+from repro.core.events import Simulator
 
-__all__ = [
-    "Layer",
-    "LayerInfo",
-    "LAYER_INFO",
-    "adjacent_layers",
-    "SecurityProperty",
-    "AccessLevel",
-    "Attack",
-    "Defense",
-    "ThreatCatalog",
-    "default_catalog",
-    "Component",
-    "Interface",
-    "SystemModel",
-    "Event",
-    "Simulator",
-    "AttackSurfaceReport",
-    "attack_surface",
-    "defense_coverage",
-    "layer_synergy",
-    "criticality_weighted_exposure",
-    "LayeredSecurityAnalyzer",
-    "SecurityAssessment",
-    "ablate_layers",
-    "ResponseEngine",
-    "ResponseAction",
-    "ResponseDecision",
-    "SecurityAlert",
-    "Severity",
-    "derive_seed",
-    "numpy_rng",
-    "python_rng",
-    "DomainProfile",
-    "DomainComponent",
-    "DOMAIN_PROFILES",
-    "build_domain_model",
-    "AttackGraph",
-    "AttackPath",
-    "wilson_interval",
-    "proportions_differ",
-]
+__all__ = ["Simulator"]

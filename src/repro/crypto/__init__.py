@@ -21,32 +21,6 @@ inputs where the library and RFC 8032 / RFC 7748 decoding would differ.
 sizes carry; how fast the cipher runs is not part of them.
 """
 
-from repro.crypto.aes import AES, xor_bytes
-from repro.crypto.ed25519 import SignatureError, generate_public_key, sign, verify
-from repro.crypto.kdf import hkdf, hkdf_expand, hkdf_extract, hmac_sha256
-from repro.crypto.modes import AuthenticationError, Cmac, Gcm, cmac, ctr_keystream, ctr_xcrypt
-from repro.crypto.shamir import reconstruct_secret, split_secret
-from repro.crypto.x25519 import x25519, x25519_base
+from repro.crypto.x25519 import x25519_base
 
-__all__ = [
-    "AES",
-    "xor_bytes",
-    "Cmac",
-    "cmac",
-    "Gcm",
-    "AuthenticationError",
-    "ctr_keystream",
-    "ctr_xcrypt",
-    "generate_public_key",
-    "sign",
-    "verify",
-    "SignatureError",
-    "split_secret",
-    "reconstruct_secret",
-    "x25519",
-    "x25519_base",
-    "hkdf",
-    "hkdf_extract",
-    "hkdf_expand",
-    "hmac_sha256",
-]
+__all__ = ["x25519_base"]

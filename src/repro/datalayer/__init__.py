@@ -11,81 +11,17 @@
 * :mod:`repro.datalayer.surface` — §V-C attack-surface minimization.
 """
 
-from repro.datalayer.access import (
-    AccessGrant,
-    DataConsumer,
-    DataOwner,
-    KeyTrustee,
-    ProtectedDataset,
-)
-from repro.datalayer.breach import BreachReport, build_cariad_service, run_breach
-from repro.datalayer.cloud import (
-    AccessDenied,
-    CloudError,
-    CloudService,
-    CloudTimeout,
-    Endpoint,
-    EndpointDisabled,
-    EndpointNotFound,
-    Secret,
-    ServiceUnavailable,
-    StorageBucket,
-    TransientCloudError,
-)
-from repro.datalayer.killchain import (
-    MITIGATIONS,
-    AttackContext,
-    KillChain,
-    Stage,
-    StageResult,
-    cariad_stages,
-)
-from repro.datalayer.privacy import (
-    infer_home_locations,
-    location_k_anonymity,
-    reidentification_rate,
-    trajectory_uniqueness,
-)
-from repro.datalayer.surface import FeatureSurfaceAnalyzer, SurfaceReport
-from repro.datalayer.telemetry import (
-    FleetTelemetryGenerator,
-    TelemetryRecord,
-    VehicleProfile,
-)
+from repro.datalayer.breach import build_cariad_service, run_breach
+from repro.datalayer.killchain import MITIGATIONS
+from repro.datalayer.privacy import reidentification_rate
+from repro.datalayer.surface import FeatureSurfaceAnalyzer
+from repro.datalayer.telemetry import FleetTelemetryGenerator
 
 __all__ = [
-    "CloudService",
-    "Endpoint",
-    "Secret",
-    "StorageBucket",
-    "AccessDenied",
-    "CloudError",
-    "EndpointNotFound",
-    "EndpointDisabled",
-    "TransientCloudError",
-    "CloudTimeout",
-    "ServiceUnavailable",
     "FleetTelemetryGenerator",
-    "TelemetryRecord",
-    "VehicleProfile",
-    "KillChain",
-    "Stage",
-    "StageResult",
-    "AttackContext",
     "MITIGATIONS",
-    "cariad_stages",
-    "BreachReport",
     "build_cariad_service",
     "run_breach",
-    "infer_home_locations",
     "reidentification_rate",
-    "location_k_anonymity",
-    "trajectory_uniqueness",
-    "DataOwner",
-    "DataConsumer",
-    "KeyTrustee",
-    "AccessGrant",
-    "ProtectedDataset",
     "FeatureSurfaceAnalyzer",
-    "SurfaceReport",
 ]

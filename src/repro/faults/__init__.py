@@ -21,8 +21,8 @@ testable against injected faults.  This package provides:
 * :mod:`repro.faults.report` — the schema-validated chaos JSON.
 """
 
-from repro.faults.chaos import DEFAULT_DURATION, run_chaos_campaign, run_chaos_scenario
-from repro.faults.degradation import DegradationManager, LevelChange, ServiceLevel
+from repro.faults.chaos import run_chaos_campaign, run_chaos_scenario
+from repro.faults.degradation import DegradationManager, ServiceLevel
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import (
     KIND_LAYER,
@@ -67,11 +67,9 @@ __all__ = [
     "CircuitBreaker",
     "HealthMonitor",
     "ServiceLevel",
-    "LevelChange",
     "DegradationManager",
     "run_chaos_scenario",
     "run_chaos_campaign",
-    "DEFAULT_DURATION",
     "ChaosSchemaError",
     "validate_chaos_dict",
 ]

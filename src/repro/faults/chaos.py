@@ -46,7 +46,7 @@ from repro.datalayer.cloud import (
 )
 from repro.faults.degradation import DegradationManager
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultKind, FaultPlan, get_plan
+from repro.faults.plan import DEFAULT_DURATION, FaultKind, FaultPlan, get_plan
 from repro.faults.report import SCHEMA_VERSION, TOOL_NAME, chaos_summary
 from repro.faults.resilience import (
     BreakerOpen,
@@ -65,9 +65,6 @@ from repro.ssi.registry import (
 )
 
 __all__ = ["run_chaos_scenario", "run_chaos_campaign", "DEFAULT_DURATION"]
-
-#: Campaign length in virtual-clock ticks (seconds).
-DEFAULT_DURATION = 30
 
 #: Subsystem name -> the paper layer its availability is booked under.
 _SUBSYSTEM_LAYER = {

@@ -26,8 +26,11 @@ from enum import Enum
 
 from repro.core.layers import Layer
 
-__all__ = ["FaultKind", "FaultSpec", "FaultPlan", "KIND_LAYER",
+__all__ = ["FaultKind", "FaultSpec", "FaultPlan", "KIND_LAYER", "DEFAULT_DURATION",
            "baseline_plan", "severe_plan", "get_plan", "plan_names", "PLANS"]
+
+#: Campaign length in virtual-clock ticks (seconds) for plan-driven runs.
+DEFAULT_DURATION = 30
 
 
 class FaultKind(str, Enum):

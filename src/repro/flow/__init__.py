@@ -10,7 +10,8 @@ min-cut machinery.
 
 Findings surface in two equivalent ways:
 
-* programmatically — :func:`analyze` returns a :class:`FlowResult`;
+* programmatically — :func:`analyze` returns a
+  :class:`~repro.flow.taint.FlowResult`;
 * through the linter — the ``FLOW001``–``FLOW004`` rules are part of
   the shared lint catalog, so baselines, JSON reports, SARIF export,
   and CI gates all apply unchanged.
@@ -27,7 +28,7 @@ from repro.flow.graph import (
 )
 from repro.flow.render import render_cut, render_summary, render_witnesses
 from repro.flow.rules import FLOW_RULES
-from repro.flow.taint import FlowResult, PathWitness, analyze, propagate_taint
+from repro.flow.taint import analyze, propagate_taint
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.lint.engine import Linter
@@ -38,8 +39,6 @@ __all__ = [
     "FlowEdge",
     "FlowGraph",
     "build_flow_graph",
-    "PathWitness",
-    "FlowResult",
     "analyze",
     "propagate_taint",
     "FLOW_RULES",

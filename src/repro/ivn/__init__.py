@@ -14,130 +14,37 @@ Implements Figs. 3–6 and Table I as executable models:
   and the detectors that catch them.
 """
 
-from repro.ivn.attacks import (
-    BusFloodAttacker,
-    MasqueradeAttacker,
-    ReplayAttacker,
-    blind_forgery_attempts,
-)
+from repro.ivn.attacks import MasqueradeAttacker
 from repro.ivn.bus import BusNode, CanBus
-from repro.ivn.busoff import BusOffAttack, BusOffOutcome, ErrorCounter, simulate_busoff
-from repro.ivn.canal import CanalCodec, CanalSegment
-from repro.ivn.cansec import CANSEC_OVERHEAD_BYTES, CansecSecuredFrame, CansecZone
-from repro.ivn.ethernet import EthernetLink, ZonalSwitch
-from repro.ivn.gateway import FilterDecision, ForwardingRule, GatewayFilter
+from repro.ivn.cansec import CansecZone
 from repro.ivn.frames import (
-    MACSEC_ICV_BYTES,
-    MACSEC_SECTAG_BYTES,
-    CanFdFrame,
     CanFrame,
     CanXlFrame,
-    EthernetFrame,
-    can_fd_dlc_for,
 )
-from repro.ivn.ids import FrequencyIds, IdsAlert, OnsetIds, SenderFingerprintIds
-from repro.ivn.keymgmt import KeyLifecycleManager, RekeyEvent, run_traffic_with_rekey
-from repro.ivn.macsec import MacsecFrame, MacsecPort, MkaSession, Sci
-from repro.ivn.scenarios import (
-    ScenarioReport,
-    run_all_scenarios,
-    run_s1,
-    run_s2_end_to_end,
-    run_s2_point_to_point,
-    run_s3_canal,
-)
+from repro.ivn.ids import FrequencyIds, SenderFingerprintIds
+from repro.ivn.macsec import MacsecPort, MkaSession
+from repro.ivn.scenarios import run_all_scenarios
 from repro.ivn.secoc import (
     PROFILE_1,
-    PROFILE_3,
-    FreshnessManager,
     SecOcChannel,
-    SecOcProfile,
     SecuredPdu,
 )
-from repro.ivn.streams import (
-    DosResponseReport,
-    PeriodicStream,
-    TrafficScheduler,
-    run_dos_response_experiment,
-)
-from repro.ivn.t1s import PlcaConfig, T1sSegment
-from repro.ivn.timesync import (
-    AsymmetryVerdict,
-    CyclicAsymmetryDetector,
-    DelayAttack,
-    PtpResult,
-    SyncNetwork,
-    ptp_offset,
-)
-from repro.ivn.topology import Endpoint, Zone, ZonalArchitecture
-from repro.ivn.vcan import VcidSpoofAttacker, VirtualCanNetwork
+from repro.ivn.topology import ZonalArchitecture
 
 __all__ = [
     "CanFrame",
-    "CanFdFrame",
     "CanXlFrame",
-    "EthernetFrame",
-    "can_fd_dlc_for",
-    "MACSEC_SECTAG_BYTES",
-    "MACSEC_ICV_BYTES",
     "CanBus",
     "BusNode",
-    "T1sSegment",
-    "PlcaConfig",
-    "EthernetLink",
-    "ZonalSwitch",
     "ZonalArchitecture",
-    "Zone",
-    "Endpoint",
     "SecOcChannel",
-    "SecOcProfile",
     "SecuredPdu",
-    "FreshnessManager",
     "PROFILE_1",
-    "PROFILE_3",
     "MacsecPort",
-    "MacsecFrame",
     "MkaSession",
-    "KeyLifecycleManager",
-    "RekeyEvent",
-    "run_traffic_with_rekey",
-    "Sci",
     "CansecZone",
-    "CansecSecuredFrame",
-    "CANSEC_OVERHEAD_BYTES",
-    "CanalCodec",
-    "CanalSegment",
-    "ScenarioReport",
-    "run_s1",
-    "run_s2_end_to_end",
-    "run_s2_point_to_point",
-    "run_s3_canal",
     "run_all_scenarios",
     "MasqueradeAttacker",
-    "ReplayAttacker",
-    "BusFloodAttacker",
-    "blind_forgery_attempts",
-    "PeriodicStream",
-    "TrafficScheduler",
-    "DosResponseReport",
-    "run_dos_response_experiment",
     "FrequencyIds",
     "SenderFingerprintIds",
-    "OnsetIds",
-    "IdsAlert",
-    "SyncNetwork",
-    "DelayAttack",
-    "PtpResult",
-    "ptp_offset",
-    "CyclicAsymmetryDetector",
-    "AsymmetryVerdict",
-    "GatewayFilter",
-    "ForwardingRule",
-    "FilterDecision",
-    "BusOffAttack",
-    "BusOffOutcome",
-    "ErrorCounter",
-    "simulate_busoff",
-    "VirtualCanNetwork",
-    "VcidSpoofAttacker",
 ]

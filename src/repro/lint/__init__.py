@@ -23,10 +23,9 @@ CLI::
 
 from repro.lint.baseline import Baseline, BaselineEntry
 from repro.lint.engine import Analysis, Finding, Linter, Rule, Severity
-from repro.lint.report import Report, SchemaError, validate_report_dict
+from repro.lint.report import SchemaError, validate_report_dict
 from repro.lint.rules import CATALOG, full_catalog, rules_by_id
-from repro.lint.scenarios import (SCENARIOS, Scenario, build_scenario,
-                                  get_scenario, scenario_names)
+from repro.lint.scenarios import SCENARIOS, build_scenario, get_scenario, scenario_names
 from repro.lint.target import (AnalysisTarget, GatewayBinding,
                                V2xChannelBinding)
 
@@ -39,10 +38,8 @@ __all__ = [
     "Finding",
     "GatewayBinding",
     "Linter",
-    "Report",
     "Rule",
     "SCENARIOS",
-    "Scenario",
     "SchemaError",
     "Severity",
     "V2xChannelBinding",

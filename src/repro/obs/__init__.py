@@ -30,38 +30,23 @@ CLI::
     python -m repro trace cariad-breach --json         # validated JSON doc
 """
 
-from repro.obs.events import EventKind, EventLog, SimEvent
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.events import EventLog
 from repro.obs.report import (SchemaError, TraceReport, render_metrics_table,
                               render_span_tree, validate_metrics_dict,
                               validate_trace_dict)
-from repro.obs.runtime import OBS, Instrumentation, disable, enable, instrumented
+from repro.obs.runtime import instrumented
 from repro.obs.scenarios import run_trace_scenario
-from repro.obs.timeline import Timeline, merge_events, render_timeline
-from repro.obs.trace import Span, Tracer
+from repro.obs.timeline import Timeline, merge_events
 
 __all__ = [
-    "Counter",
-    "EventKind",
     "EventLog",
-    "Gauge",
-    "Histogram",
-    "Instrumentation",
-    "MetricsRegistry",
-    "OBS",
     "SchemaError",
-    "SimEvent",
-    "Span",
     "Timeline",
     "TraceReport",
-    "Tracer",
-    "disable",
-    "enable",
     "instrumented",
     "merge_events",
     "render_metrics_table",
     "render_span_tree",
-    "render_timeline",
     "run_trace_scenario",
     "validate_metrics_dict",
     "validate_trace_dict",

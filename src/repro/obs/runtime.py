@@ -124,10 +124,10 @@ def disable() -> None:
 
 
 @contextmanager
-def instrumented(*, fresh: bool = True, capacity: int | None = None,
+def instrumented(*, capacity: int | None = None,
                  sample_every: int = 1) -> Iterator[Instrumentation]:
-    """Enable instrumentation for a ``with`` block, restoring the previous
-    state (and, with ``fresh=True``, starting from empty collectors).
+    """Enable instrumentation for a ``with`` block, starting from empty
+    collectors and restoring the previous state afterwards.
 
     ``sample_every=N`` admits 1 in N high-rate event/histogram emissions
     (see :meth:`Instrumentation.sample`); counters stay exact.
@@ -137,8 +137,7 @@ def instrumented(*, fresh: bool = True, capacity: int | None = None,
     was_enabled = OBS.enabled
     was_sampling = OBS.sample_every
     was_events = OBS.events
-    if fresh:
-        OBS.reset(capacity=capacity)
+    OBS.reset(capacity=capacity)
     OBS.sample_every = sample_every
     OBS.enable()
     try:

@@ -16,93 +16,18 @@ Implements the Fig. 2 content as a sampled-waveform simulator:
 """
 
 from repro.phy.attacks import EnlargementAttack, GhostPeakAttack, RelayAttack
-from repro.phy.channel import Channel, Multipath
-from repro.phy.collision import (
-    Detection,
-    FusionPipeline,
-    FusionReport,
-    GhostObjectAttack,
-    ObjectRemovalAttack,
-    Sensor,
-    SensorKind,
-)
-from repro.phy.defenses import EnlargementVerdict, UwbEdDetector
-from repro.phy.hrp import HrpRangingSession, HrpReceiver, RangingOutcome, generate_sts
-from repro.phy.imaging import (
-    IMAGE_ATTACKS,
-    IMAGE_DEFENSES,
-    PIPELINE_STAGES,
-    ImagePipeline,
-    PipelineAttack,
-    PipelineDefense,
-)
-from repro.phy.lrp import (
-    DistanceBoundingResult,
-    DistanceBoundingSession,
-    attack_success_probability,
-)
-from repro.phy.mtac import MtacCode, MtacVerdict, attack_acceptance_probability
-from repro.phy.pkes import PkesSystem, UnlockAttempt
-from repro.phy.pulses import HRP_CONFIG, LRP_CONFIG, SPEED_OF_LIGHT, PhyConfig
-from repro.phy.ranging import (
-    TwrBatch,
-    TwrMeasurement,
-    ds_twr,
-    ds_twr_batch,
-    ss_twr,
-    ss_twr_batch,
-)
-from repro.phy.toa import ToaEstimate, cross_correlation, first_path_toa
-from repro.phy.vrange import CpInjectionAttack, OfdmConfig, VRangeOutcome, VRangeSession
+from repro.phy.channel import Channel
+from repro.phy.defenses import UwbEdDetector
+from repro.phy.hrp import HrpRangingSession, HrpReceiver
+from repro.phy.pkes import PkesSystem
 
 __all__ = [
-    "PhyConfig",
-    "HRP_CONFIG",
-    "LRP_CONFIG",
-    "SPEED_OF_LIGHT",
     "Channel",
-    "Multipath",
-    "generate_sts",
     "HrpRangingSession",
     "HrpReceiver",
-    "RangingOutcome",
-    "DistanceBoundingSession",
-    "DistanceBoundingResult",
-    "attack_success_probability",
-    "TwrMeasurement",
-    "TwrBatch",
-    "ss_twr",
-    "ds_twr",
-    "ss_twr_batch",
-    "ds_twr_batch",
-    "VRangeSession",
-    "VRangeOutcome",
-    "OfdmConfig",
-    "CpInjectionAttack",
-    "ToaEstimate",
-    "cross_correlation",
-    "first_path_toa",
     "GhostPeakAttack",
     "EnlargementAttack",
     "RelayAttack",
     "UwbEdDetector",
-    "EnlargementVerdict",
-    "ImagePipeline",
-    "PipelineAttack",
-    "PipelineDefense",
-    "IMAGE_ATTACKS",
-    "IMAGE_DEFENSES",
-    "PIPELINE_STAGES",
-    "MtacCode",
-    "MtacVerdict",
-    "attack_acceptance_probability",
     "PkesSystem",
-    "UnlockAttempt",
-    "SensorKind",
-    "Sensor",
-    "Detection",
-    "GhostObjectAttack",
-    "ObjectRemovalAttack",
-    "FusionPipeline",
-    "FusionReport",
 ]

@@ -24,11 +24,10 @@ scenario's plan from its one :class:`~repro.lint.engine.Analysis`.
 """
 
 from repro.redteam.attacks import TECHNIQUES, Attack, build_attack_library
-from repro.redteam.capability import Capability, control, disrupt
+from repro.redteam.capability import Capability
 from repro.redteam.differential import differential_violations
-from repro.redteam.planner import Campaign, PlanResult, plan
+from repro.redteam.planner import Campaign, plan
 from repro.redteam.report import (
-    campaign_to_dict,
     redteam_document,
     render_campaigns,
     render_summary,
@@ -41,14 +40,10 @@ __all__ = [
     "Attack",
     "Campaign",
     "Capability",
-    "PlanResult",
     "RT_RULES",
     "TECHNIQUES",
     "build_attack_library",
-    "campaign_to_dict",
-    "control",
     "differential_violations",
-    "disrupt",
     "plan",
     "redteam_document",
     "render_campaigns",

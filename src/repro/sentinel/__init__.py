@@ -30,13 +30,12 @@ the vehicle *does*.  This package provides:
 * :mod:`repro.sentinel.report` — the schema-validated sentinel JSON.
 """
 
-from repro.sentinel.alarms import AlarmMachine, AlarmState, AlarmTransition
+from repro.sentinel.alarms import AlarmMachine, AlarmState
 from repro.sentinel.campaign import run_sentinel_campaign, run_sentinel_scenario
 from repro.sentinel.correlator import CascadeCorrelator, Incident
 from repro.sentinel.detectors import (
     CanRateDetector,
     CloudBudgetDetector,
-    Detector,
     DidResolutionDetector,
     RangingResidualDetector,
     SecocAuthDetector,
@@ -47,7 +46,6 @@ from repro.sentinel.engine import IGNORED_KINDS, MACHINE_PARAMS, SentinelEngine
 from repro.sentinel.report import SentinelSchemaError, validate_sentinel_dict
 from repro.sentinel.trust import (
     DEFAULT_WEIGHTS,
-    TrustEvent,
     TrustPhase,
     TrustRegistry,
     TrustScore,
@@ -55,7 +53,6 @@ from repro.sentinel.trust import (
 
 __all__ = [
     "Signal",
-    "Detector",
     "CanRateDetector",
     "SecocAuthDetector",
     "RangingResidualDetector",
@@ -63,10 +60,8 @@ __all__ = [
     "DidResolutionDetector",
     "default_detectors",
     "AlarmState",
-    "AlarmTransition",
     "AlarmMachine",
     "TrustPhase",
-    "TrustEvent",
     "TrustScore",
     "TrustRegistry",
     "DEFAULT_WEIGHTS",

@@ -41,13 +41,12 @@ from repro.faults.chaos import (
     _OUTAGE,
     _REGISTRY_DOWN,
     _TIMEOUT,
-    DEFAULT_DURATION,
     _build_registry,
     _scenario_window,
 )
 from repro.faults.degradation import DegradationManager
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultKind, FaultPlan, get_plan
+from repro.faults.plan import DEFAULT_DURATION, FaultKind, FaultPlan, get_plan
 from repro.faults.resilience import CircuitBreaker, VirtualClock
 from repro.lint.scenarios import get_scenario
 from repro.sentinel.correlator import CascadeCorrelator

@@ -8,50 +8,15 @@
   the gaps the paper attributes to "ambiguous roles".
 """
 
-from repro.sos.cascade import CascadeResult, CascadeSimulator
-from repro.sos.compliance import (
-    DEFAULT_REQUIREMENTS,
-    Audit,
-    ComplianceGap,
-    ComplianceRequirement,
-    cal_for,
-)
-from repro.sos.lifecycle import (
-    ExposureWindow,
-    LifecycleAnalyzer,
-    LifecyclePlan,
-    Phase,
-)
+from repro.sos.cascade import CascadeSimulator
 from repro.sos.maas import build_maas_sos
-from repro.sos.model import SosModel, SosSystem, SystemInterface
-from repro.sos.responsibility import (
-    OBLIGATIONS,
-    ResponsibilityGap,
-    ResponsibilityMatrix,
-)
-from repro.sos.stride import StrideCategory, Threat, enumerate_threats, threats_by_level
+from repro.sos.responsibility import ResponsibilityMatrix
+from repro.sos.stride import enumerate_threats, threats_by_level
 
 __all__ = [
-    "SosSystem",
-    "SystemInterface",
-    "SosModel",
     "build_maas_sos",
-    "StrideCategory",
-    "Threat",
     "enumerate_threats",
     "threats_by_level",
     "CascadeSimulator",
-    "Audit",
-    "ComplianceGap",
-    "ComplianceRequirement",
-    "DEFAULT_REQUIREMENTS",
-    "cal_for",
-    "LifecyclePlan",
-    "LifecycleAnalyzer",
-    "ExposureWindow",
-    "Phase",
-    "CascadeResult",
     "ResponsibilityMatrix",
-    "ResponsibilityGap",
-    "OBLIGATIONS",
 ]

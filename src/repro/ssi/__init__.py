@@ -14,66 +14,33 @@ for software-defined vehicles.
 
 from repro.ssi.charging import (
     CHARGING_CONTRACT,
-    CertError,
-    Certificate,
-    ChargeAuthorization,
-    Iso15118Pki,
     SsiChargingFlow,
 )
-from repro.ssi.did import Did, DidDocument, KeyPair, VerificationMethod
+from repro.ssi.did import KeyPair
 from repro.ssi.documents import DocumentStore, EncryptedEnvelope, SignedDocument
-from repro.ssi.mobility import (
-    MobilityServiceDirectory,
-    OfflineToken,
-    OfflineTokenBook,
-    SpendRecord,
-)
-from repro.ssi.registry import (
-    CachingResolver,
-    RegistryEntry,
-    RegistryUnavailable,
-    VerifiableDataRegistry,
-)
+from repro.ssi.registry import VerifiableDataRegistry
 from repro.ssi.sdv import (
     HW_CREDENTIAL,
     SW_CREDENTIAL,
-    PlacementDecision,
     ReconfigurationController,
 )
-from repro.ssi.trust import ACCREDITATION_TYPE, TrustPolicy
-from repro.ssi.vc import VerifiableCredential, VerifiablePresentation, VerificationResult
+from repro.ssi.trust import TrustPolicy
+from repro.ssi.vc import VerifiablePresentation, VerificationResult
 from repro.ssi.wallet import Wallet
 
 __all__ = [
-    "Did",
-    "DidDocument",
     "KeyPair",
-    "VerificationMethod",
     "VerifiableDataRegistry",
-    "RegistryEntry",
-    "RegistryUnavailable",
-    "CachingResolver",
-    "VerifiableCredential",
     "VerifiablePresentation",
     "VerificationResult",
     "Wallet",
     "TrustPolicy",
-    "ACCREDITATION_TYPE",
     "ReconfigurationController",
-    "PlacementDecision",
     "HW_CREDENTIAL",
     "SW_CREDENTIAL",
     "SignedDocument",
     "DocumentStore",
     "EncryptedEnvelope",
-    "MobilityServiceDirectory",
-    "OfflineTokenBook",
-    "OfflineToken",
-    "SpendRecord",
-    "Iso15118Pki",
-    "Certificate",
-    "CertError",
     "SsiChargingFlow",
-    "ChargeAuthorization",
     "CHARGING_CONTRACT",
 ]

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.campaign import (CampaignSpec, CampaignTool, Journal, journal,
                             validate_campaign_dict)
 
@@ -88,6 +90,23 @@ class TestResumeStatusList:
                                "--journal-root", str(tmp_path))
         assert code == 0 and "4/4 shard(s) settled" in out
         assert len(reads) == 1
+
+    @pytest.mark.parametrize("flags", [("--jobs", "2"), ("--timeout", "5"), ("--json",),
+                                       ("--report", "status.json")],
+                             ids=["jobs", "timeout", "json", "report"])
+    def test_status_takes_only_an_id_and_a_journal_root(self, run_cli, tmp_path, capsys,
+                                                        flags):
+        run_cli(*run_args(tmp_path / "j"))
+        flags = tuple(str(tmp_path / flag) if flag.endswith(".json") else flag
+                      for flag in flags)
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("campaign", "status", "clitest", "--journal-root", str(tmp_path / "j"),
+                    *flags)
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flags)}" in captured.err
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "j"]
 
     def test_resume_replays_the_journal_once(self, run_cli, tmp_path,
                                              monkeypatch):

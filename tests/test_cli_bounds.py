@@ -30,7 +30,7 @@ CASES = [
     (("campaign", "run", *CAMPAIGN), "--duration", "0",
      "--duration must be >= 1"),
     (("campaign", "resume", "some-id"), "--jobs", "0", "--jobs must be >= 1"),
-    (("campaign", "status", "some-id"), "--timeout", "-5",
+    (("campaign", "resume", "some-id"), "--timeout", "-5",
      "--timeout must be > 0"),
 ]
 

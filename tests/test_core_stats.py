@@ -99,3 +99,20 @@ def test_simulator_imports_do_not_load_scipy_stats():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_core_and_crypto_imports_do_not_load_networkx_or_numpy():
+    # The core facade re-exports only Simulator and the crypto facade only
+    # x25519_base, so a fresh interpreter importing either pays for neither
+    # the attack graph (networkx) nor the seeded RNGs (numpy); the SSI
+    # stack builds no graph.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys, repro.core, repro.crypto; "
+            "loaded = sorted({'networkx', 'numpy'} & set(sys.modules)); "
+            "assert not loaded, f'core/crypto loaded {loaded}'; "
+            "import repro.ssi; "
+            "assert 'networkx' not in sys.modules, 'repro.ssi loaded networkx'")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
