@@ -20,12 +20,9 @@ from __future__ import annotations
 import time
 
 from repro.experiments import best_of
-from repro.faults import (
-    FaultInjector,
-    FaultKind,
-    baseline_plan,
-    run_chaos_campaign,
-)
+from repro.faults.chaos import run_chaos_campaign
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultKind, baseline_plan
 from repro.lint import scenario_names
 
 N_FRAMES = 400

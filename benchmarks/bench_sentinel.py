@@ -25,7 +25,7 @@ import json
 
 from repro.core.layers import Layer
 from repro.experiments import best_of
-from repro.faults import get_plan
+from repro.faults.plan import get_plan
 from repro.lint import scenario_names
 from repro.obs.events import EventKind, EventLog
 from repro.sentinel import (

@@ -163,7 +163,8 @@ def act7_the_drill() -> None:
     # weather (babbling ECU, backend outage, registry downtime, ...) as
     # a seeded fault campaign and watch the degradation ladder.  Same
     # base seed => byte-identical report — the drill is reproducible.
-    from repro.faults import get_plan, run_chaos_scenario
+    from repro.faults.chaos import run_chaos_scenario
+    from repro.faults.plan import get_plan
 
     plan = get_plan("baseline")
     for name in ("onboard-insecure", "onboard-hardened"):
@@ -221,7 +222,7 @@ def act9_the_watchtower() -> None:
     # per-source trust tick by tick, and must raise its first ALARM
     # before the vehicle's own SAFE_STOP — detection with lead time,
     # not a forensic shrug after the crash.
-    from repro.faults import get_plan
+    from repro.faults.plan import get_plan
     from repro.sentinel import run_sentinel_scenario
 
     for name, plan in (("onboard-insecure", "severe"),

@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.experiments import EXPERIMENTS, find
+from repro.faults.plan import DEFAULT_DURATION, plan_names
 
 
 class UsageError(Exception):
@@ -182,8 +183,9 @@ def _timeout_arg(default: float, help: str) -> Arg:
                help=help)
 
 
-def _duration_arg(help: str = "campaign length in virtual-clock ticks (default 30)") -> Arg:
-    return arg("--duration", type=int, default=30, metavar="N", low=1, help=help)
+def _duration_arg(help: str = "campaign length in virtual-clock ticks") -> Arg:
+    return arg("--duration", type=int, default=DEFAULT_DURATION, metavar="N", low=1,
+               help=f"{help} (default {DEFAULT_DURATION})")
 
 
 def _plan_arg(verb: str) -> Arg:
@@ -394,8 +396,6 @@ def _audit_catalog() -> str:
 
 def _fault_campaign(tool: Tool, args: argparse.Namespace) -> int:
     """Run the campaign, then validate, publish and gate its document."""
-    from repro.faults import plan_names
-
     names = _scenarios(args)
     _known("fault plan", args.plan, plan_names())
     document = _ref(tool.engine)(names, args.plan, base_seed=args.base_seed,
@@ -612,7 +612,6 @@ def _trace(tool: Tool, args: argparse.Namespace) -> int:
 def _campaign_spec(args: argparse.Namespace):
     """Build the shard matrix a ``campaign run`` invocation asks for."""
     from repro.campaign import CampaignSpec, CampaignTool
-    from repro.faults import plan_names
     from repro.lint import scenario_names
 
     def values(text: str) -> list[str]:
@@ -752,8 +751,8 @@ TOOLS: tuple[Tool, ...] = (
         _duration_arg(),
         _flag("--json", "emit the schema-validated chaos document"),
         _report_arg("chaos")),
-        engine="repro.faults:run_chaos_campaign",
-        render=_render_chaos, validate="repro.faults:validate_chaos_dict"),
+        engine="repro.faults.chaos:run_chaos_campaign",
+        render=_render_chaos, validate="repro.faults.report:validate_chaos_dict"),
     Tool("redteam", "plan ranked attack campaigns (static red team)", _redteam, (
         _SCENARIO,
         _flag("--campaigns", "print every ranked campaign hop by hop with the defense that "
@@ -807,7 +806,7 @@ TOOLS: tuple[Tool, ...] = (
                 help="fault plans for chaos/sentinel shards (default baseline)"),
             arg("--seeds", default="0", metavar="N,N",
                 help="comma-separated base seeds (default 0)"),
-            _duration_arg("virtual-clock ticks for chaos/sentinel shards (default 30)"),
+            _duration_arg("virtual-clock ticks for chaos/sentinel shards"),
             arg("--name", default="", metavar="NAME",
                 help="campaign id (default: a digest of the shard matrix)"),
             *_CAMPAIGN_COMMON)),

@@ -52,14 +52,15 @@ def result_digest(result: dict) -> str:
 
 
 def _run_chaos(spec: ShardSpec) -> dict:
-    from repro.faults import get_plan, run_chaos_scenario
+    from repro.faults.chaos import run_chaos_scenario
+    from repro.faults.plan import get_plan
 
     return run_chaos_scenario(spec.scenario, get_plan(spec.plan),
                               base_seed=spec.seed, duration=spec.duration)
 
 
 def _run_sentinel(spec: ShardSpec) -> dict:
-    from repro.faults import get_plan
+    from repro.faults.plan import get_plan
     from repro.sentinel import run_sentinel_scenario
 
     return run_sentinel_scenario(spec.scenario, get_plan(spec.plan),

@@ -12,8 +12,10 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["derive_seed", "numpy_rng", "python_rng"]
 
@@ -45,7 +47,13 @@ def derive_seed(label: str, base_seed: int | None = None) -> int:
 
 
 def numpy_rng(label: str, base_seed: int | None = None) -> np.random.Generator:
-    """A numpy Generator seeded deterministically from ``label``."""
+    """A numpy Generator seeded deterministically from ``label``.
+
+    numpy is imported here, not at module level, so a caller that needs
+    only :func:`python_rng` never loads it.
+    """
+    import numpy as np
+
     return np.random.default_rng(derive_seed(label, base_seed))
 
 

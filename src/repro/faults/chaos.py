@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.layers import Layer
-from repro.core.response import ResponseEngine, SecurityAlert, Severity
+from repro.core.response import SecurityAlert, Severity
 from repro.core.rng import python_rng
 from repro.datalayer.cloud import (
     CloudService,
@@ -44,57 +44,33 @@ from repro.datalayer.cloud import (
     ServiceUnavailable,
     TransientCloudError,
 )
-from repro.faults.degradation import DegradationManager
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import DEFAULT_DURATION, FaultKind, FaultPlan, get_plan
+from repro.faults.harness import (
+    BABBLING,
+    BIT_FLIP,
+    CORRUPTION,
+    FRAME_DROP,
+    LATENCY,
+    NLOS,
+    OUTAGE,
+    REGISTRY_DOWN,
+    SUBSYSTEM_LAYER,
+    TIMEOUT,
+    campaign_document,
+    did_registry,
+    open_scenario,
+)
+from repro.faults.plan import DEFAULT_DURATION, FaultPlan
 from repro.faults.report import SCHEMA_VERSION, TOOL_NAME, chaos_summary
 from repro.faults.resilience import (
     BreakerOpen,
-    CircuitBreaker,
     RetryPolicy,
     RetryStats,
     VirtualClock,
     retry_with_backoff,
 )
-from repro.lint.scenarios import get_scenario
-from repro.ssi.did import Did, DidDocument, KeyPair
-from repro.ssi.registry import (
-    CachingResolver,
-    RegistryUnavailable,
-    VerifiableDataRegistry,
-)
+from repro.ssi.registry import CachingResolver, RegistryUnavailable
 
-__all__ = ["run_chaos_scenario", "run_chaos_campaign", "DEFAULT_DURATION"]
-
-#: Subsystem name -> the paper layer its availability is booked under.
-_SUBSYSTEM_LAYER = {
-    "phy": Layer.PHYSICAL,
-    "ivn": Layer.NETWORK,
-    "cloud": Layer.DATA,
-    "ssi": Layer.SOFTWARE_PLATFORM,
-}
-
-#: The fault kinds each subsystem is exposed to (window computation).
-_SUBSYSTEM_KINDS = {
-    "phy": (FaultKind.PHY_SAMPLE_CORRUPTION, FaultKind.PHY_NLOS_BURST),
-    "ivn": (FaultKind.IVN_FRAME_DROP, FaultKind.IVN_BIT_FLIP,
-            FaultKind.IVN_BABBLING_IDIOT),
-    "cloud": (FaultKind.CLOUD_LATENCY, FaultKind.CLOUD_TIMEOUT,
-              FaultKind.CLOUD_OUTAGE),
-    "ssi": (FaultKind.SSI_REGISTRY_DOWN,),
-}
-
-# The members the tick loops use (here and in ``repro.sentinel.campaign``),
-# resolved once: an enum class attribute costs a slow lookup per use.
-_CORRUPTION = FaultKind.PHY_SAMPLE_CORRUPTION
-_NLOS = FaultKind.PHY_NLOS_BURST
-_BABBLING = FaultKind.IVN_BABBLING_IDIOT
-_FRAME_DROP = FaultKind.IVN_FRAME_DROP
-_BIT_FLIP = FaultKind.IVN_BIT_FLIP
-_OUTAGE = FaultKind.CLOUD_OUTAGE
-_TIMEOUT = FaultKind.CLOUD_TIMEOUT
-_LATENCY = FaultKind.CLOUD_LATENCY
-_REGISTRY_DOWN = FaultKind.SSI_REGISTRY_DOWN
+__all__ = ["run_chaos_scenario", "run_chaos_campaign"]
 
 
 class _OpFailed(Exception):
@@ -130,16 +106,6 @@ class _Tally:
         }
 
 
-def _scenario_window(plan: FaultPlan,
-                     subsystems: tuple[str, ...]) -> tuple[float, float]:
-    """The fault-window hull over the kinds this scenario is exposed to."""
-    kinds = {kind for name in subsystems for kind in _SUBSYSTEM_KINDS[name]}
-    specs = [spec for spec in plan.specs if spec.kind in kinds]
-    if not specs:
-        return (0.0, 0.0)
-    return (min(s.start for s in specs), max(s.end for s in specs))
-
-
 def _build_cloud() -> CloudService:
     service = CloudService("telemetry-backend")
     service.add_endpoint(Endpoint("/telemetry", auth_required=False,
@@ -147,53 +113,28 @@ def _build_cloud() -> CloudService:
     return service
 
 
-def _build_registry() -> tuple[VerifiableDataRegistry, Did]:
-    registry = VerifiableDataRegistry()
-    did = Did("vehicle-7")
-    registry.register(DidDocument.for_keypair(
-        did, KeyPair.from_seed_label("chaos/vehicle-7")))
-    return registry, did
-
-
 def run_chaos_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
                        duration: int = DEFAULT_DURATION) -> dict:
     """Run one scenario under ``plan`` and return its result document."""
-    scenario = get_scenario(name)
-    if duration < 1:
-        raise ValueError("duration must be >= 1 tick")
-
-    injector = FaultInjector(plan, base_seed=base_seed)
-    clock = VirtualClock()
+    harness = open_scenario(name, plan, base_seed, duration)
+    scenario, injector, clock = harness.scenario, harness.injector, harness.clock
+    manager, breaker = harness.manager, harness.breaker
     retry_rng = python_rng(f"chaos/{plan.name}/{name}/retry", base_seed)
     retry_policy = RetryPolicy(max_attempts=3, base_delay_s=0.05,
                                factor=2.0, max_delay_s=0.2, jitter=0.1)
     retry_stats = RetryStats()
-    manager = DegradationManager(
-        degrade_threshold=scenario.degrade_threshold,
-        degrade_streak=scenario.degrade_streak,
-        recovery_streak=scenario.recovery_streak,
-        allow_recovery=scenario.allow_recovery)
-
-    engine: ResponseEngine | None = None
-    if scenario.has_ids:
-        engine = ResponseEngine(escalation_threshold=8)
-        manager.attach(engine)
-
+    # Only a scenario with an IDS raises alerts for the response engine.
+    engine = harness.response if scenario.has_ids else None
     cloud = _build_cloud() if "cloud" in scenario.subsystems else None
-    breaker: CircuitBreaker | None = None
-    if cloud is not None and scenario.resilient:
-        breaker = CircuitBreaker("telemetry-backend", clock=clock,
-                                 failure_threshold=3, recovery_time_s=3.0)
 
     resolver: CachingResolver | None = None
-    did: Did | None = None
     now = {"t": 0.0}  # shared with the registry-outage predicate
     if "ssi" in scenario.subsystems:
-        registry, did = _build_registry()
+        registry, did = did_registry()
         resolver = CachingResolver(registry, unavailable=lambda: injector.fires(
-            _REGISTRY_DOWN, "did-registry", now["t"]))
+            REGISTRY_DOWN, "did-registry", now["t"]))
 
-    window_start, window_end = _scenario_window(plan, scenario.subsystems)
+    window_start, window_end = harness.window
     tallies = {name_: _Tally() for name_ in scenario.subsystems}
     babbler_isolated = False
     floor_cleared = False
@@ -201,30 +142,30 @@ def run_chaos_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
     # -- per-tick subsystem operations --------------------------------------
 
     def phy_op(t: float) -> None:
-        if injector.fires(_CORRUPTION, "uwb-anchor", t):
-            magnitude = injector.magnitude(_CORRUPTION, "uwb-anchor", t)
-            burst = injector.corruption_noise(_CORRUPTION, "uwb-anchor", 8,
+        if injector.fires(CORRUPTION, "uwb-anchor", t):
+            magnitude = injector.magnitude(CORRUPTION, "uwb-anchor", t)
+            burst = injector.corruption_noise(CORRUPTION, "uwb-anchor", 8,
                                               magnitude)
             raise _OpFailed(
                 f"ranging samples corrupted ({float(np.abs(burst).mean()):.2f} m)")
-        if injector.fires(_NLOS, "uwb-anchor", t):
+        if injector.fires(NLOS, "uwb-anchor", t):
             raise _OpFailed("NLOS burst: first path buried")
 
     def ivn_op(t: float, babbling: bool) -> None:
         if babbling and not babbler_isolated:
             raise _OpFailed("bus saturated by babbling ECU")
-        if injector.fires(_FRAME_DROP, "zonal-can", t):
+        if injector.fires(FRAME_DROP, "zonal-can", t):
             raise _OpFailed("frame dropped")
-        if injector.fires(_BIT_FLIP, "zonal-can", t):
+        if injector.fires(BIT_FLIP, "zonal-can", t):
             raise _OpFailed("frame corrupted by bit flip")
 
     def cloud_op(t: float) -> str:
         assert cloud is not None
-        if injector.fires(_OUTAGE, "telemetry-backend", t):
+        if injector.fires(OUTAGE, "telemetry-backend", t):
             raise ServiceUnavailable("injected 5xx outage")
-        if injector.fires(_TIMEOUT, "telemetry-backend", t):
+        if injector.fires(TIMEOUT, "telemetry-backend", t):
             raise CloudTimeout("injected timeout")
-        if injector.fires(_LATENCY, "telemetry-backend", t):
+        if injector.fires(LATENCY, "telemetry-backend", t):
             raise CloudTimeout("latency spike past deadline")
         return cloud.fetch("/telemetry")
 
@@ -259,7 +200,7 @@ def run_chaos_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
             manager.report("phy", ok)
 
         if "ivn" in tallies:
-            babbling = injector.fires(_BABBLING, "ecu-babbler", t)
+            babbling = injector.fires(BABBLING, "ecu-babbler", t)
             ok = attempt(lambda u: ivn_op(u, babbling), t, (_OpFailed,))
             tallies["ivn"].add(ok, in_window)
             manager.report("ivn", ok)
@@ -288,7 +229,7 @@ def run_chaos_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
             tallies["cloud"].add(ok, in_window)
             manager.report("cloud", ok)
 
-        if resolver is not None and did is not None:
+        if resolver is not None:
             try:
                 resolver.resolve(did)
                 ok = True
@@ -309,12 +250,8 @@ def run_chaos_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
             floor_cleared = True
 
     return {
-        "scenario": scenario.name,
-        "description": scenario.description,
-        "resilient": scenario.resilient,
-        "durationTicks": duration,
-        "window": {"start": window_start, "end": window_end},
-        "layers": [tallies[name_].to_dict(_SUBSYSTEM_LAYER[name_])
+        **harness.entry(),
+        "layers": [tallies[name_].to_dict(SUBSYSTEM_LAYER[name_])
                    for name_ in scenario.subsystems],
         "faults": {"injected": injector.count,
                    "byKind": injector.count_by_kind()},
@@ -330,19 +267,7 @@ def run_chaos_campaign(scenarios: list[str], plan_name: str, *,
                        base_seed: int = 0,
                        duration: int = DEFAULT_DURATION) -> dict:
     """Run several scenarios under one plan and assemble the report doc."""
-    from repro import __version__
-
-    plan = get_plan(plan_name)
-    results = [run_chaos_scenario(name, plan, base_seed=base_seed,
-                                  duration=duration)
-               for name in scenarios]
-
-    document = {
-        "version": SCHEMA_VERSION,
-        "tool": {"name": TOOL_NAME, "version": __version__},
-        "plan": plan.to_dict(),
-        "baseSeed": base_seed,
-        "scenarios": results,
-    }
-    document["summary"] = chaos_summary(document)
-    return document
+    return campaign_document(run_chaos_scenario, chaos_summary,
+                             version=SCHEMA_VERSION, tool=TOOL_NAME,
+                             scenarios=scenarios, plan_name=plan_name,
+                             base_seed=base_seed, duration=duration)

@@ -9,8 +9,8 @@ compromised, and only as a last resort execute a safe stop.
 machine driven by two signal sources:
 
 * **health signals** — per-component pass/fail reports (bus delivery,
-  ranging sanity, cloud reachability) aggregated over a window by a
-  :class:`~repro.faults.resilience.HealthMonitor`;
+  ranging sanity, cloud reachability), each component's last
+  :data:`HEALTH_WINDOW` reports kept as its health window;
 * **response escalations** — :class:`~repro.core.response.ResponseEngine`
   decisions, subscribed via ``ResponseEngine.subscribe``, so an
   intrusion-response ``DEGRADE_FUNCTION`` or ``SAFE_STOP`` decision
@@ -25,16 +25,20 @@ clearance, not a lucky healthy window.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 
 from repro.core.layers import Layer
 from repro.core.response import ResponseAction, ResponseDecision, ResponseEngine
-from repro.faults.resilience import HealthMonitor
 from repro.obs.events import EventKind
 from repro.obs.runtime import OBS
 
-__all__ = ["ServiceLevel", "LevelChange", "DegradationManager"]
+__all__ = ["ServiceLevel", "LevelChange", "DegradationManager", "HEALTH_WINDOW"]
+
+#: How many of a component's most recent health reports its failure
+#: fraction is taken over.
+HEALTH_WINDOW = 8
 
 
 class ServiceLevel(IntEnum):
@@ -71,8 +75,6 @@ class DegradationManager:
     """Drive the service level from health signals and response decisions.
 
     Args:
-        monitor: windowed health tracker fed by the layer simulators
-            (one is created when not supplied).
         degrade_threshold: failure fraction over a component's window at
             or above which the component counts as *unhealthy* this tick.
         degrade_streak: consecutive unhealthy ticks required to step
@@ -84,8 +86,7 @@ class DegradationManager:
             have no recovery machinery, so levels only ratchet down.
     """
 
-    def __init__(self, *, monitor: HealthMonitor | None = None,
-                 degrade_threshold: float = 0.5,
+    def __init__(self, *, degrade_threshold: float = 0.5,
                  degrade_streak: int = 1,
                  recovery_streak: int = 3,
                  allow_recovery: bool = True) -> None:
@@ -93,7 +94,6 @@ class DegradationManager:
             raise ValueError("degrade_threshold must be in (0, 1]")
         if degrade_streak < 1 or recovery_streak < 1:
             raise ValueError("streaks must be >= 1")
-        self.monitor = monitor if monitor is not None else HealthMonitor()
         self.degrade_threshold = degrade_threshold
         self.degrade_streak = degrade_streak
         self.recovery_streak = recovery_streak
@@ -104,6 +104,7 @@ class DegradationManager:
         self._unhealthy_streak = 0
         self._response_floor = ServiceLevel.FULL
         self._now = 0.0
+        self._health: dict[str, deque[bool]] = {}
 
     # -- signal sources ------------------------------------------------------
 
@@ -123,8 +124,11 @@ class DegradationManager:
                             f"on {decision.alert.component}")
 
     def report(self, component: str, ok: bool) -> None:
-        """Forward one health observation to the monitor."""
-        self.monitor.report(component, ok)
+        """Add one health observation to ``component``'s window."""
+        window = self._health.get(component)
+        if window is None:
+            window = self._health[component] = deque(maxlen=HEALTH_WINDOW)
+        window.append(ok)
 
     # -- the tick ------------------------------------------------------------
 
@@ -143,9 +147,9 @@ class DegradationManager:
         # window alone would keep degrading a service for ticks after an
         # outage ended, purely on stale history.
         unhealthy = [
-            c for c in self.monitor.components()
-            if self.monitor.latest(c) is False
-            and self.monitor.failure_fraction(c) >= self.degrade_threshold]
+            component for component, window in sorted(self._health.items())
+            if window[-1] is False
+            and window.count(False) / len(window) >= self.degrade_threshold]
         if unhealthy:
             self._healthy_streak = 0
             self._unhealthy_streak += 1

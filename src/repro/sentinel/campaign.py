@@ -1,7 +1,9 @@
 """Sentinel campaigns: the five scenarios streamed through the engine.
 
-Each campaign replays a chaos workload (the same scenario postures,
-fault plans, and injector streams as :mod:`repro.faults.chaos`) but
+Each campaign replays a chaos workload on the harness
+:mod:`repro.faults.chaos` runs on too (:mod:`repro.faults.harness`: the
+same scenario postures, fault plans, injector streams, degradation
+ladder, breaker, fault window and report document), but its tick loop
 produces *operational telemetry* — ranging residuals, per-sender frame
 rates, SecOC rejects, request statuses, DID resolutions — that a
 :class:`SentinelEngine` consumes online, tick by tick.  The runner hands
@@ -15,8 +17,8 @@ flow-graph node for the cascade correlator.  The engine never sees the
 injector's ``FAULT_INJECTED`` ground truth; it must detect campaigns
 from the same evidence a deployed IDS would have.
 
-The closed loop is real: the engine's alarms feed a
-:class:`~repro.core.response.ResponseEngine` attached to a
+The closed loop is real: the engine's alarms feed the harness's
+:class:`~repro.core.response.ResponseEngine`, which is attached to its
 :class:`~repro.faults.degradation.DegradationManager`, so a hard ALARM
 isolates the babbling ECU (stopping the storm it detected) and trust
 collapse escalates the degradation ladder.  Everything derives from
@@ -29,31 +31,27 @@ from __future__ import annotations
 from functools import lru_cache
 
 from repro.core.layers import Layer
-from repro.core.response import ResponseEngine
 from repro.core.rng import python_rng
-from repro.faults.chaos import (
-    _BABBLING,
-    _BIT_FLIP,
-    _CORRUPTION,
-    _FRAME_DROP,
-    _LATENCY,
-    _NLOS,
-    _OUTAGE,
-    _REGISTRY_DOWN,
-    _TIMEOUT,
-    _build_registry,
-    _scenario_window,
+from repro.faults.harness import (
+    BABBLING,
+    BIT_FLIP,
+    CORRUPTION,
+    FRAME_DROP,
+    LATENCY,
+    NLOS,
+    OUTAGE,
+    REGISTRY_DOWN,
+    TIMEOUT,
+    campaign_document,
+    did_registry,
+    open_scenario,
 )
-from repro.faults.degradation import DegradationManager
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import DEFAULT_DURATION, FaultKind, FaultPlan, get_plan
-from repro.faults.resilience import CircuitBreaker, VirtualClock
+from repro.faults.plan import DEFAULT_DURATION, FaultKind, FaultPlan
 from repro.lint.scenarios import get_scenario
 from repro.sentinel.correlator import CascadeCorrelator
 from repro.sentinel.detectors import default_detectors
 from repro.sentinel.engine import SentinelEngine
 from repro.sentinel.report import SCHEMA_VERSION, TOOL_NAME, detection, sentinel_summary
-from repro.ssi.did import Did
 from repro.ssi.registry import CachingResolver, RegistryUnavailable
 
 __all__ = ["run_sentinel_scenario", "run_sentinel_campaign"]
@@ -83,24 +81,14 @@ def _adjacency(name: str) -> dict[str, set[str]]:
 def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
                           duration: int = DEFAULT_DURATION) -> dict:
     """Stream one scenario's telemetry through the sentinel engine."""
-    scenario = get_scenario(name)
-    if duration < 1:
-        raise ValueError("duration must be >= 1 tick")
-
-    injector = FaultInjector(plan, base_seed=base_seed)
+    harness = open_scenario(name, plan, base_seed, duration)
+    scenario, injector, clock = harness.scenario, harness.injector, harness.clock
+    response, manager, breaker = harness.response, harness.manager, harness.breaker
     fires = injector.fires
-    clock = VirtualClock()
     residual_rng = python_rng(f"sentinel/{plan.name}/{name}/residual", base_seed)
     frames_rng = python_rng(f"sentinel/{plan.name}/{name}/frames", base_seed)
     latency_rng = python_rng(f"sentinel/{plan.name}/{name}/latency", base_seed)
 
-    response = ResponseEngine(escalation_threshold=8)
-    manager = DegradationManager(
-        degrade_threshold=scenario.degrade_threshold,
-        degrade_streak=scenario.degrade_streak,
-        recovery_streak=scenario.recovery_streak,
-        allow_recovery=scenario.allow_recovery)
-    manager.attach(response)
     report = manager.report
     can, secoc, ranging, budget, resolution = detectors = default_detectors()
     engine = SentinelEngine(name, detectors=detectors,
@@ -108,20 +96,14 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
                             response=response)
     observe = engine.observe
 
-    breaker: CircuitBreaker | None = None
-    if "cloud" in scenario.subsystems and scenario.resilient:
-        breaker = CircuitBreaker("telemetry-backend", clock=clock,
-                                 failure_threshold=3, recovery_time_s=3.0)
-
     resolver: CachingResolver | None = None
-    did: Did | None = None
     registry_down = {"down": False}
     if "ssi" in scenario.subsystems and scenario.resilient:
-        registry, did = _build_registry()
+        registry, did = did_registry()
         resolver = CachingResolver(registry,
                                    unavailable=lambda: registry_down["down"])
 
-    window_start, window_end = _scenario_window(plan, scenario.subsystems)
+    window_end = harness.window[1]
     resilient = scenario.resilient
     attempts = 3 if resilient else 1
     floor_cleared = False
@@ -138,11 +120,11 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
         return True
 
     def attempt_once(now: float) -> str:
-        if fires(_OUTAGE, "telemetry-backend", now):
+        if fires(OUTAGE, "telemetry-backend", now):
             return "5xx"
-        if fires(_TIMEOUT, "telemetry-backend", now):
+        if fires(TIMEOUT, "telemetry-backend", now):
             return "timeout"
-        if fires(_LATENCY, "telemetry-backend", now):
+        if fires(LATENCY, "telemetry-backend", now):
             return "timeout"
         return "ok"
 
@@ -151,18 +133,18 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
         clock.now = t
 
         if has_phy:
-            corrupted = fires_after_retries(_CORRUPTION, "uwb-anchor", t)
+            corrupted = fires_after_retries(CORRUPTION, "uwb-anchor", t)
             nlos = (not corrupted) and fires_after_retries(
-                _NLOS, "uwb-anchor", t)
+                NLOS, "uwb-anchor", t)
             residual = residual_rng.gauss(0.0, 0.05)
             rejected = False
             if corrupted:
                 if resilient:
                     rejected = True  # secure receiver discards the sample
                 else:
-                    magnitude = injector.magnitude(_CORRUPTION, "uwb-anchor", t)
+                    magnitude = injector.magnitude(CORRUPTION, "uwb-anchor", t)
                     residual = float(injector.corruption_noise(
-                        _CORRUPTION, "uwb-anchor", 1, magnitude)[0])
+                        CORRUPTION, "uwb-anchor", 1, magnitude)[0])
             elif nlos:
                 if resilient:
                     rejected = True
@@ -176,7 +158,7 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
             report("phy", not corrupted and not nlos)
 
         if has_ivn:
-            babbling = fires(_BABBLING, "ecu-babbler", t)
+            babbling = fires(BABBLING, "ecu-babbler", t)
             for sender in senders:
                 observe(sender, _NETWORK)
                 can.add_frames(sender, frames_rng.randint(3, 5))
@@ -187,8 +169,8 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
                 # carries the full storm.
                 observe("ecu-babbler", _NETWORK)
                 can.add_frames("ecu-babbler", 8 if resilient else 24)
-            drop = fires_after_retries(_FRAME_DROP, "zonal-can", t)
-            flip = fires_after_retries(_BIT_FLIP, "zonal-can", t)
+            drop = fires_after_retries(FRAME_DROP, "zonal-can", t)
+            flip = fires_after_retries(BIT_FLIP, "zonal-can", t)
             if flip and resilient:
                 observe("zonal-can", _NETWORK)
                 secoc.add_mac_reject("zonal-can", t)
@@ -220,9 +202,9 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
             report("cloud", status == "ok")
 
         if has_ssi:
-            down = fires(_REGISTRY_DOWN, "did-registry", t)
+            down = fires(REGISTRY_DOWN, "did-registry", t)
             registry_down["down"] = down
-            if resolver is not None and did is not None:
+            if resolver is not None:
                 try:
                     resolver.resolve(did)
                     status = "stale" if down else "ok"
@@ -242,11 +224,7 @@ def run_sentinel_scenario(name: str, plan: FaultPlan, *, base_seed: int = 0,
             floor_cleared = True
 
     result = {
-        "scenario": scenario.name,
-        "description": scenario.description,
-        "resilient": scenario.resilient,
-        "durationTicks": duration,
-        "window": {"start": window_start, "end": window_end},
+        **harness.entry(),
         "faults": {"injected": injector.count,
                    "byKind": injector.count_by_kind()},
         "sentinel": engine.to_dict(),
@@ -262,18 +240,7 @@ def run_sentinel_campaign(scenarios: list[str], plan_name: str, *,
                           base_seed: int = 0,
                           duration: int = DEFAULT_DURATION) -> dict:
     """Run several scenarios under one plan; assemble the report doc."""
-    from repro import __version__
-
-    plan = get_plan(plan_name)
-    results = [run_sentinel_scenario(name, plan, base_seed=base_seed,
-                                     duration=duration)
-               for name in scenarios]
-    document = {
-        "version": SCHEMA_VERSION,
-        "tool": {"name": TOOL_NAME, "version": __version__},
-        "plan": plan.to_dict(),
-        "baseSeed": base_seed,
-        "scenarios": results,
-    }
-    document["summary"] = sentinel_summary(document)
-    return document
+    return campaign_document(run_sentinel_scenario, sentinel_summary,
+                             version=SCHEMA_VERSION, tool=TOOL_NAME,
+                             scenarios=scenarios, plan_name=plan_name,
+                             base_seed=base_seed, duration=duration)

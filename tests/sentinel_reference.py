@@ -26,10 +26,10 @@ from __future__ import annotations
 from repro.core.layers import Layer
 from repro.core.response import ResponseEngine
 from repro.core.rng import python_rng
-from repro.faults.chaos import DEFAULT_DURATION, _scenario_window
+from repro.faults.harness import fault_window as _scenario_window
 from repro.faults.degradation import DegradationManager, ServiceLevel
 from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultKind, FaultPlan
+from repro.faults.plan import DEFAULT_DURATION, FaultKind, FaultPlan
 from repro.faults.resilience import CircuitBreaker, VirtualClock
 from repro.flow.graph import build_flow_graph
 from repro.lint.scenarios import get_scenario

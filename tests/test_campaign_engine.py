@@ -28,7 +28,7 @@ from repro.campaign import (
 )
 from repro.campaign.shard import TOOL_EXECUTORS, canonical_json, result_digest
 from repro.campaign.supervisor import WORKER_CRASH_EXIT, Supervisor, _WorkItem, _Worker
-from repro.faults import get_plan
+from repro.faults.plan import get_plan
 from repro.lint import Linter, scenario_names
 from tests.conftest import assert_same_bytes
 

@@ -138,7 +138,7 @@ class TestSubscriptionAndFlapping:
         # end-to-end hysteresis: a flapping IDS (critical alert, then
         # healthy ticks, repeatedly) may hold the vehicle DEGRADED but
         # must never walk it below the action's floor
-        from repro.faults import DegradationManager, ServiceLevel
+        from repro.faults.degradation import DegradationManager, ServiceLevel
 
         engine = ResponseEngine(escalation_threshold=100)
         manager = DegradationManager(degrade_streak=2, recovery_streak=2)

@@ -111,8 +111,35 @@ def test_core_and_crypto_imports_do_not_load_networkx_or_numpy():
             "loaded = sorted({'networkx', 'numpy'} & set(sys.modules)); "
             "assert not loaded, f'core/crypto loaded {loaded}'; "
             "import repro.ssi; "
-            "assert 'networkx' not in sys.modules, 'repro.ssi loaded networkx'")
+            "assert 'networkx' not in sys.modules, 'repro.ssi loaded networkx'; "
+            "assert 'numpy' not in sys.modules, 'repro.ssi loaded numpy'")
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def _loaded_by(module: str, watched: set[str]) -> list[str]:
+    """The ``watched`` modules a fresh interpreter has after importing ``module``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys, {module}; "
+            f"print(' '.join(sorted({sorted(watched)!r} & sys.modules.keys())))")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def test_campaign_import_loads_no_graph_analyzers_or_chaos_stack():
+    # The engine needs the fault plans and the injector, not the tools
+    # its workers run: those load inside the shard executors.
+    assert _loaded_by("repro.campaign",
+                      {"networkx", "repro.lint", "repro.faults.chaos"}) == []
+
+
+@pytest.mark.parametrize("module", ["repro.faults.plan", "repro.__main__"])
+def test_plan_and_cli_imports_load_no_networkx_or_numpy(module):
+    # repro.faults re-exports nothing, so the plan taxonomy the CLI and
+    # the campaign spec read comes without the chaos stack behind it.
+    assert _loaded_by(module, {"networkx", "numpy"}) == []

@@ -4,15 +4,10 @@ import json
 
 import pytest
 
-from repro.faults import (
-    FaultInjector,
-    FaultKind,
-    baseline_plan,
-    get_plan,
-    run_chaos_campaign,
-    run_chaos_scenario,
-    validate_chaos_dict,
-)
+from repro.faults.chaos import run_chaos_campaign, run_chaos_scenario
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultKind, baseline_plan, get_plan
+from repro.faults.report import validate_chaos_dict
 from repro.lint import SCENARIOS, scenario_names
 
 ALL = scenario_names()

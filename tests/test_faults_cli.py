@@ -2,7 +2,7 @@
 
 import json
 
-from repro.faults import validate_chaos_dict
+from repro.faults.report import validate_chaos_dict
 
 
 class TestTextOutput:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.layers import Layer
 from repro.core.response import ResponseEngine, SecurityAlert, Severity
-from repro.faults import DegradationManager, ServiceLevel
+from repro.faults.degradation import DegradationManager, ServiceLevel
 
 
 def drive(manager, reports):

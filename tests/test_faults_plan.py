@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.layers import Layer
-from repro.faults import (
+from repro.faults.plan import (
     KIND_LAYER,
     FaultKind,
     FaultPlan,

@@ -4,7 +4,8 @@ import copy
 
 import pytest
 
-from repro.faults import ChaosSchemaError, run_chaos_campaign, validate_chaos_dict
+from repro.faults.chaos import run_chaos_campaign
+from repro.faults.report import ChaosSchemaError, validate_chaos_dict
 
 
 @pytest.fixture(scope="module")

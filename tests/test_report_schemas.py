@@ -24,7 +24,8 @@ from repro.campaign import (CampaignReport, CampaignSpec, CampaignTool,
                             result_digest, validate_campaign_dict)
 from repro.core.schema import SchemaError
 from repro.experiments import find
-from repro.faults import run_chaos_campaign, validate_chaos_dict
+from repro.faults.chaos import run_chaos_campaign
+from repro.faults.report import validate_chaos_dict
 from repro.lint import (Analysis, Baseline, Linter, build_scenario,
                         validate_report_dict)
 from repro.lint.sarif import to_sarif_dict, validate_sarif_dict

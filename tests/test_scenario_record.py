@@ -9,7 +9,7 @@ chaos campaign does not book under a layer would fail only at run time.
 
 import pytest
 
-from repro.faults.chaos import _SUBSYSTEM_LAYER
+from repro.faults.harness import SUBSYSTEM_LAYER
 from repro.flow.graph import build_flow_graph
 from repro.lint import SCENARIOS, scenario_names
 
@@ -26,7 +26,7 @@ def test_anchors_and_senders_are_flow_graph_nodes(name):
 def test_subsystems_are_booked_under_a_layer(name):
     subsystems = SCENARIOS[name].subsystems
     assert subsystems
-    assert set(subsystems) <= set(_SUBSYSTEM_LAYER)
+    assert set(subsystems) <= set(SUBSYSTEM_LAYER)
 
 
 @pytest.mark.parametrize("name", scenario_names())
